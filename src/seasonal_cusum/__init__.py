@@ -33,13 +33,11 @@ from .intensity import (
     IntensityModel,
     SlotProfile,
     busyness_quartile_check,
-    cumulative_intensity,
     encode_features,
     fit_intensity_model,
     fit_poisson_glm,
     fit_slot_profile,
     select_model,
-    slot_intensity,
 )
 from .simulate import (
     ChangeSpec,
@@ -76,7 +74,6 @@ __all__ = [
     "beta",
     "busyness_quartile_check",
     "calibrate_threshold",
-    "cumulative_intensity",
     "day_meta",
     "detect_gaps",
     "detection_delay",
@@ -97,7 +94,6 @@ __all__ = [
     "select_model",
     "simulate_events",
     "simulate_slot_counts",
-    "slot_intensity",
     "split_train_test",
     "step_aggregated",
     "step_events",

@@ -15,6 +15,7 @@ import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -45,8 +46,8 @@ class CalibrationTarget:
     tolerance_rel: float = 0.02
 
     def __post_init__(self):
-        if self.pi <= 0:
-            raise ValidationError("false-alarm budget must be positive")
+        if not (0 < self.pi < math.inf):
+            raise ValidationError(f"false-alarm budget must be positive and finite, got {self.pi}")
         if self.replications < 100:
             raise ValidationError("need at least 100 replications")
         if not 0 < self.tolerance_rel < 0.5:
@@ -197,6 +198,19 @@ def _arl_aggregated(
     return _summarize(run_length.astype(float), ~alarmed)
 
 
+def _arl_function(
+    timeline: SlotTimeline,
+    config: DetectorConfig,
+    target: CalibrationTarget,
+    seed: int,
+) -> Callable[[float], tuple[float, float, float]]:
+    """m -> (arl, stderr, censored_fraction); event-mode curves are built once, here."""
+    if config.mode == EVENT_TIMES:
+        curves = _build_curves(timeline, config, target, seed)
+        return lambda m: _arl_from_curves(curves, m)
+    return lambda m: _arl_aggregated(m, timeline, config, target, seed)
+
+
 def estimate_arl(
     m: float,
     timeline: SlotTimeline,
@@ -211,11 +225,7 @@ def estimate_arl(
     """
     if m <= 0:
         raise ValidationError("threshold must be positive")
-    if config.mode == EVENT_TIMES:
-        curves = _build_curves(timeline, config, target, seed)
-        arl, stderr, cf = _arl_from_curves(curves, m)
-    else:
-        arl, stderr, cf = _arl_aggregated(m, timeline, config, target, seed)
+    arl, stderr, cf = _arl_function(timeline, config, target, seed)(m)
     if cf > 0.5:
         raise HorizonTooShortError(
             f"{cf:.0%} of paths were censored at the horizon; extend horizon_cap"
@@ -237,17 +247,11 @@ def calibrate_threshold(
     if target.pi < 1:
         raise ValidationError("budget below one event is unattainable")
 
-    curves: list[RecordCurve] | None = None
-    if config_template.mode == EVENT_TIMES:
-        curves = _build_curves(timeline, config_template, target, seed)
-
+    arl_at = _arl_function(timeline, config_template, target, seed)
     trace: list[dict] = []
 
     def evaluate(m: float) -> tuple[float, float, float]:
-        if curves is not None:
-            arl, stderr, cf = _arl_from_curves(curves, m)
-        else:
-            arl, stderr, cf = _arl_aggregated(m, timeline, config_template, target, seed)
+        arl, stderr, cf = arl_at(m)
         trace.append({"m": m, "arl": arl, "stderr": stderr, "censored_fraction": cf})
         return arl, stderr, cf
 

@@ -51,8 +51,10 @@ class DetectorConfig:
             raise ValidationError(f"unknown direction {self.direction!r}")
         if self.mode not in (EVENT_TIMES, AGGREGATED_COUNTS):
             raise ValidationError(f"unknown mode {self.mode!r}")
-        if self.threshold_m <= 0:
-            raise ValidationError("threshold must be positive")
+        if not (math.isfinite(self.threshold_m) and self.threshold_m > 0):
+            raise ValidationError(f"threshold must be positive and finite, got {self.threshold_m}")
+        if not math.isfinite(self.rho):
+            raise ValidationError(f"rho must be finite, got {self.rho}")
         beta(self.rho)  # domain check
         if self.direction == INCREASE and self.rho <= 1:
             raise ValidationError("increase detection needs rho > 1")
@@ -117,10 +119,13 @@ def step_aggregated(
     increase direction and v' = max(0, v + beta * dLambda - count) for the
     decrease direction; u and its running minimum track the unreflected walk.
     """
-    if count < 0:
-        raise ValidationError(f"negative count {count}")
-    if lambda_increment < 0:
-        raise ValidationError(f"negative intensity increment {lambda_increment}")
+    # NaN fails every comparison, so these reject it too; a NaN reaching
+    # max(0.0, .) would silently reset v.
+    if not count >= 0 or count % 1:
+        raise ValidationError(f"count must be a nonnegative integer, got {count}")
+    if not (0 <= lambda_increment < math.inf):
+        raise ValidationError(f"intensity increment must be nonnegative and finite, got {lambda_increment}")
+    count = int(count)
     if config.direction == INCREASE:
         x = count - config.beta * lambda_increment
     else:
@@ -131,7 +136,7 @@ def step_aggregated(
         v=max(0.0, state.v + x),
         u=u,
         u_min=min(state.u_min, u),
-        events_seen=state.events_seen + int(count),
+        events_seen=state.events_seen + count,
         clock=state.clock if clock is None else clock,
     )
     return _resolve_alarm(new, config, new.clock)
@@ -227,6 +232,27 @@ class TimelineRun:
     state: CusumState
 
 
+def _scan(
+    counts: Iterable[int],
+    increments: Iterable[float],
+    clocks: Iterable[object],
+    config: DetectorConfig,
+    state: CusumState,
+) -> tuple[list[float], list[AlarmEvent | None], CusumState]:
+    """`step_aggregated` over consecutive intervals.
+
+    Returns each interval's V, its alarm (or None) and the final state. V is
+    the pre-reset level where an alarm fires, so the path shows the actual
+    excursion.
+    """
+    v, alarms = [], []
+    for count, dlam, clock in zip(counts, increments, clocks):
+        state, alarm = step_aggregated(state, count, dlam, config, clock=clock)
+        v.append(alarm.v_at_alarm if alarm is not None else state.v)
+        alarms.append(alarm)
+    return v, alarms, state
+
+
 def run_aggregated(
     timeline: SlotTimeline,
     counts: Sequence[int],
@@ -236,15 +262,8 @@ def run_aggregated(
     if len(counts) != len(timeline):
         raise ValidationError("counts length must match the timeline")
     state = state or CusumState.initial(clock=float(timeline.starts[0]))
-    v = np.empty(len(counts))
-    alarms = []
-    for i, count in enumerate(counts):
-        state, alarm = step_aggregated(state, int(count), float(timeline.means[i]), config, clock=float(timeline.ends[i]))
-        # Record the pre-reset level so the path shows the actual excursion.
-        v[i] = alarm.v_at_alarm if alarm is not None else state.v
-        if alarm is not None:
-            alarms.append(alarm)
-    return TimelineRun(v=v, alarms=alarms, state=state)
+    v, alarms, state = _scan(counts, timeline.means.tolist(), timeline.ends.tolist(), config, state)
+    return TimelineRun(v=np.array(v), alarms=[a for a in alarms if a is not None], state=state)
 
 
 def run_events(
@@ -253,18 +272,30 @@ def run_events(
     config: DetectorConfig,
     state: CusumState | None = None,
 ) -> TimelineRun:
-    """Run from exact event times; v is sampled at every slot boundary."""
+    """Run from exact event times; v is sampled at every slot boundary.
+
+    Event times must be finite, sorted and inside the timeline. Slot 0 takes
+    the events in [start, end], every later slot those in (start, end].
+    """
     times = np.asarray(event_times, dtype=float)
+    if not np.all(np.isfinite(times)):
+        raise ValidationError("event times must be finite")
+    if np.any(np.diff(times) < 0):
+        raise ValidationError("event times must be sorted")
+    if times.size and (times[0] < timeline.starts[0] or times[-1] > timeline.ends[-1]):
+        raise ValidationError(f"event times outside the timeline [{timeline.starts[0]}, {timeline.ends[-1]}]")
+    cuts = np.searchsorted(times, timeline.ends, side="right")
     state = state or CusumState.initial(clock=float(timeline.starts[0]))
     v = np.empty(len(timeline))
     alarms = []
-    for i in range(len(timeline)):
-        a, bnd = float(timeline.starts[i]), float(timeline.ends[i])
-        inside = times[(times > a) & (times <= bnd)] if i > 0 else times[(times >= a) & (times <= bnd)]
-        state, alarm = step_events(state, inside.tolist(), config, (a, bnd), timeline.cumulative)
+    lo = 0
+    for i, hi in enumerate(cuts.tolist()):
+        interval = (float(timeline.starts[i]), float(timeline.ends[i]))
+        state, alarm = step_events(state, times[lo:hi].tolist(), config, interval, timeline.cumulative)
         if alarm is not None:
             alarms.append(alarm)
         v[i] = state.v
+        lo = hi
     return TimelineRun(v=v, alarms=alarms, state=state)
 
 
@@ -293,27 +324,19 @@ def run_detector(
     """Run the aggregated detector over calendar slot records.
 
     Records are processed in time order; dates absent from the series
-    (gaps, closed days) leave the state untouched.
+    (gaps, closed days) leave the state untouched. A record on a closed slot
+    has a zero intensity increment.
     """
-    state = state or CusumState.initial()
-    records: list[StepRecord] = []
-    alarms: list[AlarmEvent] = []
-    for rec in sorted(series):
-        dlam = model.slot_rate(rec.date, rec.slot_index)
-        end = slot_timestamp(rec.date, rec.slot_index, end=True)
-        state, alarm = step_aggregated(state, rec.count, dlam, config, clock=end)
-        if alarm is not None:
-            alarms.append(alarm)
-        records.append(
-            StepRecord(
-                timestamp=end,
-                v=alarm.v_at_alarm if alarm is not None else state.v,
-                lambda_increment=dlam,
-                count=rec.count,
-                alarm=alarm is not None,
-            )
-        )
-    return DetectorRun(records=records, alarms=alarms, state=state)
+    records = sorted(series)
+    increments = [model.slot_rate(rec.date, rec.slot_index) for rec in records]
+    clocks = [slot_timestamp(rec.date, rec.slot_index, end=True) for rec in records]
+    counts = [rec.count for rec in records]
+    v, alarms, state = _scan(counts, increments, clocks, config, state or CusumState.initial())
+    steps = [
+        StepRecord(timestamp=clock, v=level, lambda_increment=dlam, count=count, alarm=alarm is not None)
+        for clock, level, dlam, count, alarm in zip(clocks, v, increments, counts, alarms)
+    ]
+    return DetectorRun(records=steps, alarms=[a for a in alarms if a is not None], state=state)
 
 
 def double_sided_run(

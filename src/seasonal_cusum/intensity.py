@@ -4,7 +4,7 @@ The daily count model is a log-link Poisson regression over calendar
 factors, fitted by iteratively reweighted least squares and compared by
 BIC. Daily predictions are spread over half-hour slots with a per-slot
 median-fraction profile, giving a piecewise-constant rate surface whose
-integral is available on any interval. A constant-rate baseline (the
+timeline (`SlotTimeline`) integrates it over any interval. A constant-rate baseline (the
 training mean per open half hour) is kept alongside for comparison runs.
 """
 
@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field, replace
-from datetime import date, datetime
+from datetime import date
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
@@ -28,8 +28,6 @@ from .daycal import (
     DayMeta,
     ScenarioSchedule,
     day_meta,
-    slot_end,
-    slot_start,
 )
 from .errors import (
     ConvergenceError,
@@ -127,10 +125,6 @@ class GlmModel:
 
 def bic_score(log_likelihood: float, k: int, n_obs: int) -> float:
     return k * math.log(n_obs) - 2.0 * log_likelihood
-
-
-def bic(model: GlmModel) -> float:
-    return model.bic
 
 
 def poisson_log_likelihood(y: np.ndarray, eta: np.ndarray) -> float:
@@ -240,10 +234,6 @@ class CandidateFit:
     model: GlmModel | None
     error: str | None
 
-    @property
-    def bic(self) -> float | None:
-        return None if self.model is None else self.model.bic
-
 
 def fit_candidates(
     metas: Sequence[DayMeta],
@@ -268,7 +258,10 @@ def select_model(
 
     Ties break toward fewer coefficients.
     """
-    fits = fit_candidates(metas, counts, candidates)
+    return _lowest_bic(fit_candidates(metas, counts, candidates))
+
+
+def _lowest_bic(fits: Sequence[CandidateFit]) -> GlmModel:
     fitted = [f.model for f in fits if f.model is not None]
     if not fitted:
         details = "; ".join(f"{sorted(f.factor_spec)}: {f.error}" for f in fits)
@@ -481,24 +474,6 @@ class IntensityModel:
             raise CoverageError("no open slots in the requested dates")
         return SlotTimeline(slots)
 
-    def cumulative_between(self, start: datetime, end: datetime) -> float:
-        """Expected calls in [start, end]; additive over adjacent intervals."""
-        if end < start:
-            raise ValidationError("interval end precedes start")
-        total = 0.0
-        d = start.date()
-        while d <= end.date():
-            rates = self.slot_rates(d)
-            for k in range(len(rates)):
-                s = datetime.combine(d, slot_start(k))
-                e = datetime.combine(d, slot_end(k))
-                lo = max(s, start)
-                hi = min(e, end)
-                if hi > lo:
-                    total += rates[k] * ((hi - lo) / (e - s))
-            d = date.fromordinal(d.toordinal() + 1)
-        return total
-
     def as_naive(self) -> "IntensityModel":
         if self.constant_rate is None:
             raise ValidationError("model carries no constant baseline rate")
@@ -539,9 +514,12 @@ class IntensityModel:
         glm = None
         if "glm" in doc:
             g = doc["glm"]
+            coefficients = np.array(g["coefficients"], dtype=float)
+            if not np.all(np.isfinite(coefficients)):
+                raise ValidationError("model GLM coefficients must be finite")
             glm = GlmModel(
                 factor_spec=frozenset(g["factor_spec"]),
-                coefficients=np.array(g["coefficients"]),
+                coefficients=coefficients,
                 column_names=tuple(g["column_names"]),
                 log_likelihood=g["log_likelihood"],
                 bic=g["bic"],
@@ -574,16 +552,6 @@ class IntensityModel:
         return cls.from_dict(json.loads(Path(path).read_text()))
 
 
-def slot_intensity(model: IntensityModel, d: date, index: int) -> float:
-    """Expected calls in one half-hour slot; zero for closed slots."""
-    return model.slot_rate(d, index)
-
-
-def cumulative_intensity(model: IntensityModel, start: datetime, end: datetime) -> float:
-    """Expected calls between two instants (slot units, piecewise-constant rate)."""
-    return model.cumulative_between(start, end)
-
-
 @dataclass(frozen=True)
 class FitReport:
     """Everything the fit step learned, for the report file."""
@@ -600,7 +568,7 @@ class FitReport:
             "bic_table": [
                 {
                     "factors": sorted(c.factor_spec),
-                    "bic": c.bic,
+                    "bic": None if c.model is None else c.model.bic,
                     "log_likelihood": None if c.model is None else c.model.log_likelihood,
                     "n_coefficients": None if c.model is None else len(c.model.coefficients),
                     "error": c.error,
@@ -638,11 +606,7 @@ def fit_intensity_model(
     metas = [train.meta[r.date] for r in open_daily]
     counts = [r.count for r in open_daily]
     fits = fit_candidates(metas, counts, candidates)
-    fitted = [f.model for f in fits if f.model is not None]
-    if not fitted:
-        details = "; ".join(f"{sorted(f.factor_spec)}: {f.error}" for f in fits)
-        raise ValidationError(f"all candidate fits failed: {details}")
-    best = min(fitted, key=lambda m: (m.bic, len(m.coefficients)))
+    best = _lowest_bic(fits)
 
     fallback = False
     quartiles: list[QuartileProfile] = []

@@ -93,14 +93,6 @@ class SlotTimeline:
             raise ValidationError("interval end precedes start")
         return self.cum_mean_at(b) - self.cum_mean_at(a)
 
-    def cumulative_tiled(self, t: float) -> float:
-        """cum_mean_at extended periodically past the end (for long simulations)."""
-        if t <= self.ends[-1]:
-            return self.cum_mean_at(t)
-        span = self.total_time
-        cycles, rem = divmod(t - self.starts[0], span)
-        return float(cycles) * self.total_mean + self.cum_mean_at(self.starts[0] + rem)
-
     def locate(self, d: date, tod: time | None = None) -> float:
         """Open-time position of a calendar instant.
 

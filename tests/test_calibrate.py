@@ -147,6 +147,12 @@ def test_target_validation():
         CalibrationTarget(pi=5.0, tolerance_rel=0.9)
 
 
+@pytest.mark.parametrize("pi", [math.nan, math.inf], ids=["nan", "inf"])
+def test_target_rejects_non_finite_budget(pi):
+    with pytest.raises(ValidationError):
+        CalibrationTarget(pi=pi)
+
+
 def test_worker_count_env(monkeypatch):
     monkeypatch.delenv("SEASONAL_CUSUM_THREADS", raising=False)
     assert worker_count() == 1

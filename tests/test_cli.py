@@ -224,6 +224,26 @@ def test_detect_missing_series_is_input_error(workspace, tmp_path, capsys):
     assert rc == EXIT_INPUT
 
 
+def test_detect_with_nan_model_coefficient_is_input_error(workspace, tmp_path):
+    doc = json.loads(workspace["model"].read_text())
+    doc["glm"]["coefficients"][0] = float("nan")
+    bad_model = tmp_path / "model.json"
+    bad_model.write_text(json.dumps(doc))
+    series = tmp_path / "series.csv"
+    series.write_text("date,slot_start,count\n2018-01-08,07:30,3\n")
+    rc = main(
+        [
+            "detect",
+            "--model", str(bad_model),
+            "--series", str(series),
+            "--rho", "1.2",
+            "--m", "10",
+            "--out", str(tmp_path / "q"),
+        ]
+    )
+    assert rc == EXIT_INPUT
+
+
 def test_double_sided_detect_outputs(workspace, tmp_path):
     sim_dir = tmp_path / "sim"
     main(

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from seasonal_cusum.daycal import slot_start, slot_timestamp
 from seasonal_cusum.detect import (
     AGGREGATED_COUNTS,
     DECREASE,
@@ -117,6 +118,27 @@ def test_step_aggregated_validation():
         step_aggregated(CusumState.initial(), -1, 1.0, _cfg())
     with pytest.raises(ValidationError):
         step_aggregated(CusumState.initial(), 1, -1.0, _cfg())
+
+
+def test_step_aggregated_nan_increment_does_not_reset():
+    start = CusumState(v=4.0, u=4.0, u_min=0.0)
+    with pytest.raises(ValidationError):
+        step_aggregated(start, 1, math.nan, _cfg())
+
+
+def test_step_aggregated_rejects_non_integral_count():
+    with pytest.raises(ValidationError):
+        step_aggregated(CusumState.initial(), 2.7, 1.0, _cfg())
+
+
+@pytest.mark.parametrize(
+    "rho, m",
+    [(1.2, math.nan), (1.2, math.inf), (math.nan, 1.0), (math.inf, 1.0)],
+    ids=["threshold-nan", "threshold-inf", "rho-nan", "rho-inf"],
+)
+def test_config_rejects_non_finite(rho, m):
+    with pytest.raises(ValidationError):
+        DetectorConfig(rho=rho, threshold_m=m)
 
 
 def test_config_validation():
@@ -293,8 +315,6 @@ def test_run_detector_state_frozen_across_gap(truth_model):
 
 
 def test_double_sided_matches_single_sided(truth_model):
-    from seasonal_cusum.daycal import slot_start
-
     d = date(2018, 1, 8)
     rates = truth_model.slot_rates(d)
     series = [SlotRecord(d, slot_start(k), int(r)) for k, r in enumerate(rates[:6])]
@@ -362,3 +382,108 @@ def test_in_control_run_stays_near_zero():
         run = run_aggregated(tl, path.counts, cfg)
         averages.append(float(run.v.mean()))
     assert np.mean(averages) < cfg.threshold_m / 4
+
+
+# --- batch kernels against the step functions ------------------------------------
+
+# Two weeks from Monday 2018-01-08: Saturdays close after ten slots, Sundays are
+# closed all day, and dates left out of a draw are gaps.
+_DAYS = [date(2018, 1, 8 + i) for i in range(14)]
+
+
+@st.composite
+def _calendar_series(draw):
+    records = []
+    for d in draw(st.lists(st.sampled_from(_DAYS), unique=True, max_size=6)):
+        for k in draw(st.lists(st.integers(0, 21), unique=True, min_size=1, max_size=22)):
+            records.append(SlotRecord(d, slot_start(k), draw(st.integers(0, 80))))
+    return draw(st.permutations(records))
+
+
+_configs = st.builds(
+    lambda up, m, reset: _cfg(rho=1.2 if up else 1 / 1.2, m=m, direction=INCREASE if up else DECREASE, reset=reset),
+    st.booleans(),
+    st.floats(min_value=1.0, max_value=60.0),
+    st.booleans(),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(series=_calendar_series(), cfg=_configs)
+def test_run_detector_chunked_equals_batch_equals_step_loop(truth_model, series, cfg):
+    batch = run_detector(series, truth_model, cfg)
+
+    state, records, alarms = CusumState.initial(), [], []
+    for d in sorted({r.date for r in series}):
+        day = run_detector([r for r in series if r.date == d], truth_model, cfg, state)
+        state = day.state
+        records += day.records
+        alarms += day.alarms
+    assert (records, alarms, state) == (batch.records, batch.alarms, batch.state)
+
+    oracle, oracle_v, oracle_alarms = CusumState.initial(), [], []
+    for rec in sorted(series):
+        dlam = truth_model.slot_rate(rec.date, rec.slot_index)
+        end = slot_timestamp(rec.date, rec.slot_index, end=True)
+        oracle, alarm = step_aggregated(oracle, rec.count, dlam, cfg, clock=end)
+        oracle_v.append(alarm.v_at_alarm if alarm is not None else oracle.v)
+        if alarm is not None:
+            oracle_alarms.append(alarm)
+    assert [r.v for r in batch.records] == oracle_v
+    assert (batch.alarms, batch.state) == (oracle_alarms, oracle)
+
+
+# Unit slots from 0: slot i covers [i, i + 1], so integer times sit on boundaries.
+@st.composite
+def _events_on_timeline(draw):
+    rates = draw(st.lists(st.floats(min_value=0.0, max_value=12.0), min_size=1, max_size=6))
+    n = len(rates)
+    times = st.one_of(st.integers(0, n).map(float), st.floats(min_value=0.0, max_value=float(n)))
+    return SlotTimeline.from_rates(rates), sorted(draw(st.lists(times, max_size=40)))
+
+
+_event_configs = st.builds(
+    lambda up, m, reset: _cfg(
+        rho=1.3 if up else 0.7, m=m, direction=INCREASE if up else DECREASE, mode=EVENT_TIMES, reset=reset
+    ),
+    st.booleans(),
+    st.floats(min_value=0.5, max_value=6.0),
+    st.booleans(),
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=_events_on_timeline(), cfg=_event_configs)
+def test_run_events_equals_step_events_loop(data, cfg):
+    tl, times = data
+    run = run_events(tl, times, cfg)
+
+    state, v, alarms = CusumState.initial(clock=0.0), [], []
+    for i in range(len(tl)):
+        a, b = float(tl.starts[i]), float(tl.ends[i])
+        inside = [t for t in times if (a <= t if i == 0 else a < t) and t <= b]
+        state, alarm = step_events(state, inside, cfg, (a, b), tl.cumulative)
+        v.append(state.v)
+        if alarm is not None:
+            alarms.append(alarm)
+    assert run.v.tolist() == v
+    assert (run.alarms, run.state) == (alarms, state)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    data=_events_on_timeline(),
+    fault=st.sampled_from(["unsorted", "nan", "inf", "before", "after"]),
+    where=st.floats(min_value=0.0, max_value=1.0),
+)
+def test_run_events_rejects_bad_times(data, fault, where):
+    tl, times = data
+    times = sorted(times + [0.0, tl.total_time])
+    if fault == "unsorted":
+        times[0], times[-1] = times[-1], times[0]
+    else:
+        pos = {"before": 0, "after": len(times)}.get(fault, int(where * len(times)))
+        bad = {"nan": math.nan, "inf": math.inf, "before": -0.5, "after": tl.total_time + 0.5}[fault]
+        times.insert(pos, bad)
+    with pytest.raises(ValidationError):
+        run_events(tl, times, _cfg(mode=EVENT_TIMES))

