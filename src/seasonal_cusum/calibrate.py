@@ -2,11 +2,12 @@
 
 The map m -> E[N at first alarm] is estimated by Monte Carlo with common
 random numbers, so it is nondecreasing in m path by path and a bisection
-finds the threshold hitting the budget. Event-granular paths are reduced
-to "record curves" (the running maxima of the reflected statistic with the
+finds the threshold hitting the budget. Each simulated path is reduced once
+to a "record curve" (the running maxima of the reflected statistic with the
 event count at each new record), from which the run length at any
-threshold is a single binary search; aggregated-count paths are advanced
-slot by slot with per-slot derived seeds instead.
+threshold is a single binary search. Event-time paths record the statistic
+at every event; aggregated-count paths record it at slot ends, from the
+same slot counts.
 """
 
 from __future__ import annotations
@@ -15,11 +16,10 @@ import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
 
-from .detect import EVENT_TIMES, INCREASE, DetectorConfig
+from .detect import AGGREGATED_COUNTS, INCREASE, DetectorConfig
 from .errors import BracketingError, HorizonTooShortError, ValidationError
 from .simulate import rng_for
 from .timeline import SlotTimeline
@@ -104,35 +104,43 @@ class RecordCurve:
         return self.total_events, True
 
 
-def _event_curve(timeline: SlotTimeline, config: DetectorConfig, cycles: int, seed: int, rep: int) -> RecordCurve:
+def _record_curve(timeline: SlotTimeline, config: DetectorConfig, cycles: int, seed: int, rep: int) -> RecordCurve:
     rng = rng_for(seed, rep, 2)
     means = np.tile(timeline.means, cycles)
     counts = rng.poisson(means)
     total = int(counts.sum())
-    if total == 0:
-        return RecordCurve(levels=np.empty(0), events=np.empty(0, dtype=int), total_events=0)
-    base = np.concatenate([[0.0], np.cumsum(means)])
-    slot_of = np.repeat(np.arange(len(means)), counts)
-    # Cumulative intensity is linear inside a slot, so a global sort orders events.
-    lam = np.sort(base[slot_of] + means[slot_of] * rng.random(total))
     b = config.beta
-    if config.direction == INCREASE:
-        u_after = np.arange(1, total + 1) - b * lam
-        runmin = np.minimum(np.minimum.accumulate(u_after - 1.0), 0.0)
-        v = u_after - runmin  # post-jump values; increase alarms happen at jumps
-        events = np.arange(1, total + 1)
+    if config.mode == AGGREGATED_COUNTS:
+        # The slot-by-slot recursion v' = max(0, v + x) observed at slot ends,
+        # in closed form: V = U - min(0, running min of U).
+        sign = 1.0 if config.direction == INCREASE else -1.0
+        u = np.cumsum(sign * (counts - b * means))
+        v = u - np.minimum(np.minimum.accumulate(u), 0.0)
+        events = np.cumsum(counts)
+    elif total == 0:
+        return RecordCurve(levels=np.empty(0), events=np.empty(0, dtype=int), total_events=0)
     else:
-        j = np.arange(1, total + 1)
-        u_before = b * lam - (j - 1)
-        u_after = u_before - 1.0
-        prefix_min = np.concatenate([[0.0], np.minimum.accumulate(u_after)[:-1]])
-        v = u_before - np.minimum(prefix_min, 0.0)  # pre-jump peaks of the upward drift
-        events = j - 1
-        # The drift keeps rising after the last event until the horizon end.
-        end_u = b * base[-1] - total
-        end_v = end_u - min(0.0, float(np.minimum.accumulate(u_after)[-1]))
-        v = np.append(v, end_v)
-        events = np.append(events, total)
+        base = np.concatenate([[0.0], np.cumsum(means)])
+        slot_of = np.repeat(np.arange(len(means)), counts)
+        # Cumulative intensity is linear inside a slot, so a global sort orders events.
+        lam = np.sort(base[slot_of] + means[slot_of] * rng.random(total))
+        if config.direction == INCREASE:
+            u_after = np.arange(1, total + 1) - b * lam
+            runmin = np.minimum(np.minimum.accumulate(u_after - 1.0), 0.0)
+            v = u_after - runmin  # post-jump values; increase alarms happen at jumps
+            events = np.arange(1, total + 1)
+        else:
+            j = np.arange(1, total + 1)
+            u_before = b * lam - (j - 1)
+            u_after = u_before - 1.0
+            prefix_min = np.concatenate([[0.0], np.minimum.accumulate(u_after)[:-1]])
+            v = u_before - np.minimum(prefix_min, 0.0)  # pre-jump peaks of the upward drift
+            events = j - 1
+            # The drift keeps rising after the last event until the horizon end.
+            end_u = b * base[-1] - total
+            end_v = end_u - min(0.0, float(np.minimum.accumulate(u_after)[-1]))
+            v = np.append(v, end_v)
+            events = np.append(events, total)
     running = np.maximum.accumulate(v)
     keep = running > np.concatenate([[-np.inf], running[:-1]])
     return RecordCurve(levels=running[keep], events=events[keep], total_events=total)
@@ -143,9 +151,9 @@ def _build_curves(timeline: SlotTimeline, config: DetectorConfig, target: Calibr
     reps = range(target.replications)
     workers = worker_count()
     if workers == 1:
-        return [_event_curve(timeline, config, cycles, seed, r) for r in reps]
+        return [_record_curve(timeline, config, cycles, seed, r) for r in reps]
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(lambda r: _event_curve(timeline, config, cycles, seed, r), reps))
+        return list(pool.map(lambda r: _record_curve(timeline, config, cycles, seed, r), reps))
 
 
 def _summarize(run_lengths: np.ndarray, censored: np.ndarray) -> tuple[float, float, float]:
@@ -165,52 +173,6 @@ def _arl_from_curves(curves: list[RecordCurve], m: float) -> tuple[float, float,
     return _summarize(ns, cens)
 
 
-def _arl_aggregated(
-    m: float,
-    timeline: SlotTimeline,
-    config: DetectorConfig,
-    target: CalibrationTarget,
-    seed: int,
-) -> tuple[float, float, float]:
-    """Slot-by-slot vector pass over all replications with per-slot seeds."""
-    cycles, _ = _horizon(timeline, target)
-    n = len(timeline)
-    reps = target.replications
-    b = config.beta
-    sign = 1.0 if config.direction == INCREASE else -1.0
-    v = np.zeros(reps)
-    events = np.zeros(reps, dtype=np.int64)
-    run_length = np.zeros(reps, dtype=np.int64)
-    alarmed = np.zeros(reps, dtype=bool)
-    for g in range(cycles * n):
-        mean = float(timeline.means[g % n])
-        counts = rng_for(seed, g, 3).poisson(mean, size=reps)
-        active = ~alarmed
-        x = sign * (counts - b * mean)
-        v[active] = np.maximum(0.0, v[active] + x[active])
-        events[active] += counts[active]
-        hit = active & (v >= m)
-        run_length[hit] = events[hit]
-        alarmed |= hit
-        if alarmed.all():
-            break
-    run_length[~alarmed] = events[~alarmed]
-    return _summarize(run_length.astype(float), ~alarmed)
-
-
-def _arl_function(
-    timeline: SlotTimeline,
-    config: DetectorConfig,
-    target: CalibrationTarget,
-    seed: int,
-) -> Callable[[float], tuple[float, float, float]]:
-    """m -> (arl, stderr, censored_fraction); event-mode curves are built once, here."""
-    if config.mode == EVENT_TIMES:
-        curves = _build_curves(timeline, config, target, seed)
-        return lambda m: _arl_from_curves(curves, m)
-    return lambda m: _arl_aggregated(m, timeline, config, target, seed)
-
-
 def estimate_arl(
     m: float,
     timeline: SlotTimeline,
@@ -225,7 +187,7 @@ def estimate_arl(
     """
     if m <= 0:
         raise ValidationError("threshold must be positive")
-    arl, stderr, cf = _arl_function(timeline, config, target, seed)(m)
+    arl, stderr, cf = _arl_from_curves(_build_curves(timeline, config, target, seed), m)
     if cf > 0.5:
         raise HorizonTooShortError(
             f"{cf:.0%} of paths were censored at the horizon; extend horizon_cap"
@@ -247,11 +209,11 @@ def calibrate_threshold(
     if target.pi < 1:
         raise ValidationError("budget below one event is unattainable")
 
-    arl_at = _arl_function(timeline, config_template, target, seed)
+    curves = _build_curves(timeline, config_template, target, seed)
     trace: list[dict] = []
 
     def evaluate(m: float) -> tuple[float, float, float]:
-        arl, stderr, cf = arl_at(m)
+        arl, stderr, cf = _arl_from_curves(curves, m)
         trace.append({"m": m, "arl": arl, "stderr": stderr, "censored_fraction": cf})
         return arl, stderr, cf
 

@@ -53,9 +53,9 @@ class DetectorConfig:
             raise ValidationError(f"unknown mode {self.mode!r}")
         if not (math.isfinite(self.threshold_m) and self.threshold_m > 0):
             raise ValidationError(f"threshold must be positive and finite, got {self.threshold_m}")
-        if not math.isfinite(self.rho):
-            raise ValidationError(f"rho must be finite, got {self.rho}")
-        beta(self.rho)  # domain check
+        # Checked here, before beta() raises a plain ValueError for the same domain.
+        if not (math.isfinite(self.rho) and self.rho > 0 and self.rho != 1):
+            raise ValidationError(f"rho must be positive, finite and different from 1, got {self.rho}")
         if self.direction == INCREASE and self.rho <= 1:
             raise ValidationError("increase detection needs rho > 1")
         if self.direction == DECREASE and self.rho >= 1:

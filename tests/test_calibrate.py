@@ -8,21 +8,23 @@ import pytest
 
 from seasonal_cusum.calibrate import (
     CalibrationTarget,
+    _record_curve,
     calibrate_threshold,
     estimate_arl,
     worker_count,
 )
-from seasonal_cusum.detect import AGGREGATED_COUNTS, EVENT_TIMES, DetectorConfig
+from seasonal_cusum.detect import AGGREGATED_COUNTS, DECREASE, EVENT_TIMES, INCREASE, DetectorConfig, run_aggregated
 from seasonal_cusum.errors import HorizonTooShortError, ValidationError
+from seasonal_cusum.simulate import rng_for
 from seasonal_cusum.timeline import SlotTimeline
 
 
-def _event_cfg(rho=1.5, m=1.0):
-    return DetectorConfig(rho=rho, threshold_m=m, direction="increase", mode=EVENT_TIMES)
+def _event_cfg(rho=1.5, m=1.0, direction=INCREASE):
+    return DetectorConfig(rho=rho, threshold_m=m, direction=direction, mode=EVENT_TIMES)
 
 
-def _agg_cfg(rho=1.5, m=1.0):
-    return DetectorConfig(rho=rho, threshold_m=m, direction="increase", mode=AGGREGATED_COUNTS)
+def _agg_cfg(rho=1.5, m=1.0, direction=INCREASE):
+    return DetectorConfig(rho=rho, threshold_m=m, direction=direction, mode=AGGREGATED_COUNTS)
 
 
 def test_arl_at_vanishing_threshold_is_exactly_one():
@@ -79,13 +81,33 @@ def test_arl_monotone_in_threshold_aggregated_mode():
 
 
 def test_aggregated_arl_not_below_event_arl():
-    # Coarser observation can only delay the alarm on the same budget.
+    # Both modes draw the same slot counts from one seed, and coarser
+    # observation can only delay the alarm, path by path: the inequalities hold
+    # exactly, not just in expectation.
     tl = SlotTimeline.from_rates([5.0] * 20)
     target = CalibrationTarget(pi=30.0, replications=800)
-    m = 3.0
-    arl_event, _, _ = estimate_arl(m, tl, _event_cfg(), target, seed=5)
-    arl_agg, _, _ = estimate_arl(m, tl, _agg_cfg(), target, seed=5)
-    assert arl_agg >= arl_event - 1e-9
+    for rho, direction in ((1.5, INCREASE), (1 / 1.5, DECREASE)):
+        for m in (1.0, 3.0, 5.0, 8.0):
+            arl_event, _, cens_event = estimate_arl(m, tl, _event_cfg(rho, direction=direction), target, seed=5)
+            arl_agg, _, cens_agg = estimate_arl(m, tl, _agg_cfg(rho, direction=direction), target, seed=5)
+            assert arl_agg >= arl_event, (direction, m)
+            assert cens_agg >= cens_event, (direction, m)
+
+
+def test_aggregated_record_curve_matches_run_aggregated():
+    # The closed-form slot-end curve against the step_aggregated loop on the
+    # same tiled counts.
+    tl = SlotTimeline.from_rates([2.0, 5.0, 0.5, 8.0, 3.0])
+    cycles, seed = 40, 9
+    tiled = SlotTimeline.from_rates(np.tile(tl.means, cycles))
+    for rho, direction in ((1.3, INCREASE), (1 / 1.3, DECREASE)):
+        for rep in range(5):
+            counts = rng_for(seed, rep, 2).poisson(tiled.means)
+            curve = _record_curve(tl, _agg_cfg(rho, direction=direction), cycles, seed, rep)
+            for m in (0.5, 2.0, 6.0, 15.0, 40.0):
+                alarms = run_aggregated(tiled, counts, _agg_cfg(rho, m, direction)).alarms
+                expected = (alarms[0].events_at_alarm, False) if alarms else (int(counts.sum()), True)
+                assert curve.run_length(m) == expected, (direction, rep, m)
 
 
 def test_estimate_arl_rejects_nonpositive_threshold():
@@ -164,10 +186,10 @@ def test_worker_count_env(monkeypatch):
 
 def test_threaded_curves_match_serial(monkeypatch):
     tl = SlotTimeline.from_rates([6.0] * 10)
-    cfg = _event_cfg(rho=1.3)
     target = CalibrationTarget(pi=15.0, replications=200)
-    monkeypatch.delenv("SEASONAL_CUSUM_THREADS", raising=False)
-    serial = estimate_arl(2.0, tl, cfg, target, seed=44)
-    monkeypatch.setenv("SEASONAL_CUSUM_THREADS", "4")
-    threaded = estimate_arl(2.0, tl, cfg, target, seed=44)
-    assert serial == threaded
+    for cfg in (_event_cfg(rho=1.3), _agg_cfg(rho=1.3)):
+        monkeypatch.delenv("SEASONAL_CUSUM_THREADS", raising=False)
+        serial = estimate_arl(2.0, tl, cfg, target, seed=44)
+        monkeypatch.setenv("SEASONAL_CUSUM_THREADS", "4")
+        threaded = estimate_arl(2.0, tl, cfg, target, seed=44)
+        assert serial == threaded, cfg.mode

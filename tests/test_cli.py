@@ -294,3 +294,40 @@ def test_evaluate_command(workspace, tmp_path):
     doc = json.loads((out / "delay_report.json").read_text())
     assert len(doc["per_theta"]) == 2
     assert (out / "per_theta.csv").exists()
+
+
+def test_calibrate_aggregated_meets_budget_and_is_byte_deterministic(workspace, tmp_path):
+    out = tmp_path / "cal"
+    argv = [
+        "calibrate",
+        "--aggregated",
+        "--model", str(workspace["model"]),
+        "--rho", "1.2",
+        "--pi", "5000",
+        "--start-date", "2018-01-01",
+        "--days", "7",
+        "--replications", "200",
+        "--seed", "4",
+        "--out", str(out),
+    ]
+    assert main(argv) == EXIT_OK
+    first = (out / "calibration.json").read_bytes()
+    doc = json.loads(first)
+    assert abs(doc["arl_estimate"] - 5000) <= 0.02 * 5000 + 2 * doc["arl_stderr"]
+    assert doc["censored_fraction"] <= 0.5
+    assert main(argv) == EXIT_OK
+    assert (out / "calibration.json").read_bytes() == first
+
+
+@pytest.mark.parametrize("command", ["detect", "calibrate", "evaluate"])
+@pytest.mark.parametrize("rho", ["1", "0", "-2"])
+def test_rho_outside_domain_is_input_error(workspace, tmp_path, command, rho):
+    series = tmp_path / "series.csv"
+    series.write_text("date,slot_start,count\n2018-01-08,07:30,3\n")
+    extra = {
+        "detect": ["--series", str(series), "--m", "20"],
+        "calibrate": ["--pi", "50", "--start-date", "2018-01-01", "--days", "7"],
+        "evaluate": ["--m", "20", "--theta-grid", "40.0", "--start-date", "2018-01-01", "--days", "7"],
+    }[command]
+    argv = [command, "--model", str(workspace["model"]), "--rho", rho, *extra, "--out", str(tmp_path / "q")]
+    assert main(argv) == EXIT_INPUT

@@ -141,6 +141,13 @@ def test_config_rejects_non_finite(rho, m):
         DetectorConfig(rho=rho, threshold_m=m)
 
 
+@pytest.mark.parametrize("direction", [INCREASE, DECREASE])
+@pytest.mark.parametrize("rho", [0.0, 1.0, -1.0])
+def test_config_rejects_rho_outside_domain(rho, direction):
+    with pytest.raises(ValidationError):
+        DetectorConfig(rho=rho, threshold_m=1.0, direction=direction)
+
+
 def test_config_validation():
     with pytest.raises(ValidationError):
         DetectorConfig(rho=0.8, threshold_m=1.0, direction=INCREASE)
