@@ -6,6 +6,13 @@ beta(rho) * lambda between events, the reflected statistic stays near zero
 while arrivals match the model and climbs once the rate grows by the
 factor rho; an alarm fires at the first passage over the threshold.
 Aggregated counts drive the same statistic interval by interval.
+
+`step_aggregated` and `step_events` are the streaming API and the reference
+the batch runners are pinned to. `run_aggregated` and `run_detector` call
+`step_aggregated` for every record. `run_events` advances the statistic on
+plain floats with `step_events`' arithmetic and runs a slot where an alarm
+fires again through `step_events`, so its output equals a per-slot
+`step_events` loop bit for bit.
 """
 
 from __future__ import annotations
@@ -266,6 +273,62 @@ def run_aggregated(
     return TimelineRun(v=np.array(v), alarms=[a for a in alarms if a is not None], state=state)
 
 
+# Slots per block in `run_events`: Λ is evaluated with numpy one block at a
+# time, which keeps the float lists short.
+_EVENT_BLOCK = 256
+
+
+def _event_slot(
+    v: float,
+    u: float,
+    u_min: float,
+    armed: bool,
+    lam_start: float,
+    lam_events: list[float],
+    lam_end: float,
+    b: float,
+    m: float,
+    increase: bool,
+) -> tuple[float, float, float] | None:
+    """`step_events` over one slot on floats, given Λ at its start, its events and its end.
+
+    Returns (v, u, u_min) at the slot end, or None where `step_events` would
+    raise an alarm in this slot.
+    """
+    prev = lam_start
+    if increase:
+        for lam in lam_events:
+            x = -b * (lam - prev)
+            u = u + x
+            v = max(0.0, v + x)
+            u_min = min(u_min, u)
+            u = u + 1.0
+            v = max(0.0, v + 1.0)
+            u_min = min(u_min, u)
+            if armed and v >= m:
+                return None
+            prev = lam
+        x = -b * (lam_end - prev)
+        u = u + x
+        return max(0.0, v + x), u, min(u_min, u)
+    for lam in lam_events:
+        x = b * (lam - prev)
+        if armed and v + x >= m:
+            return None
+        v = v + x
+        u = u + x
+        u = u - 1.0
+        v = max(0.0, v - 1.0)
+        u_min = min(u_min, u)
+        if armed and v >= m:
+            return None
+        prev = lam
+    x = b * (lam_end - prev)
+    if armed and v + x >= m:
+        return None
+    return v + x, u + x, u_min
+
+
 def run_events(
     timeline: SlotTimeline,
     event_times: Sequence[float],
@@ -276,6 +339,12 @@ def run_events(
 
     Event times must be finite, sorted and inside the timeline. Slot 0 takes
     the events in [start, end], every later slot those in (start, end].
+
+    Λ is evaluated with numpy at the event times and the slot bounds, and the
+    statistic advances on floats with `step_events`' arithmetic, so the cost
+    is linear in events and slots. A slot where an alarm fires is run again
+    through `step_events` from the state at its start; v, the alarms and the
+    final state equal a per-slot `step_events` loop bit for bit.
     """
     times = np.asarray(event_times, dtype=float)
     if not np.all(np.isfinite(times)):
@@ -285,18 +354,45 @@ def run_events(
     if times.size and (times[0] < timeline.starts[0] or times[-1] > timeline.ends[-1]):
         raise ValidationError(f"event times outside the timeline [{timeline.starts[0]}, {timeline.ends[-1]}]")
     cuts = np.searchsorted(times, timeline.ends, side="right")
+    firsts = np.concatenate([[0], cuts[:-1]])
+    filled = cuts > firsts
+    # step_events' own check, for slots that start after the previous one ends.
+    if np.any(times[firsts[filled]] < timeline.starts[filled]):
+        raise ValidationError("event times outside the interval")
     state = state or CusumState.initial(clock=float(timeline.starts[0]))
-    v = np.empty(len(timeline))
+    b, m, increase = config.beta, config.threshold_m, config.direction == INCREASE
+    v, u, u_min, n, armed = state.v, state.u, state.u_min, state.events_seen, state.armed
+    path = np.empty(len(timeline))
     alarms = []
+    cuts = cuts.tolist()
     lo = 0
-    for i, hi in enumerate(cuts.tolist()):
-        interval = (float(timeline.starts[i]), float(timeline.ends[i]))
-        state, alarm = step_events(state, times[lo:hi].tolist(), config, interval, timeline.cumulative)
-        if alarm is not None:
-            alarms.append(alarm)
-        v[i] = state.v
-        lo = hi
-    return TimelineRun(v=v, alarms=alarms, state=state)
+    for first in range(0, len(timeline), _EVENT_BLOCK):
+        stop = min(first + _EVENT_BLOCK, len(timeline))
+        base = lo
+        lam_events = timeline.cum_mean_at(times[base:cuts[stop - 1]]).tolist()
+        lam_starts = timeline.cum_mean_at(timeline.starts[first:stop]).tolist()
+        lam_ends = timeline.cum_mean_at(timeline.ends[first:stop]).tolist()
+        for i in range(first, stop):
+            hi = cuts[i]
+            end = _event_slot(
+                v, u, u_min, armed, lam_starts[i - first], lam_events[lo - base:hi - base], lam_ends[i - first],
+                b, m, increase,
+            )
+            if end is None:
+                # step_events sets the clock to the slot end itself.
+                state = replace(state, v=v, u=u, u_min=u_min, events_seen=n, armed=armed)
+                interval = (float(timeline.starts[i]), float(timeline.ends[i]))
+                state, alarm = step_events(state, times[lo:hi].tolist(), config, interval, timeline.cumulative)
+                if alarm is not None:
+                    alarms.append(alarm)
+                v, u, u_min, n, armed = state.v, state.u, state.u_min, state.events_seen, state.armed
+            else:
+                v, u, u_min = end
+                n = n + (hi - lo)
+            path[i] = v
+            lo = hi
+    state = replace(state, v=v, u=u, u_min=u_min, events_seen=n, clock=float(timeline.ends[-1]), armed=armed)
+    return TimelineRun(v=path, alarms=alarms, state=state)
 
 
 @dataclass(frozen=True)

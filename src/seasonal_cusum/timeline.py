@@ -75,17 +75,22 @@ class SlotTimeline:
     def total_mean(self) -> float:
         return float(self.cum_means[-1])
 
-    def slot_at(self, t: float) -> int:
-        """Index of the slot containing time t (right-open intervals)."""
+    def slot_at(self, t: float | np.ndarray) -> int | np.ndarray:
+        """Index of the slot containing time t (right-open intervals); elementwise over an array."""
+        if isinstance(t, np.ndarray):
+            if t.size and not (self.starts[0] <= t.min() and t.max() <= self.ends[-1]):
+                raise CoverageError(f"times [{t.min()}, {t.max()}] outside timeline [{self.starts[0]}, {self.ends[-1]}]")
+            return np.clip(np.searchsorted(self.starts, t, side="right") - 1, 0, len(self.slots) - 1)
         if not self.starts[0] <= t <= self.ends[-1]:
             raise CoverageError(f"time {t} outside timeline [{self.starts[0]}, {self.ends[-1]}]")
         i = int(np.searchsorted(self.starts, t, side="right")) - 1
         return min(max(i, 0), len(self.slots) - 1)
 
-    def cum_mean_at(self, t: float) -> float:
-        """Expected events in [timeline start, t]."""
+    def cum_mean_at(self, t: float | np.ndarray) -> float | np.ndarray:
+        """Expected events in [timeline start, t]; elementwise, bit for bit, over an array."""
         i = self.slot_at(t)
-        return float(self.cum_means[i] + self.rates[i] * (t - self.starts[i]))
+        lam = self.cum_means[i] + self.rates[i] * (t - self.starts[i])
+        return lam if isinstance(t, np.ndarray) else float(lam)
 
     def cumulative(self, a: float, b: float) -> float:
         """Expected events in [a, b]; additive over adjacent intervals."""

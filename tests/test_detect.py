@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import bisect
 import math
+from dataclasses import replace
 from datetime import date, datetime, time
 
 import numpy as np
@@ -14,6 +16,7 @@ from seasonal_cusum.detect import (
     DECREASE,
     EVENT_TIMES,
     INCREASE,
+    _EVENT_BLOCK,
     CusumState,
     DetectorConfig,
     beta,
@@ -27,7 +30,7 @@ from seasonal_cusum.detect import (
 from seasonal_cusum.errors import ValidationError
 from seasonal_cusum.ingest import SlotRecord
 from seasonal_cusum.simulate import ChangeSpec, simulate_events, simulate_slot_counts
-from seasonal_cusum.timeline import SlotTimeline
+from seasonal_cusum.timeline import SlotTimeline, TimelineSlot
 
 # High-precision oracle values for (rho - 1) / ln(rho), frozen from a 40-digit
 # evaluation.
@@ -494,3 +497,112 @@ def test_run_events_rejects_bad_times(data, fault, where):
         times.insert(pos, bad)
     with pytest.raises(ValidationError):
         run_events(tl, times, _cfg(mode=EVENT_TIMES))
+
+
+
+def test_run_events_rejects_event_between_nearly_contiguous_slots():
+    # Slot 1 starts a hair after slot 0 ends, which the timeline accepts as
+    # contiguous; an event in that hair is outside both slots, as in step_events.
+    tl = SlotTimeline([TimelineSlot(0.0, 1.0, 2.0), TimelineSlot(1.0 + 1e-9, 1.0, 2.0)])
+    with pytest.raises(ValidationError):
+        step_events(CusumState.initial(), [1.0 + 5e-10], _cfg(mode=EVENT_TIMES), (1.0 + 1e-9, 2.0 + 1e-9), tl.cumulative)
+    with pytest.raises(ValidationError):
+        run_events(tl, [0.5, 1.0 + 5e-10, 1.5], _cfg(mode=EVENT_TIMES))
+
+# Unit slots over three and a half blocks of run_events' Λ evaluation. The two
+# slots around every block edge are empty, every fifth integer time is an event
+# on a slot boundary, and the rate alternates between a third, one and two times
+# the model's every 20 slots, so small thresholds alarm in both directions.
+def _block_edge_events():
+    rng = np.random.default_rng(2024)
+    n = 3 * _EVENT_BLOCK + 100
+    rates = rng.uniform(0.0, 6.0, n)
+    factor = np.repeat(rng.choice([1 / 3, 1.0, 2.0], n // 20 + 1), 20)[:n]
+    times = np.concatenate([i + rng.uniform(0.0, 1.0, c) for i, c in enumerate(rng.poisson(rates * factor))])
+    times = np.sort(np.concatenate([times, np.arange(0.0, n + 1, 5.0)]))
+    edges = np.arange(_EVENT_BLOCK, n, _EVENT_BLOCK)
+    slot = np.maximum(np.ceil(times) - 1, 0)
+    times = times[~np.isin(slot, np.concatenate([edges - 1, edges]))]
+    return SlotTimeline.from_rates(rates), times.tolist()
+
+
+_RESUMED = CusumState(v=1.5, u=0.5, u_min=-1.0, events_seen=7, clock=-3.0)
+
+
+@pytest.mark.parametrize("start", [None, _RESUMED, replace(_RESUMED, v=2.5, armed=False)], ids=["initial", "resumed", "disarmed"])
+@pytest.mark.parametrize("reset", [True, False], ids=["reset", "no-reset"])
+@pytest.mark.parametrize("direction", [INCREASE, DECREASE])
+def test_run_events_across_blocks_equals_step_events_loop(direction, reset, start):
+    tl, times = _block_edge_events()
+    up = direction == INCREASE
+    cfg = _cfg(rho=1.3 if up else 0.7, m=3.0 if up else 2.0, direction=direction, mode=EVENT_TIMES, reset=reset)
+    run = run_events(tl, times, cfg, start)
+
+    state, v, alarms, lo = start or CusumState.initial(clock=0.0), [], [], 0
+    for i in range(len(tl)):
+        hi = bisect.bisect_right(times, float(tl.ends[i]))
+        state, alarm = step_events(state, times[lo:hi], cfg, (float(tl.starts[i]), float(tl.ends[i])), tl.cumulative)
+        v.append(state.v)
+        if alarm is not None:
+            alarms.append(alarm)
+        lo = hi
+    assert run.v.tolist() == v
+    assert (run.alarms, run.state) == (alarms, state)
+
+    # Alarms are dense where they can re-arm, and decrease ones include
+    # crossings in a slot's final drift, after its last event.
+    if reset and (start is None or start.armed):
+        assert len(alarms) >= 20
+        if not up:
+            event_set = set(times)
+            assert any(
+                a.time not in event_set
+                and bisect.bisect_right(times, a.time) == bisect.bisect_right(times, math.ceil(a.time))
+                for a in alarms
+            )
+
+
+_states = st.builds(
+    lambda v, u, n, clock, armed: CusumState(v=v, u=u, u_min=u - v, events_seen=n, clock=clock, armed=armed),
+    st.floats(min_value=0.0, max_value=5.0),
+    st.floats(min_value=-10.0, max_value=10.0),
+    st.integers(0, 100),
+    st.floats(min_value=-5.0, max_value=0.0),
+    st.booleans(),
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    rates_counts=st.lists(st.tuples(st.floats(min_value=0.0, max_value=12.0), st.integers(0, 30)), min_size=1, max_size=40),
+    cfg=st.builds(
+        lambda up, m, reset: _cfg(rho=1.2 if up else 1 / 1.2, m=m, direction=INCREASE if up else DECREASE, reset=reset),
+        st.booleans(),
+        st.floats(min_value=0.5, max_value=4.0),
+        st.booleans(),
+    ),
+    start=_states,
+)
+def test_run_aggregated_dense_alarms_equals_step_loop(rates_counts, cfg, start):
+    tl = SlotTimeline.from_rates([r for r, _ in rates_counts])
+    counts = [c for _, c in rates_counts]
+    run = run_aggregated(tl, counts, cfg, start)
+
+    state, v, alarms = start, [], []
+    for count, dlam, end in zip(counts, tl.means.tolist(), tl.ends.tolist()):
+        state, alarm = step_aggregated(state, count, dlam, cfg, clock=end)
+        v.append(alarm.v_at_alarm if alarm is not None else state.v)
+        if alarm is not None:
+            alarms.append(alarm)
+    assert run.v.tolist() == v
+    assert (run.alarms, run.state) == (alarms, state)
+
+
+@pytest.mark.parametrize(
+    "rates, counts",
+    [([1.0, 2.0], [3, -1]), ([1.0, 2.0], [3, 2.5]), ([1.0, math.nan], [3, 2])],
+    ids=["negative-count", "non-integral-count", "nan-increment"],
+)
+def test_run_aggregated_rejects_bad_records(rates, counts):
+    with pytest.raises(ValidationError):
+        run_aggregated(SlotTimeline.from_rates(rates), counts, _cfg())

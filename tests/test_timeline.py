@@ -2,6 +2,7 @@ from __future__ import annotations
 
 from datetime import date, datetime, time
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -78,3 +79,13 @@ def test_calendar_timeline_matches_model_cumulative(truth_model):
     via_model = first[3:].sum() + second[:5].sum() + 0.5 * second[5]
     via_timeline = tl.cumulative(tl.locate(a.date(), a.time()), tl.locate(b.date(), b.time()))
     assert via_model == pytest.approx(via_timeline, rel=1e-12)
+
+
+def test_cum_mean_at_array_equals_scalar_bitwise():
+    tl = SlotTimeline.from_rates([3.0, 0.0, 7.25, 1.5], length=0.5, start=2.0)
+    t = np.concatenate([np.linspace(2.0, 4.0, 37), tl.starts, tl.ends])
+    assert tl.cum_mean_at(t).tolist() == [tl.cum_mean_at(x) for x in t.tolist()]
+    assert tl.cum_mean_at(np.array([])).size == 0
+    for bad in ([1.5, 3.0], [3.0, 4.5], [3.0, np.nan]):
+        with pytest.raises(CoverageError):
+            tl.cum_mean_at(np.array(bad))
