@@ -7,14 +7,19 @@ to a "record curve" (the running maxima of the reflected statistic with the
 event count at each new record), from which the run length at any
 threshold is a single binary search. Event-time paths record the statistic
 at every event; aggregated-count paths record it at slot ends, from the
-same slot counts.
+same slot counts. An event-time path is simulated in chunks, and only as far
+as the largest threshold queried so far needs: up to its first record at or
+above it, or to the horizon. The records read are bit for bit those of the
+whole path simulated at once.
 """
 
 from __future__ import annotations
 
 import math
 import os
+from collections.abc import Callable, Iterator
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -88,72 +93,155 @@ def _horizon(timeline: SlotTimeline, target: CalibrationTarget) -> tuple[int, fl
     return cycles, cycles * timeline.total_time
 
 
-@dataclass(frozen=True)
-class RecordCurve:
-    """Running-max levels of V with the event count at each new record."""
+# A lazily simulated event-mode path advances about this many expected events
+# at a time, rounded up to whole slots.
+_CHUNK_EVENTS = 4096
 
-    levels: np.ndarray
-    events: np.ndarray
-    total_events: int
+
+class _Tiling:
+    """The slot means tiled over one calibration's horizon, shared by all its paths."""
+
+    def __init__(self, timeline: SlotTimeline, cycles: int):
+        self.means = np.tile(timeline.means, cycles)
+        self.base = np.concatenate([[0.0], np.cumsum(self.means)])
+        # Chunks end at the first slot boundary past each multiple of
+        # _CHUNK_EVENTS expected events, so every path shares them.
+        marks = np.searchsorted(self.base, np.arange(_CHUNK_EVENTS, self.base[-1], _CHUNK_EVENTS))
+        self.chunk_ends = np.unique(np.append(marks, len(self.means)))
+
+
+class _EventPath:
+    """Resumable state of one event-time path, simulated chunk by chunk.
+
+    `base` is a sequential cumulative sum, so events of slot s have
+    cumulative intensity in [base[s], base[s + 1]]: sorting each chunk on its
+    own gives the global sort. Consecutive `random` draws on one generator
+    equal one long draw, and the carried minimum and maximum are exact, so
+    the records equal those of the whole path simulated at once.
+    """
+
+    def __init__(self, tiling: _Tiling, config: DetectorConfig, rng: np.random.Generator, counts: np.ndarray):
+        self.tiling = tiling
+        self.beta = config.beta
+        self.increase = config.direction == INCREASE
+        self.rng = rng
+        self.counts = counts.astype(np.int32)
+        self.total = int(counts.sum())
+        self.chunk = 0  # index of the next chunk in tiling.chunk_ends
+        self.seen = 0  # events simulated so far
+        self.u_min = 0.0  # min(0, U at every event so far): pre-jump (increase) or post-jump (decrease)
+        self.peak = -math.inf  # running maximum of V so far
+
+    @property
+    def done(self) -> bool:
+        return self.chunk == len(self.tiling.chunk_ends)
+
+    def advance(self) -> tuple[np.ndarray, np.ndarray]:
+        """Simulate the next chunk; return its new records (levels, event counts)."""
+        h, b = self.tiling, self.beta
+        s0 = int(h.chunk_ends[self.chunk - 1]) if self.chunk else 0
+        s1 = int(h.chunk_ends[self.chunk])
+        self.chunk += 1
+        slot_of = np.repeat(np.arange(s0, s1), self.counts[s0:s1])
+        k = len(slot_of)
+        lam = np.sort(h.base[slot_of] + h.means[slot_of] * self.rng.random(k))
+        j = np.arange(self.seen + 1, self.seen + k + 1)
+        self.seen += k
+        if self.increase:
+            u_after = j - b * lam
+            runmin = np.minimum(np.minimum.accumulate(u_after - 1.0), self.u_min)
+            v = u_after - runmin  # post-jump values; increase alarms happen at jumps
+            events = j
+        else:
+            u_before = b * lam - (j - 1)
+            runmin = np.minimum(np.minimum.accumulate(u_before - 1.0), self.u_min)
+            v = u_before - np.concatenate([[self.u_min], runmin[:-1]])  # pre-jump peaks of the upward drift
+            events = j - 1
+        if k:
+            self.u_min = float(runmin[-1])
+        if self.done and not self.increase:
+            # The drift keeps rising after the last event until the horizon end.
+            v = np.append(v, b * h.base[-1] - self.total - self.u_min)
+            events = np.append(events, self.total)
+        running = np.maximum(np.maximum.accumulate(v), self.peak)
+        keep = running > np.concatenate([[self.peak], running[:-1]])
+        if len(v):
+            self.peak = float(running[-1])
+        return running[keep], events[keep]
+
+
+class RecordCurve:
+    """Running-max levels of V with the event count at each new record.
+
+    An event-mode curve holds its path's resumable state and simulates it only
+    as far as the thresholds queried so far need; an aggregated curve, and a
+    path that reached its horizon, is complete.
+    """
+
+    def __init__(self, levels: np.ndarray, events: np.ndarray, total_events: int, path: _EventPath | None = None):
+        self.levels = levels
+        self.events = events
+        self.total_events = total_events
+        self.path = path
 
     def run_length(self, m: float) -> tuple[int, bool]:
         """(events to alarm, censored) for a threshold m on this path."""
+        while self.path is not None and not (len(self.levels) and self.levels[-1] >= m):
+            levels, events = self.path.advance()
+            if len(levels):
+                self.levels = np.concatenate([self.levels, levels])
+                self.events = np.concatenate([self.events, events])
+            if self.path.done:
+                self.path = None
         i = int(np.searchsorted(self.levels, m, side="left"))
         if i < len(self.levels):
             return int(self.events[i]), False
         return self.total_events, True
 
 
-def _record_curve(timeline: SlotTimeline, config: DetectorConfig, cycles: int, seed: int, rep: int) -> RecordCurve:
+def _record_curve(
+    timeline: SlotTimeline,
+    config: DetectorConfig,
+    cycles: int,
+    seed: int,
+    rep: int,
+    tiling: _Tiling | None = None,
+) -> RecordCurve:
+    """Record curve of replication `rep`; `tiling` shares the tiled means between replications."""
+    h = tiling or _Tiling(timeline, cycles)
     rng = rng_for(seed, rep, 2)
-    means = np.tile(timeline.means, cycles)
-    counts = rng.poisson(means)
-    total = int(counts.sum())
-    b = config.beta
-    if config.mode == AGGREGATED_COUNTS:
-        # The slot-by-slot recursion v' = max(0, v + x) observed at slot ends,
-        # in closed form: V = U - min(0, running min of U).
-        sign = 1.0 if config.direction == INCREASE else -1.0
-        u = np.cumsum(sign * (counts - b * means))
-        v = u - np.minimum(np.minimum.accumulate(u), 0.0)
-        events = np.cumsum(counts)
-    elif total == 0:
-        return RecordCurve(levels=np.empty(0), events=np.empty(0, dtype=int), total_events=0)
-    else:
-        base = np.concatenate([[0.0], np.cumsum(means)])
-        slot_of = np.repeat(np.arange(len(means)), counts)
-        # Cumulative intensity is linear inside a slot, so a global sort orders events.
-        lam = np.sort(base[slot_of] + means[slot_of] * rng.random(total))
-        if config.direction == INCREASE:
-            u_after = np.arange(1, total + 1) - b * lam
-            runmin = np.minimum(np.minimum.accumulate(u_after - 1.0), 0.0)
-            v = u_after - runmin  # post-jump values; increase alarms happen at jumps
-            events = np.arange(1, total + 1)
-        else:
-            j = np.arange(1, total + 1)
-            u_before = b * lam - (j - 1)
-            u_after = u_before - 1.0
-            prefix_min = np.concatenate([[0.0], np.minimum.accumulate(u_after)[:-1]])
-            v = u_before - np.minimum(prefix_min, 0.0)  # pre-jump peaks of the upward drift
-            events = j - 1
-            # The drift keeps rising after the last event until the horizon end.
-            end_u = b * base[-1] - total
-            end_v = end_u - min(0.0, float(np.minimum.accumulate(u_after)[-1]))
-            v = np.append(v, end_v)
-            events = np.append(events, total)
+    counts = rng.poisson(h.means)
+    if config.mode != AGGREGATED_COUNTS:
+        path = _EventPath(h, config, rng, counts)
+        return RecordCurve(np.empty(0), np.empty(0, dtype=int), path.total, path if path.total else None)
+    # The slot-by-slot recursion v' = max(0, v + x) observed at slot ends,
+    # in closed form: V = U - min(0, running min of U).
+    sign = 1.0 if config.direction == INCREASE else -1.0
+    u = np.cumsum(sign * (counts - config.beta * h.means))
+    v = u - np.minimum(np.minimum.accumulate(u), 0.0)
     running = np.maximum.accumulate(v)
     keep = running > np.concatenate([[-np.inf], running[:-1]])
-    return RecordCurve(levels=running[keep], events=events[keep], total_events=total)
+    return RecordCurve(levels=running[keep], events=np.cumsum(counts)[keep], total_events=int(counts.sum()))
 
 
-def _build_curves(timeline: SlotTimeline, config: DetectorConfig, target: CalibrationTarget, seed: int) -> list[RecordCurve]:
-    cycles, _ = _horizon(timeline, target)
-    reps = range(target.replications)
+@contextmanager
+def _replication_map() -> Iterator[Callable]:
+    """`map` over replications: serial, or on a pool of `worker_count()` threads."""
     workers = worker_count()
     if workers == 1:
-        return [_record_curve(timeline, config, cycles, seed, r) for r in reps]
+        yield map
+        return
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(lambda r: _record_curve(timeline, config, cycles, seed, r), reps))
+        yield pool.map
+
+
+def _build_curves(
+    timeline: SlotTimeline, config: DetectorConfig, target: CalibrationTarget, seed: int, mapper: Callable
+) -> list[RecordCurve]:
+    cycles, _ = _horizon(timeline, target)
+    tiling = _Tiling(timeline, cycles)
+    reps = range(target.replications)
+    return list(mapper(lambda r: _record_curve(timeline, config, cycles, seed, r, tiling), reps))
 
 
 def _summarize(run_lengths: np.ndarray, censored: np.ndarray) -> tuple[float, float, float]:
@@ -166,8 +254,8 @@ def _summarize(run_lengths: np.ndarray, censored: np.ndarray) -> tuple[float, fl
     return arl, stderr, cf
 
 
-def _arl_from_curves(curves: list[RecordCurve], m: float) -> tuple[float, float, float]:
-    pairs = [c.run_length(m) for c in curves]
+def _arl_from_curves(curves: list[RecordCurve], m: float, mapper: Callable) -> tuple[float, float, float]:
+    pairs = list(mapper(lambda c: c.run_length(m), curves))
     ns = np.array([p[0] for p in pairs], dtype=float)
     cens = np.array([p[1] for p in pairs])
     return _summarize(ns, cens)
@@ -185,9 +273,10 @@ def estimate_arl(
     Returns (arl, stderr, censored_fraction); more than half the paths
     censored at the horizon is an error.
     """
-    if m <= 0:
-        raise ValidationError("threshold must be positive")
-    arl, stderr, cf = _arl_from_curves(_build_curves(timeline, config, target, seed), m)
+    if not 0 < m < math.inf:
+        raise ValidationError(f"threshold must be positive and finite, got {m}")
+    with _replication_map() as mapper:
+        arl, stderr, cf = _arl_from_curves(_build_curves(timeline, config, target, seed, mapper), m, mapper)
     if cf > 0.5:
         raise HorizonTooShortError(
             f"{cf:.0%} of paths were censored at the horizon; extend horizon_cap"
@@ -208,12 +297,18 @@ def calibrate_threshold(
     """
     if target.pi < 1:
         raise ValidationError("budget below one event is unattainable")
+    with _replication_map() as mapper:
+        curves = _build_curves(timeline, config_template, target, seed, mapper)
+        return _bisect(lambda m: _arl_from_curves(curves, m, mapper), target, seed)
 
-    curves = _build_curves(timeline, config_template, target, seed)
+
+def _bisect(
+    arl_at: Callable[[float], tuple[float, float, float]], target: CalibrationTarget, seed: int
+) -> CalibrationResult:
     trace: list[dict] = []
 
     def evaluate(m: float) -> tuple[float, float, float]:
-        arl, stderr, cf = _arl_from_curves(curves, m)
+        arl, stderr, cf = arl_at(m)
         trace.append({"m": m, "arl": arl, "stderr": stderr, "censored_fraction": cf})
         return arl, stderr, cf
 

@@ -154,10 +154,14 @@ def _drift_crossing(t0: float, t1: float, needed: float, cum: Callable[[float, f
     lo, hi = t0, t1
     for _ in range(80):
         mid = 0.5 * (lo + hi)
+        inside = lo < mid < hi
         if cum(t0, mid) < needed:
             lo = mid
         else:
             hi = mid
+        if not inside:
+            # mid was a bound already: from here on no step can move either one.
+            break
     return hi
 
 

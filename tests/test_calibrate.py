@@ -6,8 +6,11 @@ import random
 import numpy as np
 import pytest
 
+from seasonal_cusum import calibrate
 from seasonal_cusum.calibrate import (
+    _CHUNK_EVENTS,
     CalibrationTarget,
+    _Tiling,
     _record_curve,
     calibrate_threshold,
     estimate_arl,
@@ -110,10 +113,102 @@ def test_aggregated_record_curve_matches_run_aggregated():
                 assert curve.run_length(m) == expected, (direction, rep, m)
 
 
+def _eager_event_curve(tl, config, cycles, seed, rep):
+    """Reference: (levels, events, total) of an event-mode path simulated in one piece."""
+    rng = rng_for(seed, rep, 2)
+    means = np.tile(tl.means, cycles)
+    counts = rng.poisson(means)
+    total = int(counts.sum())
+    b = config.beta
+    if total == 0:
+        return np.empty(0), np.empty(0, dtype=int), 0
+    base = np.concatenate([[0.0], np.cumsum(means)])
+    slot_of = np.repeat(np.arange(len(means)), counts)
+    lam = np.sort(base[slot_of] + means[slot_of] * rng.random(total))
+    if config.direction == INCREASE:
+        u_after = np.arange(1, total + 1) - b * lam
+        runmin = np.minimum(np.minimum.accumulate(u_after - 1.0), 0.0)
+        v = u_after - runmin
+        events = np.arange(1, total + 1)
+    else:
+        j = np.arange(1, total + 1)
+        u_before = b * lam - (j - 1)
+        u_after = u_before - 1.0
+        prefix_min = np.concatenate([[0.0], np.minimum.accumulate(u_after)[:-1]])
+        v = u_before - np.minimum(prefix_min, 0.0)
+        events = j - 1
+        end_u = b * base[-1] - total
+        end_v = end_u - min(0.0, float(np.minimum.accumulate(u_after)[-1]))
+        v = np.append(v, end_v)
+        events = np.append(events, total)
+    running = np.maximum.accumulate(v)
+    keep = running > np.concatenate([[-np.inf], running[:-1]])
+    return running[keep], events[keep], total
+
+
+def _assert_lazy_equals_eager(tl, cycles, seeds, reps=3):
+    """Query each lazy curve in ascending, descending and repeated order against the eager records."""
+    for rho, direction in ((1.3, INCREASE), (1 / 1.3, DECREASE)):
+        cfg = _event_cfg(rho, direction=direction)
+        for seed in seeds:
+            for rep in range(reps):
+                levels, events, total = _eager_event_curve(tl, cfg, cycles, seed, rep)
+
+                def expected(m):
+                    i = int(np.searchsorted(levels, m, side="left"))
+                    return (int(events[i]), False) if i < len(levels) else (total, True)
+
+                top = float(levels[-1]) if len(levels) else 1.0
+                grid = [0.3, 1.0, 2.5] + list(np.linspace(0.0, top, 12)[1:]) + [top + 1.0]
+                for order in (grid, grid[::-1], grid[3:5] * 2 + grid[:1]):
+                    curve = _record_curve(tl, cfg, cycles, seed, rep)
+                    for m in order:
+                        assert curve.run_length(m) == expected(m), (direction, seed, rep, m)
+                assert curve.run_length(top + 1.0) == (total, True)
+
+
+def test_lazy_event_curve_equals_eager_across_chunks():
+    # Zero-rate slots and a light slot put zero-count slots on chunk edges.
+    tl = SlotTimeline.from_rates([0.0, 0.0, 0.4, 55.0, 0.0, 9.0, 0.3])
+    cycles = 300
+    ends = _Tiling(tl, cycles).chunk_ends
+    assert len(ends) >= 3
+    assert set(ends[:-1] % 7) == {4, 6}  # the next chunk opens on a zero-rate or a light slot
+    assert (np.tile(tl.means, cycles).sum()) >= 3 * _CHUNK_EVENTS
+    _assert_lazy_equals_eager(tl, cycles, seeds=(1, 2, 3))
+
+
+def test_lazy_event_curve_equals_eager_with_tiny_chunks(monkeypatch):
+    # Chunks of a few events: many end on zero-count slots, some hold no event.
+    monkeypatch.setattr(calibrate, "_CHUNK_EVENTS", 3)
+    tl = SlotTimeline.from_rates([0.0, 2.0, 0.0, 0.5, 4.0])
+    assert len(_Tiling(tl, 40).chunk_ends) > 50
+    _assert_lazy_equals_eager(tl, 40, seeds=(4, 5), reps=6)
+
+
+def test_lazy_event_curve_on_short_and_empty_paths():
+    # A few events per path: the decrease record set by the drift after the
+    # last event, up to the horizon end, is often the highest.
+    _assert_lazy_equals_eager(SlotTimeline.from_rates([0.5, 1.0]), 2, seeds=(6, 7), reps=20)
+    tl = SlotTimeline.from_rates([1e-6, 1e-6])
+    for direction in (INCREASE, DECREASE):
+        curve = _record_curve(tl, _event_cfg(1.3 if direction == INCREASE else 0.7, direction=direction), 1, 0, 0)
+        assert _eager_event_curve(tl, _event_cfg(), 1, 0, 0)[2] == 0
+        assert curve.run_length(0.5) == (0, True)
+        assert curve.run_length(1e-9) == (0, True)
+
+
 def test_estimate_arl_rejects_nonpositive_threshold():
     tl = SlotTimeline.from_rates([5.0])
     with pytest.raises(ValidationError):
         estimate_arl(0.0, tl, _event_cfg(), CalibrationTarget(pi=5, replications=100))
+
+
+@pytest.mark.parametrize("m", [math.nan, math.inf], ids=["nan", "inf"])
+def test_estimate_arl_rejects_non_finite_threshold(m):
+    tl = SlotTimeline.from_rates([5.0])
+    with pytest.raises(ValidationError, match="finite"):
+        estimate_arl(m, tl, _event_cfg(), CalibrationTarget(pi=5, replications=100))
 
 
 def test_horizon_too_short():
@@ -193,3 +288,15 @@ def test_threaded_curves_match_serial(monkeypatch):
         monkeypatch.setenv("SEASONAL_CUSUM_THREADS", "4")
         threaded = estimate_arl(2.0, tl, cfg, target, seed=44)
         assert serial == threaded, cfg.mode
+
+
+def test_threaded_calibration_matches_serial(monkeypatch):
+    tl = SlotTimeline.from_rates([6.0, 0.0, 2.0] * 4)
+    target = CalibrationTarget(pi=40.0, replications=300)
+    for cfg in (_event_cfg(rho=1.3), _event_cfg(rho=1 / 1.3, direction=DECREASE), _agg_cfg(rho=1.3)):
+        monkeypatch.delenv("SEASONAL_CUSUM_THREADS", raising=False)
+        serial = calibrate_threshold(tl, cfg, target, seed=45).to_dict()
+        monkeypatch.setenv("SEASONAL_CUSUM_THREADS", "4")
+        threaded = calibrate_threshold(tl, cfg, target, seed=45).to_dict()
+        assert serial == threaded, (cfg.mode, cfg.direction)
+        assert len(serial["trace"]) > 5

@@ -19,6 +19,7 @@ from seasonal_cusum.detect import (
     _EVENT_BLOCK,
     CusumState,
     DetectorConfig,
+    _drift_crossing,
     beta,
     double_sided_run,
     run_aggregated,
@@ -606,3 +607,26 @@ def test_run_aggregated_dense_alarms_equals_step_loop(rates_counts, cfg, start):
 def test_run_aggregated_rejects_bad_records(rates, counts):
     with pytest.raises(ValidationError):
         run_aggregated(SlotTimeline.from_rates(rates), counts, _cfg())
+
+
+def test_drift_crossing_early_exit_equals_eighty_steps():
+    tl = SlotTimeline.from_rates(np.random.default_rng(3).uniform(0.0, 30.0, 500))
+    rng = np.random.default_rng(4)
+
+    def eighty_steps(t0, t1, needed, cum):
+        lo, hi = t0, t1
+        for _ in range(80):
+            mid = 0.5 * (lo + hi)
+            if cum(t0, mid) < needed:
+                lo = mid
+            else:
+                hi = mid
+        return hi
+
+    widths = np.concatenate([[1e-9, 1e-9, 1e-12], rng.uniform(0.0, 1e-6, 20), rng.uniform(0.0, 40.0, 200)])
+    for width in widths:
+        t0 = float(rng.uniform(0.0, tl.total_time - width))
+        t1 = t0 + float(width)
+        whole = tl.cumulative(t0, t1)
+        for needed in (whole, whole * float(rng.uniform(0.0, 1.0)), whole * 1e-9):
+            assert _drift_crossing(t0, t1, needed, tl.cumulative) == eighty_steps(t0, t1, needed, tl.cumulative)
