@@ -17,9 +17,7 @@ from __future__ import annotations
 
 import math
 import os
-from collections.abc import Callable, Iterator
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -125,7 +123,7 @@ class _EventPath:
         self.beta = config.beta
         self.increase = config.direction == INCREASE
         self.rng = rng
-        self.counts = counts.astype(np.int32)
+        self.counts = counts.astype(np.min_scalar_type(counts.max()))  # usually one byte per slot
         self.total = int(counts.sum())
         self.chunk = 0  # index of the next chunk in tiling.chunk_ends
         self.seen = 0  # events simulated so far
@@ -224,24 +222,15 @@ def _record_curve(
     return RecordCurve(levels=running[keep], events=np.cumsum(counts)[keep], total_events=int(counts.sum()))
 
 
-@contextmanager
-def _replication_map() -> Iterator[Callable]:
-    """`map` over replications: serial, or on a pool of `worker_count()` threads."""
-    workers = worker_count()
-    if workers == 1:
-        yield map
-        return
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        yield pool.map
-
-
-def _build_curves(
-    timeline: SlotTimeline, config: DetectorConfig, target: CalibrationTarget, seed: int, mapper: Callable
-) -> list[RecordCurve]:
+def _build_curves(timeline: SlotTimeline, config: DetectorConfig, target: CalibrationTarget, seed: int) -> list[RecordCurve]:
     cycles, _ = _horizon(timeline, target)
     tiling = _Tiling(timeline, cycles)
     reps = range(target.replications)
-    return list(mapper(lambda r: _record_curve(timeline, config, cycles, seed, r, tiling), reps))
+    workers = worker_count()
+    if workers == 1:
+        return [_record_curve(timeline, config, cycles, seed, r, tiling) for r in reps]
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(lambda r: _record_curve(timeline, config, cycles, seed, r, tiling), reps))
 
 
 def _summarize(run_lengths: np.ndarray, censored: np.ndarray) -> tuple[float, float, float]:
@@ -254,8 +243,8 @@ def _summarize(run_lengths: np.ndarray, censored: np.ndarray) -> tuple[float, fl
     return arl, stderr, cf
 
 
-def _arl_from_curves(curves: list[RecordCurve], m: float, mapper: Callable) -> tuple[float, float, float]:
-    pairs = list(mapper(lambda c: c.run_length(m), curves))
+def _arl_from_curves(curves: list[RecordCurve], m: float) -> tuple[float, float, float]:
+    pairs = [c.run_length(m) for c in curves]
     ns = np.array([p[0] for p in pairs], dtype=float)
     cens = np.array([p[1] for p in pairs])
     return _summarize(ns, cens)
@@ -275,8 +264,7 @@ def estimate_arl(
     """
     if not 0 < m < math.inf:
         raise ValidationError(f"threshold must be positive and finite, got {m}")
-    with _replication_map() as mapper:
-        arl, stderr, cf = _arl_from_curves(_build_curves(timeline, config, target, seed, mapper), m, mapper)
+    arl, stderr, cf = _arl_from_curves(_build_curves(timeline, config, target, seed), m)
     if cf > 0.5:
         raise HorizonTooShortError(
             f"{cf:.0%} of paths were censored at the horizon; extend horizon_cap"
@@ -297,18 +285,12 @@ def calibrate_threshold(
     """
     if target.pi < 1:
         raise ValidationError("budget below one event is unattainable")
-    with _replication_map() as mapper:
-        curves = _build_curves(timeline, config_template, target, seed, mapper)
-        return _bisect(lambda m: _arl_from_curves(curves, m, mapper), target, seed)
 
-
-def _bisect(
-    arl_at: Callable[[float], tuple[float, float, float]], target: CalibrationTarget, seed: int
-) -> CalibrationResult:
+    curves = _build_curves(timeline, config_template, target, seed)
     trace: list[dict] = []
 
     def evaluate(m: float) -> tuple[float, float, float]:
-        arl, stderr, cf = arl_at(m)
+        arl, stderr, cf = _arl_from_curves(curves, m)
         trace.append({"m": m, "arl": arl, "stderr": stderr, "censored_fraction": cf})
         return arl, stderr, cf
 
