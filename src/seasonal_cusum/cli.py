@@ -35,6 +35,7 @@ from .errors import (
     HorizonTooShortError,
     SeasonalCusumError,
     SingularDesignError,
+    ValidationError,
 )
 from .evaluate import worst_case_delay, write_delay_report_json, write_delay_table_csv
 from .ingest import load_dataset, parse_slot_csv, split_train_test, write_slot_csv
@@ -225,10 +226,17 @@ def cmd_evaluate(args) -> int:
     for tok in args.theta_grid.split(","):
         tok = tok.strip()
         try:
-            thetas.append(float(tok))
+            theta = float(tok)
         except ValueError:
             dt = datetime.fromisoformat(tok)
             thetas.append(timeline.locate(dt.date(), dt.time()))
+            continue
+        # NaN fails the comparison too.
+        if not timeline.starts[0] <= theta <= timeline.ends[-1]:
+            raise ValidationError(
+                f"change time {tok} outside the timeline [{timeline.starts[0]}, {timeline.ends[-1]}]"
+            )
+        thetas.append(theta)
     config = DetectorConfig(
         rho=args.rho,
         threshold_m=args.m,

@@ -8,11 +8,14 @@ factor rho; an alarm fires at the first passage over the threshold.
 Aggregated counts drive the same statistic interval by interval.
 
 `step_aggregated` and `step_events` are the streaming API and the reference
-the batch runners are pinned to. `run_aggregated` and `run_detector` call
-`step_aggregated` for every record. `run_events` advances the statistic on
-plain floats with `step_events`' arithmetic and runs a slot where an alarm
-fires again through `step_events`, so its output equals a per-slot
-`step_events` loop bit for bit.
+the batch runners are pinned to. `run_detector` calls `step_aggregated` for
+every record. `run_aggregated` runs one row of counts or a block of rows at
+once, one numpy step per slot across the rows with `step_aggregated`'s IEEE
+operations, so every row equals a `step_aggregated` loop bit for bit.
+`run_events` advances the statistic on plain floats with `step_events`'
+arithmetic and runs a slot where an alarm fires again through
+`step_events`, so its output equals a per-slot `step_events` loop bit for
+bit.
 """
 
 from __future__ import annotations
@@ -266,15 +269,82 @@ def _scan(
 
 def run_aggregated(
     timeline: SlotTimeline,
-    counts: Sequence[int],
+    counts: Sequence[int] | np.ndarray,
     config: DetectorConfig,
     state: CusumState | None = None,
-) -> TimelineRun:
-    if len(counts) != len(timeline):
+) -> TimelineRun | list[TimelineRun]:
+    """Run from per-slot counts: one run for counts of shape (slots,), one per row for (rows, slots).
+
+    Every row starts from `state` and advances over the slots with
+    `step_aggregated`'s IEEE operations, one numpy step per slot across all
+    rows, so each row's v, alarms and final state equal a `step_aggregated`
+    loop (and the 1-D call on that row) bit for bit. v is the pre-reset
+    level where an alarm fires.
+    """
+    counts = np.asarray(counts)
+    if counts.ndim not in (1, 2) or counts.shape[-1] != len(timeline):
         raise ValidationError("counts length must match the timeline")
+    rows = counts.reshape(-1, len(timeline))
+    means = timeline.means
+    # step_aggregated's checks, raised for the first slot that fails one of
+    # them; NaN fails every comparison.
+    with np.errstate(invalid="ignore"):
+        bad_count = ~((rows >= 0) & (rows % 1 == 0))
+    bad_increment = ~((means >= 0) & (means < math.inf))
+    bad = np.flatnonzero(bad_count.any(axis=0) | bad_increment)
+    if bad.size:
+        s = bad[0]
+        if bad_count[:, s].any():
+            raise ValidationError(f"count must be a nonnegative integer, got {rows[bad_count[:, s], s][0]}")
+        raise ValidationError(f"intensity increment must be nonnegative and finite, got {means[s]}")
+    rows = rows.astype(np.int64)
+
     state = state or CusumState.initial(clock=float(timeline.starts[0]))
-    v, alarms, state = _scan(counts, timeline.means.tolist(), timeline.ends.tolist(), config, state)
-    return TimelineRun(v=np.array(v), alarms=[a for a in alarms if a is not None], state=state)
+    m = config.threshold_m
+    drift = config.beta * means[:, None]
+    # Slot-major, so each step reads and writes contiguous columns.
+    x = rows.T - drift if config.direction == INCREASE else drift - rows.T
+    n = len(rows)
+    v = np.full(n, float(state.v))
+    u = np.full(n, float(state.u))
+    u_min = np.full(n, float(state.u_min))
+    armed = np.full(n, bool(state.armed))
+    path = np.empty(x.shape)
+    fired = np.zeros(x.shape, dtype=bool)
+    for s in range(len(timeline)):
+        u += x[s]
+        v += x[s]
+        # Not np.maximum: max(0.0, -0.0) is 0.0 where np.maximum gives -0.0.
+        v = np.where(v > 0.0, v, 0.0)
+        u_min = np.where(u < u_min, u, u_min)
+        fire = armed & (v >= m)
+        path[s] = v
+        if fire.any():
+            fired[s] = fire
+            if config.reset_on_alarm:
+                v = np.where(fire, 0.0, v)
+                u_min = np.where(fire, u, u_min)
+            else:
+                armed = armed & ~fire
+    path, fired = path.T, fired.T
+    seen = state.events_seen + np.cumsum(rows, axis=1)
+    ends = timeline.ends.tolist()
+    alarms: list[list[AlarmEvent]] = [[] for _ in range(n)]
+    r_fired, s_fired = np.nonzero(fired)
+    for r, s, level, events in zip(
+        r_fired.tolist(), s_fired.tolist(), path[r_fired, s_fired].tolist(), seen[r_fired, s_fired].tolist()
+    ):
+        alarms[r].append(AlarmEvent(time=ends[s], v_at_alarm=level, events_at_alarm=events, direction=config.direction))
+    finals = zip(v.tolist(), u.tolist(), u_min.tolist(), seen[:, -1].tolist(), armed.tolist())
+    runs = [
+        TimelineRun(
+            v=path[r],
+            alarms=alarms[r],
+            state=replace(state, v=fv, u=fu, u_min=fm, events_seen=fn, clock=ends[-1], armed=fa),
+        )
+        for r, (fv, fu, fm, fn, fa) in enumerate(finals)
+    ]
+    return runs if counts.ndim == 2 else runs[0]
 
 
 # Slots per block in `run_events`: Λ is evaluated with numpy one block at a

@@ -12,7 +12,7 @@ import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -30,21 +30,37 @@ def exceedance_fraction(v_path: Sequence[float], m: float) -> float:
     return float(np.mean(v >= m))
 
 
-def _run(timeline: SlotTimeline, change: ChangeSpec, config: DetectorConfig, seed: int, rep: int) -> tuple[TimelineRun, object]:
+# Replications per `run_aggregated` call in aggregated mode: the stacked
+# counts take O(block x slots) memory whatever the replication count.
+_AGGREGATED_BLOCK = 128
+
+
+def _runs(
+    timeline: SlotTimeline, change: ChangeSpec, config: DetectorConfig, seed: int, replications: int
+) -> Iterator[tuple[TimelineRun, int]]:
+    """Each replication's run and its events before the change, in replication order.
+
+    Paths are drawn one replication at a time, from the same streams as a
+    lone `simulate_slot_counts` or `simulate_events` call; aggregated paths
+    then run through the detector a block of rows at a time.
+    """
     if config.mode == EVENT_TIMES:
-        path = simulate_events(timeline, change, seed, rep)
-        return run_events(timeline, path.event_times, config), path
-    path = simulate_slot_counts(timeline, change, seed, rep)
-    return run_aggregated(timeline, path.counts, config), path
-
-
-def _pre_change_events(path, timeline: SlotTimeline, theta: float, mode: str) -> int:
-    if mode == EVENT_TIMES:
-        return int(np.searchsorted(np.asarray(path.event_times), theta, side="left"))
+        for rep in range(replications):
+            path = simulate_events(timeline, change, seed, rep)
+            before = int(np.searchsorted(np.asarray(path.event_times), change.theta, side="left"))
+            yield run_events(timeline, path.event_times, config), before
+        return
     # Aggregated observation: only whole slots ending by theta are attributable.
-    ends = timeline.ends
-    counts = np.asarray(path.counts)
-    return int(counts[ends <= theta].sum())
+    attributable = timeline.ends <= change.theta
+    for first in range(0, replications, _AGGREGATED_BLOCK):
+        reps = range(first, min(first + _AGGREGATED_BLOCK, replications))
+        counts = np.array([simulate_slot_counts(timeline, change, seed, rep).counts for rep in reps])
+        yield from zip(run_aggregated(timeline, counts, config), counts[:, attributable].sum(axis=1).tolist())
+
+
+def _check_replications(replications: int) -> None:
+    if replications < 1:
+        raise ValidationError(f"replications must be at least 1, got {replications}")
 
 
 @dataclass(frozen=True)
@@ -73,12 +89,11 @@ def detection_delay(
     """
     if change.in_control:
         raise ValidationError("detection delay needs a finite change time")
+    _check_replications(replications)
     delays = []
     time_delays = []
     detected = 0
-    for rep in range(replications):
-        run, path = _run(timeline, change, config, seed, rep)
-        n_theta = _pre_change_events(path, timeline, change.theta, config.mode)
+    for run, n_theta in _runs(timeline, change, config, seed, replications):
         post = [a for a in run.alarms if float(a.time) >= change.theta]
         if post:
             detected += 1
@@ -103,6 +118,10 @@ def detection_delay(
     )
 
 
+def _none_if_nan(x: float) -> float | None:
+    return None if math.isnan(x) else x
+
+
 @dataclass(frozen=True)
 class DelayReport:
     per_theta: list[DelayStats]
@@ -113,20 +132,21 @@ class DelayReport:
     rho: float
 
     def to_dict(self) -> dict:
+        """JSON-ready form; NaN (nothing detected) becomes None."""
         return {
             "rho": self.rho,
-            "worst_case_delay_events": self.worst_case_delay_events,
-            "worst_case_max_delay_events": self.worst_case_max_delay_events,
+            "worst_case_delay_events": _none_if_nan(self.worst_case_delay_events),
+            "worst_case_max_delay_events": _none_if_nan(self.worst_case_max_delay_events),
             "false_alarm_rate_per_unit_time": self.false_alarm_rate,
             "in_control_exceedance_fraction": self.exceedance_fraction,
             "per_theta": [
                 {
                     "theta": d.theta,
-                    "mean_delay_events": None if math.isnan(d.mean_delay_events) else d.mean_delay_events,
-                    "stderr": None if math.isnan(d.stderr) else d.stderr,
+                    "mean_delay_events": _none_if_nan(d.mean_delay_events),
+                    "stderr": _none_if_nan(d.stderr),
                     "detect_probability": d.detect_probability,
-                    "max_delay_events": None if math.isnan(d.max_delay_events) else d.max_delay_events,
-                    "mean_delay_open_slots": None if math.isnan(d.mean_delay_time) else d.mean_delay_time,
+                    "max_delay_events": _none_if_nan(d.max_delay_events),
+                    "mean_delay_open_slots": _none_if_nan(d.mean_delay_time),
                     "replications": d.replications,
                 }
                 for d in self.per_theta
@@ -146,6 +166,7 @@ def worst_case_delay(
     """Delay statistics across a grid of change times, plus in-control rates."""
     if not theta_grid:
         raise ValidationError("theta grid is empty")
+    _check_replications(in_control_replications)
     per_theta = [
         detection_delay(timeline, ChangeSpec(theta=float(t), rho=rho), config, replications, seed)
         for t in theta_grid
@@ -156,8 +177,7 @@ def worst_case_delay(
     alarm_count = 0
     exceed_steps = 0
     total_steps = 0
-    for rep in range(in_control_replications):
-        run, _ = _run(timeline, ChangeSpec(), config, seed + 1, rep)
+    for run, _ in _runs(timeline, ChangeSpec(), config, seed + 1, in_control_replications):
         alarm_count += len(run.alarms)
         exceed_steps += int(np.sum(run.v >= config.threshold_m))
         total_steps += len(run.v)
@@ -172,7 +192,7 @@ def worst_case_delay(
 
 
 def write_delay_report_json(report: DelayReport, path: str | Path) -> None:
-    Path(path).write_text(json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n")
+    Path(path).write_text(json.dumps(report.to_dict(), indent=2, sort_keys=True, allow_nan=False) + "\n")
 
 
 def write_delay_table_csv(report: DelayReport, path: str | Path) -> None:

@@ -18,8 +18,6 @@ from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
-from scipy import linalg
-from scipy.special import gammaln, xlogy
 
 from .daycal import (
     MORNING_SLOT_COUNT,
@@ -127,15 +125,23 @@ def bic_score(log_likelihood: float, k: int, n_obs: int) -> float:
     return k * math.log(n_obs) - 2.0 * log_likelihood
 
 
+# scipy is imported inside the three functions that use it, so commands
+# other than `fit` start without loading it.
 def poisson_log_likelihood(y: np.ndarray, eta: np.ndarray) -> float:
+    from scipy.special import gammaln
+
     return float(np.sum(y * eta - np.exp(eta) - gammaln(y + 1.0)))
 
 
 def poisson_deviance(y: np.ndarray, mu: np.ndarray) -> float:
+    from scipy.special import xlogy
+
     return float(2.0 * np.sum(xlogy(y, y / mu) - (y - mu)))
 
 
 def _check_rank(X: np.ndarray, names: Sequence[str]) -> None:
+    from scipy import linalg
+
     # Pivoted QR exposes which columns are linearly dependent on the others.
     _, r, pivots = linalg.qr(X, mode="economic", pivoting=True)
     diag = np.abs(np.diag(r))

@@ -37,8 +37,11 @@ class ChangeSpec:
     rho: float = 1.0
 
     def __post_init__(self):
-        if self.rho <= 0:
-            raise ValidationError("change factor must be positive")
+        # NaN fails both comparisons, so it is rejected as well.
+        if not 0 < self.rho < math.inf:
+            raise ValidationError(f"change factor must be positive and finite, got {self.rho}")
+        if math.isnan(self.theta):
+            raise ValidationError("change time must not be NaN")
 
     @property
     def in_control(self) -> bool:

@@ -1,6 +1,10 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -331,3 +335,55 @@ def test_rho_outside_domain_is_input_error(workspace, tmp_path, command, rho):
     }[command]
     argv = [command, "--model", str(workspace["model"]), "--rho", rho, *extra, "--out", str(tmp_path / "q")]
     assert main(argv) == EXIT_INPUT
+
+
+def _evaluate_argv(workspace, out, **overrides):
+    opts = {
+        "--rho": "3.0",
+        "--m": "10.0",
+        "--theta-grid": "2018-01-03T09:00,40.0",
+        "--start-date": "2018-01-01",
+        "--days": "7",
+        "--replications": "20",
+        "--seed": "2",
+        **overrides,
+    }
+    return ["evaluate", "--model", str(workspace["model"]), *[x for kv in opts.items() for x in kv], "--out", str(out)]
+
+
+def test_evaluate_without_detections_writes_strict_json(workspace, tmp_path):
+    out = tmp_path / "eval"
+    assert main(_evaluate_argv(workspace, out, **{"--m": "1e6"})) == EXIT_OK
+
+    def reject(token):
+        raise ValueError(f"non-standard JSON constant {token}")
+
+    doc = json.loads((out / "delay_report.json").read_text(), parse_constant=reject)
+    assert doc["worst_case_delay_events"] is None
+    assert doc["worst_case_max_delay_events"] is None
+    assert all(d["detect_probability"] == 0.0 and d["mean_delay_events"] is None for d in doc["per_theta"])
+
+
+@pytest.mark.parametrize("replications", ["0", "-3"])
+def test_evaluate_rejects_fewer_than_one_replication(workspace, tmp_path, capsys, replications):
+    out = tmp_path / "eval"
+    assert main(_evaluate_argv(workspace, out, **{"--replications": replications})) == EXIT_INPUT
+    assert "replications" in capsys.readouterr().err
+    assert not (out / "delay_report.json").exists()
+
+
+@pytest.mark.parametrize("theta", ["nan", "1e9", "-1.0", "inf", "2018-03-01T09:00"])
+def test_evaluate_rejects_change_time_off_the_timeline(workspace, tmp_path, capsys, theta):
+    out = tmp_path / "eval"
+    assert main(_evaluate_argv(workspace, out, **{"--theta-grid": f"40.0,{theta}"})) == EXIT_INPUT
+    assert "timeline" in capsys.readouterr().err
+    assert not (out / "delay_report.json").exists()
+
+
+def test_cli_import_does_not_load_scipy():
+    src = Path(__file__).resolve().parent.parent / "src"
+    code = "import seasonal_cusum.cli, sys; print(any(k.split('.')[0] == 'scipy' for k in sys.modules))"
+    done = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True, env={**os.environ, "PYTHONPATH": str(src)}
+    )
+    assert done.stdout.strip() == "False"

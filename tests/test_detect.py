@@ -19,6 +19,7 @@ from seasonal_cusum.detect import (
     _EVENT_BLOCK,
     CusumState,
     DetectorConfig,
+    TimelineRun,
     _drift_crossing,
     beta,
     double_sided_run,
@@ -573,30 +574,66 @@ _states = st.builds(
 )
 
 
+def _run_key(run):
+    """repr of everything a run reports, so the sign of zero counts too."""
+    return (
+        repr(run.v.tolist()),
+        repr([(a.time, a.v_at_alarm, a.events_at_alarm, a.direction) for a in run.alarms]),
+        repr(run.state),
+    )
+
+
 @settings(max_examples=80, deadline=None)
 @given(
-    rates_counts=st.lists(st.tuples(st.floats(min_value=0.0, max_value=12.0), st.integers(0, 30)), min_size=1, max_size=40),
+    rates=st.lists(st.sampled_from([0.0, -0.0, 0.5, 3.0]) | st.floats(min_value=0.0, max_value=12.0), min_size=1, max_size=40),
+    rows=st.integers(1, 5),
     cfg=st.builds(
         lambda up, m, reset: _cfg(rho=1.2 if up else 1 / 1.2, m=m, direction=INCREASE if up else DECREASE, reset=reset),
         st.booleans(),
-        st.floats(min_value=0.5, max_value=4.0),
+        st.floats(min_value=0.25, max_value=6.0),
         st.booleans(),
     ),
-    start=_states,
+    start=st.none() | _states | _states.map(lambda state: replace(state, v=-0.0)),
+    data=st.data(),
 )
-def test_run_aggregated_dense_alarms_equals_step_loop(rates_counts, cfg, start):
-    tl = SlotTimeline.from_rates([r for r, _ in rates_counts])
-    counts = [c for _, c in rates_counts]
-    run = run_aggregated(tl, counts, cfg, start)
+def test_run_aggregated_dense_alarms_equals_step_loop(rates, rows, cfg, start, data):
+    """Each row of a 2-D call equals the 1-D call on that row and a `step_aggregated` loop."""
+    tl = SlotTimeline.from_rates(rates)
+    row = st.lists(st.integers(0, 30), min_size=len(rates), max_size=len(rates))
+    counts = data.draw(st.lists(row, min_size=rows, max_size=rows))
+    runs = run_aggregated(tl, np.array(counts), cfg, start)
+    assert len(runs) == rows
+    for row, run in zip(counts, runs):
+        state, v, alarms = start or CusumState.initial(clock=float(tl.starts[0])), [], []
+        for count, dlam, end in zip(row, tl.means.tolist(), tl.ends.tolist()):
+            state, alarm = step_aggregated(state, count, dlam, cfg, clock=end)
+            v.append(alarm.v_at_alarm if alarm is not None else state.v)
+            alarms.extend([alarm] if alarm is not None else [])
+        reference = TimelineRun(v=np.array(v), alarms=alarms, state=state)
+        assert _run_key(run) == _run_key(run_aggregated(tl, row, cfg, start)) == _run_key(reference)
 
-    state, v, alarms = start, [], []
-    for count, dlam, end in zip(counts, tl.means.tolist(), tl.ends.tolist()):
-        state, alarm = step_aggregated(state, count, dlam, cfg, clock=end)
-        v.append(alarm.v_at_alarm if alarm is not None else state.v)
-        if alarm is not None:
-            alarms.append(alarm)
-    assert run.v.tolist() == v
-    assert (run.alarms, run.state) == (alarms, state)
+
+def test_run_aggregated_reflects_negative_zero_as_max_does():
+    # v + x is -0.0 only for an incoming v of -0.0 and a -0.0 decrease drift
+    # (a zero rate stored as -0.0); max(0.0, -0.0) is 0.0, np.maximum's is
+    # -0.0. min keeps its first argument on a tie of 0.0 and -0.0.
+    tl = SlotTimeline.from_rates([-0.0])
+    cfg = _cfg(rho=1 / 1.3, m=5.0, direction=DECREASE)
+    start = CusumState(v=-0.0, u=-0.0, u_min=0.0)
+    state, _ = step_aggregated(start, 0, -0.0, cfg, clock=1.0)
+    run = run_aggregated(tl, [0], cfg, start)
+    assert (repr(run.v.tolist()), repr(run.state)) == (repr([state.v]), repr(state))
+    assert (repr(state.v), repr(state.u), repr(state.u_min)) == ("0.0", "-0.0", "0.0")
+
+
+def test_run_aggregated_rows_are_validated_and_shaped():
+    tl = SlotTimeline.from_rates([1.0, 2.0, 3.0])
+    with pytest.raises(ValidationError, match="got -1"):
+        run_aggregated(tl, np.array([[1, 2, 3], [1, -1, 3]]), _cfg())
+    for bad_shape in (np.zeros((2, 2), dtype=int), np.zeros((1, 2, 3), dtype=int), 4):
+        with pytest.raises(ValidationError, match="length"):
+            run_aggregated(tl, bad_shape, _cfg())
+    assert run_aggregated(tl, np.zeros((0, 3), dtype=int), _cfg()) == []
 
 
 @pytest.mark.parametrize(

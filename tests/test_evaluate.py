@@ -5,14 +5,17 @@ import math
 import numpy as np
 import pytest
 
-from seasonal_cusum.detect import AGGREGATED_COUNTS, EVENT_TIMES, DetectorConfig
+from seasonal_cusum.detect import AGGREGATED_COUNTS, DECREASE, EVENT_TIMES, DetectorConfig, run_aggregated
 from seasonal_cusum.errors import ValidationError
 from seasonal_cusum.evaluate import (
+    _AGGREGATED_BLOCK,
+    DelayReport,
+    DelayStats,
     detection_delay,
     exceedance_fraction,
     worst_case_delay,
 )
-from seasonal_cusum.simulate import ChangeSpec
+from seasonal_cusum.simulate import ChangeSpec, simulate_slot_counts
 from seasonal_cusum.timeline import SlotTimeline
 
 
@@ -119,3 +122,78 @@ def test_report_serialization(tmp_path):
     lines = (tmp_path / "r.csv").read_text().splitlines()
     assert lines[0].startswith("theta,")
     assert len(lines) == 3
+
+
+def test_fewer_than_one_replication_is_rejected():
+    tl = SlotTimeline.from_rates([5.0] * 10)
+    cfg = _cfg(2.0, 5.0, mode=AGGREGATED_COUNTS)
+    for reps in (0, -3):
+        with pytest.raises(ValidationError, match="replications"):
+            detection_delay(tl, ChangeSpec(theta=3.0, rho=2.0), cfg, replications=reps)
+        with pytest.raises(ValidationError, match="replications"):
+            worst_case_delay(tl, rho=2.0, theta_grid=[3.0], config=cfg, replications=reps)
+        with pytest.raises(ValidationError, match="replications"):
+            worst_case_delay(tl, rho=2.0, theta_grid=[3.0], config=cfg, in_control_replications=reps)
+
+
+def _reference_report(tl, rho, thetas, config, replications, seed, in_control_replications):
+    """Aggregated-mode `worst_case_delay`, one path and one 1-D `run_aggregated` call per replication."""
+    per_theta = []
+    for theta in thetas:
+        change = ChangeSpec(theta=theta, rho=rho)
+        delays, time_delays = [], []
+        for rep in range(replications):
+            path = simulate_slot_counts(tl, change, seed, rep)
+            run = run_aggregated(tl, path.counts, config)
+            n_theta = sum(c for c, end in zip(path.counts, tl.ends.tolist()) if end <= theta)
+            post = [a for a in run.alarms if a.time >= theta]
+            if post:
+                delays.append(max(0, post[0].events_at_alarm - n_theta))
+                time_delays.append(post[0].time - theta)
+            elif run.alarms and not config.reset_on_alarm:
+                delays.append(0)
+                time_delays.append(0.0)
+        arr = np.array(delays, dtype=float)
+        per_theta.append(
+            DelayStats(
+                theta=theta,
+                mean_delay_events=float(arr.mean()) if delays else math.nan,
+                stderr=float(arr.std(ddof=1) / math.sqrt(len(arr))) if len(arr) > 1 else (0.0 if delays else math.nan),
+                detect_probability=len(delays) / replications,
+                max_delay_events=float(arr.max()) if delays else math.nan,
+                replications=replications,
+                mean_delay_time=float(np.mean(time_delays)) if delays else math.nan,
+            )
+        )
+    alarms = exceed = steps = 0
+    for rep in range(in_control_replications):
+        run = run_aggregated(tl, simulate_slot_counts(tl, ChangeSpec(), seed + 1, rep).counts, config)
+        alarms += len(run.alarms)
+        exceed += int(np.sum(run.v >= config.threshold_m))
+        steps += len(run.v)
+    means = [d.mean_delay_events for d in per_theta if not math.isnan(d.mean_delay_events)]
+    maxes = [d.max_delay_events for d in per_theta if not math.isnan(d.max_delay_events)]
+    return DelayReport(
+        per_theta=per_theta,
+        worst_case_delay_events=max(means) if means else math.nan,
+        worst_case_max_delay_events=max(maxes) if maxes else math.nan,
+        false_alarm_rate=alarms / (in_control_replications * tl.total_time),
+        exceedance_fraction=exceed / steps,
+        rho=rho,
+    )
+
+
+@pytest.mark.parametrize(
+    "rho, m, reset",
+    [(2.0, 6.0, True), (2.0, 2.0, False), (1.3, 1.5, True), (0.5, 4.0, True), (0.5, 1.0, False)],
+    ids=["up", "up-dense-no-reset", "up-dense", "down", "down-dense-no-reset"],
+)
+def test_aggregated_worst_case_equals_per_replication_loop(rho, m, reset):
+    tl = SlotTimeline.from_rates([4.0, 0.0, 6.5, 2.0, 0.0, 5.0] * 4, length=0.5)
+    cfg = DetectorConfig(
+        rho=rho, threshold_m=m, direction="increase" if rho > 1 else DECREASE, mode=AGGREGATED_COUNTS, reset_on_alarm=reset
+    )
+    reps = _AGGREGATED_BLOCK + 9  # one full block and a partial one
+    args = (tl, rho, [0.75, 4.0, 10.9], cfg, reps, 23, reps + 2)
+    got = worst_case_delay(*args[:4], replications=reps, seed=23, in_control_replications=reps + 2)
+    assert repr(got.to_dict()) == repr(_reference_report(*args).to_dict())

@@ -191,4 +191,9 @@ def test_scenario_requires_afternoon_coverage():
 def test_change_spec_validation():
     with pytest.raises(ValidationError):
         ChangeSpec(theta=1.0, rho=-2.0)
+    for rho in (math.nan, math.inf):
+        with pytest.raises(ValidationError, match="change factor"):
+            ChangeSpec(theta=1.0, rho=rho)
+    with pytest.raises(ValidationError, match="NaN"):
+        ChangeSpec(theta=math.nan, rho=2.0)
     assert ChangeSpec().in_control
