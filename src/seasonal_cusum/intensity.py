@@ -125,30 +125,24 @@ def bic_score(log_likelihood: float, k: int, n_obs: int) -> float:
     return k * math.log(n_obs) - 2.0 * log_likelihood
 
 
-# scipy is imported inside the three functions that use it, so commands
-# other than `fit` start without loading it.
 def poisson_log_likelihood(y: np.ndarray, eta: np.ndarray) -> float:
-    from scipy.special import gammaln
-
-    return float(np.sum(y * eta - np.exp(eta) - gammaln(y + 1.0)))
+    log_factorial = np.array([math.lgamma(v + 1.0) for v in y.tolist()])
+    return float(np.sum(y * eta - np.exp(eta) - log_factorial))
 
 
 def poisson_deviance(y: np.ndarray, mu: np.ndarray) -> float:
-    from scipy.special import xlogy
-
-    return float(2.0 * np.sum(xlogy(y, y / mu) - (y - mu)))
+    # y log(y / mu) is taken as 0 where y = 0, without evaluating log(0).
+    ylogy = y * np.log(y / mu, out=np.zeros_like(y), where=y > 0)
+    return float(2.0 * np.sum(ylogy - (y - mu)))
 
 
 def _check_rank(X: np.ndarray, names: Sequence[str]) -> None:
-    from scipy import linalg
-
-    # Pivoted QR exposes which columns are linearly dependent on the others.
-    _, r, pivots = linalg.qr(X, mode="economic", pivoting=True)
-    diag = np.abs(np.diag(r))
+    # |R_jj| of an unpivoted QR is column j's distance from the span of the
+    # columns before it, so a (near-)zero diagonal names a dependent column.
+    diag = np.abs(np.diag(np.linalg.qr(X, mode="r")))
     tol = diag.max() * max(X.shape) * np.finfo(float).eps if diag.size else 0.0
-    rank = int(np.sum(diag > tol))
-    if rank < X.shape[1]:
-        bad = sorted(names[i] for i in pivots[rank:])
+    bad = [names[j] for j in np.flatnonzero(diag <= tol)]
+    if bad:
         raise SingularDesignError(bad)
 
 

@@ -101,8 +101,12 @@ class SlotTimeline:
     def locate(self, d: date, tod: time | None = None) -> float:
         """Open-time position of a calendar instant.
 
-        Instants inside closed periods snap to the next open slot boundary.
+        Instants inside closed periods snap to the next open slot boundary;
+        the closing instant of a slot is its end. Dates before the first
+        slot's date are off the timeline.
         """
+        if self.slots[0].day is not None and d < self.slots[0].day:
+            raise CoverageError(f"{d} {tod} is before the start of the timeline")
         for s in self.slots:
             if s.day is None:
                 raise CoverageError("timeline has no calendar labels")
@@ -110,7 +114,7 @@ class SlotTimeline:
                 continue
             if s.day > d or tod is None or tod <= slot_start(s.slot_index):
                 return s.start
-            if tod < slot_end(s.slot_index):
+            if tod <= slot_end(s.slot_index):
                 frac = ((tod.hour * 60 + tod.minute) - (slot_start(s.slot_index).hour * 60 + slot_start(s.slot_index).minute)) / 30.0
                 return s.start + frac * s.length
         raise CoverageError(f"{d} {tod} is past the end of the timeline")

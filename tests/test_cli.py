@@ -372,12 +372,32 @@ def test_evaluate_rejects_fewer_than_one_replication(workspace, tmp_path, capsys
     assert not (out / "delay_report.json").exists()
 
 
-@pytest.mark.parametrize("theta", ["nan", "1e9", "-1.0", "inf", "2018-03-01T09:00"])
+@pytest.mark.parametrize("theta", ["nan", "1e9", "-1.0", "inf", "2018-03-01T09:00", "2017-06-01T09:00"])
 def test_evaluate_rejects_change_time_off_the_timeline(workspace, tmp_path, capsys, theta):
     out = tmp_path / "eval"
     assert main(_evaluate_argv(workspace, out, **{"--theta-grid": f"40.0,{theta}"})) == EXIT_INPUT
     assert "timeline" in capsys.readouterr().err
     assert not (out / "delay_report.json").exists()
+
+
+@pytest.mark.parametrize("theta", ["2017-06-01T09:00", "2018-03-01T09:00"])
+def test_simulate_rejects_change_time_off_the_timeline(workspace, tmp_path, capsys, theta):
+    out = tmp_path / "sim"
+    argv = ["simulate", "--model", str(workspace["model"]), "--start-date", "2018-01-01", "--days", "6",
+            "--theta", theta, "--rho", "1.5", "--out", str(out)]
+    assert main(argv) == EXIT_INPUT
+    assert "timeline" in capsys.readouterr().err
+    assert not (out / "slots.csv").exists()
+
+
+def test_fit_runs_without_scipy(workspace, tmp_path):
+    src = Path(__file__).resolve().parent.parent / "src"
+    out = tmp_path / "fit"
+    argv = ["fit", "--daily", str(workspace["daily"]), "--slots", str(workspace["slots"]), "--out", str(out)]
+    code = f"import sys; sys.modules['scipy'] = None; from seasonal_cusum.cli import main; sys.exit(main({argv!r}))"
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(src)})
+    assert done.returncode == EXIT_OK, done.stderr
+    assert (out / "model.json").exists()
 
 
 def test_cli_import_does_not_load_scipy():

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import warnings
 from datetime import date, datetime, timedelta
 
 import numpy as np
@@ -28,6 +29,8 @@ from seasonal_cusum.intensity import (
     fit_intensity_model,
     fit_poisson_glm,
     fit_slot_profile,
+    poisson_deviance,
+    poisson_log_likelihood,
     select_model,
 )
 from seasonal_cusum.simulate import rng_for
@@ -104,6 +107,30 @@ def test_collinear_design_raises_with_names():
     with pytest.raises(SingularDesignError) as err:
         fit_daily_glm(metas, [100, 110, 105, 98, 102], frozenset({WEEKDAY}))
     assert err.value.columns
+
+
+def test_dependent_column_named_after_the_columns_it_depends_on():
+    # Four Monday-to-Saturday weeks: weekday + dow_sat equals the intercept, and dow_sat
+    # is the column lying in the span of the columns before it.
+    metas = [day_meta(date(2017, 1, 2) + timedelta(days=i)) for i in range(28) if i % 7 != 6]
+    with pytest.raises(SingularDesignError) as err:
+        fit_daily_glm(metas, [100 + i for i in range(len(metas))], frozenset({WEEKDAY, DAY_OF_WEEK}))
+    assert err.value.columns == ["dow_sat"]
+
+
+def test_likelihood_and_deviance_match_scipy_oracle():
+    from scipy.special import gammaln, xlogy
+
+    rng = rng_for(7, 0)
+    y = np.concatenate([[0.0, 0.0, 1.0, 200_000.0], rng.integers(0, 200_001, 500), rng.integers(0, 30, 500)]).astype(float)
+    eta = np.log(y + 1.0) + rng.normal(0.0, 0.3, y.size)
+    mu = np.exp(eta)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        loglik = poisson_log_likelihood(y, eta)
+        deviance = poisson_deviance(y, mu)
+    assert loglik == pytest.approx(float(np.sum(y * eta - mu - gammaln(y + 1.0))), rel=1e-12)
+    assert deviance == pytest.approx(float(2.0 * np.sum(xlogy(y, y / mu) - (y - mu))), rel=1e-12)
 
 
 def test_negative_counts_rejected():

@@ -1,6 +1,6 @@
 from __future__ import annotations
 
-from datetime import date, datetime, time
+from datetime import date, datetime, time, timedelta
 
 import numpy as np
 import pytest
@@ -67,6 +67,20 @@ def test_calendar_timeline_locate_and_instant(truth_model):
     assert tl.instant(3.5) == datetime(2018, 1, 8, 9, 15)
     assert tl.timestamp(0) == datetime(2018, 1, 8, 7, 30)
     assert tl.timestamp(0, end=True) == datetime(2018, 1, 8, 8, 0)
+
+
+def test_calendar_timeline_locate_edges(truth_model):
+    # Monday 2018-01-01 to Saturday 2018-01-06: five 22-slot days and a 10-slot Saturday.
+    tl = truth_model.timeline([date(2018, 1, 1) + timedelta(days=i) for i in range(6)])
+    assert tl.ends[-1] == 120.0
+    assert tl.locate(date(2018, 1, 1), time(7, 0)) == 0.0
+    assert tl.locate(date(2018, 1, 6), time(12, 30)) == tl.ends[-1]
+    with pytest.raises(CoverageError, match="timeline"):
+        tl.locate(date(2017, 6, 1), time(9, 0))
+    with pytest.raises(CoverageError, match="timeline"):
+        tl.locate(date(2017, 12, 31))
+    with pytest.raises(CoverageError, match="timeline"):
+        tl.locate(date(2018, 1, 6), time(12, 31))
 
 
 def test_calendar_timeline_matches_model_cumulative(truth_model):
