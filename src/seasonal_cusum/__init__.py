@@ -47,7 +47,7 @@ from .simulate import (
     simulate_events,
     simulate_slot_counts,
 )
-from .timeline import SlotTimeline, TimelineSlot
+from .timeline import SlotTimeline
 
 __all__ = [
     "AlarmEvent",
@@ -69,7 +69,6 @@ __all__ = [
     "SlotProfile",
     "SlotRecord",
     "SlotTimeline",
-    "TimelineSlot",
     "apply_scenario",
     "beta",
     "busyness_quartile_check",

@@ -29,6 +29,9 @@ from .timeline import SlotTimeline
 
 THREADS_ENV = "SEASONAL_CUSUM_THREADS"
 
+# A calibrated run length may miss pi by this fraction of pi plus two standard errors.
+_TOLERANCE_REL = 0.02
+
 
 def worker_count() -> int:
     """Replication parallelism cap from the environment (default 1)."""
@@ -46,15 +49,15 @@ class CalibrationTarget:
     pi: float
     replications: int = 1000
     horizon_cap: float | None = None  # open-time units; None picks ~20*pi events
-    tolerance_rel: float = 0.02
 
     def __post_init__(self):
         if not (0 < self.pi < math.inf):
             raise ValidationError(f"false-alarm budget must be positive and finite, got {self.pi}")
         if self.replications < 100:
             raise ValidationError("need at least 100 replications")
-        if not 0 < self.tolerance_rel < 0.5:
-            raise ValidationError("tolerance_rel must lie in (0, 0.5)")
+        # NaN fails the comparison too.
+        if self.horizon_cap is not None and not 0 < self.horizon_cap < math.inf:
+            raise ValidationError(f"horizon cap must be positive and finite, got {self.horizon_cap}")
 
 
 @dataclass(frozen=True)
@@ -295,7 +298,7 @@ def calibrate_threshold(
         return arl, stderr, cf
 
     def within(arl: float, stderr: float) -> bool:
-        return abs(arl - target.pi) <= target.tolerance_rel * target.pi + 2.0 * stderr
+        return abs(arl - target.pi) <= _TOLERANCE_REL * target.pi + 2.0 * stderr
 
     def result(m: float, arl: float, stderr: float, cf: float) -> CalibrationResult:
         if cf > 0.5:
@@ -349,6 +352,6 @@ def calibrate_threshold(
         return result(m, arl, stderr, cf)
     raise BracketingError(
         f"bisection stalled: nearest run length {arl:.3f} vs target {target.pi} "
-        f"(stderr {stderr:.3f}); increase replications, loosen tolerance_rel, or use "
+        f"(stderr {stderr:.3f}); increase replications or use "
         f"event-time mode if the budget is finer than the per-interval count granularity"
     )

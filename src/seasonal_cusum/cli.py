@@ -48,6 +48,7 @@ from .simulate import (
     simulate_events,
     simulate_slot_counts,
 )
+from .timeline import SlotTimeline
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -187,19 +188,28 @@ def cmd_calibrate(args) -> int:
     return EXIT_OK
 
 
+def _locate_change(timeline: SlotTimeline, text: str) -> float:
+    """Open-time position of a change time given as a local, naive ISO datetime."""
+    try:
+        dt = datetime.fromisoformat(text)
+    except ValueError:
+        raise ValidationError(f"change time {text!r} is not an ISO datetime") from None
+    if dt.tzinfo is not None:
+        raise ValidationError(f"change time {text!r} has a UTC offset; times are local and naive")
+    return timeline.locate(dt.date(), dt.time())
+
+
 def cmd_simulate(args) -> int:
     out = _out_dir(args)
     model = _load_model(args)
     timeline = model.timeline(_date_range(args.start_date, args.days))
     if args.theta is not None:
-        theta_dt = datetime.fromisoformat(args.theta)
-        change = ChangeSpec(theta=timeline.locate(theta_dt.date(), theta_dt.time()), rho=args.rho)
+        change = ChangeSpec(theta=_locate_change(timeline, args.theta), rho=args.rho)
     else:
         change = ChangeSpec()
     if args.events:
         path = simulate_events(timeline, change, seed=args.seed)
-        lines = ["event_time"]
-        lines += [repr(t) for t in path.event_times]
+        lines = ["event_time"] + [repr(t) for t in path.event_times.tolist()]
         (out / "events.csv").write_text("\n".join(lines) + "\n")
     else:
         path = simulate_slot_counts(timeline, change, seed=args.seed)
@@ -228,8 +238,7 @@ def cmd_evaluate(args) -> int:
         try:
             theta = float(tok)
         except ValueError:
-            dt = datetime.fromisoformat(tok)
-            thetas.append(timeline.locate(dt.date(), dt.time()))
+            thetas.append(_locate_change(timeline, tok))
             continue
         # NaN fails the comparison too.
         if not timeline.starts[0] <= theta <= timeline.ends[-1]:

@@ -22,8 +22,6 @@ DAY_OPEN_MINUTE = 7 * 60 + 30
 # Matches the origin used for the trend feature in the daily dataset.
 DEFAULT_ORIGIN = date(2015, 4, 1)
 
-DAY_NAMES = ("Mon", "Tue", "Wed", "Thu", "Fri", "Sat", "Sun")
-
 
 def slot_start(index: int) -> time:
     """Start time of slot `index` (0-based from 07:30)."""
@@ -81,17 +79,6 @@ def day_meta(d: date, holidays: frozenset[date] = frozenset(), origin: date = DE
         is_day_after_holiday=(d - timedelta(days=1)) in holidays,
         is_open=is_open,
     )
-
-
-def open_dates(first: date, last: date, holidays: frozenset[date] = frozenset()) -> list[date]:
-    """All open dates in [first, last], in order."""
-    out = []
-    d = first
-    while d <= last:
-        if day_meta(d, holidays).is_open:
-            out.append(d)
-        d += timedelta(days=1)
-    return out
 
 
 def read_holidays(path: str | Path) -> frozenset[date]:

@@ -246,27 +246,6 @@ class TimelineRun:
     state: CusumState
 
 
-def _scan(
-    counts: Iterable[int],
-    increments: Iterable[float],
-    clocks: Iterable[object],
-    config: DetectorConfig,
-    state: CusumState,
-) -> tuple[list[float], list[AlarmEvent | None], CusumState]:
-    """`step_aggregated` over consecutive intervals.
-
-    Returns each interval's V, its alarm (or None) and the final state. V is
-    the pre-reset level where an alarm fires, so the path shows the actual
-    excursion.
-    """
-    v, alarms = [], []
-    for count, dlam, clock in zip(counts, increments, clocks):
-        state, alarm = step_aggregated(state, count, dlam, config, clock=clock)
-        v.append(alarm.v_at_alarm if alarm is not None else state.v)
-        alarms.append(alarm)
-    return v, alarms, state
-
-
 def run_aggregated(
     timeline: SlotTimeline,
     counts: Sequence[int] | np.ndarray,
@@ -497,16 +476,18 @@ def run_detector(
     (gaps, closed days) leave the state untouched. A record on a closed slot
     has a zero intensity increment.
     """
-    records = sorted(series)
-    increments = [model.slot_rate(rec.date, rec.slot_index) for rec in records]
-    clocks = [slot_timestamp(rec.date, rec.slot_index, end=True) for rec in records]
-    counts = [rec.count for rec in records]
-    v, alarms, state = _scan(counts, increments, clocks, config, state or CusumState.initial())
-    steps = [
-        StepRecord(timestamp=clock, v=level, lambda_increment=dlam, count=count, alarm=alarm is not None)
-        for clock, level, dlam, count, alarm in zip(clocks, v, increments, counts, alarms)
-    ]
-    return DetectorRun(records=steps, alarms=[a for a in alarms if a is not None], state=state)
+    state = state or CusumState.initial()
+    steps, alarms = [], []
+    for rec in sorted(series):
+        dlam = model.slot_rate(rec.date, rec.slot_index)
+        clock = slot_timestamp(rec.date, rec.slot_index, end=True)
+        state, alarm = step_aggregated(state, rec.count, dlam, config, clock=clock)
+        # V is the pre-reset level where an alarm fires, so the path shows the actual excursion.
+        v = alarm.v_at_alarm if alarm is not None else state.v
+        steps.append(StepRecord(timestamp=clock, v=v, lambda_increment=dlam, count=rec.count, alarm=alarm is not None))
+        if alarm is not None:
+            alarms.append(alarm)
+    return DetectorRun(records=steps, alarms=alarms, state=state)
 
 
 def double_sided_run(

@@ -47,14 +47,14 @@ def _runs(
     if config.mode == EVENT_TIMES:
         for rep in range(replications):
             path = simulate_events(timeline, change, seed, rep)
-            before = int(np.searchsorted(np.asarray(path.event_times), change.theta, side="left"))
+            before = int(np.searchsorted(path.event_times, change.theta, side="left"))
             yield run_events(timeline, path.event_times, config), before
         return
     # Aggregated observation: only whole slots ending by theta are attributable.
     attributable = timeline.ends <= change.theta
     for first in range(0, replications, _AGGREGATED_BLOCK):
         reps = range(first, min(first + _AGGREGATED_BLOCK, replications))
-        counts = np.array([simulate_slot_counts(timeline, change, seed, rep).counts for rep in reps])
+        counts = np.stack([simulate_slot_counts(timeline, change, seed, rep).counts for rep in reps])
         yield from zip(run_aggregated(timeline, counts, config), counts[:, attributable].sum(axis=1).tolist())
 
 

@@ -34,7 +34,7 @@ from .errors import (
     ValidationError,
 )
 from .ingest import Dataset, SlotRecord
-from .timeline import SlotTimeline, TimelineSlot
+from .timeline import SlotTimeline
 
 MODEL_SCHEMA_VERSION = 1
 
@@ -463,16 +463,19 @@ class IntensityModel:
 
     def timeline(self, dates: Sequence[date]) -> SlotTimeline:
         """Open slots of the given dates strung on the open-time axis (unit slots)."""
-        slots = []
-        pos = 0.0
-        for d in sorted(dates):
-            rates = self.slot_rates(d)
-            for k, rate in enumerate(rates):
-                slots.append(TimelineSlot(start=pos, length=1.0, rate=float(rate), day=d, slot_index=k))
-                pos += 1.0
-        if not slots:
+        days = sorted(dates)
+        rates = [self.slot_rates(d) for d in days]
+        per_day = [len(r) for r in rates]
+        n = sum(per_day)
+        if not n:
             raise CoverageError("no open slots in the requested dates")
-        return SlotTimeline(slots)
+        return SlotTimeline(
+            np.arange(n, dtype=float),
+            np.ones(n),
+            np.concatenate(rates),
+            days=np.repeat(np.array(days, dtype="datetime64[D]"), per_day),
+            grid=np.concatenate([np.arange(c) for c in per_day]),
+        )
 
     def as_naive(self) -> "IntensityModel":
         if self.constant_rate is None:

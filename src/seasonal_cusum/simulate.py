@@ -1,7 +1,7 @@
 """Synthetic path generation from an intensity timeline.
 
-Paths come in two granularities: exact event times (thinning against a
-per-slot constant majorant) and per-slot Poisson counts. A change point
+Paths come in two granularities: per-slot Poisson counts and exact event
+times, which are the same counts placed within their slots. A change point
 scales the rate by rho from time theta onward. Replications are
 reproducible and order-independent: every stream derives its own seed from
 (seed, replication index, purpose).
@@ -51,25 +51,24 @@ class ChangeSpec:
 NO_CHANGE = ChangeSpec()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SimPath:
-    """One simulated realization over a timeline."""
+    """One simulated realization over a timeline; compare counts and times with numpy."""
 
     timeline: SlotTimeline
     change: ChangeSpec
     seed: int
-    counts: tuple[int, ...] | None = None
-    event_times: tuple[float, ...] | None = None
+    counts: np.ndarray  # int64, one per slot
+    event_times: np.ndarray | None = None  # sorted float64, when drawn
 
     def to_slot_records(self) -> list[SlotRecord]:
-        if self.counts is None:
-            raise ValidationError("path has no slot counts")
-        records = []
-        for s, count in zip(self.timeline.slots, self.counts):
-            if s.day is None:
-                raise ValidationError("timeline has no calendar labels")
-            records.append(SlotRecord(s.day, slot_start(s.slot_index), int(count)))
-        return records
+        tl = self.timeline
+        if tl.days is None:
+            raise ValidationError("timeline has no calendar labels")
+        return [
+            SlotRecord(d, slot_start(k), count)
+            for d, k, count in zip(tl.days.tolist(), tl.grid.tolist(), self.counts.tolist())
+        ]
 
 
 def slot_means_with_change(timeline: SlotTimeline, change: ChangeSpec) -> np.ndarray:
@@ -95,7 +94,7 @@ def simulate_slot_counts(
     """Independent Poisson count per slot with the change-scaled mean."""
     rng = rng_for(seed, replication, 0)
     counts = rng.poisson(slot_means_with_change(timeline, change))
-    return SimPath(timeline=timeline, change=change, seed=seed, counts=tuple(int(c) for c in counts))
+    return SimPath(timeline=timeline, change=change, seed=seed, counts=counts)
 
 
 def simulate_events(
@@ -104,38 +103,25 @@ def simulate_events(
     seed: int = 0,
     replication: int = 0,
 ) -> SimPath:
-    """Exact event times by per-slot thinning against the constant majorant.
+    """Exact event times: the counts of `simulate_slot_counts`, placed within their slots.
 
-    Within each slot the rate is constant except possibly at theta, so the
-    majorant is the slot rate times max(1, rho) and acceptance follows the
-    instantaneous rate ratio.
+    Given its count, a slot's events are independent draws from its
+    normalised intensity. That is uniform on the slot, as its rate is
+    constant, except in the slot holding theta, where a uniform point of the
+    slot's integral is inverted: rate r before theta, rho * r after.
     """
-    rng = rng_for(seed, replication, 1)
-    rho = 1.0 if change.in_control else change.rho
-    times: list[float] = []
-    for i in range(len(timeline)):
-        t0, t1 = float(timeline.starts[i]), float(timeline.ends[i])
-        rate = float(timeline.rates[i])
-        if rate <= 0:
-            continue
-        factor_start = rho if t0 >= change.theta else 1.0
-        factor_end = rho if t1 > change.theta else 1.0
-        majorant = rate * max(factor_start, factor_end)
-        n = rng.poisson(majorant * (t1 - t0))
-        if n == 0:
-            continue
-        cand = np.sort(rng.uniform(t0, t1, size=n))
-        accept_rate = np.where(cand >= change.theta, rate * rho, rate) if not change.in_control else np.full(n, rate)
-        keep = rng.uniform(0.0, majorant, size=n) < accept_rate
-        times.extend(cand[keep].tolist())
-    counts = np.histogram(times, bins=np.concatenate([timeline.starts, [timeline.ends[-1]]]))[0]
-    return SimPath(
-        timeline=timeline,
-        change=change,
-        seed=seed,
-        counts=tuple(int(c) for c in counts),
-        event_times=tuple(times),
-    )
+    path = simulate_slot_counts(timeline, change, seed, replication)
+    slot = np.repeat(np.arange(len(timeline)), path.counts)
+    offset = rng_for(seed, replication, 1).random(len(slot)) * timeline.lengths[slot]
+    times = timeline.starts[slot] + offset
+    i = int(np.searchsorted(timeline.starts, change.theta)) - 1  # last slot starting before theta
+    if i >= 0 and change.theta < timeline.ends[i]:
+        # Read the offset as a point of the slot's integral, in units of its rate, and invert it.
+        before = change.theta - timeline.starts[i]
+        held = slot == i
+        w = offset[held] / timeline.lengths[i] * (before + change.rho * (timeline.ends[i] - change.theta))
+        times[held] = np.where(w < before, timeline.starts[i] + w, change.theta + (w - before) / change.rho)
+    return replace(path, event_times=np.sort(times))
 
 
 @dataclass(frozen=True)

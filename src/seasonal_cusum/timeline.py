@@ -9,63 +9,58 @@ use any slot lengths.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from datetime import date, datetime, time
 
 import numpy as np
 
-from .daycal import slot_end, slot_start
+from .daycal import DAY_OPEN_MINUTE, SLOT_MINUTES, slot_end, slot_start
 from .errors import CoverageError, ValidationError
 
 
-@dataclass(frozen=True)
-class TimelineSlot:
-    start: float
-    length: float
-    rate: float
-    day: date | None = None
-    slot_index: int | None = None
-
-    @property
-    def end(self) -> float:
-        return self.start + self.length
-
-    @property
-    def mean(self) -> float:
-        """Expected events over the whole slot."""
-        return self.rate * self.length
-
-
 class SlotTimeline:
-    """Ordered, contiguous open slots with piecewise-constant rates."""
+    """Ordered, contiguous open slots with piecewise-constant rates.
 
-    def __init__(self, slots: list[TimelineSlot] | tuple[TimelineSlot, ...]):
-        if not slots:
+    Calendar timelines also carry each slot's date (`days`, datetime64[D])
+    and its index on the half-hour grid (`grid`); abstract timelines carry
+    neither.
+    """
+
+    def __init__(self, starts, lengths, rates, days=None, grid=None):
+        self.starts = np.asarray(starts, dtype=float)
+        self.lengths = np.asarray(lengths, dtype=float)
+        self.rates = np.asarray(rates, dtype=float)
+        if not len(self.starts):
             raise ValidationError("timeline must contain at least one slot")
-        self.slots = tuple(slots)
-        self.starts = np.array([s.start for s in self.slots])
-        self.lengths = np.array([s.length for s in self.slots])
-        self.rates = np.array([s.rate for s in self.slots])
+        if not len(self.starts) == len(self.lengths) == len(self.rates):
+            raise ValidationError("slot starts, lengths and rates must have one entry per slot")
         if np.any(self.lengths <= 0) or np.any(self.rates < 0):
             raise ValidationError("slot lengths must be positive and rates nonnegative")
         self.ends = self.starts + self.lengths
         if not np.allclose(self.starts[1:], self.ends[:-1]):
             raise ValidationError("timeline slots must be contiguous")
+        self.days = None if days is None else np.asarray(days, dtype="datetime64[D]")
+        self.grid = None if grid is None else np.asarray(grid, dtype=np.int64)
+        if (self.days is None) != (self.grid is None):
+            raise ValidationError("calendar labels need both slot dates and grid indices")
+        if self.days is not None:
+            if not len(self.days) == len(self.grid) == len(self.starts):
+                raise ValidationError("calendar labels must have one entry per slot")
+            if np.any(self.days[1:] < self.days[:-1]):
+                raise ValidationError("slot dates must be in time order")
         self.means = self.rates * self.lengths
         # cum_means[i] = expected events strictly before slot i
         self.cum_means = np.concatenate([[0.0], np.cumsum(self.means)])
 
     @classmethod
     def from_rates(cls, rates, length: float = 1.0, start: float = 0.0) -> "SlotTimeline":
-        slots = []
-        t = start
-        for r in rates:
-            slots.append(TimelineSlot(start=t, length=length, rate=float(r)))
-            t += length
-        return cls(slots)
+        rates = np.asarray(rates, dtype=float)
+        steps = np.full(len(rates), float(length))
+        steps[:1] = start
+        # np.cumsum adds in order: bit for bit a running t += length.
+        return cls(np.cumsum(steps), np.full(len(rates), float(length)), rates)
 
     def __len__(self) -> int:
-        return len(self.slots)
+        return len(self.starts)
 
     @property
     def total_time(self) -> float:
@@ -80,11 +75,11 @@ class SlotTimeline:
         if isinstance(t, np.ndarray):
             if t.size and not (self.starts[0] <= t.min() and t.max() <= self.ends[-1]):
                 raise CoverageError(f"times [{t.min()}, {t.max()}] outside timeline [{self.starts[0]}, {self.ends[-1]}]")
-            return np.clip(np.searchsorted(self.starts, t, side="right") - 1, 0, len(self.slots) - 1)
+            return np.clip(np.searchsorted(self.starts, t, side="right") - 1, 0, len(self) - 1)
         if not self.starts[0] <= t <= self.ends[-1]:
             raise CoverageError(f"time {t} outside timeline [{self.starts[0]}, {self.ends[-1]}]")
         i = int(np.searchsorted(self.starts, t, side="right")) - 1
-        return min(max(i, 0), len(self.slots) - 1)
+        return min(max(i, 0), len(self) - 1)
 
     def cum_mean_at(self, t: float | np.ndarray) -> float | np.ndarray:
         """Expected events in [timeline start, t]; elementwise, bit for bit, over an array."""
@@ -103,35 +98,32 @@ class SlotTimeline:
 
         Instants inside closed periods snap to the next open slot boundary;
         the closing instant of a slot is its end. Dates before the first
-        slot's date are off the timeline.
+        slot's date are off the timeline. Inside a slot the position moves
+        by whole minutes: seconds are dropped.
         """
-        if self.slots[0].day is not None and d < self.slots[0].day:
+        if self.days is None:
+            raise CoverageError("timeline has no calendar labels")
+        day = np.datetime64(d, "D")
+        if day < self.days[0]:
             raise CoverageError(f"{d} {tod} is before the start of the timeline")
-        for s in self.slots:
-            if s.day is None:
-                raise CoverageError("timeline has no calendar labels")
-            if s.day < d:
-                continue
-            if s.day > d or tod is None or tod <= slot_start(s.slot_index):
-                return s.start
-            if tod <= slot_end(s.slot_index):
-                frac = ((tod.hour * 60 + tod.minute) - (slot_start(s.slot_index).hour * 60 + slot_start(s.slot_index).minute)) / 30.0
-                return s.start + frac * s.length
-        raise CoverageError(f"{d} {tod} is past the end of the timeline")
+        i = int(np.searchsorted(self.days, day, side="left"))
+        stop = int(np.searchsorted(self.days, day, side="right"))
+        if tod is not None and stop > i:
+            minute = tod.hour * 60 + tod.minute
+            us = (minute * 60 + tod.second) * 1_000_000 + tod.microsecond
+            opens = DAY_OPEN_MINUTE + SLOT_MINUTES * self.grid[i:stop]
+            # The first of the day's slots closing at or after tod; past them all, the next day's first slot.
+            k = int(np.searchsorted((opens + SLOT_MINUTES) * 60_000_000, us, side="left"))
+            if k < stop - i and us > opens[k] * 60_000_000:
+                return float(self.starts[i + k] + (minute - int(opens[k])) / SLOT_MINUTES * self.lengths[i + k])
+            i += k
+        if i == len(self):
+            raise CoverageError(f"{d} {tod} is past the end of the timeline")
+        return float(self.starts[i])
 
     def timestamp(self, i: int, end: bool = False) -> datetime | float:
         """Calendar timestamp of slot i's boundary, or the float position."""
-        s = self.slots[i]
-        if s.day is None:
-            return s.end if end else s.start
-        return datetime.combine(s.day, slot_end(s.slot_index) if end else slot_start(s.slot_index))
-
-    def instant(self, t: float) -> datetime | float:
-        """Calendar instant of an open-time position (float on abstract timelines)."""
-        i = self.slot_at(t)
-        s = self.slots[i]
-        if s.day is None:
-            return t
-        frac = (t - s.start) / s.length
-        base = datetime.combine(s.day, slot_start(s.slot_index))
-        return base + frac * (datetime.combine(s.day, slot_end(s.slot_index)) - base)
+        if self.days is None:
+            return float(self.ends[i] if end else self.starts[i])
+        k = int(self.grid[i])
+        return datetime.combine(self.days[i].item(), slot_end(k) if end else slot_start(k))

@@ -260,8 +260,12 @@ def test_target_validation():
         CalibrationTarget(pi=0.0)
     with pytest.raises(ValidationError):
         CalibrationTarget(pi=5.0, replications=10)
-    with pytest.raises(ValidationError):
-        CalibrationTarget(pi=5.0, tolerance_rel=0.9)
+
+
+@pytest.mark.parametrize("cap", [math.nan, math.inf, 0.0, -5.0], ids=["nan", "inf", "zero", "negative"])
+def test_target_rejects_bad_horizon_cap(cap):
+    with pytest.raises(ValidationError, match="horizon cap"):
+        CalibrationTarget(pi=5.0, horizon_cap=cap)
 
 
 @pytest.mark.parametrize("pi", [math.nan, math.inf], ids=["nan", "inf"])

@@ -390,6 +390,54 @@ def test_simulate_rejects_change_time_off_the_timeline(workspace, tmp_path, caps
     assert not (out / "slots.csv").exists()
 
 
+@pytest.mark.parametrize(
+    "command, option, value, token",
+    [
+        ("evaluate", "--theta-grid", "abc", "'abc'"),
+        ("evaluate", "--theta-grid", "2018-01-03T09:00,", "''"),
+        ("evaluate", "--theta-grid", "2018-01-03T09:00+01:00", "'2018-01-03T09:00+01:00'"),
+        ("simulate", "--theta", "notadate", "'notadate'"),
+        ("simulate", "--theta", "2018-01-03T09:00Z", "'2018-01-03T09:00Z'"),
+    ],
+    ids=["grid-word", "grid-empty-token", "grid-utc-offset", "theta-word", "theta-utc"],
+)
+def test_malformed_change_time_is_input_error(workspace, tmp_path, capsys, command, option, value, token):
+    out = tmp_path / "q"
+    if command == "evaluate":
+        argv = _evaluate_argv(workspace, out, **{option: value})
+    else:
+        argv = ["simulate", "--model", str(workspace["model"]), "--start-date", "2018-01-01", "--days", "6",
+                option, value, "--rho", "1.5", "--out", str(out)]
+    assert main(argv) == EXIT_INPUT
+    assert f"change time {token}" in capsys.readouterr().err
+    assert not (out / "delay_report.json").exists() and not (out / "slots.csv").exists()
+
+
+@pytest.mark.parametrize("cap", ["nan", "inf", "0", "-5"])
+def test_calibrate_rejects_bad_horizon_cap(workspace, tmp_path, capsys, cap):
+    out = tmp_path / "cal"
+    argv = ["calibrate", "--model", str(workspace["model"]), "--rho", "1.2", "--pi", "50", "--start-date", "2018-01-01",
+            "--days", "7", "--replications", "100", "--horizon-cap", cap, "--out", str(out)]
+    assert main(argv) == EXIT_INPUT
+    assert "horizon cap" in capsys.readouterr().err
+    assert not (out / "calibration.json").exists()
+
+
+def test_simulate_events_adds_sorted_event_times_to_the_same_slots(workspace, tmp_path):
+    argv = ["simulate", "--model", str(workspace["model"]), "--start-date", "2018-01-01", "--days", "6",
+            "--seed", "5", "--rho", "1.5", "--theta", "2018-01-03T09:10"]
+    assert main([*argv, "--out", str(tmp_path / "counts")]) == EXIT_OK
+    assert main([*argv, "--events", "--out", str(tmp_path / "events")]) == EXIT_OK
+    slots = (tmp_path / "counts" / "slots.csv").read_bytes()
+    assert (tmp_path / "events" / "slots.csv").read_bytes() == slots
+    header, *rows = (tmp_path / "events" / "events.csv").read_text().splitlines()
+    assert header == "event_time"
+    times = [float(r) for r in rows]
+    assert rows == [repr(t) for t in times]
+    assert times == sorted(times)
+    assert len(times) == sum(int(line.rsplit(",", 1)[1]) for line in slots.decode().splitlines()[1:])
+
+
 def test_fit_runs_without_scipy(workspace, tmp_path):
     src = Path(__file__).resolve().parent.parent / "src"
     out = tmp_path / "fit"

@@ -10,7 +10,6 @@ from seasonal_cusum.daycal import (
     WEEKDAY_SLOT_COUNT,
     ScenarioSchedule,
     day_meta,
-    open_dates,
     read_holidays,
     slot_end,
     slot_index,
@@ -73,12 +72,6 @@ def test_day_meta_is_pure():
     a = day_meta(date(2017, 5, 2), holidays, DEFAULT_ORIGIN)
     b = day_meta(date(2017, 5, 2), holidays, DEFAULT_ORIGIN)
     assert a == b
-
-
-def test_open_dates_skips_sundays_and_holidays():
-    holidays = frozenset({date(2017, 1, 6)})
-    days = open_dates(date(2017, 1, 2), date(2017, 1, 8), holidays)
-    assert days == [date(2017, 1, 2), date(2017, 1, 3), date(2017, 1, 4), date(2017, 1, 5), date(2017, 1, 7)]
 
 
 def test_read_holidays(tmp_path):

@@ -32,7 +32,7 @@ from seasonal_cusum.detect import (
 from seasonal_cusum.errors import ValidationError
 from seasonal_cusum.ingest import SlotRecord
 from seasonal_cusum.simulate import ChangeSpec, simulate_events, simulate_slot_counts
-from seasonal_cusum.timeline import SlotTimeline, TimelineSlot
+from seasonal_cusum.timeline import SlotTimeline
 
 # High-precision oracle values for (rho - 1) / ln(rho), frozen from a 40-digit
 # evaluation.
@@ -505,7 +505,7 @@ def test_run_events_rejects_bad_times(data, fault, where):
 def test_run_events_rejects_event_between_nearly_contiguous_slots():
     # Slot 1 starts a hair after slot 0 ends, which the timeline accepts as
     # contiguous; an event in that hair is outside both slots, as in step_events.
-    tl = SlotTimeline([TimelineSlot(0.0, 1.0, 2.0), TimelineSlot(1.0 + 1e-9, 1.0, 2.0)])
+    tl = SlotTimeline([0.0, 1.0 + 1e-9], [1.0, 1.0], [2.0, 2.0])
     with pytest.raises(ValidationError):
         step_events(CusumState.initial(), [1.0 + 5e-10], _cfg(mode=EVENT_TIMES), (1.0 + 1e-9, 2.0 + 1e-9), tl.cumulative)
     with pytest.raises(ValidationError):

@@ -49,9 +49,9 @@ def test_slot_counts_deterministic():
     tl = SlotTimeline.from_rates([5.0, 15.0, 30.0])
     a = simulate_slot_counts(tl, ChangeSpec(theta=1.5, rho=2.0), seed=42)
     b = simulate_slot_counts(tl, ChangeSpec(theta=1.5, rho=2.0), seed=42)
-    assert a.counts == b.counts
+    assert np.array_equal(a.counts, b.counts)
     c = simulate_slot_counts(tl, ChangeSpec(theta=1.5, rho=2.0), seed=43)
-    assert a.counts != c.counts
+    assert not np.array_equal(a.counts, c.counts)
 
 
 def test_events_mean_matches_cumulative_intensity():
@@ -76,7 +76,7 @@ def test_events_rate_doubles_after_immediate_change():
 def test_events_zero_intensity_gives_empty_path():
     tl = SlotTimeline.from_rates([0.0, 0.0])
     path = simulate_events(tl, seed=1)
-    assert path.event_times == ()
+    assert len(path.event_times) == 0
     assert sum(path.counts) == 0
 
 
@@ -89,6 +89,29 @@ def test_events_strictly_increasing_and_histogram_consistent():
         edges = np.concatenate([tl.starts, [tl.ends[-1]]])
         hist = np.histogram(times, bins=edges)[0]
         assert hist.tolist() == list(path.counts)
+
+
+@pytest.mark.parametrize("change", [ChangeSpec(), ChangeSpec(theta=1.5, rho=2.0), ChangeSpec(theta=0.2, rho=0.4)])
+def test_events_counts_are_the_slot_counts(change):
+    tl = SlotTimeline.from_rates([5.0, 15.0, 30.0])
+    for seed in (0, 3, 17):
+        for rep in range(5):
+            events = simulate_events(tl, change, seed=seed, replication=rep)
+            assert np.array_equal(events.counts, simulate_slot_counts(tl, change, seed=seed, replication=rep).counts)
+            assert len(events.event_times) == events.counts.sum()
+
+
+def test_events_theta_slot_placement():
+    # Rate 10 on two unit slots, tripled from mid-slot 0: means 5 before theta, 15 after it, 30 in slot 1.
+    tl = SlotTimeline.from_rates([10.0, 10.0])
+    change = ChangeSpec(theta=0.5, rho=3.0)
+    n = 10_000
+    split = np.zeros((n, 3))
+    for rep in range(n):
+        path = simulate_events(tl, change, seed=31, replication=rep)
+        split[rep] = np.histogram(path.event_times, bins=[0.0, 0.5, 1.0, 2.0])[0]
+    for observed, mean in zip(split.mean(axis=0), (5.0, 15.0, 30.0)):
+        assert abs(observed - mean) < 4.0 * math.sqrt(mean / n)
 
 
 def test_events_poisson_distribution_chi2():

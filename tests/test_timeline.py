@@ -7,8 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from seasonal_cusum.daycal import slot_end, slot_start
 from seasonal_cusum.errors import CoverageError, ValidationError
-from seasonal_cusum.timeline import SlotTimeline, TimelineSlot
+from seasonal_cusum.timeline import SlotTimeline
 
 
 def test_from_rates_layout():
@@ -44,9 +45,9 @@ def test_cumulative_additive(rates, cuts):
 
 def test_rejects_gaps_and_empty():
     with pytest.raises(ValidationError):
-        SlotTimeline([])
+        SlotTimeline([], [], [])
     with pytest.raises(ValidationError):
-        SlotTimeline([TimelineSlot(0.0, 1.0, 5.0), TimelineSlot(2.0, 1.0, 5.0)])
+        SlotTimeline([0.0, 2.0], [1.0, 1.0], [5.0, 5.0])
 
 
 def test_out_of_range_raises():
@@ -57,14 +58,13 @@ def test_out_of_range_raises():
         tl.cumulative(0.0, 2.5)
 
 
-def test_calendar_timeline_locate_and_instant(truth_model):
+def test_calendar_timeline_locate_and_timestamp(truth_model):
     tl = truth_model.timeline([date(2018, 1, 8), date(2018, 1, 9)])
     assert tl.locate(date(2018, 1, 8), time(7, 30)) == 0.0
     assert tl.locate(date(2018, 1, 8), time(9, 15)) == pytest.approx(3.5)
     assert tl.locate(date(2018, 1, 9), time(7, 30)) == 22.0
     # Instants inside closed periods snap to the next open boundary.
     assert tl.locate(date(2018, 1, 8), time(19, 0)) == 22.0
-    assert tl.instant(3.5) == datetime(2018, 1, 8, 9, 15)
     assert tl.timestamp(0) == datetime(2018, 1, 8, 7, 30)
     assert tl.timestamp(0, end=True) == datetime(2018, 1, 8, 8, 0)
 
@@ -81,6 +81,48 @@ def test_calendar_timeline_locate_edges(truth_model):
         tl.locate(date(2017, 12, 31))
     with pytest.raises(CoverageError, match="timeline"):
         tl.locate(date(2018, 1, 6), time(12, 31))
+
+
+def _locate_by_loop(tl, d, tod=None):
+    """Slot-by-slot search for an instant's position: the reference for `locate`."""
+    days, grid = tl.days.tolist(), tl.grid.tolist()
+    if d < days[0]:
+        raise CoverageError("before the start of the timeline")
+    for start, length, day, k in zip(tl.starts.tolist(), tl.lengths.tolist(), days, grid):
+        if day < d:
+            continue
+        if day > d or tod is None or tod <= slot_start(k):
+            return start
+        if tod <= slot_end(k):
+            frac = ((tod.hour * 60 + tod.minute) - (slot_start(k).hour * 60 + slot_start(k).minute)) / 30.0
+            return start + frac * length
+    raise CoverageError("past the end of the timeline")
+
+
+def test_locate_matches_slot_by_slot_search(truth_model):
+    # Thursday 2017-04-27 to Wednesday 2017-05-03: a Saturday, a Sunday and the 2017-05-01 holiday.
+    days = [date(2017, 4, 27) + timedelta(days=i) for i in range(7)]
+    tl = truth_model.timeline(days)
+    instants = [(t.date(), t.time()) for i in range(len(tl)) for t in (tl.timestamp(i), tl.timestamp(i, end=True))]
+    instants += [(t.date(), (t + timedelta(minutes=12, seconds=34, microseconds=500)).time())
+                 for t in map(tl.timestamp, range(len(tl)))]
+    evening, saturday_afternoon = time(19, 0), time(14, 0)
+    instants += [(d, tod) for d in days for tod in (None, time(0, 0), time(6, 0), time(12, 30, 1), saturday_afternoon,
+                                                  time(18, 29, 59), time(18, 30), evening, time(23, 59, 59))]
+    instants += [(date(2017, 4, 26), time(9, 0)), (date(2017, 5, 4), time(7, 30)), (date(2017, 5, 3), time(18, 30, 0, 1))]
+    checked = 0
+    for d, tod in instants:
+        try:
+            expected = _locate_by_loop(tl, d, tod)
+        except CoverageError:
+            with pytest.raises(CoverageError, match="timeline"):
+                tl.locate(d, tod)
+            continue
+        assert tl.locate(d, tod) == expected, (d, tod)
+        checked += 1
+    assert checked > 3 * len(tl)
+    assert tl.locate(days[0], time(7, 30)) == tl.starts[0]
+    assert tl.locate(days[-1], time(18, 30)) == tl.ends[-1]
 
 
 def test_calendar_timeline_matches_model_cumulative(truth_model):
