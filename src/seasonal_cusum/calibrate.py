@@ -11,6 +11,12 @@ same slot counts. An event-time path is simulated in chunks, and only as far
 as the largest threshold queried so far needs: up to its first record at or
 above it, or to the horizon. The records read are bit for bit those of the
 whole path simulated at once.
+
+All curves are read together: their records sit in one flat array cut by
+per-curve offsets, and the run lengths at a threshold come from one numpy
+pass over it. The search bracket's top is read only when the bisection's own
+first two midpoints fall short of the budget, so paths are not simulated far
+past the answer just to learn that the bracket holds it.
 """
 
 from __future__ import annotations
@@ -84,13 +90,26 @@ class CalibrationResult:
         }
 
 
+# Calibration keeps one slot count per slot, cycle and replication, one byte
+# each at typical rates; horizons needing more than this many are refused.
+_MAX_SLOT_COUNTS = 2**31
+
+
 def _horizon(timeline: SlotTimeline, target: CalibrationTarget) -> tuple[int, float]:
     """Number of timeline cycles and total duration covering the horizon cap."""
     if target.horizon_cap is not None:
-        cycles = max(1, math.ceil(target.horizon_cap / timeline.total_time))
+        span = target.horizon_cap / timeline.total_time
     else:
-        wanted = max(20.0 * target.pi, 50.0)
-        cycles = max(1, math.ceil(wanted / max(timeline.total_mean, 1e-12)))
+        span = max(20.0 * target.pi, 50.0) / max(timeline.total_mean, 1e-12)
+    # An overflowed (infinite) span has no ceiling, and is past the limit anyway.
+    cycles = max(1, math.ceil(span)) if math.isfinite(span) else math.inf
+    if cycles * len(timeline) * target.replications > _MAX_SLOT_COUNTS:
+        cap = "no --horizon-cap" if target.horizon_cap is None else f"--horizon-cap {target.horizon_cap:g}"
+        raise ValidationError(
+            f"pi={target.pi:g} with {cap} needs a calibration horizon of {cycles:.4g} cycles of the "
+            f"{len(timeline)}-slot timeline, over 2**31 slot counts for {target.replications} replications; "
+            f"lower pi, the replications or --horizon-cap"
+        )
     return cycles, cycles * timeline.total_time
 
 
@@ -185,8 +204,8 @@ class RecordCurve:
         self.total_events = total_events
         self.path = path
 
-    def run_length(self, m: float) -> tuple[int, bool]:
-        """(events to alarm, censored) for a threshold m on this path."""
+    def extend(self, m: float) -> None:
+        """Simulate the path until a record reaches m or the horizon ends."""
         while self.path is not None and not (len(self.levels) and self.levels[-1] >= m):
             levels, events = self.path.advance()
             if len(levels):
@@ -194,10 +213,57 @@ class RecordCurve:
                 self.events = np.concatenate([self.events, events])
             if self.path.done:
                 self.path = None
+
+    def run_length(self, m: float) -> tuple[int, bool]:
+        """(events to alarm, censored) for a threshold m on this path."""
+        self.extend(m)
         i = int(np.searchsorted(self.levels, m, side="left"))
         if i < len(self.levels):
             return int(self.events[i]), False
         return self.total_events, True
+
+
+class _CurveSet:
+    """Every replication's record curve, read at a threshold in one numpy pass.
+
+    The records are held flat, cut by per-curve offsets, with one spare event
+    slot at the end so a censored path's index stays in range. The flat
+    arrays are rebuilt only after a read extends some lazy curve; reads that
+    extend nothing reuse them.
+    """
+
+    def __init__(self, curves: list[RecordCurve]):
+        self.curves = curves
+        self.totals = np.array([c.total_events for c in curves], dtype=np.int64)
+        # The last record of each curve still simulating (-inf before its
+        # first); +inf once a curve is complete, so it is never extended.
+        self.tops = np.array([-np.inf if c.path is not None else np.inf for c in curves])
+        self._flatten()
+
+    def _flatten(self) -> None:
+        self.lengths = np.array([len(c.levels) for c in self.curves])
+        self.offsets = np.concatenate([[0], np.cumsum(self.lengths)])
+        self.levels = np.concatenate([c.levels for c in self.curves])
+        self.events = np.concatenate([c.events for c in self.curves] + [np.zeros(1, dtype=np.int64)])
+        # Each curve reads its records through views, so they are held once.
+        for c, a, b in zip(self.curves, self.offsets[:-1].tolist(), self.offsets[1:].tolist()):
+            c.levels, c.events = self.levels[a:b], self.events[a:b]
+
+    def run_lengths(self, m: float) -> tuple[np.ndarray, np.ndarray]:
+        """(events to alarm as floats, censored) of every path at threshold m."""
+        short = np.flatnonzero(self.tops < m)
+        if len(short):
+            for i in short.tolist():
+                curve = self.curves[i]
+                curve.extend(m)
+                self.tops[i] = np.inf if curve.path is None else curve.levels[-1]
+            self._flatten()
+        # Records strictly increase, so the number below m is searchsorted(side="left").
+        below = np.concatenate([[0], np.cumsum(self.levels < m)])
+        counts = below[self.offsets[1:]] - below[self.offsets[:-1]]
+        censored = counts == self.lengths
+        n = np.where(censored, self.totals, self.events[self.offsets[:-1] + counts])
+        return n.astype(float), censored
 
 
 def _record_curve(
@@ -225,15 +291,15 @@ def _record_curve(
     return RecordCurve(levels=running[keep], events=np.cumsum(counts)[keep], total_events=int(counts.sum()))
 
 
-def _build_curves(timeline: SlotTimeline, config: DetectorConfig, target: CalibrationTarget, seed: int) -> list[RecordCurve]:
+def _build_curves(timeline: SlotTimeline, config: DetectorConfig, target: CalibrationTarget, seed: int) -> _CurveSet:
     cycles, _ = _horizon(timeline, target)
     tiling = _Tiling(timeline, cycles)
     reps = range(target.replications)
     workers = worker_count()
     if workers == 1:
-        return [_record_curve(timeline, config, cycles, seed, r, tiling) for r in reps]
+        return _CurveSet([_record_curve(timeline, config, cycles, seed, r, tiling) for r in reps])
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(lambda r: _record_curve(timeline, config, cycles, seed, r, tiling), reps))
+        return _CurveSet(list(pool.map(lambda r: _record_curve(timeline, config, cycles, seed, r, tiling), reps)))
 
 
 def _summarize(run_lengths: np.ndarray, censored: np.ndarray) -> tuple[float, float, float]:
@@ -244,13 +310,6 @@ def _summarize(run_lengths: np.ndarray, censored: np.ndarray) -> tuple[float, fl
         # Censored paths only bound their run length from below.
         stderr /= 1.0 - min(cf, 0.99)
     return arl, stderr, cf
-
-
-def _arl_from_curves(curves: list[RecordCurve], m: float) -> tuple[float, float, float]:
-    pairs = [c.run_length(m) for c in curves]
-    ns = np.array([p[0] for p in pairs], dtype=float)
-    cens = np.array([p[1] for p in pairs])
-    return _summarize(ns, cens)
 
 
 def estimate_arl(
@@ -267,7 +326,7 @@ def estimate_arl(
     """
     if not 0 < m < math.inf:
         raise ValidationError(f"threshold must be positive and finite, got {m}")
-    arl, stderr, cf = _arl_from_curves(_build_curves(timeline, config, target, seed), m)
+    arl, stderr, cf = _summarize(*_build_curves(timeline, config, target, seed).run_lengths(m))
     if cf > 0.5:
         raise HorizonTooShortError(
             f"{cf:.0%} of paths were censored at the horizon; extend horizon_cap"
@@ -284,7 +343,14 @@ def calibrate_threshold(
     """Bisection on the threshold until the budgeted run length is met.
 
     All evaluations share one set of simulated paths (common random
-    numbers), which makes the empirical ARL curve monotone in m.
+    numbers), which makes the empirical ARL curve monotone in m. The
+    bisection runs on [1e-9, H] for the first power of two H whose ARL
+    reaches pi. Candidates H = 1, 2, 4, ... are tried in turn: a midpoint
+    that reaches pi proves that H does too, so ARL(H) itself is evaluated
+    only when the first two midpoints fall short, and a candidate short of
+    pi is doubled and the bisection restarted. The result is the one a
+    bisection of that bracket gives; `trace` lists every ARL evaluated, in
+    order.
     """
     if target.pi < 1:
         raise ValidationError("budget below one event is unattainable")
@@ -293,7 +359,7 @@ def calibrate_threshold(
     trace: list[dict] = []
 
     def evaluate(m: float) -> tuple[float, float, float]:
-        arl, stderr, cf = _arl_from_curves(curves, m)
+        arl, stderr, cf = _summarize(*curves.run_lengths(m))
         trace.append({"m": m, "arl": arl, "stderr": stderr, "censored_fraction": cf})
         return arl, stderr, cf
 
@@ -316,38 +382,45 @@ def calibrate_threshold(
             trace=trace,
         )
 
-    lo = 1e-9
-    arl_lo, se_lo, cf_lo = evaluate(lo)
-    if abs(arl_lo - target.pi) < 1e-12:
-        return result(lo, arl_lo, se_lo, cf_lo)
-    if arl_lo > target.pi:
+    floor = evaluate(1e-9)
+    if abs(floor[0] - target.pi) < 1e-12:
+        return result(1e-9, *floor)
+    if floor[0] > target.pi:
         raise BracketingError(f"run length at a vanishing threshold already exceeds pi={target.pi}")
-
-    hi = 1.0
-    arl_hi, se_hi, cf_hi = evaluate(hi)
-    expansions = 0
-    while arl_hi < target.pi:
-        expansions += 1
-        if expansions > 60:
-            raise BracketingError(f"could not straddle pi={target.pi} within 60 expansions")
-        hi *= 2.0
-        arl_hi, se_hi, cf_hi = evaluate(hi)
 
     # The empirical curve is a nondecreasing step function under common random
     # numbers; resolve the step straddling pi, then take the closer side.
-    for _ in range(200):
-        if (hi - lo) < 1e-12 * max(hi, 1.0) or (arl_hi - arl_lo) < 1e-12:
+    top = 1.0
+    expansions = 0
+    while True:
+        lo, at_lo = 1e-9, floor
+        hi, at_hi = top, None  # (arl, stderr, censored) at hi, once evaluated
+        for step in range(200):
+            if at_hi is None and step == 2:
+                at_hi = evaluate(top)
+                if at_hi[0] < target.pi:
+                    break
+            # Neither test can fire while ARL(top) is unread: hi - lo >= top / 2,
+            # and ARL(lo) < pi <= ARL(top) differ by at least 1 / replications.
+            if at_hi is not None and ((hi - lo) < 1e-12 * max(hi, 1.0) or (at_hi[0] - at_lo[0]) < 1e-12):
+                break
+            mid = 0.5 * (lo + hi)
+            at_mid = evaluate(mid)
+            if at_mid[0] < target.pi:
+                lo, at_lo = mid, at_mid
+            else:
+                hi, at_hi = mid, at_mid
+        if at_hi[0] >= target.pi:
             break
-        mid = 0.5 * (lo + hi)
-        arl, stderr, cf = evaluate(mid)
-        if arl < target.pi:
-            lo, arl_lo, se_lo, cf_lo = mid, arl, stderr, cf
-        else:
-            hi, arl_hi, se_hi, cf_hi = mid, arl, stderr, cf
-    if target.pi - arl_lo <= arl_hi - target.pi:
-        m, arl, stderr, cf = lo, arl_lo, se_lo, cf_lo
+        expansions += 1
+        if expansions > 60:
+            raise BracketingError(f"could not straddle pi={target.pi} within 60 expansions")
+        top *= 2.0
+
+    if target.pi - at_lo[0] <= at_hi[0] - target.pi:
+        m, (arl, stderr, cf) = lo, at_lo
     else:
-        m, arl, stderr, cf = hi, arl_hi, se_hi, cf_hi
+        m, (arl, stderr, cf) = hi, at_hi
     if within(arl, stderr):
         return result(m, arl, stderr, cf)
     raise BracketingError(

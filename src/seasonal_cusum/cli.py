@@ -200,6 +200,9 @@ def _locate_change(timeline: SlotTimeline, text: str) -> float:
 
 
 def cmd_simulate(args) -> int:
+    if args.events and args.scenario is not None:
+        # The scenario rewrites the slot records after the draw; the event times cannot follow.
+        raise ValidationError("--events cannot be combined with --scenario: events.csv would not match slots.csv")
     out = _out_dir(args)
     model = _load_model(args)
     timeline = model.timeline(_date_range(args.start_date, args.days))

@@ -9,15 +9,20 @@ import pytest
 from seasonal_cusum import calibrate
 from seasonal_cusum.calibrate import (
     _CHUNK_EVENTS,
+    _MAX_SLOT_COUNTS,
     CalibrationTarget,
+    _CurveSet,
     _Tiling,
+    _build_curves,
+    _horizon,
     _record_curve,
+    _summarize,
     calibrate_threshold,
     estimate_arl,
     worker_count,
 )
 from seasonal_cusum.detect import AGGREGATED_COUNTS, DECREASE, EVENT_TIMES, INCREASE, DetectorConfig, run_aggregated
-from seasonal_cusum.errors import HorizonTooShortError, ValidationError
+from seasonal_cusum.errors import BracketingError, HorizonTooShortError, ValidationError
 from seasonal_cusum.simulate import rng_for
 from seasonal_cusum.timeline import SlotTimeline
 
@@ -304,3 +309,187 @@ def test_threaded_calibration_matches_serial(monkeypatch):
         threaded = calibrate_threshold(tl, cfg, target, seed=45).to_dict()
         assert serial == threaded, (cfg.mode, cfg.direction)
         assert len(serial["trace"]) > 5
+
+
+def _doubling_search(timeline, config, target, seed):
+    """Oracle: double hi from 1 until ARL(hi) reaches pi, then bisect [1e-9, hi].
+
+    Every ARL is read curve by curve through `RecordCurve.run_length`.
+    Returns the four result fields, the thresholds evaluated and the bracket top.
+    """
+    if target.pi < 1:
+        raise ValidationError("budget below one event is unattainable")
+    curves = _build_curves(timeline, config, target, seed).curves
+    ms = []
+
+    def evaluate(m):
+        pairs = [c.run_length(m) for c in curves]
+        ms.append(m)
+        return _summarize(np.array([p[0] for p in pairs], dtype=float), np.array([p[1] for p in pairs]))
+
+    def result(m, arl, stderr, cf):
+        if cf > 0.5:
+            raise HorizonTooShortError(f"{cf:.0%} of paths censored at the calibrated threshold; extend horizon_cap")
+        return (m, arl, stderr, cf), ms
+
+    lo = 1e-9
+    arl_lo, se_lo, cf_lo = evaluate(lo)
+    if abs(arl_lo - target.pi) < 1e-12:
+        return *result(lo, arl_lo, se_lo, cf_lo), None
+    if arl_lo > target.pi:
+        raise BracketingError(f"run length at a vanishing threshold already exceeds pi={target.pi}")
+    hi = 1.0
+    arl_hi, se_hi, cf_hi = evaluate(hi)
+    expansions = 0
+    while arl_hi < target.pi:
+        expansions += 1
+        if expansions > 60:
+            raise BracketingError(f"could not straddle pi={target.pi} within 60 expansions")
+        hi *= 2.0
+        arl_hi, se_hi, cf_hi = evaluate(hi)
+    top = hi
+    for _ in range(200):
+        if (hi - lo) < 1e-12 * max(hi, 1.0) or (arl_hi - arl_lo) < 1e-12:
+            break
+        mid = 0.5 * (lo + hi)
+        arl, stderr, cf = evaluate(mid)
+        if arl < target.pi:
+            lo, arl_lo, se_lo, cf_lo = mid, arl, stderr, cf
+        else:
+            hi, arl_hi, se_hi, cf_hi = mid, arl, stderr, cf
+    if target.pi - arl_lo <= arl_hi - target.pi:
+        m, arl, stderr, cf = lo, arl_lo, se_lo, cf_lo
+    else:
+        m, arl, stderr, cf = hi, arl_hi, se_hi, cf_hi
+    if abs(arl - target.pi) <= 0.02 * target.pi + 2.0 * stderr:
+        return *result(m, arl, stderr, cf), top
+    raise BracketingError(
+        f"bisection stalled: nearest run length {arl:.3f} vs target {target.pi} "
+        f"(stderr {stderr:.3f}); increase replications or use "
+        f"event-time mode if the budget is finer than the per-interval count granularity"
+    )
+
+
+def _outcome(search, *args):
+    try:
+        return search(*args)
+    except (ValidationError, BracketingError, HorizonTooShortError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+def test_bracket_search_equals_doubling_oracle_bit_for_bit():
+    # The search reads ARL(top) only when the bisection's first two midpoints
+    # fall short: the result fields and every error must equal the plain
+    # doubling search, and it must never query a larger threshold.
+    timelines = (
+        SlotTimeline.from_rates([4.0] * 10),
+        SlotTimeline.from_rates([6.0, 0.0, 2.0] * 4),
+        SlotTimeline.from_rates([0.0, 0.0, 0.4, 55.0, 0.0, 9.0, 0.3]),
+    )
+    tops_at_one = tops_read = 0
+    for tl in timelines:
+        for pi in (1, 1.5, 2, 7, 40, 200):
+            target = CalibrationTarget(pi=pi, replications=100)
+            for rho, direction in ((1.3, INCREASE), (1 / 1.3, DECREASE)):
+                for cfg in (_event_cfg(rho, direction=direction), _agg_cfg(rho, direction=direction)):
+                    for seed in (0, 1):
+                        case = (tl.means.tolist(), pi, direction, cfg.mode, seed)
+                        new = _outcome(calibrate_threshold, tl, cfg, target, seed)
+                        old = _outcome(_doubling_search, tl, cfg, target, seed)
+                        if isinstance(old[0], str):
+                            assert new == old, case
+                            continue
+                        fields, old_ms, top = old
+                        got = (new.threshold_m, new.arl_estimate, new.arl_stderr, new.censored_fraction)
+                        assert [repr(x) for x in got] == [repr(x) for x in fields], case
+                        new_ms = [e["m"] for e in new.trace]
+                        assert max(new_ms) <= max(old_ms), case
+                        tops_at_one += top == 1.0
+                        # The answer lies in the top quarter of [1e-9, top]: top itself was read.
+                        tops_read += top is not None and top in new_ms
+    assert tops_at_one and tops_read
+
+
+def test_bracket_search_reads_top_only_past_two_short_midpoints():
+    # Quick-start-like flat timeline: the bracket is [1e-9, 32] and the answer
+    # lies below 24, so no power of two above 16 is ever simulated.
+    tl = SlotTimeline.from_rates([60.0] * 48)
+    target = CalibrationTarget(pi=2000.0, replications=100)
+    result = calibrate_threshold(tl, _event_cfg(rho=1.2), target, seed=3)
+    ms = [e["m"] for e in result.trace]
+    assert ms[:4] == [1e-9, 0.5 * (1e-9 + 1.0), 0.5 * (0.5 * (1e-9 + 1.0) + 1.0), 1.0]
+    assert 32.0 not in ms and max(ms) == 0.5 * (0.5 * (1e-9 + 32.0) + 32.0)
+    assert len(ms) == len(set(ms))
+
+
+def _read_both(curve_args, monkeypatch):
+    """Two independent copies of the same curves: one for the batched reader, one read curve by curve."""
+    monkeypatch.setattr(calibrate, "_CHUNK_EVENTS", 3)
+    return tuple([_record_curve(*a) for a in curve_args] for _ in range(2))
+
+
+def test_batched_read_equals_per_curve_run_length(monkeypatch):
+    lazy_tl = SlotTimeline.from_rates([0.0, 2.0, 0.0, 0.5, 4.0])
+    empty_tl = SlotTimeline.from_rates([1e-6, 1e-6])
+    args = []
+    for rho, direction in ((1.3, INCREASE), (1 / 1.3, DECREASE)):
+        args += [(lazy_tl, _event_cfg(rho, direction=direction), 12, 5, rep) for rep in range(6)]
+        args += [(lazy_tl, _agg_cfg(rho, direction=direction), 12, 5, rep) for rep in range(3)]
+        args += [(empty_tl, _event_cfg(rho, direction=direction), 1, 0, 0)]
+    batched, reference = _read_both(args, monkeypatch)
+    assert any(c.path is not None for c in batched)  # lazy
+    assert any(c.path is None and c.total_events for c in batched)  # complete
+    assert any(c.total_events == 0 for c in batched)  # empty
+    # Every record level of the complete curves, to be found by the reads.
+    for c in reference:
+        c.run_length(math.inf)
+    levels = np.unique(np.concatenate([c.levels for c in reference]))
+    grid = [1e-9, float(levels[-1]) + 1.0]
+    for level in levels[:: max(1, len(levels) // 40)]:
+        grid += [float(level), float(np.nextafter(level, -np.inf)), float(np.nextafter(level, np.inf))]
+    grid = [m for m in grid if m > 0]
+    random.Random(0).shuffle(grid)
+    # Fresh reference curves, so both sides extend in the same order.
+    batched, reference = _read_both(args, monkeypatch)
+    curves = _CurveSet(batched)
+    for m in sorted(grid[:20]) + grid:
+        ns, censored = curves.run_lengths(m)
+        pairs = [c.run_length(m) for c in reference]
+        expected_ns = np.array([p[0] for p in pairs], dtype=float)
+        expected_censored = np.array([p[1] for p in pairs])
+        assert ns.dtype == expected_ns.dtype and np.array_equal(ns, expected_ns), m
+        assert np.array_equal(censored, expected_censored), m
+        assert repr(_summarize(ns, censored)) == repr(_summarize(expected_ns, expected_censored)), m
+
+
+def test_horizon_limit_is_exact():
+    tl = SlotTimeline.from_rates([1.0, 1.0])
+    cycles = _MAX_SLOT_COUNTS // (2 * 128)
+    assert _horizon(tl, CalibrationTarget(pi=5.0, replications=128, horizon_cap=2.0 * cycles)) == (cycles, 2.0 * cycles)
+    with pytest.raises(ValidationError, match="--horizon-cap"):
+        _horizon(tl, CalibrationTarget(pi=5.0, replications=128, horizon_cap=2.0 * cycles + 1.0))
+
+
+@pytest.mark.parametrize(
+    "pi, cap, cycles",
+    [(1e9, None, math.ceil(20e9 / 168)), (1e300, None, math.ceil(20e300 / 168)), (50.0, 1e300, math.ceil(1e300 / 168))],
+    ids=["pi-1e9", "pi-1e300", "cap-1e300"],
+)
+def test_huge_horizon_fails_before_allocating(pi, cap, cycles):
+    # A week of unit-rate slots: the horizon would need far more than 2**31
+    # one-byte slot counts (or overflow the tiling), so both entry points
+    # refuse it before simulating anything.
+    tl = SlotTimeline.from_rates([1.0] * 168)
+    target = CalibrationTarget(pi=pi, replications=1000, horizon_cap=cap)
+    for call in (lambda: calibrate_threshold(tl, _event_cfg(), target), lambda: estimate_arl(5.0, tl, _event_cfg(), target)):
+        with pytest.raises(ValidationError) as info:
+            call()
+        message = str(info.value)
+        assert f"pi={pi:g}" in message and f"{cycles:.4g} cycles" in message and "--horizon-cap" in message
+
+
+def test_overflowing_horizon_is_refused():
+    # 20 * pi overflows to infinity: there is no cycle count to take a ceiling of.
+    tl = SlotTimeline.from_rates([1.0] * 168)
+    with pytest.raises(ValidationError, match="inf cycles"):
+        calibrate_threshold(tl, _event_cfg(), CalibrationTarget(pi=1e308, replications=100))

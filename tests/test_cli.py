@@ -9,7 +9,8 @@ from pathlib import Path
 import pytest
 
 from seasonal_cusum.cli import EXIT_INPUT, EXIT_OK, main
-from seasonal_cusum.ingest import write_daily_csv, write_slot_csv
+from seasonal_cusum.ingest import parse_slot_csv, write_daily_csv, write_slot_csv
+from seasonal_cusum.simulate import POSTPONE_THIRD_TUESDAY, ScenarioTransform, apply_scenario
 
 
 @pytest.fixture(scope="module")
@@ -455,3 +456,40 @@ def test_cli_import_does_not_load_scipy():
         [sys.executable, "-c", code], capture_output=True, text=True, check=True, env={**os.environ, "PYTHONPATH": str(src)}
     )
     assert done.stdout.strip() == "False"
+
+
+def test_simulate_rejects_events_with_scenario(workspace, tmp_path, capsys):
+    out = tmp_path / "sim"
+    argv = ["simulate", "--model", str(workspace["model"]), "--start-date", "2018-01-01", "--days", "28",
+            "--seed", "1", "--events", "--scenario", POSTPONE_THIRD_TUESDAY, "--out", str(out)]
+    assert main(argv) == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert "--events" in err and "--scenario" in err
+    assert not out.exists()
+
+
+def test_simulate_scenario_rewrites_the_drawn_slots(workspace, tmp_path):
+    argv = ["simulate", "--model", str(workspace["model"]), "--start-date", "2018-01-01", "--days", "28", "--seed", "1"]
+    assert main([*argv, "--out", str(tmp_path / "plain")]) == EXIT_OK
+    assert main([*argv, "--scenario", POSTPONE_THIRD_TUESDAY, "--out", str(tmp_path / "scenario")]) == EXIT_OK
+    plain = list(parse_slot_csv(tmp_path / "plain" / "slots.csv"))
+    write_slot_csv(apply_scenario(plain, ScenarioTransform(kind=POSTPONE_THIRD_TUESDAY)), tmp_path / "expected.csv")
+    written = (tmp_path / "scenario" / "slots.csv").read_bytes()
+    assert written == (tmp_path / "expected.csv").read_bytes()
+    assert written != (tmp_path / "plain" / "slots.csv").read_bytes()
+
+
+@pytest.mark.parametrize(
+    "option, value",
+    [("--pi", "1e9"), ("--pi", "1e300"), ("--horizon-cap", "1e300")],
+    ids=["pi-1e9", "pi-1e300", "cap-1e300"],
+)
+def test_calibrate_refuses_a_horizon_too_large_to_simulate(workspace, tmp_path, capsys, option, value):
+    out = tmp_path / "cal"
+    argv = ["calibrate", "--model", str(workspace["model"]), "--rho", "1.2", "--start-date", "2018-01-01",
+            "--days", "7", "--out", str(out)]
+    argv += [option, value] if option == "--pi" else ["--pi", "50", option, value]
+    assert main(argv) == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert "pi=" in err and " cycles of the " in err and "--horizon-cap" in err
+    assert not (out / "calibration.json").exists()
