@@ -266,25 +266,17 @@ class _CurveSet:
         return n.astype(float), censored
 
 
-def _record_curve(
-    timeline: SlotTimeline,
-    config: DetectorConfig,
-    cycles: int,
-    seed: int,
-    rep: int,
-    tiling: _Tiling | None = None,
-) -> RecordCurve:
-    """Record curve of replication `rep`; `tiling` shares the tiled means between replications."""
-    h = tiling or _Tiling(timeline, cycles)
+def _record_curve(tiling: _Tiling, config: DetectorConfig, seed: int, rep: int) -> RecordCurve:
+    """Record curve of replication `rep` over the horizon `tiling`, which all replications share."""
     rng = rng_for(seed, rep, 2)
-    counts = rng.poisson(h.means)
+    counts = rng.poisson(tiling.means)
     if config.mode != AGGREGATED_COUNTS:
-        path = _EventPath(h, config, rng, counts)
+        path = _EventPath(tiling, config, rng, counts)
         return RecordCurve(np.empty(0), np.empty(0, dtype=int), path.total, path if path.total else None)
     # The slot-by-slot recursion v' = max(0, v + x) observed at slot ends,
     # in closed form: V = U - min(0, running min of U).
     sign = 1.0 if config.direction == INCREASE else -1.0
-    u = np.cumsum(sign * (counts - config.beta * h.means))
+    u = np.cumsum(sign * (counts - config.beta * tiling.means))
     v = u - np.minimum(np.minimum.accumulate(u), 0.0)
     running = np.maximum.accumulate(v)
     keep = running > np.concatenate([[-np.inf], running[:-1]])
@@ -297,9 +289,9 @@ def _build_curves(timeline: SlotTimeline, config: DetectorConfig, target: Calibr
     reps = range(target.replications)
     workers = worker_count()
     if workers == 1:
-        return _CurveSet([_record_curve(timeline, config, cycles, seed, r, tiling) for r in reps])
+        return _CurveSet([_record_curve(tiling, config, seed, r) for r in reps])
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        return _CurveSet(list(pool.map(lambda r: _record_curve(timeline, config, cycles, seed, r, tiling), reps)))
+        return _CurveSet(list(pool.map(lambda r: _record_curve(tiling, config, seed, r), reps)))
 
 
 def _summarize(run_lengths: np.ndarray, censored: np.ndarray) -> tuple[float, float, float]:

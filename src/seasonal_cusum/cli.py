@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 from datetime import date, datetime, timedelta
 from pathlib import Path
 
@@ -89,20 +90,14 @@ def _load_model(args) -> IntensityModel:
 
 
 def cmd_fit(args) -> int:
-    out = _out_dir(args)
     holidays = read_holidays(args.holidays) if args.holidays else frozenset()
-    dataset = load_dataset(
-        args.daily,
-        slot_path=args.slots,
-        holidays=holidays,
-        origin=args.origin,
-        split_date=args.split_date,
-    )
+    dataset = load_dataset(args.daily, slot_path=args.slots, holidays=holidays, origin=args.origin)
     if args.split_date is not None:
         train, _ = split_train_test(dataset, args.split_date)
     else:
         train = dataset
     model, report = fit_intensity_model(train)
+    out = _out_dir(args)
     model.save(out / "model.json")
     (out / "fit_report.json").write_text(json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n")
     _write_manifest(out, "fit", args)
@@ -122,52 +117,46 @@ def _detector_config(args, direction: str, threshold: float) -> DetectorConfig:
     )
 
 
-def _calibrated_m(args, model: IntensityModel, dates: list[date], direction: str) -> float:
-    timeline = model.timeline(dates)
-    rho = args.rho if direction == INCREASE else 1.0 / args.rho
-    config = DetectorConfig(rho=rho, threshold_m=1.0, direction=direction, mode=EVENT_TIMES)
+def _calibrated_m(args, timeline: SlotTimeline, direction: str) -> float:
+    config = replace(_detector_config(args, direction, 1.0), mode=EVENT_TIMES)
     target = CalibrationTarget(pi=args.pi, replications=args.replications)
-    result = calibrate_threshold(timeline, config, target, seed=args.seed)
-    return result.threshold_m
+    return calibrate_threshold(timeline, config, target, seed=args.seed).threshold_m
 
 
 def cmd_detect(args) -> int:
-    out = _out_dir(args)
     model = _load_model(args)
     series = list(parse_slot_csv(args.series))
     if args.scenario == POSTPONE_THIRD_TUESDAY:
         series = apply_scenario(series, ScenarioTransform(kind=POSTPONE_THIRD_TUESDAY))
-    dates = sorted({r.date for r in series})
 
     if args.m is not None:
         m_up = m_down = args.m
     else:
-        m_up = _calibrated_m(args, model, dates, INCREASE)
-        m_down = _calibrated_m(args, model, dates, DECREASE) if args.double_sided else m_up
+        timeline = model.timeline({r.date for r in series})
+        m_up = _calibrated_m(args, timeline, INCREASE)
+        m_down = _calibrated_m(args, timeline, DECREASE) if args.double_sided else m_up
 
     if args.double_sided:
-        up, down, merged = double_sided_run(
+        up, down, alarms = double_sided_run(
             series,
             model,
             _detector_config(args, INCREASE, m_up),
             _detector_config(args, DECREASE, m_down),
         )
-        write_vpath_csv(up.records, out / "vpath_up.csv")
-        write_vpath_csv(down.records, out / "vpath_down.csv")
-        write_alarms_jsonl(merged, out / "alarms.jsonl")
-        n_alarms = len(merged)
+        vpaths = {"vpath_up.csv": up.records, "vpath_down.csv": down.records}
     else:
         run = run_detector(series, model, _detector_config(args, INCREASE, m_up))
-        write_vpath_csv(run.records, out / "vpath.csv")
-        write_alarms_jsonl(run.alarms, out / "alarms.jsonl")
-        n_alarms = len(run.alarms)
+        vpaths, alarms = {"vpath.csv": run.records}, run.alarms
+    out = _out_dir(args)
+    for name, records in vpaths.items():
+        write_vpath_csv(records, out / name)
+    write_alarms_jsonl(alarms, out / "alarms.jsonl")
     _write_manifest(out, "detect", args)
-    print(f"{n_alarms} alarm(s); outputs in {out}")
+    print(f"{len(alarms)} alarm(s); outputs in {out}")
     return EXIT_OK
 
 
 def cmd_calibrate(args) -> int:
-    out = _out_dir(args)
     model = _load_model(args)
     timeline = model.timeline(_date_range(args.start_date, args.days))
     direction = INCREASE if args.rho > 1 else DECREASE
@@ -182,6 +171,7 @@ def cmd_calibrate(args) -> int:
     doc = result.to_dict()
     # Convenience: the same budget expressed in open half-hours of calendar.
     doc["expected_open_halfhours_to_false_alarm"] = args.pi / (timeline.total_mean / timeline.total_time)
+    out = _out_dir(args)
     (out / "calibration.json").write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
     _write_manifest(out, "calibrate", args)
     print(f"threshold m = {result.threshold_m!r} (ARL {result.arl_estimate:.1f} events)")
@@ -203,22 +193,20 @@ def cmd_simulate(args) -> int:
     if args.events and args.scenario is not None:
         # The scenario rewrites the slot records after the draw; the event times cannot follow.
         raise ValidationError("--events cannot be combined with --scenario: events.csv would not match slots.csv")
-    out = _out_dir(args)
     model = _load_model(args)
     timeline = model.timeline(_date_range(args.start_date, args.days))
     if args.theta is not None:
         change = ChangeSpec(theta=_locate_change(timeline, args.theta), rho=args.rho)
     else:
         change = ChangeSpec()
-    if args.events:
-        path = simulate_events(timeline, change, seed=args.seed)
-        lines = ["event_time"] + [repr(t) for t in path.event_times.tolist()]
-        (out / "events.csv").write_text("\n".join(lines) + "\n")
-    else:
-        path = simulate_slot_counts(timeline, change, seed=args.seed)
+    path = (simulate_events if args.events else simulate_slot_counts)(timeline, change, seed=args.seed)
     records = path.to_slot_records()
     if args.scenario == POSTPONE_THIRD_TUESDAY:
         records = apply_scenario(records, ScenarioTransform(kind=POSTPONE_THIRD_TUESDAY))
+    out = _out_dir(args)
+    if args.events:
+        lines = ["event_time"] + [repr(t) for t in path.event_times.tolist()]
+        (out / "events.csv").write_text("\n".join(lines) + "\n")
     write_slot_csv(records, out / "slots.csv")
     sidecar = {
         "seed": args.seed,
@@ -232,7 +220,6 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    out = _out_dir(args)
     model = _load_model(args)
     timeline = model.timeline(_date_range(args.start_date, args.days))
     thetas = []
@@ -264,6 +251,7 @@ def cmd_evaluate(args) -> int:
         replications=args.replications,
         seed=args.seed,
     )
+    out = _out_dir(args)
     write_delay_report_json(report, out / "delay_report.json")
     write_delay_table_csv(report, out / "per_theta.csv")
     _write_manifest(out, "evaluate", args)

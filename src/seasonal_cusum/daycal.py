@@ -123,8 +123,8 @@ class ScenarioSchedule:
         return weeks % self.every == 0
 
     @classmethod
-    def from_first_tuesday(cls, dates, every: int = 3) -> "ScenarioSchedule":
+    def from_first_tuesday(cls, dates) -> "ScenarioSchedule":
         for d in sorted(dates):
             if d.weekday() == 1:
-                return cls(anchor=d, every=every)
+                return cls(anchor=d)
         raise ValidationError("no Tuesday found in the supplied dates")

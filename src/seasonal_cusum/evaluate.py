@@ -30,6 +30,9 @@ def exceedance_fraction(v_path: Sequence[float], m: float) -> float:
     return float(np.mean(v >= m))
 
 
+# In-control replications behind the false-alarm rate and exceedance fraction.
+_IN_CONTROL_REPLICATIONS = 50
+
 # Replications per `run_aggregated` call in aggregated mode: the stacked
 # counts take O(block x slots) memory whatever the replication count.
 _AGGREGATED_BLOCK = 128
@@ -58,11 +61,6 @@ def _runs(
         yield from zip(run_aggregated(timeline, counts, config), counts[:, attributable].sum(axis=1).tolist())
 
 
-def _check_replications(replications: int) -> None:
-    if replications < 1:
-        raise ValidationError(f"replications must be at least 1, got {replications}")
-
-
 @dataclass(frozen=True)
 class DelayStats:
     theta: float
@@ -89,7 +87,8 @@ def detection_delay(
     """
     if change.in_control:
         raise ValidationError("detection delay needs a finite change time")
-    _check_replications(replications)
+    if replications < 1:
+        raise ValidationError(f"replications must be at least 1, got {replications}")
     delays = []
     time_delays = []
     detected = 0
@@ -161,12 +160,10 @@ def worst_case_delay(
     config: DetectorConfig,
     replications: int = 200,
     seed: int = 0,
-    in_control_replications: int = 50,
 ) -> DelayReport:
     """Delay statistics across a grid of change times, plus in-control rates."""
     if not theta_grid:
         raise ValidationError("theta grid is empty")
-    _check_replications(in_control_replications)
     per_theta = [
         detection_delay(timeline, ChangeSpec(theta=float(t), rho=rho), config, replications, seed)
         for t in theta_grid
@@ -177,7 +174,7 @@ def worst_case_delay(
     alarm_count = 0
     exceed_steps = 0
     total_steps = 0
-    for run, _ in _runs(timeline, ChangeSpec(), config, seed + 1, in_control_replications):
+    for run, _ in _runs(timeline, ChangeSpec(), config, seed + 1, _IN_CONTROL_REPLICATIONS):
         alarm_count += len(run.alarms)
         exceed_steps += int(np.sum(run.v >= config.threshold_m))
         total_steps += len(run.v)
@@ -185,7 +182,7 @@ def worst_case_delay(
         per_theta=per_theta,
         worst_case_delay_events=max(means) if means else math.nan,
         worst_case_max_delay_events=max(maxes) if maxes else math.nan,
-        false_alarm_rate=alarm_count / (in_control_replications * timeline.total_time),
+        false_alarm_rate=alarm_count / (_IN_CONTROL_REPLICATIONS * timeline.total_time),
         exceedance_fraction=exceed_steps / total_steps if total_steps else math.nan,
         rho=rho,
     )

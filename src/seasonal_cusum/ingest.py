@@ -54,7 +54,6 @@ class Dataset:
     meta: Mapping[date, DayMeta]
     holidays: frozenset[date]
     origin: date
-    split_date: date | None = None
 
     @property
     def dates(self) -> list[date]:
@@ -79,7 +78,6 @@ def build_dataset(
     slots: Iterable[SlotRecord] = (),
     holidays: frozenset[date] = frozenset(),
     origin: date = DEFAULT_ORIGIN,
-    split_date: date | None = None,
 ) -> Dataset:
     daily = tuple(sorted(daily))
     slots = tuple(sorted(slots))
@@ -92,7 +90,6 @@ def build_dataset(
         meta=_build_meta(sorted(dates), holidays, origin),
         holidays=holidays,
         origin=origin,
-        split_date=split_date,
     )
 
 
@@ -130,12 +127,8 @@ def _parse_count(text: str, lineno: int) -> int:
     return value
 
 
-def parse_daily_csv(
-    path: str | Path,
-    holidays: frozenset[date] = frozenset(),
-    origin: date = DEFAULT_ORIGIN,
-) -> Dataset:
-    """Parse a `date,count` CSV into a Dataset fragment (daily records plus meta)."""
+def parse_daily_csv(path: str | Path) -> tuple[DailyRecord, ...]:
+    """Parse a `date,count` CSV into sorted, unique daily records."""
     records = []
     seen: set[date] = set()
     for lineno, (d_text, c_text) in _read_rows(path, DAILY_HEADER):
@@ -146,7 +139,7 @@ def parse_daily_csv(
         records.append(DailyRecord(d, _parse_count(c_text, lineno)))
     if not records:
         raise ParseError("no data rows", line=2)
-    return build_dataset(daily=records, holidays=holidays, origin=origin)
+    return tuple(sorted(records))
 
 
 def parse_slot_csv(path: str | Path) -> tuple[SlotRecord, ...]:
@@ -233,14 +226,12 @@ def split_train_test(dataset: Dataset, split_date: date) -> tuple[Dataset, Datas
         slots=[r for r in dataset.slots if r.date < split_date],
         holidays=dataset.holidays,
         origin=dataset.origin,
-        split_date=split_date,
     )
     test = build_dataset(
         daily=[r for r in dataset.daily if r.date >= split_date],
         slots=[r for r in dataset.slots if r.date >= split_date],
         holidays=dataset.holidays,
         origin=dataset.origin,
-        split_date=split_date,
     )
     return train, test
 
@@ -250,16 +241,7 @@ def load_dataset(
     slot_path: str | Path | None = None,
     holidays: frozenset[date] = frozenset(),
     origin: date = DEFAULT_ORIGIN,
-    split_date: date | None = None,
 ) -> Dataset:
     """Convenience loader combining the daily and (optional) slot CSVs."""
-    fragment = parse_daily_csv(daily_path, holidays=holidays, origin=origin)
     slots = parse_slot_csv(slot_path) if slot_path is not None else ()
-    ds = build_dataset(
-        daily=fragment.daily,
-        slots=slots,
-        holidays=holidays,
-        origin=origin,
-        split_date=split_date,
-    )
-    return ds
+    return build_dataset(parse_daily_csv(daily_path), slots, holidays, origin)

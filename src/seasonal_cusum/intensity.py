@@ -114,11 +114,8 @@ class GlmModel:
     score_norm: float = float("nan")
     n_iter: int = 0
 
-    def linear_predictor(self, meta: DayMeta) -> float:
-        return float(encode_features(meta, self.factor_spec) @ self.coefficients)
-
     def predict_mean(self, meta: DayMeta) -> float:
-        return math.exp(self.linear_predictor(meta))
+        return math.exp(float(encode_features(meta, self.factor_spec) @ self.coefficients))
 
 
 def bic_score(log_likelihood: float, k: int, n_obs: int) -> float:
@@ -146,20 +143,21 @@ def _check_rank(X: np.ndarray, names: Sequence[str]) -> None:
         raise SingularDesignError(bad)
 
 
+# IRLS stopping rule: converged once the score max-norm drops below
+# _SCORE_TOL, or stalled once the relative deviance change falls below
+# _DEVIANCE_RTOL; _MAX_ITER iterations without either is a failure.
+_MAX_ITER = 100
+_SCORE_TOL = 1e-8
+_DEVIANCE_RTOL = 1e-10
+
+
 def fit_poisson_glm(
     X: np.ndarray,
     y: np.ndarray,
     column_names: Sequence[str] | None = None,
     factor_spec: frozenset[str] = frozenset(),
-    max_iter: int = 100,
-    score_tol: float = 1e-8,
-    deviance_rtol: float = 1e-10,
 ) -> GlmModel:
-    """Maximum-likelihood fit by IRLS from a deterministic start.
-
-    Converges when the score max-norm drops below `score_tol` or the
-    relative deviance change falls below `deviance_rtol`.
-    """
+    """Maximum-likelihood fit by IRLS from a deterministic start."""
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
     if X.ndim != 2 or y.ndim != 1 or X.shape[0] != y.shape[0]:
@@ -178,23 +176,23 @@ def fit_poisson_glm(
 
     # Residuals are evaluated in extended precision: near the optimum the
     # score is pure cancellation and double-precision evaluation floors well
-    # above score_tol on large designs.
+    # above _SCORE_TOL on large designs.
     x_ext = X.astype(np.longdouble)
     y_ext = y.astype(np.longdouble)
 
     deviance = math.inf
     stalled = False
     best: tuple[float, np.ndarray, int] | None = None
-    for iteration in range(1, max_iter + 1):
+    for iteration in range(1, _MAX_ITER + 1):
         mu_ext = np.exp(x_ext @ beta_hat.astype(np.longdouble))
         score = x_ext.T @ (y_ext - mu_ext)
         score_norm = float(np.max(np.abs(score)))
         if best is None or score_norm < best[0]:
             best = (score_norm, beta_hat.copy(), iteration)
         new_deviance = poisson_deviance(y, np.asarray(mu_ext, dtype=float))
-        now_stalled = math.isfinite(deviance) and abs(deviance - new_deviance) <= deviance_rtol * max(abs(deviance), 1.0)
+        now_stalled = math.isfinite(deviance) and abs(deviance - new_deviance) <= _DEVIANCE_RTOL * max(abs(deviance), 1.0)
         deviance = new_deviance
-        if score_norm < score_tol:
+        if score_norm < _SCORE_TOL:
             break
         if stalled and now_stalled and score_norm > best[0]:
             break  # bouncing on the representable floor; keep the best iterate
@@ -206,7 +204,7 @@ def fit_poisson_glm(
         beta_hat = beta_hat + np.linalg.solve(xtw @ X, np.asarray(score, dtype=float))
     else:
         if not stalled:
-            raise ConvergenceError(f"IRLS did not converge in {max_iter} iterations", deviance)
+            raise ConvergenceError(f"IRLS did not converge in {_MAX_ITER} iterations", deviance)
     score_norm, beta_hat, iteration = best
 
     eta = X @ beta_hat
@@ -238,7 +236,7 @@ class CandidateFit:
 def fit_candidates(
     metas: Sequence[DayMeta],
     counts: Sequence[int],
-    candidates: Sequence[frozenset[str]] = DEFAULT_CANDIDATES,
+    candidates: Sequence[frozenset[str]],
 ) -> list[CandidateFit]:
     fits = []
     for spec in candidates:
@@ -355,17 +353,13 @@ class QuartileProfile:
     fractions: tuple[float, ...]
 
 
-def busyness_quartile_check(
-    slots: Iterable[SlotRecord],
-    meta: Mapping[date, DayMeta],
-    saturdays: bool = False,
-) -> list[QuartileProfile]:
-    """Median slot fractions with days grouped by daily-total quartile.
+def busyness_quartile_check(slots: Iterable[SlotRecord], meta: Mapping[date, DayMeta]) -> list[QuartileProfile]:
+    """Median weekday slot fractions with days grouped by daily-total quartile.
 
     A diagnostic for the assumption that the intraday shape does not depend
     on how busy the day is; compare the four rows by eye or by test.
     """
-    rows, totals = _daily_fraction_rows(list(slots), meta, saturdays)
+    rows, totals = _daily_fraction_rows(list(slots), meta, want_saturday=False)
     if len(rows) < 8:
         raise ValidationError(f"need at least 8 days for a quartile split, got {len(rows)}")
     order = np.argsort(totals, kind="stable")
@@ -454,12 +448,11 @@ class IntensityModel:
         return self.glm.predict_mean(m) * fractions
 
     def slot_rate(self, d: date, index: int) -> float:
-        m = self.meta(d)
+        """Expected calls in grid slot `index` of the day; 0.0 in a closed slot."""
         if not 0 <= index < WEEKDAY_SLOT_COUNT:
             raise ValidationError(f"slot index {index} outside the grid")
-        if not m.is_open or index >= m.open_slot_count:
-            return 0.0
-        return float(self.slot_rates(d)[index])
+        rates = self.slot_rates(d)
+        return float(rates[index]) if index < len(rates) else 0.0
 
     def timeline(self, dates: Sequence[date]) -> SlotTimeline:
         """Open slots of the given dates strung on the open-time axis (unit slots)."""
@@ -594,13 +587,11 @@ class FitReport:
         }
 
 
-def fit_intensity_model(
-    train: Dataset,
-    candidates: Sequence[frozenset[str]] = DEFAULT_CANDIDATES,
-) -> tuple[IntensityModel, FitReport]:
+def fit_intensity_model(train: Dataset) -> tuple[IntensityModel, FitReport]:
     """Fit the full intensity model on a training dataset.
 
-    The GLM uses open days with daily totals; gap dates simply carry no rows.
+    The GLM selects among `DEFAULT_CANDIDATES` on open days with daily
+    totals; gap dates simply carry no rows.
     Without slot data the profile falls back to uniform.
     """
     open_daily = [r for r in train.daily if train.meta[r.date].is_open]
@@ -608,7 +599,7 @@ def fit_intensity_model(
         raise ValidationError("training set has no open days with daily counts")
     metas = [train.meta[r.date] for r in open_daily]
     counts = [r.count for r in open_daily]
-    fits = fit_candidates(metas, counts, candidates)
+    fits = fit_candidates(metas, counts, DEFAULT_CANDIDATES)
     best = _lowest_bic(fits)
 
     fallback = False

@@ -20,7 +20,6 @@ from .errors import ValidationError
 from .ingest import SlotRecord
 from .timeline import SlotTimeline
 
-IDENTITY = "identity"
 POSTPONE_THIRD_TUESDAY = "postpone-third-tuesday"
 
 
@@ -56,8 +55,6 @@ class SimPath:
     """One simulated realization over a timeline; compare counts and times with numpy."""
 
     timeline: SlotTimeline
-    change: ChangeSpec
-    seed: int
     counts: np.ndarray  # int64, one per slot
     event_times: np.ndarray | None = None  # sorted float64, when drawn
 
@@ -94,7 +91,7 @@ def simulate_slot_counts(
     """Independent Poisson count per slot with the change-scaled mean."""
     rng = rng_for(seed, replication, 0)
     counts = rng.poisson(slot_means_with_change(timeline, change))
-    return SimPath(timeline=timeline, change=change, seed=seed, counts=counts)
+    return SimPath(timeline=timeline, counts=counts)
 
 
 def simulate_events(
@@ -128,18 +125,16 @@ def simulate_events(
 class ScenarioTransform:
     """Adversarial rewrite of a slot series.
 
-    `postpone-third-tuesday` empties affected Tuesday mornings and moves
-    those calls, slot by slot, onto the afternoon in proportion to
-    `afternoon_weights` (the day's own afternoon counts when not given);
-    daily totals are preserved exactly.
+    `postpone-third-tuesday` empties the morning of every third Tuesday,
+    counted from the series' first Tuesday, and moves those calls, slot by
+    slot, onto the afternoon in proportion to the day's own afternoon
+    counts; daily totals are preserved exactly.
     """
 
-    kind: str = IDENTITY
-    schedule: ScenarioSchedule | None = None
-    afternoon_weights: tuple[float, ...] | None = None
+    kind: str
 
     def __post_init__(self):
-        if self.kind not in (IDENTITY, POSTPONE_THIRD_TUESDAY):
+        if self.kind != POSTPONE_THIRD_TUESDAY:
             raise ValidationError(f"unknown scenario kind {self.kind!r}")
 
 
@@ -154,11 +149,8 @@ def _allocate(total: int, weights: np.ndarray) -> np.ndarray:
 
 
 def apply_scenario(records: list[SlotRecord], transform: ScenarioTransform) -> list[SlotRecord]:
-    """Apply a scenario rewrite to a calendar slot series."""
-    if transform.kind == IDENTITY:
-        return list(records)
-    dates = sorted({r.date for r in records})
-    schedule = transform.schedule or ScenarioSchedule.from_first_tuesday(dates)
+    """Apply a scenario rewrite to a calendar slot series (`transform` has one kind, validated when built)."""
+    schedule = ScenarioSchedule.from_first_tuesday({r.date for r in records})
     by_day: dict[date, list[SlotRecord]] = {}
     for r in sorted(records):
         by_day.setdefault(r.date, []).append(r)
@@ -173,13 +165,7 @@ def apply_scenario(records: list[SlotRecord], transform: ScenarioTransform) -> l
         if not afternoon:
             raise ValidationError(f"{d} lacks afternoon slots; scenario needs full-day coverage")
         moved = sum(r.count for r in morning)
-        if transform.afternoon_weights is not None:
-            weights = np.array(transform.afternoon_weights, dtype=float)
-            if len(weights) != len(afternoon):
-                raise ValidationError("afternoon weight vector does not match the afternoon grid")
-        else:
-            weights = np.array([r.count for r in afternoon], dtype=float)
-        extra = _allocate(moved, weights)
+        extra = _allocate(moved, np.array([r.count for r in afternoon], dtype=float))
         out.extend(replace(r, count=0) for r in morning)
         out.extend(replace(r, count=r.count + int(e)) for r, e in zip(afternoon, extra))
     return out

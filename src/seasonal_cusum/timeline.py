@@ -98,8 +98,7 @@ class SlotTimeline:
 
         Instants inside closed periods snap to the next open slot boundary;
         the closing instant of a slot is its end. Dates before the first
-        slot's date are off the timeline. Inside a slot the position moves
-        by whole minutes: seconds are dropped.
+        slot's date are off the timeline.
         """
         if self.days is None:
             raise CoverageError("timeline has no calendar labels")
@@ -109,13 +108,13 @@ class SlotTimeline:
         i = int(np.searchsorted(self.days, day, side="left"))
         stop = int(np.searchsorted(self.days, day, side="right"))
         if tod is not None and stop > i:
-            minute = tod.hour * 60 + tod.minute
-            us = (minute * 60 + tod.second) * 1_000_000 + tod.microsecond
+            us = ((tod.hour * 60 + tod.minute) * 60 + tod.second) * 1_000_000 + tod.microsecond
             opens = DAY_OPEN_MINUTE + SLOT_MINUTES * self.grid[i:stop]
             # The first of the day's slots closing at or after tod; past them all, the next day's first slot.
             k = int(np.searchsorted((opens + SLOT_MINUTES) * 60_000_000, us, side="left"))
             if k < stop - i and us > opens[k] * 60_000_000:
-                return float(self.starts[i + k] + (minute - int(opens[k])) / SLOT_MINUTES * self.lengths[i + k])
+                into = (us - int(opens[k]) * 60_000_000) / (SLOT_MINUTES * 60_000_000)
+                return float(self.starts[i + k] + into * self.lengths[i + k])
             i += k
         if i == len(self):
             raise CoverageError(f"{d} {tod} is past the end of the timeline")

@@ -111,7 +111,7 @@ def test_aggregated_record_curve_matches_run_aggregated():
     for rho, direction in ((1.3, INCREASE), (1 / 1.3, DECREASE)):
         for rep in range(5):
             counts = rng_for(seed, rep, 2).poisson(tiled.means)
-            curve = _record_curve(tl, _agg_cfg(rho, direction=direction), cycles, seed, rep)
+            curve = _record_curve(_Tiling(tl, cycles), _agg_cfg(rho, direction=direction), seed, rep)
             for m in (0.5, 2.0, 6.0, 15.0, 40.0):
                 alarms = run_aggregated(tiled, counts, _agg_cfg(rho, m, direction)).alarms
                 expected = (alarms[0].events_at_alarm, False) if alarms else (int(counts.sum()), True)
@@ -166,7 +166,7 @@ def _assert_lazy_equals_eager(tl, cycles, seeds, reps=3):
                 top = float(levels[-1]) if len(levels) else 1.0
                 grid = [0.3, 1.0, 2.5] + list(np.linspace(0.0, top, 12)[1:]) + [top + 1.0]
                 for order in (grid, grid[::-1], grid[3:5] * 2 + grid[:1]):
-                    curve = _record_curve(tl, cfg, cycles, seed, rep)
+                    curve = _record_curve(_Tiling(tl, cycles), cfg, seed, rep)
                     for m in order:
                         assert curve.run_length(m) == expected(m), (direction, seed, rep, m)
                 assert curve.run_length(top + 1.0) == (total, True)
@@ -197,7 +197,7 @@ def test_lazy_event_curve_on_short_and_empty_paths():
     _assert_lazy_equals_eager(SlotTimeline.from_rates([0.5, 1.0]), 2, seeds=(6, 7), reps=20)
     tl = SlotTimeline.from_rates([1e-6, 1e-6])
     for direction in (INCREASE, DECREASE):
-        curve = _record_curve(tl, _event_cfg(1.3 if direction == INCREASE else 0.7, direction=direction), 1, 0, 0)
+        curve = _record_curve(_Tiling(tl, 1), _event_cfg(1.3 if direction == INCREASE else 0.7, direction=direction), 0, 0)
         assert _eager_event_curve(tl, _event_cfg(), 1, 0, 0)[2] == 0
         assert curve.run_length(0.5) == (0, True)
         assert curve.run_length(1e-9) == (0, True)
@@ -425,7 +425,10 @@ def test_bracket_search_reads_top_only_past_two_short_midpoints():
 def _read_both(curve_args, monkeypatch):
     """Two independent copies of the same curves: one for the batched reader, one read curve by curve."""
     monkeypatch.setattr(calibrate, "_CHUNK_EVENTS", 3)
-    return tuple([_record_curve(*a) for a in curve_args] for _ in range(2))
+    return tuple(
+        [_record_curve(_Tiling(tl, cycles), cfg, seed, rep) for tl, cfg, cycles, seed, rep in curve_args]
+        for _ in range(2)
+    )
 
 
 def test_batched_read_equals_per_curve_run_length(monkeypatch):

@@ -72,6 +72,7 @@ def test_fit_empty_training_set_errors(workspace, tmp_path, capsys):
     )
     assert rc == EXIT_INPUT
     assert "error" in capsys.readouterr().err
+    assert not (tmp_path / "fit3").exists()  # a refused run writes nothing
 
 
 def test_simulate_roundtrips_through_detect(workspace, tmp_path):
@@ -227,6 +228,7 @@ def test_detect_missing_series_is_input_error(workspace, tmp_path, capsys):
         ]
     )
     assert rc == EXIT_INPUT
+    assert not (tmp_path / "q").exists()
 
 
 def test_detect_with_nan_model_coefficient_is_input_error(workspace, tmp_path):
@@ -336,6 +338,7 @@ def test_rho_outside_domain_is_input_error(workspace, tmp_path, command, rho):
     }[command]
     argv = [command, "--model", str(workspace["model"]), "--rho", rho, *extra, "--out", str(tmp_path / "q")]
     assert main(argv) == EXIT_INPUT
+    assert not (tmp_path / "q").exists()
 
 
 def _evaluate_argv(workspace, out, **overrides):
@@ -370,7 +373,7 @@ def test_evaluate_rejects_fewer_than_one_replication(workspace, tmp_path, capsys
     out = tmp_path / "eval"
     assert main(_evaluate_argv(workspace, out, **{"--replications": replications})) == EXIT_INPUT
     assert "replications" in capsys.readouterr().err
-    assert not (out / "delay_report.json").exists()
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("theta", ["nan", "1e9", "-1.0", "inf", "2018-03-01T09:00", "2017-06-01T09:00"])
@@ -378,7 +381,7 @@ def test_evaluate_rejects_change_time_off_the_timeline(workspace, tmp_path, caps
     out = tmp_path / "eval"
     assert main(_evaluate_argv(workspace, out, **{"--theta-grid": f"40.0,{theta}"})) == EXIT_INPUT
     assert "timeline" in capsys.readouterr().err
-    assert not (out / "delay_report.json").exists()
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("theta", ["2017-06-01T09:00", "2018-03-01T09:00"])
@@ -388,7 +391,7 @@ def test_simulate_rejects_change_time_off_the_timeline(workspace, tmp_path, caps
             "--theta", theta, "--rho", "1.5", "--out", str(out)]
     assert main(argv) == EXIT_INPUT
     assert "timeline" in capsys.readouterr().err
-    assert not (out / "slots.csv").exists()
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(
@@ -411,7 +414,7 @@ def test_malformed_change_time_is_input_error(workspace, tmp_path, capsys, comma
                 option, value, "--rho", "1.5", "--out", str(out)]
     assert main(argv) == EXIT_INPUT
     assert f"change time {token}" in capsys.readouterr().err
-    assert not (out / "delay_report.json").exists() and not (out / "slots.csv").exists()
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("cap", ["nan", "inf", "0", "-5"])
@@ -421,7 +424,7 @@ def test_calibrate_rejects_bad_horizon_cap(workspace, tmp_path, capsys, cap):
             "--days", "7", "--replications", "100", "--horizon-cap", cap, "--out", str(out)]
     assert main(argv) == EXIT_INPUT
     assert "horizon cap" in capsys.readouterr().err
-    assert not (out / "calibration.json").exists()
+    assert not out.exists()
 
 
 def test_simulate_events_adds_sorted_event_times_to_the_same_slots(workspace, tmp_path):
@@ -437,6 +440,16 @@ def test_simulate_events_adds_sorted_event_times_to_the_same_slots(workspace, tm
     assert rows == [repr(t) for t in times]
     assert times == sorted(times)
     assert len(times) == sum(int(line.rsplit(",", 1)[1]) for line in slots.decode().splitlines()[1:])
+
+
+def test_simulate_change_time_keeps_its_seconds(workspace, tmp_path):
+    argv = ["simulate", "--model", str(workspace["model"]), "--start-date", "2018-01-01", "--days", "6", "--rho", "1.5"]
+    thetas = []
+    for tod in ("09:10", "09:10:59", "09:11"):
+        out = tmp_path / tod.replace(":", "")
+        assert main([*argv, "--theta", f"2018-01-03T{tod}", "--out", str(out)]) == EXIT_OK
+        thetas.append(json.loads((out / "sim_info.json").read_text())["change"]["theta"])
+    assert thetas[0] < thetas[1] < thetas[2]
 
 
 def test_fit_runs_without_scipy(workspace, tmp_path):
@@ -492,4 +505,4 @@ def test_calibrate_refuses_a_horizon_too_large_to_simulate(workspace, tmp_path, 
     assert main(argv) == EXIT_INPUT
     err = capsys.readouterr().err
     assert "pi=" in err and " cycles of the " in err and "--horizon-cap" in err
-    assert not (out / "calibration.json").exists()
+    assert not out.exists()

@@ -9,6 +9,7 @@ from seasonal_cusum.detect import AGGREGATED_COUNTS, DECREASE, EVENT_TIMES, Dete
 from seasonal_cusum.errors import ValidationError
 from seasonal_cusum.evaluate import (
     _AGGREGATED_BLOCK,
+    _IN_CONTROL_REPLICATIONS,
     DelayReport,
     DelayStats,
     detection_delay,
@@ -132,11 +133,9 @@ def test_fewer_than_one_replication_is_rejected():
             detection_delay(tl, ChangeSpec(theta=3.0, rho=2.0), cfg, replications=reps)
         with pytest.raises(ValidationError, match="replications"):
             worst_case_delay(tl, rho=2.0, theta_grid=[3.0], config=cfg, replications=reps)
-        with pytest.raises(ValidationError, match="replications"):
-            worst_case_delay(tl, rho=2.0, theta_grid=[3.0], config=cfg, in_control_replications=reps)
 
 
-def _reference_report(tl, rho, thetas, config, replications, seed, in_control_replications):
+def _reference_report(tl, rho, thetas, config, replications, seed):
     """Aggregated-mode `worst_case_delay`, one path and one 1-D `run_aggregated` call per replication."""
     per_theta = []
     for theta in thetas:
@@ -166,7 +165,7 @@ def _reference_report(tl, rho, thetas, config, replications, seed, in_control_re
             )
         )
     alarms = exceed = steps = 0
-    for rep in range(in_control_replications):
+    for rep in range(_IN_CONTROL_REPLICATIONS):
         run = run_aggregated(tl, simulate_slot_counts(tl, ChangeSpec(), seed + 1, rep).counts, config)
         alarms += len(run.alarms)
         exceed += int(np.sum(run.v >= config.threshold_m))
@@ -177,7 +176,7 @@ def _reference_report(tl, rho, thetas, config, replications, seed, in_control_re
         per_theta=per_theta,
         worst_case_delay_events=max(means) if means else math.nan,
         worst_case_max_delay_events=max(maxes) if maxes else math.nan,
-        false_alarm_rate=alarms / (in_control_replications * tl.total_time),
+        false_alarm_rate=alarms / (_IN_CONTROL_REPLICATIONS * tl.total_time),
         exceedance_fraction=exceed / steps,
         rho=rho,
     )
@@ -194,6 +193,6 @@ def test_aggregated_worst_case_equals_per_replication_loop(rho, m, reset):
         rho=rho, threshold_m=m, direction="increase" if rho > 1 else DECREASE, mode=AGGREGATED_COUNTS, reset_on_alarm=reset
     )
     reps = _AGGREGATED_BLOCK + 9  # one full block and a partial one
-    args = (tl, rho, [0.75, 4.0, 10.9], cfg, reps, 23, reps + 2)
-    got = worst_case_delay(*args[:4], replications=reps, seed=23, in_control_replications=reps + 2)
+    args = (tl, rho, [0.75, 4.0, 10.9], cfg, reps, 23)
+    got = worst_case_delay(*args[:4], replications=reps, seed=23)
     assert repr(got.to_dict()) == repr(_reference_report(*args).to_dict())

@@ -29,16 +29,16 @@ def _write(tmp_path, name, text):
 
 
 def test_parse_daily_basic(tmp_path):
-    p = _write(tmp_path, "daily.csv", "date,count\n2015-04-06,1200\n2015-04-07,1100\n")
-    ds = parse_daily_csv(p, origin=date(2015, 4, 1))
-    assert ds.daily[0] == DailyRecord(date(2015, 4, 6), 1200)
+    p = _write(tmp_path, "daily.csv", "date,count\n2015-04-07,1100\n2015-04-06,1200\n")
+    assert parse_daily_csv(p) == (DailyRecord(date(2015, 4, 6), 1200), DailyRecord(date(2015, 4, 7), 1100))
+    ds = load_dataset(p, origin=date(2015, 4, 1))
     assert ds.meta[date(2015, 4, 6)].days_since_origin == 5
     assert ds.meta[date(2015, 4, 6)].day_of_week == 0  # a Monday
 
 
 def test_parse_daily_derives_holiday_flag(tmp_path):
     p = _write(tmp_path, "daily.csv", "date,count\n2017-05-02,900\n")
-    ds = parse_daily_csv(p, holidays=frozenset({date(2017, 5, 1)}))
+    ds = load_dataset(p, holidays=frozenset({date(2017, 5, 1)}))
     assert ds.meta[date(2017, 5, 2)].is_day_after_holiday
 
 
@@ -99,8 +99,7 @@ def test_round_trip_property(tmp_path_factory, counts, start_offset):
     daily = [DailyRecord(base + timedelta(days=i), c) for i, c in enumerate(counts)]
     tmp = tmp_path_factory.mktemp("roundtrip")
     write_daily_csv(daily, tmp / "d.csv")
-    ds = parse_daily_csv(tmp / "d.csv")
-    assert list(ds.daily) == daily
+    assert list(parse_daily_csv(tmp / "d.csv")) == daily
 
 
 def test_detect_gaps_missing_month():
@@ -142,7 +141,6 @@ def test_split_partition():
     assert all(r.date < split for r in train.daily)
     assert all(r.date >= split for r in test.daily)
     assert sorted(train.daily + test.daily) == sorted(days)
-    assert train.split_date == test.split_date == split
 
 
 def test_split_out_of_range():

@@ -7,7 +7,7 @@ from datetime import date, datetime, timedelta
 import numpy as np
 import pytest
 
-from seasonal_cusum.daycal import day_meta
+from seasonal_cusum.daycal import ScenarioSchedule, day_meta
 from seasonal_cusum.errors import SingularDesignError, ValidationError
 from seasonal_cusum.ingest import SlotRecord, build_dataset
 from seasonal_cusum.intensity import (
@@ -299,6 +299,26 @@ def test_slot_intensity_multiplies_profile(truth_model):
 def test_slot_intensity_zero_when_closed(truth_model):
     assert truth_model.slot_rate(date(2018, 1, 7), 3) == 0.0  # Sunday
     assert truth_model.slot_rate(date(2018, 1, 13), 15) == 0.0  # Saturday afternoon
+
+
+def test_slot_rate_equals_slot_rates_lookup(truth_model):
+    # Four weeks around the 2017-05-01 holiday and the days around 2017-08-15:
+    # holidays, Sundays, Saturday tails and, for the scenario model, the
+    # postponed Tuesday mornings of 2017-04-25 and 2017-05-16.
+    days = [date(2017, 4, 24) + timedelta(days=i) for i in range(28)]
+    days += [date(2017, 8, 14) + timedelta(days=i) for i in range(3)]
+    scenario = truth_model.with_scenario(ScenarioSchedule(anchor=date(2017, 4, 25)))
+    zeros = 0
+    for model in (truth_model, truth_model.as_naive(), scenario):
+        for d in days:
+            meta, rates = model.meta(d), model.slot_rates(d)
+            for index in range(22):
+                open_slot = meta.is_open and index < meta.open_slot_count
+                expected = float(rates[index]) if open_slot else 0.0
+                assert repr(model.slot_rate(d, index)) == repr(expected), (model.kind, d, index)
+                zeros += expected == 0.0
+    assert scenario.slot_rate(date(2017, 5, 16), 0) == 0.0 < truth_model.slot_rate(date(2017, 5, 16), 0)
+    assert zeros > 3 * 22 * 3  # closed days and Saturday tails in every model
 
 
 def test_daily_prediction_equals_slot_sum(truth_model):

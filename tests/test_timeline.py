@@ -69,6 +69,13 @@ def test_calendar_timeline_locate_and_timestamp(truth_model):
     assert tl.timestamp(0, end=True) == datetime(2018, 1, 8, 8, 0)
 
 
+def test_locate_keeps_seconds_inside_a_slot(truth_model):
+    tl = truth_model.timeline([date(2018, 1, 8)])
+    at = [tl.locate(date(2018, 1, 8), tod) for tod in (time(9, 10), time(9, 10, 30), time(9, 10, 59), time(9, 11))]
+    assert at[0] < at[1] < at[2] < at[3]
+    assert at[1] == pytest.approx(0.5 * (at[0] + at[3]), rel=1e-15)
+
+
 def test_calendar_timeline_locate_edges(truth_model):
     # Monday 2018-01-01 to Saturday 2018-01-06: five 22-slot days and a 10-slot Saturday.
     tl = truth_model.timeline([date(2018, 1, 1) + timedelta(days=i) for i in range(6)])
@@ -83,6 +90,10 @@ def test_calendar_timeline_locate_edges(truth_model):
         tl.locate(date(2018, 1, 6), time(12, 31))
 
 
+def _us(t):
+    return ((t.hour * 60 + t.minute) * 60 + t.second) * 1_000_000 + t.microsecond
+
+
 def _locate_by_loop(tl, d, tod=None):
     """Slot-by-slot search for an instant's position: the reference for `locate`."""
     days, grid = tl.days.tolist(), tl.grid.tolist()
@@ -94,8 +105,7 @@ def _locate_by_loop(tl, d, tod=None):
         if day > d or tod is None or tod <= slot_start(k):
             return start
         if tod <= slot_end(k):
-            frac = ((tod.hour * 60 + tod.minute) - (slot_start(k).hour * 60 + slot_start(k).minute)) / 30.0
-            return start + frac * length
+            return start + (_us(tod) - _us(slot_start(k))) / (30 * 60_000_000) * length
     raise CoverageError("past the end of the timeline")
 
 
