@@ -22,7 +22,6 @@ from .ingest import (
     DailyRecord,
     Dataset,
     SlotRecord,
-    detect_gaps,
     load_dataset,
     parse_daily_csv,
     parse_slot_csv,
@@ -74,7 +73,6 @@ __all__ = [
     "busyness_quartile_check",
     "calibrate_threshold",
     "day_meta",
-    "detect_gaps",
     "detection_delay",
     "double_sided_run",
     "encode_features",

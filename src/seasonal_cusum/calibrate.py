@@ -1,26 +1,27 @@
 """Threshold calibration: match the in-control expected events-to-alarm to a budget.
 
 The map m -> E[N at first alarm] is estimated by Monte Carlo with common
-random numbers, so it is nondecreasing in m path by path and a bisection
-finds the threshold hitting the budget. Each simulated path is reduced once
-to a "record curve" (the running maxima of the reflected statistic with the
-event count at each new record), from which the run length at any
-threshold is a single binary search. Event-time paths record the statistic
-at every event; aggregated-count paths record it at slot ends, from the
-same slot counts. An event-time path is simulated in chunks, and only as far
-as the largest threshold queried so far needs: up to its first record at or
-above it, or to the horizon. The records read are bit for bit those of the
-whole path simulated at once.
+random numbers, so it is a nondecreasing step function of m that jumps only
+just above record levels. Each simulated path is reduced once to a "record
+curve" (the running maxima of the reflected statistic with the event count
+at each new record), from which the run length at any threshold is a single
+binary search. Event-time paths record the statistic at every event;
+aggregated-count paths record it at slot ends, from the same slot counts. An
+event-time path is simulated in chunks, and only as far as the largest
+threshold queried so far needs: up to its first record at or above it, or to
+the horizon. The records read are bit for bit those of the whole path
+simulated at once.
 
 All curves are read together: their records sit in one flat array cut by
 per-curve offsets, and the run lengths at a threshold come from one numpy
-pass over it. The search bracket's top is read only when the bisection's own
-first two midpoints fall short of the budget, so paths are not simulated far
-past the answer just to learn that the bracket holds it.
+pass over it. The threshold is read off the record levels: a fixed ladder of
+tops finds the first whose ARL reaches the budget, and a binary search over
+the levels below it finds the step that straddles the budget exactly.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
@@ -37,6 +38,9 @@ THREADS_ENV = "SEASONAL_CUSUM_THREADS"
 
 # A calibrated run length may miss pi by this fraction of pi plus two standard errors.
 _TOLERANCE_REL = 0.02
+
+# Thresholds read in turn until one's ARL reaches pi: 0.5, 0.75, 1, 1.5, 2, 3, ..., 2**60.
+_LADDER = tuple(2.0**k * f for k in range(-1, 60) for f in (1.0, 1.5)) + (2.0**60,)
 
 
 def worker_count() -> int:
@@ -332,91 +336,65 @@ def calibrate_threshold(
     target: CalibrationTarget,
     seed: int = 0,
 ) -> CalibrationResult:
-    """Bisection on the threshold until the budgeted run length is met.
+    """Read the threshold off the record levels at the step where the ARL reaches pi.
 
-    All evaluations share one set of simulated paths (common random
-    numbers), which makes the empirical ARL curve monotone in m. The
-    bisection runs on [1e-9, H] for the first power of two H whose ARL
-    reaches pi. Candidates H = 1, 2, 4, ... are tried in turn: a midpoint
-    that reaches pi proves that H does too, so ARL(H) itself is evaluated
-    only when the first two midpoints fall short, and a candidate short of
-    pi is doubled and the bisection restarted. The result is the one a
-    bisection of that bracket gives; `trace` lists every ARL evaluated, in
-    order.
+    Under common random numbers the empirical ARL is a nondecreasing step
+    function of m, constant on (r, r'] between consecutive record levels. The
+    top climbs the ladder 0.5, 0.75, 1, 1.5, 2, 3, ... 2**60 until ARL(top)
+    reaches pi, which leaves every record below it known; a binary search over
+    the levels r in [previous top, top) finds the first with ARL(nextafter(r))
+    >= pi, and m is r or nextafter(r), whichever ARL is closer to pi. `trace`
+    lists every ARL read, in order: 1e-9, the ladder tops, the search and r.
     """
     if target.pi < 1:
         raise ValidationError("budget below one event is unattainable")
 
     curves = _build_curves(timeline, config_template, target, seed)
     trace: list[dict] = []
+    reads: dict[float, tuple[float, float, float]] = {}
 
     def evaluate(m: float) -> tuple[float, float, float]:
-        arl, stderr, cf = _summarize(*curves.run_lengths(m))
-        trace.append({"m": m, "arl": arl, "stderr": stderr, "censored_fraction": cf})
-        return arl, stderr, cf
-
-    def within(arl: float, stderr: float) -> bool:
-        return abs(arl - target.pi) <= _TOLERANCE_REL * target.pi + 2.0 * stderr
-
-    def result(m: float, arl: float, stderr: float, cf: float) -> CalibrationResult:
-        if cf > 0.5:
-            raise HorizonTooShortError(
-                f"{cf:.0%} of paths censored at the calibrated threshold; extend horizon_cap"
-            )
-        return CalibrationResult(
-            threshold_m=m,
-            arl_estimate=arl,
-            arl_stderr=stderr,
-            censored_fraction=cf,
-            pi=target.pi,
-            replications=target.replications,
-            seed=seed,
-            trace=trace,
-        )
+        m = float(m)
+        if m not in reads:
+            arl, stderr, cf = reads[m] = _summarize(*curves.run_lengths(m))
+            trace.append({"m": m, "arl": arl, "stderr": stderr, "censored_fraction": cf})
+        return reads[m]
 
     floor = evaluate(1e-9)
     if abs(floor[0] - target.pi) < 1e-12:
-        return result(1e-9, *floor)
-    if floor[0] > target.pi:
+        m = 1e-9
+    elif floor[0] > target.pi:
         raise BracketingError(f"run length at a vanishing threshold already exceeds pi={target.pi}")
-
-    # The empirical curve is a nondecreasing step function under common random
-    # numbers; resolve the step straddling pi, then take the closer side.
-    top = 1.0
-    expansions = 0
-    while True:
-        lo, at_lo = 1e-9, floor
-        hi, at_hi = top, None  # (arl, stderr, censored) at hi, once evaluated
-        for step in range(200):
-            if at_hi is None and step == 2:
-                at_hi = evaluate(top)
-                if at_hi[0] < target.pi:
-                    break
-            # Neither test can fire while ARL(top) is unread: hi - lo >= top / 2,
-            # and ARL(lo) < pi <= ARL(top) differ by at least 1 / replications.
-            if at_hi is not None and ((hi - lo) < 1e-12 * max(hi, 1.0) or (at_hi[0] - at_lo[0]) < 1e-12):
-                break
-            mid = 0.5 * (lo + hi)
-            at_mid = evaluate(mid)
-            if at_mid[0] < target.pi:
-                lo, at_lo = mid, at_mid
-            else:
-                hi, at_hi = mid, at_mid
-        if at_hi[0] >= target.pi:
-            break
-        expansions += 1
-        if expansions > 60:
-            raise BracketingError(f"could not straddle pi={target.pi} within 60 expansions")
-        top *= 2.0
-
-    if target.pi - at_lo[0] <= at_hi[0] - target.pi:
-        m, (arl, stderr, cf) = lo, at_lo
     else:
-        m, (arl, stderr, cf) = hi, at_hi
-    if within(arl, stderr):
-        return result(m, arl, stderr, cf)
-    raise BracketingError(
-        f"bisection stalled: nearest run length {arl:.3f} vs target {target.pi} "
-        f"(stderr {stderr:.3f}); increase replications or use "
-        f"event-time mode if the budget is finer than the per-interval count granularity"
+        below = 1e-9
+        for top in _LADDER:
+            if evaluate(top)[0] >= target.pi:
+                break
+            below = top
+        else:
+            raise BracketingError(f"could not straddle pi={target.pi} within 60 expansions")
+        # ARL(below) < pi <= ARL(top): the step straddling pi lies just above a level in [below, top).
+        levels = np.unique(curves.levels[(curves.levels >= below) & (curves.levels < top)])
+        i = bisect.bisect_left(levels, True, key=lambda r: evaluate(np.nextafter(r, np.inf))[0] >= target.pi)
+        r, up = float(levels[i]), float(np.nextafter(levels[i], np.inf))
+        m = r if target.pi - evaluate(r)[0] <= evaluate(up)[0] - target.pi else up
+
+    arl, stderr, cf = evaluate(m)
+    if abs(arl - target.pi) > _TOLERANCE_REL * target.pi + 2.0 * stderr:
+        raise BracketingError(
+            f"no threshold meets the budget: nearest run length {arl:.3f} vs target {target.pi} "
+            f"(stderr {stderr:.3f}); increase replications or use "
+            f"event-time mode if the budget is finer than the per-interval count granularity"
+        )
+    if cf > 0.5:
+        raise HorizonTooShortError(f"{cf:.0%} of paths censored at the calibrated threshold; extend horizon_cap")
+    return CalibrationResult(
+        threshold_m=m,
+        arl_estimate=arl,
+        arl_stderr=stderr,
+        censored_fraction=cf,
+        pi=target.pi,
+        replications=target.replications,
+        seed=seed,
+        trace=trace,
     )

@@ -11,13 +11,17 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
+import shutil
 import sys
+import tempfile
+from contextlib import contextmanager
 from dataclasses import replace
 from datetime import date, datetime, timedelta
 from pathlib import Path
 
 from . import __version__
-from .calibrate import CalibrationTarget, calibrate_threshold
+from .calibrate import CalibrationResult, CalibrationTarget, calibrate_threshold
 from .daycal import DEFAULT_ORIGIN, read_holidays
 from .detect import (
     AGGREGATED_COUNTS,
@@ -72,10 +76,37 @@ def _write_manifest(out_dir: Path, command: str, args: argparse.Namespace) -> No
     (out_dir / "manifest.json").write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
-def _out_dir(args) -> Path:
+def _check_out(out: Path) -> None:
+    """Refuse an --out that a finished run could not replace without losing data."""
+    if out.is_symlink() or (out.exists() and not out.is_dir()):
+        raise ValidationError(f"--out {out} exists and is not a directory")
+    if out.is_dir() and not (out / "manifest.json").is_file() and any(out.iterdir()):
+        raise ValidationError(f"--out {out} is not empty and holds no manifest.json; not replacing it")
+
+
+@contextmanager
+def _output(args, command: str):
+    """A fresh sibling of --out for the command's files; it replaces --out once all are written."""
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
+    out.parent.mkdir(parents=True, exist_ok=True)
+    staging = Path(tempfile.mkdtemp(prefix=f".{out.name}-", dir=out.parent))
+    replaced = staging.with_name(staging.name + "-replaced")
+    try:
+        yield staging
+        _write_manifest(staging, command, args)
+        if out.exists():
+            os.rename(out, replaced)
+        os.rename(staging, out)
+    finally:
+        for path in (staging, replaced):
+            shutil.rmtree(path, ignore_errors=True)
+
+
+def _write_calibration(result: CalibrationResult, timeline: SlotTimeline, path: Path) -> None:
+    doc = result.to_dict()
+    # Convenience: the same budget expressed in open half-hours of calendar.
+    doc["expected_open_halfhours_to_false_alarm"] = result.pi / (timeline.total_mean / timeline.total_time)
+    path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
 def _date_range(start: date, days: int) -> list[date]:
@@ -97,12 +128,11 @@ def cmd_fit(args) -> int:
     else:
         train = dataset
     model, report = fit_intensity_model(train)
-    out = _out_dir(args)
-    model.save(out / "model.json")
-    (out / "fit_report.json").write_text(json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n")
-    _write_manifest(out, "fit", args)
+    with _output(args, "fit") as out:
+        model.save(out / "model.json")
+        (out / "fit_report.json").write_text(json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n")
     print(f"selected factors: {sorted(report.selected)}")
-    print(f"model written to {out / 'model.json'}")
+    print(f"model written to {Path(args.out) / 'model.json'}")
     return EXIT_OK
 
 
@@ -117,10 +147,10 @@ def _detector_config(args, direction: str, threshold: float) -> DetectorConfig:
     )
 
 
-def _calibrated_m(args, timeline: SlotTimeline, direction: str) -> float:
+def _calibrate(args, timeline: SlotTimeline, direction: str) -> CalibrationResult:
     config = replace(_detector_config(args, direction, 1.0), mode=EVENT_TIMES)
     target = CalibrationTarget(pi=args.pi, replications=args.replications)
-    return calibrate_threshold(timeline, config, target, seed=args.seed).threshold_m
+    return calibrate_threshold(timeline, config, target, seed=args.seed)
 
 
 def cmd_detect(args) -> int:
@@ -129,12 +159,18 @@ def cmd_detect(args) -> int:
     if args.scenario == POSTPONE_THIRD_TUESDAY:
         series = apply_scenario(series, ScenarioTransform(kind=POSTPONE_THIRD_TUESDAY))
 
+    calibrations = {}
     if args.m is not None:
         m_up = m_down = args.m
     else:
         timeline = model.timeline({r.date for r in series})
-        m_up = _calibrated_m(args, timeline, INCREASE)
-        m_down = _calibrated_m(args, timeline, DECREASE) if args.double_sided else m_up
+        increase = _calibrate(args, timeline, INCREASE)
+        m_up = m_down = increase.threshold_m
+        calibrations = {"calibration.json": increase}
+        if args.double_sided:
+            decrease = _calibrate(args, timeline, DECREASE)
+            m_down = decrease.threshold_m
+            calibrations = {"calibration_up.json": increase, "calibration_down.json": decrease}
 
     if args.double_sided:
         up, down, alarms = double_sided_run(
@@ -147,12 +183,13 @@ def cmd_detect(args) -> int:
     else:
         run = run_detector(series, model, _detector_config(args, INCREASE, m_up))
         vpaths, alarms = {"vpath.csv": run.records}, run.alarms
-    out = _out_dir(args)
-    for name, records in vpaths.items():
-        write_vpath_csv(records, out / name)
-    write_alarms_jsonl(alarms, out / "alarms.jsonl")
-    _write_manifest(out, "detect", args)
-    print(f"{len(alarms)} alarm(s); outputs in {out}")
+    with _output(args, "detect") as out:
+        for name, records in vpaths.items():
+            write_vpath_csv(records, out / name)
+        write_alarms_jsonl(alarms, out / "alarms.jsonl")
+        for name, result in calibrations.items():
+            _write_calibration(result, timeline, out / name)
+    print(f"{len(alarms)} alarm(s); outputs in {Path(args.out)}")
     return EXIT_OK
 
 
@@ -168,12 +205,8 @@ def cmd_calibrate(args) -> int:
         horizon_cap=args.horizon_cap,
     )
     result = calibrate_threshold(timeline, config, target, seed=args.seed)
-    doc = result.to_dict()
-    # Convenience: the same budget expressed in open half-hours of calendar.
-    doc["expected_open_halfhours_to_false_alarm"] = args.pi / (timeline.total_mean / timeline.total_time)
-    out = _out_dir(args)
-    (out / "calibration.json").write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
-    _write_manifest(out, "calibrate", args)
+    with _output(args, "calibrate") as out:
+        _write_calibration(result, timeline, out / "calibration.json")
     print(f"threshold m = {result.threshold_m!r} (ARL {result.arl_estimate:.1f} events)")
     return EXIT_OK
 
@@ -203,19 +236,18 @@ def cmd_simulate(args) -> int:
     records = path.to_slot_records()
     if args.scenario == POSTPONE_THIRD_TUESDAY:
         records = apply_scenario(records, ScenarioTransform(kind=POSTPONE_THIRD_TUESDAY))
-    out = _out_dir(args)
-    if args.events:
-        lines = ["event_time"] + [repr(t) for t in path.event_times.tolist()]
-        (out / "events.csv").write_text("\n".join(lines) + "\n")
-    write_slot_csv(records, out / "slots.csv")
     sidecar = {
         "seed": args.seed,
         "change": {"theta": None if change.in_control else change.theta, "rho": change.rho},
         "scenario": args.scenario,
     }
-    (out / "sim_info.json").write_text(json.dumps(sidecar, indent=2, sort_keys=True) + "\n")
-    _write_manifest(out, "simulate", args)
-    print(f"simulated series in {out / 'slots.csv'}")
+    with _output(args, "simulate") as out:
+        if args.events:
+            lines = ["event_time"] + [repr(t) for t in path.event_times.tolist()]
+            (out / "events.csv").write_text("\n".join(lines) + "\n")
+        write_slot_csv(records, out / "slots.csv")
+        (out / "sim_info.json").write_text(json.dumps(sidecar, indent=2, sort_keys=True) + "\n")
+    print(f"simulated series in {Path(args.out) / 'slots.csv'}")
     return EXIT_OK
 
 
@@ -251,11 +283,10 @@ def cmd_evaluate(args) -> int:
         replications=args.replications,
         seed=args.seed,
     )
-    out = _out_dir(args)
-    write_delay_report_json(report, out / "delay_report.json")
-    write_delay_table_csv(report, out / "per_theta.csv")
-    _write_manifest(out, "evaluate", args)
-    print(f"worst-case mean delay {report.worst_case_delay_events!r} events; report in {out}")
+    with _output(args, "evaluate") as out:
+        write_delay_report_json(report, out / "delay_report.json")
+        write_delay_table_csv(report, out / "per_theta.csv")
+    print(f"worst-case mean delay {report.worst_case_delay_events!r} events; report in {Path(args.out)}")
     return EXIT_OK
 
 
@@ -344,6 +375,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _check_out(Path(args.out))
         return args.func(args)
     except (ConvergenceError, SingularDesignError, BracketingError, HorizonTooShortError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -1,16 +1,17 @@
-"""Count dataset ingestion: CSV parsing, calendar metadata, gaps, train/test split.
+"""Count dataset ingestion: CSV parsing, calendar metadata, train/test split.
 
 CSV formats (UTF-8, header row required, ISO-8601 dates, 24h HH:MM times):
     daily:  date,count
     slots:  date,slot_start,count
-Gaps in the record are detected and masked, never imputed.
+Absent dates are never imputed: fitting and detection skip them, and the
+detector state is frozen across them, not reset.
 """
 
 from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
-from datetime import date, time, timedelta
+from datetime import date, time
 from pathlib import Path
 from types import MappingProxyType
 from typing import Iterable, Mapping
@@ -184,34 +185,6 @@ def write_slot_csv(records: Iterable[SlotRecord], path: str | Path) -> None:
         writer.writerow(SLOT_HEADER)
         for r in records:
             writer.writerow([r.date.isoformat(), r.slot_start.isoformat("minutes"), r.count])
-
-
-def detect_gaps(dataset: Dataset) -> list[tuple[date, date]]:
-    """Maximal runs of expected-open dates carrying no records at all.
-
-    Gap dates are excluded from fitting and detection downstream; detector
-    state is frozen across them rather than reset.
-    """
-    recorded = set(dataset.dates)
-    gaps: list[tuple[date, date]] = []
-    run_start: date | None = None
-    prev_open: date | None = None
-    d = dataset.first_date
-    while d <= dataset.last_date:
-        if day_meta(d, dataset.holidays, dataset.origin).is_open:
-            if d not in recorded:
-                if run_start is None:
-                    run_start = d
-                prev_open = d
-            else:
-                if run_start is not None:
-                    gaps.append((run_start, prev_open))
-                    run_start = None
-                prev_open = d
-        d += timedelta(days=1)
-    if run_start is not None:
-        gaps.append((run_start, prev_open))
-    return gaps
 
 
 def split_train_test(dataset: Dataset, split_date: date) -> tuple[Dataset, Dataset]:

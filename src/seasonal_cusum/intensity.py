@@ -505,47 +505,64 @@ class IntensityModel:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "IntensityModel":
-        if doc.get("schema_version") != MODEL_SCHEMA_VERSION:
-            raise ValidationError(f"unsupported model schema {doc.get('schema_version')!r}")
-        glm = None
-        if "glm" in doc:
-            g = doc["glm"]
-            coefficients = np.array(g["coefficients"], dtype=float)
-            if not np.all(np.isfinite(coefficients)):
-                raise ValidationError("model GLM coefficients must be finite")
-            glm = GlmModel(
-                factor_spec=frozenset(g["factor_spec"]),
-                coefficients=coefficients,
-                column_names=tuple(g["column_names"]),
-                log_likelihood=g["log_likelihood"],
-                bic=g["bic"],
-                n_obs=g["n_obs"],
+        try:
+            if doc.get("schema_version") != MODEL_SCHEMA_VERSION:
+                raise ValidationError(f"unsupported model schema {doc.get('schema_version')!r}")
+            glm = None
+            if "glm" in doc:
+                g = doc["glm"]
+                coefficients = np.array(g["coefficients"], dtype=float)
+                if not np.all(np.isfinite(coefficients)):
+                    raise ValidationError("model GLM coefficients must be finite")
+                factor_spec = frozenset(g["factor_spec"])
+                names = feature_names(factor_spec)
+                if list(g["column_names"]) != names:
+                    raise ValidationError(f"GLM columns {g['column_names']} do not match factors {sorted(factor_spec)}")
+                if coefficients.shape != (len(names),):
+                    raise ValidationError(f"GLM has {coefficients.size} coefficients for {len(names)} columns")
+                glm = GlmModel(
+                    factor_spec=factor_spec,
+                    coefficients=coefficients,
+                    column_names=tuple(names),
+                    log_likelihood=g["log_likelihood"],
+                    bic=g["bic"],
+                    n_obs=g["n_obs"],
+                )
+            rate = doc.get("constant_rate")
+            # NaN fails the comparison too.
+            if rate is not None and not 0 < rate < math.inf:
+                raise ValidationError(f"constant rate must be positive and finite, got {rate}")
+            scenario = None
+            if "scenario" in doc:
+                scenario = ScenarioSchedule(
+                    anchor=date.fromisoformat(doc["scenario"]["anchor"]),
+                    every=doc["scenario"]["every"],
+                )
+            return cls(
+                kind=doc["kind"],
+                profile=SlotProfile(
+                    weekday_fractions=tuple(doc["profile"]["weekday_fractions"]),
+                    saturday_fractions=tuple(doc["profile"]["saturday_fractions"]),
+                ),
+                holidays=frozenset(date.fromisoformat(s) for s in doc["holidays"]),
+                origin=date.fromisoformat(doc["origin"]),
+                glm=glm,
+                constant_rate=rate,
+                scenario=scenario,
             )
-        scenario = None
-        if "scenario" in doc:
-            scenario = ScenarioSchedule(
-                anchor=date.fromisoformat(doc["scenario"]["anchor"]),
-                every=doc["scenario"]["every"],
-            )
-        return cls(
-            kind=doc["kind"],
-            profile=SlotProfile(
-                weekday_fractions=tuple(doc["profile"]["weekday_fractions"]),
-                saturday_fractions=tuple(doc["profile"]["saturday_fractions"]),
-            ),
-            holidays=frozenset(date.fromisoformat(s) for s in doc["holidays"]),
-            origin=date.fromisoformat(doc["origin"]),
-            glm=glm,
-            constant_rate=doc.get("constant_rate"),
-            scenario=scenario,
-        )
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
+            detail = f"missing key {exc}" if isinstance(exc, KeyError) else str(exc)
+            raise ValidationError(f"malformed model: {detail}") from None
 
     def save(self, path: str | Path) -> None:
         Path(path).write_text(json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n")
 
     @classmethod
     def load(cls, path: str | Path) -> "IntensityModel":
-        return cls.from_dict(json.loads(Path(path).read_text()))
+        try:
+            return cls.from_dict(json.loads(Path(path).read_text()))
+        except (UnicodeDecodeError, json.JSONDecodeError, ValidationError) as exc:
+            raise ValidationError(f"model file {path}: {exc}") from None
 
 
 @dataclass(frozen=True)

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import math
 import random
+from datetime import date, timedelta
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from seasonal_cusum import calibrate
 from seasonal_cusum.calibrate import (
     _CHUNK_EVENTS,
     _MAX_SLOT_COUNTS,
+    CalibrationResult,
     CalibrationTarget,
     _CurveSet,
     _Tiling,
@@ -24,6 +26,7 @@ from seasonal_cusum.calibrate import (
 from seasonal_cusum.detect import AGGREGATED_COUNTS, DECREASE, EVENT_TIMES, INCREASE, DetectorConfig, run_aggregated
 from seasonal_cusum.errors import BracketingError, HorizonTooShortError, ValidationError
 from seasonal_cusum.simulate import rng_for
+from seasonal_cusum.synthetic import synthetic_model
 from seasonal_cusum.timeline import SlotTimeline
 
 
@@ -364,7 +367,7 @@ def _doubling_search(timeline, config, target, seed):
     if abs(arl - target.pi) <= 0.02 * target.pi + 2.0 * stderr:
         return *result(m, arl, stderr, cf), top
     raise BracketingError(
-        f"bisection stalled: nearest run length {arl:.3f} vs target {target.pi} "
+        f"no threshold meets the budget: nearest run length {arl:.3f} vs target {target.pi} "
         f"(stderr {stderr:.3f}); increase replications or use "
         f"event-time mode if the budget is finer than the per-interval count granularity"
     )
@@ -377,49 +380,134 @@ def _outcome(search, *args):
         return type(exc).__name__, str(exc)
 
 
+_MISSED = "no threshold meets the budget: nearest run length "
+
+
+def _nearest(outcome):
+    """The ARL a search settled on, or the nearest one its missed budget reports (to 3 decimals)."""
+    if isinstance(outcome, CalibrationResult):
+        return outcome.arl_estimate
+    if isinstance(outcome[0], tuple):  # the oracle's result fields
+        return outcome[0][1]
+    return float(outcome[1].removeprefix(_MISSED).split(" vs ")[0]) if _MISSED in outcome[1] else None
+
+
 def test_bracket_search_equals_doubling_oracle_bit_for_bit():
-    # The search reads ARL(top) only when the bisection's first two midpoints
-    # fall short: the result fields and every error must equal the plain
-    # doubling search, and it must never query a larger threshold.
+    # Event mode: the exact read gives the doubling search's ARL, stderr,
+    # censored fraction and errors bit for bit, its threshold to 1e-12, and
+    # never reads past its bracket top. Aggregated mode: the bisection cannot
+    # separate levels within 1e-12 of each other, so the exact read is only
+    # never further from pi; it misses the budget only where the oracle does.
     timelines = (
         SlotTimeline.from_rates([4.0] * 10),
         SlotTimeline.from_rates([6.0, 0.0, 2.0] * 4),
         SlotTimeline.from_rates([0.0, 0.0, 0.4, 55.0, 0.0, 9.0, 0.3]),
     )
-    tops_at_one = tops_read = 0
+    tops_at_one = tops_read = closer = 0
     for tl in timelines:
         for pi in (1, 1.5, 2, 7, 40, 200):
             target = CalibrationTarget(pi=pi, replications=100)
-            for rho, direction in ((1.3, INCREASE), (1 / 1.3, DECREASE)):
+            for rho, direction in ((1.3, INCREASE), (1 / 1.3, DECREASE), (1.2, INCREASE), (1 / 1.2, DECREASE)):
                 for cfg in (_event_cfg(rho, direction=direction), _agg_cfg(rho, direction=direction)):
                     for seed in (0, 1):
-                        case = (tl.means.tolist(), pi, direction, cfg.mode, seed)
+                        case = (tl.means.tolist(), pi, rho, cfg.mode, seed)
                         new = _outcome(calibrate_threshold, tl, cfg, target, seed)
                         old = _outcome(_doubling_search, tl, cfg, target, seed)
+                        if cfg.mode == AGGREGATED_COUNTS and _nearest(old) is not None:
+                            assert _nearest(new) is not None, case
+                            assert isinstance(new, CalibrationResult) or isinstance(old[0], str), case
+                            # Reported misses are rounded to 3 decimals.
+                            assert abs(_nearest(new) - pi) <= abs(_nearest(old) - pi) + 5e-4, case
+                            closer += abs(_nearest(new) - pi) < abs(_nearest(old) - pi) - 5e-4
+                            continue
                         if isinstance(old[0], str):
                             assert new == old, case
                             continue
                         fields, old_ms, top = old
-                        got = (new.threshold_m, new.arl_estimate, new.arl_stderr, new.censored_fraction)
-                        assert [repr(x) for x in got] == [repr(x) for x in fields], case
+                        m = fields[0]
+                        assert abs(new.threshold_m - m) <= 1e-12 * max(m, 1.0), case
+                        got = (new.arl_estimate, new.arl_stderr, new.censored_fraction)
+                        assert [repr(x) for x in got] == [repr(x) for x in fields[1:]], case
                         new_ms = [e["m"] for e in new.trace]
                         assert max(new_ms) <= max(old_ms), case
                         tops_at_one += top == 1.0
-                        # The answer lies in the top quarter of [1e-9, top]: top itself was read.
                         tops_read += top is not None and top in new_ms
-    assert tops_at_one and tops_read
+    assert tops_at_one and tops_read and closer
 
 
-def test_bracket_search_reads_top_only_past_two_short_midpoints():
-    # Quick-start-like flat timeline: the bracket is [1e-9, 32] and the answer
-    # lies below 24, so no power of two above 16 is ever simulated.
+def test_ladder_stops_at_the_first_top_reaching_the_budget():
+    # Quick-start-like flat timeline: ARL(16) < pi <= ARL(24), so the ladder
+    # stops at 24, no threshold of 32 or more is simulated, and the level
+    # search reads only levels in [16, 24) and the level just above each.
     tl = SlotTimeline.from_rates([60.0] * 48)
     target = CalibrationTarget(pi=2000.0, replications=100)
     result = calibrate_threshold(tl, _event_cfg(rho=1.2), target, seed=3)
     ms = [e["m"] for e in result.trace]
-    assert ms[:4] == [1e-9, 0.5 * (1e-9 + 1.0), 0.5 * (0.5 * (1e-9 + 1.0) + 1.0), 1.0]
-    assert 32.0 not in ms and max(ms) == 0.5 * (0.5 * (1e-9 + 32.0) + 32.0)
-    assert len(ms) == len(set(ms))
+    ladder = [1e-9, 0.5, 0.75, 1.0, 1.5, 2.0, 3.0, 4.0, 6.0, 8.0, 12.0, 16.0, 24.0]
+    assert ms[: len(ladder)] == ladder
+    search = ms[len(ladder) :]
+    assert search and all(16.0 <= m < 24.0 for m in search)
+    assert result.threshold_m in search
+    assert len(ms) == len(set(ms)) < 30
+
+
+def _levels_and_arl(timeline, config, target, seed):
+    """Every record level below the largest, with the ARL read curve by curve at a threshold."""
+    curves = _build_curves(timeline, config, target, seed).curves
+    for c in curves:
+        c.run_length(math.inf)
+    levels = np.unique(np.concatenate([c.levels for c in curves]))
+
+    def arl(m):
+        return float(np.mean([c.run_length(m)[0] for c in curves]))
+
+    return levels, arl
+
+
+@pytest.mark.parametrize("mode", [EVENT_TIMES, AGGREGATED_COUNTS])
+@pytest.mark.parametrize("rho, direction", [(1.3, INCREASE), (1 / 1.3, DECREASE)], ids=["increase", "decrease"])
+def test_threshold_is_the_record_level_of_the_step_straddling_pi(mode, rho, direction):
+    # Scan the ARL at and just above every record level: the threshold is the
+    # first level r whose ARL just above r reaches pi, or nextafter(r) when
+    # that side is closer to pi.
+    tl = SlotTimeline.from_rates([6.0, 0.0, 2.0] * 4)
+    cfg = DetectorConfig(rho=rho, threshold_m=1.0, direction=direction, mode=mode)
+    for pi, seed in ((40.0, 0), (40.0, 1), (150.0, 2)):
+        target = CalibrationTarget(pi=pi, replications=100)
+        levels, arl = _levels_and_arl(tl, cfg, target, seed)
+        r = next(float(r) for r in levels[levels >= 1e-9] if arl(np.nextafter(r, np.inf)) >= pi)
+        up = float(np.nextafter(r, np.inf))
+        assert arl(r) < pi
+        expected = r if pi - arl(r) <= arl(up) - pi else up
+        result = calibrate_threshold(tl, cfg, target, seed=seed)
+        assert result.threshold_m == expected, (pi, seed)
+        assert result.arl_estimate == arl(expected), (pi, seed)
+
+
+def test_aggregated_read_resolves_levels_the_bisection_could_not():
+    # The doubling oracle's bisection stops at a bracket narrower than 1e-12
+    # that still holds several steps, and misses the budget at 6.117.
+    tl = SlotTimeline.from_rates([2.0] * 30)
+    result = calibrate_threshold(tl, _agg_cfg(rho=1.3), CalibrationTarget(pi=7.0, replications=300), seed=0)
+    assert result.arl_estimate == pytest.approx(7.1733, abs=1e-4)
+    assert result.arl_stderr == pytest.approx(0.363, abs=1e-3)
+    with pytest.raises(BracketingError, match="nearest run length 6.117"):
+        _doubling_search(tl, _agg_cfg(rho=1.3), CalibrationTarget(pi=7.0, replications=300), 0)
+
+
+@pytest.mark.parametrize("rho, direction, advances", [(1.2, INCREASE, 3251), (1 / 1.2, DECREASE, 3613)])
+def test_calibration_simulates_as_far_as_the_ladder_top(monkeypatch, rho, direction, advances):
+    # The README `detect --pi --double-sided` shape: 28 days, 2,000
+    # replications, pi = 2000. The ladder stops at 24, as far as the paths
+    # were simulated before, with about half the ARL reads.
+    calls = []
+    advance = calibrate._EventPath.advance
+    monkeypatch.setattr(calibrate._EventPath, "advance", lambda self: calls.append(1) or advance(self))
+    tl = synthetic_model().timeline([date(2018, 1, 1) + timedelta(days=i) for i in range(28)])
+    result = calibrate_threshold(tl, _event_cfg(rho, direction=direction), CalibrationTarget(pi=2000.0, replications=2000))
+    assert len(calls) == advances
+    assert max(e["m"] for e in result.trace) == 24.0
+    assert len(result.trace) <= 30
 
 
 def _read_both(curve_args, monkeypatch):

@@ -8,7 +8,9 @@ from pathlib import Path
 
 import pytest
 
+from seasonal_cusum import cli
 from seasonal_cusum.cli import EXIT_INPUT, EXIT_OK, main
+from seasonal_cusum.errors import ValidationError
 from seasonal_cusum.ingest import parse_slot_csv, write_daily_csv, write_slot_csv
 from seasonal_cusum.simulate import POSTPONE_THIRD_TUESDAY, ScenarioTransform, apply_scenario
 
@@ -506,3 +508,122 @@ def test_calibrate_refuses_a_horizon_too_large_to_simulate(workspace, tmp_path, 
     err = capsys.readouterr().err
     assert "pi=" in err and " cycles of the " in err and "--horizon-cap" in err
     assert not out.exists()
+
+
+def _series(workspace, tmp_path, days="7"):
+    sim = tmp_path / "sim"
+    argv = ["simulate", "--model", str(workspace["model"]), "--start-date", "2018-03-05", "--days", days, "--seed", "8"]
+    assert main([*argv, "--out", str(sim)]) == EXIT_OK
+    return sim / "slots.csv"
+
+
+def _tree(path):
+    return {p.name: p.read_bytes() for p in sorted(path.iterdir())}
+
+
+def test_rerun_into_out_keeps_only_the_new_run(workspace, tmp_path):
+    series = _series(workspace, tmp_path)
+    out = tmp_path / "det"
+    argv = ["detect", "--model", str(workspace["model"]), "--series", str(series), "--rho", "1.2", "--m", "20"]
+    assert main([*argv, "--double-sided", "--out", str(out)]) == EXIT_OK
+    assert {"vpath_up.csv", "vpath_down.csv"} <= set(_tree(out))
+    assert main([*argv, "--out", str(out)]) == EXIT_OK
+    assert set(_tree(out)) == {"vpath.csv", "alarms.jsonl", "manifest.json"}
+    assert json.loads((out / "manifest.json").read_text())["arguments"]["double_sided"] is False
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["det", "sim"]  # no temporary sibling left
+
+
+def test_simulate_rerun_without_events_drops_events_csv(workspace, tmp_path):
+    out = tmp_path / "sim"
+    argv = ["simulate", "--model", str(workspace["model"]), "--start-date", "2018-01-01", "--days", "6", "--seed", "5"]
+    assert main([*argv, "--events", "--out", str(out)]) == EXIT_OK
+    assert "events.csv" in _tree(out)
+    assert main([*argv, "--out", str(out)]) == EXIT_OK
+    assert set(_tree(out)) == {"slots.csv", "sim_info.json", "manifest.json"}
+
+
+@pytest.mark.parametrize("kept", ["notes.txt", "subdir"])
+def test_out_holding_other_data_is_refused(workspace, tmp_path, capsys, kept):
+    out = tmp_path / "mine"
+    out.mkdir()
+    if kept == "subdir":
+        (out / kept).mkdir()
+    else:
+        (out / kept).write_text("keep me")
+    argv = ["simulate", "--model", str(workspace["model"]), "--start-date", "2018-01-01", "--days", "6"]
+    assert main([*argv, "--out", str(out)]) == EXIT_INPUT
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and "manifest.json" in err[0]
+    assert [p.name for p in out.iterdir()] == [kept]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["mine"]
+
+
+def test_failed_rerun_leaves_the_previous_output_intact(workspace, tmp_path, monkeypatch):
+    series = _series(workspace, tmp_path)
+    out = tmp_path / "det"
+    argv = ["detect", "--model", str(workspace["model"]), "--series", str(series), "--rho", "1.2", "--m", "20"]
+    assert main([*argv, "--out", str(out)]) == EXIT_OK
+    before = _tree(out)
+    # Refused before anything is written.
+    assert main([*argv[:4], str(tmp_path / "missing.csv"), *argv[5:], "--out", str(out)]) == EXIT_INPUT
+    assert _tree(out) == before
+
+    # Failing halfway through writing: the staging directory is dropped.
+    def fail(*args):
+        raise ValidationError("disk trouble")
+
+    monkeypatch.setattr(cli, "write_alarms_jsonl", fail)
+    assert main([*argv, "--double-sided", "--out", str(out)]) == EXIT_INPUT
+    assert _tree(out) == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["det", "sim"]
+
+
+def _malformed_model(doc, case):
+    if case == "corrupt-json":
+        return b'{"schema_version": 1, "kind": '
+    if case == "not-utf8":
+        return b"\xff\xfe{}"
+    if case == "missing-profile":
+        del doc["profile"]
+    elif case == "bad-holiday":
+        doc["holidays"] = ["2018-13-01"]
+    elif case == "short-coefficients":
+        doc["glm"]["coefficients"] = doc["glm"]["coefficients"][:-1]
+    elif case == "negative-constant-rate":
+        doc["constant_rate"] = -3.0
+    return json.dumps(doc).encode()
+
+
+@pytest.mark.parametrize(
+    "case", ["corrupt-json", "not-utf8", "missing-profile", "bad-holiday", "short-coefficients", "negative-constant-rate"]
+)
+def test_malformed_model_file_is_input_error(workspace, tmp_path, capsys, case):
+    bad = tmp_path / "model.json"
+    bad.write_bytes(_malformed_model(json.loads(workspace["model"].read_text()), case))
+    out = tmp_path / "cal"
+    argv = ["calibrate", "--model", str(bad), "--rho", "1.2", "--pi", "50", "--start-date", "2018-01-01",
+            "--days", "7", "--replications", "100", "--out", str(out)]
+    assert main(argv) == EXIT_INPUT
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: model file {bad}: "), err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("double_sided", [False, True], ids=["single", "double-sided"])
+def test_detect_pi_writes_the_calibrations_it_ran_with(workspace, tmp_path, monkeypatch, double_sided):
+    series = _series(workspace, tmp_path)
+    used = []
+    for name in ("run_detector", "double_sided_run"):
+        run = getattr(cli, name)
+        monkeypatch.setattr(cli, name, lambda *a, run=run: used.extend(c.threshold_m for c in a[2:]) or run(*a))
+    out = tmp_path / "det"
+    argv = ["detect", "--model", str(workspace["model"]), "--series", str(series), "--rho", "1.2", "--pi", "300",
+            "--replications", "200", "--seed", "3", "--out", str(out)]
+    assert main([*argv, "--double-sided"] if double_sided else argv) == EXIT_OK
+    names = ["calibration_up.json", "calibration_down.json"] if double_sided else ["calibration.json"]
+    docs = [json.loads((out / name).read_text()) for name in names]
+    assert [d["threshold_m"] for d in docs] == used
+    for doc in docs:
+        assert doc["pi"] == 300 and doc["replications"] == 200 and doc["seed"] == 3
+        assert [e["m"] for e in doc["trace"]][:2] == [1e-9, 0.5]
+        assert abs(doc["arl_estimate"] - 300) <= 0.02 * 300 + 2 * doc["arl_stderr"]

@@ -6,13 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from seasonal_cusum.daycal import day_meta
 from seasonal_cusum.errors import DuplicateKeyError, ParseError, ValidationError
 from seasonal_cusum.ingest import (
     DailyRecord,
     SlotRecord,
     build_dataset,
-    detect_gaps,
     load_dataset,
     parse_daily_csv,
     parse_slot_csv,
@@ -100,36 +98,6 @@ def test_round_trip_property(tmp_path_factory, counts, start_offset):
     tmp = tmp_path_factory.mktemp("roundtrip")
     write_daily_csv(daily, tmp / "d.csv")
     assert list(parse_daily_csv(tmp / "d.csv")) == daily
-
-
-def test_detect_gaps_missing_month():
-    # Records cover Jan-Dec 2017 on open days except all of October.
-    days = []
-    d = date(2017, 1, 2)
-    while d <= date(2017, 12, 29):
-        if day_meta(d).is_open and d.month != 10:
-            days.append(DailyRecord(d, 100))
-        d += timedelta(days=1)
-    ds = build_dataset(daily=days)
-    gaps = detect_gaps(ds)
-    assert len(gaps) == 1
-    start, end = gaps[0]
-    assert start.month == 10 and end.month == 10
-    assert start == date(2017, 10, 2)  # Oct 1st 2017 is a Sunday
-    assert end == date(2017, 10, 31)
-
-
-def test_detect_gaps_contiguous():
-    days = [DailyRecord(date(2017, 1, 2) + timedelta(days=i), 10) for i in range(5)]
-    ds = build_dataset(daily=days)
-    assert detect_gaps(ds) == []
-
-
-def test_detect_gaps_single_day():
-    # Mon 2nd, Tue 3rd, Thu 5th recorded; Wed 4th missing.
-    records = [DailyRecord(date(2017, 1, d), 10) for d in (2, 3, 5)]
-    ds = build_dataset(daily=records)
-    assert detect_gaps(ds) == [(date(2017, 1, 4), date(2017, 1, 4))]
 
 
 def test_split_partition():
