@@ -80,6 +80,10 @@ def _check_out(out: Path) -> None:
     """Refuse an --out that a finished run could not replace without losing data."""
     if out.is_symlink() or (out.exists() and not out.is_dir()):
         raise ValidationError(f"--out {out} exists and is not a directory")
+    # The nearest existing ancestor must be a directory, or --out could never be created.
+    ancestor = next(p for p in out.absolute().parents if os.path.lexists(p))
+    if not ancestor.is_dir():
+        raise ValidationError(f"--out {out} cannot be created: {ancestor} is not a directory")
     if out.is_dir() and not (out / "manifest.json").is_file() and any(out.iterdir()):
         raise ValidationError(f"--out {out} is not empty and holds no manifest.json; not replacing it")
 
@@ -380,7 +384,8 @@ def main(argv: list[str] | None = None) -> int:
     except (ConvergenceError, SingularDesignError, BracketingError, HorizonTooShortError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    except (SeasonalCusumError, FileNotFoundError) as exc:
+    # A path argument that cannot be used: missing, a directory, under a file, or not permitted.
+    except (SeasonalCusumError, FileNotFoundError, IsADirectoryError, NotADirectoryError, PermissionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

@@ -24,6 +24,7 @@ import json
 import math
 from dataclasses import dataclass, replace
 from datetime import datetime
+from functools import cached_property
 from pathlib import Path
 from typing import Callable, Iterable, Sequence
 
@@ -71,7 +72,7 @@ class DetectorConfig:
         if self.direction == DECREASE and self.rho >= 1:
             raise ValidationError("decrease detection needs rho < 1")
 
-    @property
+    @cached_property
     def beta(self) -> float:
         return beta(self.rho)
 
@@ -141,13 +142,13 @@ def step_aggregated(
     else:
         x = config.beta * lambda_increment - count
     u = state.u + x
-    new = replace(
-        state,
+    new = CusumState(
         v=max(0.0, state.v + x),
         u=u,
         u_min=min(state.u_min, u),
         events_seen=state.events_seen + count,
         clock=state.clock if clock is None else clock,
+        armed=state.armed,
     )
     return _resolve_alarm(new, config, new.clock)
 

@@ -233,6 +233,42 @@ def test_detect_missing_series_is_input_error(workspace, tmp_path, capsys):
     assert not (tmp_path / "q").exists()
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["calibrate", "--model", "{dir}", "--rho", "1.2", "--pi", "50", "--start-date", "2018-01-01", "--days", "7"],
+        ["detect", "--model", "{model}", "--series", "{dir}", "--rho", "1.2", "--m", "10"],
+        ["fit", "--daily", "{dir}", "--slots", "{dir}"],
+    ],
+    ids=["calibrate-model", "detect-series", "fit-daily-slots"],
+)
+def test_directory_given_as_input_file_is_input_error(workspace, tmp_path, capsys, argv):
+    directory = tmp_path / "fitdir"
+    directory.mkdir()
+    out = tmp_path / "out"
+    argv = [a.format(dir=directory, model=workspace["model"]) for a in argv]
+    assert main([*argv, "--out", str(out)]) == EXIT_INPUT
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and str(directory) in err[0], err
+    assert not out.exists()
+
+
+def test_out_under_a_file_is_refused_before_any_work(workspace, tmp_path, capsys, monkeypatch):
+    called = []
+    for name in ("_load_model", "run_detector"):
+        run = getattr(cli, name)
+        monkeypatch.setattr(cli, name, lambda *a, name=name, run=run: called.append(name) or run(*a))
+    series = tmp_path / "series.csv"
+    series.write_bytes(workspace["slots"].read_bytes())
+    out = series / "x"
+    argv = ["detect", "--model", str(workspace["model"]), "--series", str(series), "--rho", "1.2", "--m", "10"]
+    assert main([*argv, "--out", str(out)]) == EXIT_INPUT
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err == [f"error: --out {out} cannot be created: {series} is not a directory"]
+    assert called == []
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["series.csv"]
+
+
 def test_detect_with_nan_model_coefficient_is_input_error(workspace, tmp_path):
     doc = json.loads(workspace["model"].read_text())
     doc["glm"]["coefficients"][0] = float("nan")

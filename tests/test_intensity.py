@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import math
 import warnings
+from dataclasses import replace
 from datetime import date, datetime, timedelta
 
 import numpy as np
@@ -301,23 +302,38 @@ def test_slot_intensity_zero_when_closed(truth_model):
     assert truth_model.slot_rate(date(2018, 1, 13), 15) == 0.0  # Saturday afternoon
 
 
-def test_slot_rate_equals_slot_rates_lookup(truth_model):
+def test_slot_rate_equals_slot_rates_lookup(truth_model, monkeypatch):
     # Four weeks around the 2017-05-01 holiday and the days around 2017-08-15:
     # holidays, Sundays, Saturday tails and, for the scenario model, the
     # postponed Tuesday mornings of 2017-04-25 and 2017-05-16.
     days = [date(2017, 4, 24) + timedelta(days=i) for i in range(28)]
     days += [date(2017, 8, 14) + timedelta(days=i) for i in range(3)]
-    scenario = truth_model.with_scenario(ScenarioSchedule(anchor=date(2017, 4, 25)))
-    zeros = 0
-    for model in (truth_model, truth_model.as_naive(), scenario):
+    slot_rates = IntensityModel.slot_rates
+    computed = []
+    monkeypatch.setattr(IntensityModel, "slot_rates", lambda self, d: computed.append(d) or slot_rates(self, d))
+
+    def read_every_slot_twice(model):
+        zeros = 0
         for d in days:
-            meta, rates = model.meta(d), model.slot_rates(d)
+            meta, rates = model.meta(d), slot_rates(model, d)
             for index in range(22):
                 open_slot = meta.is_open and index < meta.open_slot_count
                 expected = float(rates[index]) if open_slot else 0.0
-                assert repr(model.slot_rate(d, index)) == repr(expected), (model.kind, d, index)
+                first, again = model.slot_rate(d, index), model.slot_rate(d, index)
+                assert repr(first) == repr(again) == repr(expected), (model.kind, d, index)
                 zeros += expected == 0.0
-    assert scenario.slot_rate(date(2017, 5, 16), 0) == 0.0 < truth_model.slot_rate(date(2017, 5, 16), 0)
+        return zeros
+
+    # A replace copy starts with an empty memo, so the first read of each day
+    # is a miss; every slot is read before the copies below are derived.
+    model = replace(truth_model)
+    zeros = read_every_slot_twice(model)
+    scenario = model.with_scenario(ScenarioSchedule(anchor=date(2017, 4, 25)))
+    for copy in (model.as_naive(), scenario):
+        zeros += read_every_slot_twice(copy)
+    assert computed == days * 3  # one computation per day and model, hits included
+    assert repr(model) == repr(truth_model) and model == truth_model
+    assert scenario.slot_rate(date(2017, 5, 16), 0) == 0.0 < model.slot_rate(date(2017, 5, 16), 0)
     assert zeros > 3 * 22 * 3  # closed days and Saturday tails in every model
 
 
