@@ -153,22 +153,6 @@ def step_aggregated(
     return _resolve_alarm(new, config, new.clock)
 
 
-def _drift_crossing(t0: float, t1: float, needed: float, cum: Callable[[float, float], float]) -> float:
-    """Instant in (t0, t1] where the cumulative intensity reaches `needed`."""
-    lo, hi = t0, t1
-    for _ in range(80):
-        mid = 0.5 * (lo + hi)
-        inside = lo < mid < hi
-        if cum(t0, mid) < needed:
-            lo = mid
-        else:
-            hi = mid
-        if not inside:
-            # mid was a bound already: from here on no step can move either one.
-            break
-    return hi
-
-
 def step_events(
     state: CusumState,
     event_times: Sequence[float],
@@ -178,10 +162,13 @@ def step_events(
 ) -> tuple[CusumState, AlarmEvent | None]:
     """Advance over one interval from exact event times.
 
-    Between events the statistic drifts by beta * dLambda (down for the
-    increase direction, up for decrease) with reflection at zero; each event
-    contributes a unit jump. Increase alarms can only trigger at a jump;
-    decrease alarms may trigger mid-drift, at the exact crossing instant.
+    The intensity must be constant on `interval`, as on one timeline slot;
+    `run_events` passes one slot per call. Between events the statistic
+    drifts by beta * dLambda (down for the increase direction, up for
+    decrease) with reflection at zero; each event contributes a unit jump.
+    Increase alarms can only trigger at a jump; decrease alarms may trigger
+    mid-drift, where the statistic, linear in time on the interval, reaches
+    the threshold.
     """
     t0, t1 = interval
     if t1 < t0:
@@ -203,19 +190,20 @@ def step_events(
             u = state.u + x
             return replace(state, v=max(0.0, state.v + x), u=u, u_min=min(state.u_min, u)), None
         # Decrease: upward drift can cross the threshold inside the segment.
-        alarm = None
-        if state.armed and state.v + b * dlam >= config.threshold_m:
-            t_star = _drift_crossing(a, t, (config.threshold_m - state.v) / b, cum_intensity)
-            crossed = replace(state, v=config.threshold_m, u=state.u + (config.threshold_m - state.v))
-            crossed, alarm = _resolve_alarm(crossed, config, t_star)
-            if not config.reset_on_alarm:
-                rest = b * cum_intensity(t_star, t)
-                return replace(crossed, v=crossed.v + rest, u=crossed.u + rest), alarm
-            # Re-armed at zero; remaining drift may cross again, fold it in recursively.
-            tail, later = drift(crossed, t_star, t)
-            return tail, alarm or later
         x = b * dlam
-        return replace(state, v=state.v + x, u=state.u + x), alarm
+        m = config.threshold_m
+        if not (state.armed and state.v + x >= m):
+            return replace(state, v=state.v + x, u=state.u + x), None
+        # The rate is constant, so the drift is linear in time: m is reached
+        # the fraction needed / dlam of the way from a to t.
+        needed = (m - state.v) / b
+        t_star = a if needed <= 0 else min(t, a + (t - a) * (needed / dlam))
+        crossed, alarm = _resolve_alarm(replace(state, v=m, u=state.u + (m - state.v)), config, t_star)
+        if not config.reset_on_alarm:
+            return replace(crossed, v=state.v + x, u=state.u + x), alarm
+        # Re-armed at zero; remaining drift may cross again, fold it in recursively.
+        tail, later = drift(crossed, t_star, t)
+        return tail, alarm or later
 
     prev = t0
     for ev in times:

@@ -10,7 +10,7 @@ detector state is frozen across them, not reset.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from datetime import date, time
 from pathlib import Path
 from types import MappingProxyType
@@ -40,10 +40,11 @@ class SlotRecord:
     date: date
     slot_start: time
     count: int
+    # Grid index of slot_start, resolved (and checked on the grid) once.
+    slot_index: int = field(init=False, repr=False, compare=False)
 
-    @property
-    def slot_index(self) -> int:
-        return slot_index(self.slot_start)
+    def __post_init__(self):
+        object.__setattr__(self, "slot_index", slot_index(self.slot_start))
 
 
 @dataclass(frozen=True)
@@ -153,13 +154,14 @@ def parse_slot_csv(path: str | Path) -> tuple[SlotRecord, ...]:
             t = time.fromisoformat(t_text)
         except ValueError as exc:
             raise ParseError(f"bad time {t_text!r}: {exc}", line=lineno) from None
+        count = _parse_count(c_text, lineno)
         try:
-            idx = slot_index(t)
+            rec = SlotRecord(d, t, count)
         except ValidationError as exc:
             raise ValidationError(f"line {lineno}: {exc}") from None
         if d.weekday() == 6:
             raise ValidationError(f"line {lineno}: {d.isoformat()} is a Sunday (closed)")
-        if d.weekday() == 5 and idx >= SATURDAY_SLOT_COUNT:
+        if d.weekday() == 5 and rec.slot_index >= SATURDAY_SLOT_COUNT:
             raise ValidationError(
                 f"line {lineno}: slot {t.isoformat('minutes')} outside the Saturday grid"
             )
@@ -167,7 +169,9 @@ def parse_slot_csv(path: str | Path) -> tuple[SlotRecord, ...]:
         if key in seen:
             raise DuplicateKeyError(f"line {lineno}: duplicate slot ({d.isoformat()}, {t.isoformat('minutes')})")
         seen.add(key)
-        records.append(SlotRecord(d, t, _parse_count(c_text, lineno)))
+        records.append(rec)
+    if not records:
+        raise ParseError("no data rows", line=2)
     return tuple(sorted(records))
 
 

@@ -24,8 +24,11 @@ POSTPONE_THIRD_TUESDAY = "postpone-third-tuesday"
 
 
 def rng_for(seed: int, *stream: int) -> np.random.Generator:
-    """Independent generator for a derived stream key."""
-    return np.random.default_rng(np.random.SeedSequence([int(seed), *map(int, stream)]))
+    """Independent generator for a derived stream key; the seed and the key must be nonnegative."""
+    key = [int(seed), *map(int, stream)]
+    if min(key) < 0:
+        raise ValidationError(f"seed and stream keys must be nonnegative, got seed {seed} and stream {tuple(stream)}")
+    return np.random.default_rng(np.random.SeedSequence(key))
 
 
 @dataclass(frozen=True)

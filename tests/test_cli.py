@@ -253,6 +253,44 @@ def test_directory_given_as_input_file_is_input_error(workspace, tmp_path, capsy
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["calibrate", "--rho", "1.2", "--pi", "50", "--start-date", "2018-01-01", "--days", "7"],
+        ["detect", "--series", "{series}", "--rho", "1.2", "--pi", "50"],
+        ["simulate", "--start-date", "2018-01-01", "--days", "6"],
+        ["evaluate", "--rho", "3.0", "--m", "10", "--theta-grid", "40.0", "--start-date", "2018-01-01", "--days", "7"],
+    ],
+    ids=["calibrate", "detect-pi", "simulate", "evaluate"],
+)
+def test_negative_seed_is_input_error(workspace, tmp_path, capsys, argv):
+    series = tmp_path / "series.csv"
+    series.write_text("date,slot_start,count\n2018-01-08,07:30,3\n")
+    out = tmp_path / "out"
+    argv = [argv[0], "--model", str(workspace["model"]), *(a.format(series=series) for a in argv[1:])]
+    assert main([*argv, "--seed", "-1", "--out", str(out)]) == EXIT_INPUT
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and "seed -1" in err[0], err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["detect", "--model", "{model}", "--series", "{slots}", "--rho", "1.2", "--m", "20"],
+     ["fit", "--daily", "{daily}", "--slots", "{slots}"]],
+    ids=["detect-series", "fit-slots"],
+)
+def test_header_only_slot_file_is_input_error(workspace, tmp_path, capsys, argv):
+    slots = tmp_path / "header_only.csv"
+    slots.write_text("date,slot_start,count\n")
+    out = tmp_path / "out"
+    argv = [a.format(model=workspace["model"], daily=workspace["daily"], slots=slots) for a in argv]
+    assert main([*argv, "--out", str(out)]) == EXIT_INPUT
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and "no data rows" in err[0], err
+    assert not out.exists()
+
+
 def test_out_under_a_file_is_refused_before_any_work(workspace, tmp_path, capsys, monkeypatch):
     called = []
     for name in ("_load_model", "run_detector"):

@@ -3,7 +3,7 @@ from __future__ import annotations
 import bisect
 import math
 from dataclasses import replace
-from datetime import date, datetime, time
+from datetime import date, datetime, time, timedelta
 
 import numpy as np
 import pytest
@@ -20,7 +20,6 @@ from seasonal_cusum.detect import (
     CusumState,
     DetectorConfig,
     TimelineRun,
-    _drift_crossing,
     beta,
     double_sided_run,
     run_aggregated,
@@ -245,15 +244,100 @@ def test_step_events_matches_grid_integrator():
     assert run.v[-1] == pytest.approx(oracle, abs=1e-6)
 
 
-def test_step_events_decrease_crosses_mid_drift():
+@pytest.mark.parametrize("reset", [True, False], ids=["reset", "no-reset"])
+def test_step_events_decrease_crosses_mid_drift(reset):
     tl = SlotTimeline.from_rates([10.0])
-    cfg = _cfg(rho=0.5, m=2.0, direction=DECREASE, mode=EVENT_TIMES)
-    # No events at all: drift is beta(0.5)*10 per unit time upward.
+    cfg = _cfg(rho=0.5, m=2.0, direction=DECREASE, mode=EVENT_TIMES, reset=reset)
+    b = beta(0.5)
+    # No events at all: drift is beta(0.5)*10 per unit time upward, 10β ≈ 7.2 over the slot.
     state, alarm = step_events(CusumState.initial(), [], cfg, (0.0, 1.0), tl.cumulative)
     assert alarm is not None
-    expected_cross = 2.0 / (beta(0.5) * 10.0)
-    assert float(alarm.time) == pytest.approx(expected_cross, abs=1e-6)
-    assert alarm.events_at_alarm == 0
+    assert float(alarm.time) == pytest.approx(2.0 / (b * 10.0), rel=1e-14)
+    assert (alarm.v_at_alarm, alarm.events_at_alarm) == (2.0, 0)
+    assert state.u == pytest.approx(10.0 * b, rel=1e-14)
+    if reset:
+        # Three crossings, at 2, 4 and 6 on the free walk; the last reset leaves u_min there.
+        assert state.u_min == pytest.approx(6.0, rel=1e-14)
+        assert state.v == pytest.approx(10.0 * b - 6.0, rel=1e-13)
+        assert state.armed
+    else:
+        assert state.u_min == 0.0
+        assert state.v == pytest.approx(10.0 * b, rel=1e-14)
+        assert not state.armed
+
+
+@pytest.mark.parametrize("reset", [True, False], ids=["reset", "no-reset"])
+def test_step_events_integrates_once_per_segment_and_reset_crossing(reset):
+    tl = SlotTimeline.from_rates([10.0])
+    calls = []
+
+    def cum(a, t):
+        calls.append((a, t))
+        return tl.cumulative(a, t)
+
+    # Each quarter drifts by 10β/4 ≈ 1.8 and crosses m = 1.5 once; the event then takes v back to zero.
+    cfg = _cfg(rho=0.5, m=1.5, direction=DECREASE, mode=EVENT_TIMES, reset=reset)
+    _, alarm = step_events(CusumState.initial(), [0.25, 0.5, 0.75], cfg, (0.0, 1.0), cum)
+    assert alarm is not None
+    segments = [(0.0, 0.25), (0.25, 0.5), (0.5, 0.75), (0.75, 1.0)]
+    assert [c for c in calls if c in segments] == segments
+    assert len(calls) == 4 + (4 if reset else 0)
+
+    # Past the threshold already: the crossing is the segment start, with no division by a zero increment.
+    calls.clear()
+    flat = SlotTimeline.from_rates([0.0])
+    start = CusumState(v=3.0, u=3.0)
+    _, alarm = step_events(start, [], cfg, (0.0, 1.0), lambda a, t: calls.append((a, t)) or flat.cumulative(a, t))
+    assert alarm is not None and alarm.time == 0.0 and alarm.v_at_alarm == 1.5
+    assert len(calls) == (2 if reset else 1)
+
+
+def _crossing_by_bisection(t0, t1, needed, cum):
+    """Reference crossing: 80 halvings of [t0, t1] on the cumulative intensity."""
+    lo, hi = np.asarray(t0, dtype=float), np.asarray(t1, dtype=float)
+    for _ in range(80):
+        mid = 0.5 * (lo + hi)
+        below = cum(t0, mid) < needed
+        lo, hi = np.where(below, mid, lo), np.where(below, hi, mid)
+    return hi
+
+
+def test_decrease_crossing_equals_bisection_on_calendar_slots(truth_model):
+    tl = truth_model.timeline([date(2018, 1, 1) + timedelta(days=k) for k in range(365)])
+    rng = np.random.default_rng(13)
+    n = 12_000
+    slot = rng.integers(0, len(tl), n)
+    starts, ends = tl.starts[slot], tl.ends[slot]
+    # A quarter of the segments start at the slot start and a quarter end at the slot end.
+    a = np.where(rng.random(n) < 0.25, starts, starts + rng.random(n) * (ends - starts))
+    t = np.where(rng.random(n) < 0.25, ends, a + rng.random(n) * (ends - a))
+    keep = t > a
+    a, t = a[keep], t[keep]
+    dlam = tl.cum_mean_at(t) - tl.cum_mean_at(a)
+    cfg0 = _cfg(rho=0.8, m=1.0, direction=DECREASE, mode=EVENT_TIMES, reset=False)
+    b = cfg0.beta
+    # m = b * needed for a fraction of the segment's increment; a sixth take the whole of it.
+    frac = np.where(rng.random(len(a)) < 1 / 6, 1.0, rng.uniform(1e-6, 1.0, len(a)))
+    ms = b * dlam * frac
+    whole = 0
+    for k in np.flatnonzero(frac == 1.0):
+        # Nudge m until needed = m / b equals dlam exactly and the drift still reaches m.
+        for m in ms[k] + np.spacing(ms[k]) * np.array([0, 1, -1, 2, -2, 3, -3]):
+            if m / b == dlam[k] and b * dlam[k] >= m:
+                ms[k] = m
+                whole += 1
+                break
+    assert whole > len(a) // 10
+    needed = ms / b
+    reference = _crossing_by_bisection(a, t, needed, lambda lo, hi: tl.cum_mean_at(hi) - tl.cum_mean_at(lo))
+    worst = 0.0
+    for ak, tk, mk, ref in zip(a.tolist(), t.tolist(), ms.tolist(), reference.tolist()):
+        cfg = replace(cfg0, threshold_m=mk)
+        _, alarm = step_events(CusumState.initial(), [], cfg, (ak, tk), tl.cumulative)
+        assert alarm is not None
+        assert ak <= alarm.time <= tk
+        worst = max(worst, abs(alarm.time - ref) / math.ulp(max(abs(tk), 1.0)))
+    assert worst <= 16
 
 
 # --- timeline runs -------------------------------------------------------------
@@ -646,24 +730,3 @@ def test_run_aggregated_rejects_bad_records(rates, counts):
         run_aggregated(SlotTimeline.from_rates(rates), counts, _cfg())
 
 
-def test_drift_crossing_early_exit_equals_eighty_steps():
-    tl = SlotTimeline.from_rates(np.random.default_rng(3).uniform(0.0, 30.0, 500))
-    rng = np.random.default_rng(4)
-
-    def eighty_steps(t0, t1, needed, cum):
-        lo, hi = t0, t1
-        for _ in range(80):
-            mid = 0.5 * (lo + hi)
-            if cum(t0, mid) < needed:
-                lo = mid
-            else:
-                hi = mid
-        return hi
-
-    widths = np.concatenate([[1e-9, 1e-9, 1e-12], rng.uniform(0.0, 1e-6, 20), rng.uniform(0.0, 40.0, 200)])
-    for width in widths:
-        t0 = float(rng.uniform(0.0, tl.total_time - width))
-        t1 = t0 + float(width)
-        whole = tl.cumulative(t0, t1)
-        for needed in (whole, whole * float(rng.uniform(0.0, 1.0)), whole * 1e-9):
-            assert _drift_crossing(t0, t1, needed, tl.cumulative) == eighty_steps(t0, t1, needed, tl.cumulative)

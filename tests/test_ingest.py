@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+from dataclasses import replace
 from datetime import date, time, timedelta
 
 import pytest
@@ -50,6 +51,9 @@ def test_parse_daily_errors(tmp_path):
         parse_daily_csv(_write(tmp_path, "c.csv", "date,count\n2017-01-02,-5\n"))
     with pytest.raises(ParseError):
         parse_daily_csv(_write(tmp_path, "d.csv", "day,count\n2017-01-02,5\n"))
+    with pytest.raises(ParseError, match="no data rows") as err:
+        parse_daily_csv(_write(tmp_path, "e.csv", "date,count\n"))
+    assert err.value.line == 2
 
 
 def test_parse_slot_basic(tmp_path):
@@ -57,6 +61,12 @@ def test_parse_slot_basic(tmp_path):
     records = parse_slot_csv(p)
     assert records[0] == SlotRecord(date(2017, 1, 2), time(9, 0), 85)
     assert records[0].slot_index == 3
+    assert repr(records[0]) == "SlotRecord(date=datetime.date(2017, 1, 2), slot_start=datetime.time(9, 0), count=85)"
+    later = replace(records[0], slot_start=time(10, 30))
+    assert later.slot_index == 6 and later < SlotRecord(date(2017, 1, 2), time(11, 0), 0)
+    assert hash(later) == hash(SlotRecord(date(2017, 1, 2), time(10, 30), 85))
+    with pytest.raises(ValidationError, match="09:15"):
+        SlotRecord(date(2017, 1, 2), time(9, 15), 1)
 
 
 def test_parse_slot_errors(tmp_path):
@@ -64,12 +74,15 @@ def test_parse_slot_errors(tmp_path):
         parse_slot_csv(
             _write(tmp_path, "a.csv", "date,slot_start,count\n2017-01-02,09:00,85\n2017-01-02,09:00,86\n")
         )
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValidationError, match="^line 2: slot start 09:15"):
         parse_slot_csv(_write(tmp_path, "b.csv", "date,slot_start,count\n2017-01-02,09:15,85\n"))
     with pytest.raises(ValidationError):  # Saturday afternoon is off-grid
         parse_slot_csv(_write(tmp_path, "c.csv", "date,slot_start,count\n2017-01-07,14:00,5\n"))
     with pytest.raises(ValidationError):  # Sundays are closed
         parse_slot_csv(_write(tmp_path, "d.csv", "date,slot_start,count\n2017-01-08,09:00,5\n"))
+    with pytest.raises(ParseError, match="no data rows") as err:
+        parse_slot_csv(_write(tmp_path, "e.csv", "date,slot_start,count\n\n"))
+    assert err.value.line == 2
 
 
 def test_round_trip(tmp_path):

@@ -14,6 +14,7 @@ from seasonal_cusum.simulate import (
     ChangeSpec,
     ScenarioTransform,
     apply_scenario,
+    rng_for,
     simulate_events,
     simulate_slot_counts,
     slot_means_with_change,
@@ -196,3 +197,18 @@ def test_change_spec_validation():
     with pytest.raises(ValidationError, match="NaN"):
         ChangeSpec(theta=math.nan, rho=2.0)
     assert ChangeSpec().in_control
+
+
+def test_negative_seed_or_stream_key_is_refused():
+    tl = SlotTimeline.from_rates([3.0, 5.0])
+    for seed, stream in ((-1, ()), (-1, (0, 2)), (4, (-3, 0)), (4, (1, -1))):
+        with pytest.raises(ValidationError, match=f"seed {seed} "):
+            rng_for(seed, *stream)
+    with pytest.raises(ValidationError, match="seed -1 "):
+        simulate_slot_counts(tl, ChangeSpec(), seed=-1)
+    with pytest.raises(ValidationError, match="seed -7 "):
+        simulate_events(tl, ChangeSpec(), seed=-7, replication=2)
+    # Valid keys keep their streams.
+    for seed, stream in ((0, ()), (11, (3, 1)), (2**40, (7, 0))):
+        expected = np.random.default_rng(np.random.SeedSequence([seed, *stream])).random(4)
+        assert rng_for(seed, *stream).random(4).tolist() == expected.tolist()
