@@ -12,9 +12,10 @@ the batch runners are pinned to. `run_detector` calls `step_aggregated` for
 every record. `run_aggregated` runs one row of counts or a block of rows at
 once, one numpy step per slot across the rows with `step_aggregated`'s IEEE
 operations, so every row equals a `step_aggregated` loop bit for bit.
-`run_events` advances the statistic on plain floats with `step_events`'
-arithmetic and runs a slot where an alarm fires again through
-`step_events`, so its output equals a per-slot `step_events` loop bit for
+`run_events` takes Λ, every drift and the free walk u with its minimum
+from numpy, advances the reflected v alone in a float loop, and runs a slot
+where an alarm fires again through `step_events`, all with `step_events`'
+IEEE operations, so its output equals a per-slot `step_events` loop bit for
 bit.
 """
 
@@ -171,9 +172,12 @@ def step_events(
     the threshold.
     """
     t0, t1 = interval
+    times = list(event_times)
+    # NaN fails every comparison below, so it is rejected here first.
+    if not all(map(math.isfinite, [t0, t1, *times])):
+        raise ValidationError("interval bounds and event times must be finite")
     if t1 < t0:
         raise ValidationError("interval end precedes start")
-    times = list(event_times)
     if any(b < a for a, b in zip(times, times[1:])):
         raise ValidationError("event times must be sorted")
     if times and (times[0] < t0 or times[-1] > t1):
@@ -192,18 +196,21 @@ def step_events(
         # Decrease: upward drift can cross the threshold inside the segment.
         x = b * dlam
         m = config.threshold_m
-        if not (state.armed and state.v + x >= m):
-            return replace(state, v=state.v + x, u=state.u + x), None
-        # The rate is constant, so the drift is linear in time: m is reached
-        # the fraction needed / dlam of the way from a to t.
-        needed = (m - state.v) / b
-        t_star = a if needed <= 0 else min(t, a + (t - a) * (needed / dlam))
-        crossed, alarm = _resolve_alarm(replace(state, v=m, u=state.u + (m - state.v)), config, t_star)
-        if not config.reset_on_alarm:
-            return replace(crossed, v=state.v + x, u=state.u + x), alarm
-        # Re-armed at zero; remaining drift may cross again, fold it in recursively.
-        tail, later = drift(crossed, t_star, t)
-        return tail, alarm or later
+        first = None
+        while state.armed and state.v + x >= m:
+            # The rate is constant, so the drift is linear in time: m is
+            # reached the fraction needed / dlam of the way from a to t.
+            needed = (m - state.v) / b
+            t_star = a if needed <= 0 else min(t, a + (t - a) * (needed / dlam))
+            crossed, alarm = _resolve_alarm(replace(state, v=m, u=state.u + (m - state.v)), config, t_star)
+            first = first or alarm
+            if not config.reset_on_alarm:
+                return replace(crossed, v=state.v + x, u=state.u + x), first
+            # Re-armed at zero; the drift left from t_star may cross again.
+            state, a = crossed, t_star
+            dlam = cum_intensity(a, t)
+            x = b * dlam
+        return replace(state, v=state.v + x, u=state.u + x), first
 
     prev = t0
     for ev in times:
@@ -315,60 +322,46 @@ def run_aggregated(
     return runs if counts.ndim == 2 else runs[0]
 
 
-# Slots per block in `run_events`: Λ is evaluated with numpy one block at a
-# time, which keeps the float lists short.
+# Slots per block in `run_events`: Λ, the drifts and the free walk are
+# computed with numpy one block at a time, which bounds the arrays' size.
 _EVENT_BLOCK = 256
 
 
-def _event_slot(
-    v: float,
-    u: float,
-    u_min: float,
-    armed: bool,
-    lam_start: float,
-    lam_events: list[float],
-    lam_end: float,
-    b: float,
-    m: float,
-    increase: bool,
-) -> tuple[float, float, float] | None:
-    """`step_events` over one slot on floats, given Λ at its start, its events and its end.
-
-    Returns (v, u, u_min) at the slot end, or None where `step_events` would
-    raise an alarm in this slot.
-    """
-    prev = lam_start
-    if increase:
-        for lam in lam_events:
-            x = -b * (lam - prev)
-            u = u + x
-            v = max(0.0, v + x)
-            u_min = min(u_min, u)
-            u = u + 1.0
-            v = max(0.0, v + 1.0)
-            u_min = min(u_min, u)
-            if armed and v >= m:
-                return None
-            prev = lam
-        x = -b * (lam_end - prev)
-        u = u + x
-        return max(0.0, v + x), u, min(u_min, u)
-    for lam in lam_events:
-        x = b * (lam - prev)
-        if armed and v + x >= m:
-            return None
+def _v_up(v: float, drifts: list[float], end: float, m: float) -> float | None:
+    """v at the end of one increase slot, or None if a jump takes it to m."""
+    for x in drifts:
         v = v + x
-        u = u + x
-        u = u - 1.0
-        v = max(0.0, v - 1.0)
-        u_min = min(u_min, u)
-        if armed and v >= m:
+        # max(0.0, v) + 1.0: the reflection maps v <= 0, -0.0 and NaN to 0.0.
+        v = v + 1.0 if v > 0.0 else 1.0
+        if v >= m:
             return None
-        prev = lam
-    x = b * (lam_end - prev)
-    if armed and v + x >= m:
-        return None
-    return v + x, u + x, u_min
+    v = v + end
+    return v if v > 0.0 else 0.0
+
+
+def _v_down(v: float, drifts: list[float], end: float, m: float) -> float | None:
+    """v at the end of one decrease slot, or None if a drift takes it to m.
+
+    A jump cannot: fl(v + x) < m implies max(0.0, fl(fl(v + x) - 1.0)) < m.
+    """
+    for x in drifts:
+        v = v + x
+        if v >= m:
+            return None
+        # max(0.0, v - 1.0): fl(v - 1.0) > 0 exactly when v > 1.0.
+        v = v - 1.0 if v > 1.0 else 0.0
+    v = v + end
+    return None if v >= m else v
+
+
+def _walk(u: float, u_min: float, steps: np.ndarray, read: np.ndarray) -> tuple[float, float]:
+    """u after adding `steps` one at a time, and u_min over the partial sums where `read`.
+
+    `np.add.accumulate` is a strict left fold, so u is bitwise the float loop's.
+    """
+    walk = np.add.accumulate(np.concatenate([[u], steps]))
+    seen = walk[1:][read]
+    return float(walk[-1]), min(u_min, float(seen.min())) if seen.size else u_min
 
 
 def run_events(
@@ -382,11 +375,14 @@ def run_events(
     Event times must be finite, sorted and inside the timeline. Slot 0 takes
     the events in [start, end], every later slot those in (start, end].
 
-    Λ is evaluated with numpy at the event times and the slot bounds, and the
-    statistic advances on floats with `step_events`' arithmetic, so the cost
-    is linear in events and slots. A slot where an alarm fires is run again
-    through `step_events` from the state at its start; v, the alarms and the
-    final state equal a per-slot `step_events` loop bit for bit.
+    One block of `_EVENT_BLOCK` slots at a time, numpy evaluates Λ at the
+    event times and the slot bounds and every drift beta * dΛ with
+    `step_events`' IEEE operations. A float loop advances the reflected v
+    alone; the free walk u and its minimum are folded with numpy where they
+    are read, at a slot where an alarm fires and at the end of a block. That
+    slot is run again through `step_events` from the state at its start, so
+    v, the alarms and the final state equal a per-slot `step_events` loop
+    bit for bit, at a cost linear in events and slots.
     """
     times = np.asarray(event_times, dtype=float)
     if not np.all(np.isfinite(times)):
@@ -402,39 +398,61 @@ def run_events(
     if np.any(times[firsts[filled]] < timeline.starts[filled]):
         raise ValidationError("event times outside the interval")
     state = state or CusumState.initial(clock=float(timeline.starts[0]))
-    b, m, increase = config.beta, config.threshold_m, config.direction == INCREASE
-    v, u, u_min, n, armed = state.v, state.u, state.u_min, state.events_seen, state.armed
-    path = np.empty(len(timeline))
-    alarms = []
-    cuts = cuts.tolist()
-    lo = 0
+    increase = config.direction == INCREASE
+    coef, jump = (-config.beta, 1.0) if increase else (config.beta, -1.0)
+    slot_v = _v_up if increase else _v_down
+    v, u, u_min, seen, armed = state.v, state.u, state.u_min, state.events_seen, state.armed
+    path, alarms = [], []
     for first in range(0, len(timeline), _EVENT_BLOCK):
         stop = min(first + _EVENT_BLOCK, len(timeline))
-        base = lo
-        lam_events = timeline.cum_mean_at(times[base:cuts[stop - 1]]).tolist()
-        lam_starts = timeline.cum_mean_at(timeline.starts[first:stop]).tolist()
-        lam_ends = timeline.cum_mean_at(timeline.ends[first:stop]).tolist()
-        for i in range(first, stop):
-            hi = cuts[i]
-            end = _event_slot(
-                v, u, u_min, armed, lam_starts[i - first], lam_events[lo - base:hi - base], lam_ends[i - first],
-                b, m, increase,
-            )
+        slots = np.arange(stop - first)
+        base = int(firsts[first])
+        lo, hi, full = firsts[first:stop] - base, cuts[first:stop] - base, filled[first:stop]
+        lam = timeline.cum_mean_at(times[base:base + hi[-1]])
+        lam_starts = timeline.cum_mean_at(timeline.starts[first:stop])
+        # Each drift runs from the previous event of its slot, or the slot start.
+        prev = np.empty_like(lam)
+        prev[1:] = lam[:-1]
+        prev[lo[full]] = lam_starts[full]
+        last = lam_starts.copy()
+        last[full] = lam[hi[full] - 1]
+        drifts = coef * (lam - prev)
+        end_drifts = coef * (timeline.cum_mean_at(timeline.ends[first:stop]) - last)
+        # The free walk's increments in step_events' order: each event's drift
+        # and jump, then its slot's final drift. u_min reads every partial sum
+        # going up, only the post-jump ones going down.
+        at = 2 * np.arange(len(lam)) + np.repeat(slots, hi - lo)
+        ends_at = 2 * hi + slots
+        steps = np.empty(2 * len(lam) + len(slots))
+        steps[at], steps[at + 1], steps[ends_at] = drifts, jump, end_drifts
+        read = np.full(len(steps), increase)
+        read[at + 1] = True
+        drifts, end_drifts = drifts.tolist(), end_drifts.tolist()
+        lo, hi, ends_at = lo.tolist(), hi.tolist(), ends_at.tolist()
+        m = config.threshold_m if armed else math.inf  # disarmed: nothing fires
+        walked = 0
+        for k in range(len(slots)):
+            end = slot_v(v, drifts[lo[k]:hi[k]], end_drifts[k], m)
             if end is None:
-                # step_events sets the clock to the slot end itself.
-                state = replace(state, v=v, u=u, u_min=u_min, events_seen=n, armed=armed)
+                # An alarm fires in slot i: step_events runs it from its start.
+                i, begin = first + k, 2 * lo[k] + k
+                u, u_min = _walk(u, u_min, steps[walked:begin], read[walked:begin])
+                state = replace(state, v=v, u=u, u_min=u_min, events_seen=seen + base + lo[k], armed=armed)
                 interval = (float(timeline.starts[i]), float(timeline.ends[i]))
-                state, alarm = step_events(state, times[lo:hi].tolist(), config, interval, timeline.cumulative)
+                inside = times[base + lo[k]:base + hi[k]].tolist()
+                state, alarm = step_events(state, inside, config, interval, timeline.cumulative)
                 if alarm is not None:
                     alarms.append(alarm)
-                v, u, u_min, n, armed = state.v, state.u, state.u_min, state.events_seen, state.armed
+                v, u, u_min, armed = state.v, state.u, state.u_min, state.armed
+                m = config.threshold_m if armed else math.inf
+                walked = ends_at[k] + 1
             else:
-                v, u, u_min = end
-                n = n + (hi - lo)
-            path[i] = v
-            lo = hi
-    state = replace(state, v=v, u=u, u_min=u_min, events_seen=n, clock=float(timeline.ends[-1]), armed=armed)
-    return TimelineRun(v=path, alarms=alarms, state=state)
+                v = end
+            path.append(v)
+        u, u_min = _walk(u, u_min, steps[walked:], read[walked:])
+    seen = seen + len(times)
+    state = replace(state, v=v, u=u, u_min=u_min, events_seen=seen, clock=float(timeline.ends[-1]), armed=armed)
+    return TimelineRun(v=np.array(path), alarms=alarms, state=state)
 
 
 @dataclass(frozen=True)

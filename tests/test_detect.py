@@ -17,6 +17,7 @@ from seasonal_cusum.detect import (
     EVENT_TIMES,
     INCREASE,
     _EVENT_BLOCK,
+    AlarmEvent,
     CusumState,
     DetectorConfig,
     TimelineRun,
@@ -292,6 +293,38 @@ def test_step_events_integrates_once_per_segment_and_reset_crossing(reset):
     assert len(calls) == (2 if reset else 1)
 
 
+@pytest.mark.parametrize(
+    "rate, alarm_time, v, u, u_min",
+    [
+        (5000.0, 0.0002772588722239781, 0.7376022225469262, 3606.737602222547, 3606.0),
+        (500.0, 0.0027725887222397813, 0.673760222243615, 360.67376022224363, 360.0),
+    ],
+)
+def test_step_events_reset_crossings_in_one_drift(rate, alarm_time, v, u, u_min):
+    # beta(0.5) * rate crossings of m = 1 in one eventless slot: 3,606 of them
+    # at rate 5000, which once overflowed the stack as one recursion per crossing.
+    cfg = _cfg(rho=0.5, m=1.0, direction=DECREASE, mode=EVENT_TIMES)
+    run = run_events(SlotTimeline.from_rates([rate]), [], cfg)
+    assert run.alarms == [AlarmEvent(time=alarm_time, v_at_alarm=1.0, events_at_alarm=0, direction=DECREASE)]
+    assert run.state == CusumState(v=v, u=u, u_min=u_min, clock=1.0)
+    assert run.v.tolist() == [v]
+
+
+@pytest.mark.parametrize(
+    "events, interval",
+    [([math.nan], (0.0, 1.0)), ([0.5, math.inf], (0.0, 1.0)), ([], (0.0, math.nan)), ([0.5], (math.nan, 1.0))],
+    ids=["nan-event", "inf-event", "nan-end", "nan-start"],
+)
+@pytest.mark.parametrize("timeline", [False, True], ids=["callable", "timeline"])
+def test_step_events_rejects_non_finite_times(events, interval, timeline):
+    # A NaN reaching the reflection would silently reset v to zero.
+    tl = SlotTimeline.from_rates([2.0])
+    cum = tl.cumulative if timeline else lambda a, b: 2.0 * (b - a)
+    start = CusumState(v=5.0, u=5.0, u_min=0.0, clock=0.0)
+    with pytest.raises(ValidationError, match="finite"):
+        step_events(start, events, _cfg(mode=EVENT_TIMES), interval, cum)
+
+
 def _crossing_by_bisection(t0, t1, needed, cum):
     """Reference crossing: 80 halvings of [t0, t1] on the cumulative intensity."""
     lo, hi = np.asarray(t0, dtype=float), np.asarray(t1, dtype=float)
@@ -548,13 +581,29 @@ _event_configs = st.builds(
 )
 
 
-@settings(max_examples=80, deadline=None)
-@given(data=_events_on_timeline(), cfg=_event_configs)
-def test_run_events_equals_step_events_loop(data, cfg):
-    tl, times = data
-    run = run_events(tl, times, cfg)
+_states = st.builds(
+    lambda v, u, n, clock, armed: CusumState(v=v, u=u, u_min=u - v, events_seen=n, clock=clock, armed=armed),
+    st.floats(min_value=0.0, max_value=5.0),
+    st.floats(min_value=-10.0, max_value=10.0),
+    st.integers(0, 100),
+    st.floats(min_value=-5.0, max_value=0.0),
+    st.booleans(),
+)
 
-    state, v, alarms = CusumState.initial(clock=0.0), [], []
+
+@settings(max_examples=80, deadline=None)
+@given(
+    data=_events_on_timeline(),
+    cfg=_event_configs,
+    # u_min anywhere at or below u: run_events folds u and u_min apart from v
+    # and restarts the fold after every alarm.
+    start=st.none() | st.builds(lambda s, gap: replace(s, u_min=s.u - gap), _states, st.floats(0.0, 10.0)),
+)
+def test_run_events_equals_step_events_loop(data, cfg, start):
+    tl, times = data
+    run = run_events(tl, times, cfg, start)
+
+    state, v, alarms = start or CusumState.initial(clock=0.0), [], []
     for i in range(len(tl)):
         a, b = float(tl.starts[i]), float(tl.ends[i])
         inside = [t for t in times if (a <= t if i == 0 else a < t) and t <= b]
@@ -612,6 +661,19 @@ def _block_edge_events():
     return SlotTimeline.from_rates(rates), times.tolist()
 
 
+def _step_events_loop(tl, times, cfg, start=None):
+    """v at every slot end, the alarms and the final state of a per-slot `step_events` loop over sorted times."""
+    state, v, alarms, lo = start or CusumState.initial(clock=float(tl.starts[0])), [], [], 0
+    for i in range(len(tl)):
+        hi = bisect.bisect_right(times, float(tl.ends[i]))
+        state, alarm = step_events(state, times[lo:hi], cfg, (float(tl.starts[i]), float(tl.ends[i])), tl.cumulative)
+        v.append(state.v)
+        if alarm is not None:
+            alarms.append(alarm)
+        lo = hi
+    return v, alarms, state
+
+
 _RESUMED = CusumState(v=1.5, u=0.5, u_min=-1.0, events_seen=7, clock=-3.0)
 
 
@@ -624,14 +686,7 @@ def test_run_events_across_blocks_equals_step_events_loop(direction, reset, star
     cfg = _cfg(rho=1.3 if up else 0.7, m=3.0 if up else 2.0, direction=direction, mode=EVENT_TIMES, reset=reset)
     run = run_events(tl, times, cfg, start)
 
-    state, v, alarms, lo = start or CusumState.initial(clock=0.0), [], [], 0
-    for i in range(len(tl)):
-        hi = bisect.bisect_right(times, float(tl.ends[i]))
-        state, alarm = step_events(state, times[lo:hi], cfg, (float(tl.starts[i]), float(tl.ends[i])), tl.cumulative)
-        v.append(state.v)
-        if alarm is not None:
-            alarms.append(alarm)
-        lo = hi
+    v, alarms, state = _step_events_loop(tl, times, cfg, start)
     assert run.v.tolist() == v
     assert (run.alarms, run.state) == (alarms, state)
 
@@ -646,16 +701,6 @@ def test_run_events_across_blocks_equals_step_events_loop(direction, reset, star
                 and bisect.bisect_right(times, a.time) == bisect.bisect_right(times, math.ceil(a.time))
                 for a in alarms
             )
-
-
-_states = st.builds(
-    lambda v, u, n, clock, armed: CusumState(v=v, u=u, u_min=u - v, events_seen=n, clock=clock, armed=armed),
-    st.floats(min_value=0.0, max_value=5.0),
-    st.floats(min_value=-10.0, max_value=10.0),
-    st.integers(0, 100),
-    st.floats(min_value=-5.0, max_value=0.0),
-    st.booleans(),
-)
 
 
 def _run_key(run):
@@ -730,3 +775,41 @@ def test_run_aggregated_rejects_bad_records(rates, counts):
         run_aggregated(SlotTimeline.from_rates(rates), counts, _cfg())
 
 
+@pytest.mark.parametrize("gaps", [False, True], ids=["open-time", "overnight-gaps"])
+@pytest.mark.parametrize("reset", [True, False], ids=["reset", "no-reset"])
+@pytest.mark.parametrize("direction", [INCREASE, DECREASE])
+def test_run_events_on_calendar_equals_step_events_loop(truth_model, direction, reset, gaps):
+    # Three weeks of 2018 span two blocks of seasonal slot rates, with closed
+    # Sundays; m = 3 alarms every few slots in both directions. The gapped
+    # copy starts each day 1e-6 later, inside the timeline's contiguity
+    # tolerance, so no slot starts where the previous one ends.
+    tl = truth_model.timeline([date(2018, 1, 1) + timedelta(days=k) for k in range(21)])
+    if gaps:
+        day = (tl.days - tl.days[0]).astype(int)
+        tl = SlotTimeline(tl.starts + 1e-6 * day, tl.lengths, tl.rates, tl.days, tl.grid)
+        # 18 open days; rounding parts a few slots within a day as well.
+        assert np.count_nonzero(tl.starts[1:] > tl.ends[:-1]) >= 17
+    assert _EVENT_BLOCK < len(tl) < 2 * _EVENT_BLOCK
+    times = simulate_events(tl, seed=5).event_times.tolist()
+    up = direction == INCREASE
+    cfg = _cfg(rho=1.2 if up else 1 / 1.2, m=3.0, direction=direction, mode=EVENT_TIMES, reset=reset)
+    run = run_events(tl, times, cfg)
+
+    v, alarms, state = _step_events_loop(tl, times, cfg)
+    assert run.v.tolist() == v
+    assert (run.alarms, run.state) == (alarms, state)
+    if reset:
+        edge = tl.ends[_EVENT_BLOCK - 1]
+        assert sum(a.time < edge for a in alarms) > 20 and sum(a.time > edge for a in alarms) > 20
+
+
+def test_add_accumulate_is_a_left_fold():
+    # run_events folds the free walk u with np.add.accumulate and relies on it
+    # adding one step at a time, exactly as `u = u + x` in a loop.
+    rng = np.random.default_rng(3)
+    steps = rng.standard_normal(20_000) * 10.0 ** rng.integers(-8, 9, 20_000)
+    u, fold = 0.1, []
+    for x in steps.tolist():
+        u = u + x
+        fold.append(u)
+    assert np.add.accumulate(np.concatenate([[0.1], steps]))[1:].tolist() == fold
