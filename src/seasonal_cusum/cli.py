@@ -280,12 +280,7 @@ def cmd_evaluate(args) -> int:
         reset_on_alarm=args.reset_on_alarm,
     )
     report = worst_case_delay(
-        timeline,
-        rho=args.rho,
-        theta_grid=thetas,
-        config=config,
-        replications=args.replications,
-        seed=args.seed,
+        timeline, theta_grid=thetas, config=config, replications=args.replications, seed=args.seed
     )
     with _output(args, "evaluate") as out:
         write_delay_report_json(report, out / "delay_report.json")

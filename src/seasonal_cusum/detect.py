@@ -102,20 +102,20 @@ class AlarmEvent:
     direction: str = INCREASE
 
 
-def _resolve_alarm(state: CusumState, config: DetectorConfig, time: object) -> tuple[CusumState, AlarmEvent | None]:
-    if not (state.armed and state.v >= config.threshold_m):
-        return state, None
-    alarm = AlarmEvent(
-        time=time,
-        v_at_alarm=state.v,
-        events_at_alarm=state.events_seen,
-        direction=config.direction,
-    )
+def _alarm_rule(
+    v: float, u: float, u_min: float, seen: int, armed: bool, config: DetectorConfig, time: object
+) -> tuple[float, float, bool, AlarmEvent | None]:
+    """(v, u_min, armed, alarm) after the alarm rule at `time`.
+
+    An armed v at or over the threshold raises an alarm; with reset v then
+    restarts from 0 and u_min from u, without it the detector disarms.
+    """
+    if not (armed and v >= config.threshold_m):
+        return v, u_min, armed, None
+    alarm = AlarmEvent(time=time, v_at_alarm=v, events_at_alarm=seen, direction=config.direction)
     if config.reset_on_alarm:
-        state = replace(state, v=0.0, u_min=state.u, armed=True)
-    else:
-        state = replace(state, armed=False)
-    return state, alarm
+        return 0.0, u, True, alarm
+    return v, u_min, False, alarm
 
 
 def step_aggregated(
@@ -143,15 +143,10 @@ def step_aggregated(
     else:
         x = config.beta * lambda_increment - count
     u = state.u + x
-    new = CusumState(
-        v=max(0.0, state.v + x),
-        u=u,
-        u_min=min(state.u_min, u),
-        events_seen=state.events_seen + count,
-        clock=state.clock if clock is None else clock,
-        armed=state.armed,
-    )
-    return _resolve_alarm(new, config, new.clock)
+    seen = state.events_seen + count
+    clock = state.clock if clock is None else clock
+    v, u_min, armed, alarm = _alarm_rule(max(0.0, state.v + x), u, min(state.u_min, u), seen, state.armed, config, clock)
+    return CusumState(v=v, u=u, u_min=u_min, events_seen=seen, clock=clock, armed=armed), alarm
 
 
 def step_events(
@@ -183,54 +178,42 @@ def step_events(
     if times and (times[0] < t0 or times[-1] > t1):
         raise ValidationError("event times outside the interval")
 
-    b = config.beta
-    sign = 1.0 if config.direction == INCREASE else -1.0
-    first_alarm: AlarmEvent | None = None
-
-    def drift(state: CusumState, a: float, t: float) -> tuple[CusumState, AlarmEvent | None]:
+    b, m = config.beta, config.threshold_m
+    up = config.direction == INCREASE
+    jump = 1.0 if up else -1.0
+    v, u, u_min, seen, armed = state.v, state.u, state.u_min, state.events_seen, state.armed
+    first: AlarmEvent | None = None
+    # One drift per segment [t0, e1], ..., [en, t1], each but the last ending in a jump.
+    a = t0
+    for k, t in enumerate(times + [t1]):
         dlam = cum_intensity(a, t)
-        if config.direction == INCREASE:
+        if up:
             x = -b * dlam
-            u = state.u + x
-            return replace(state, v=max(0.0, state.v + x), u=u, u_min=min(state.u_min, u)), None
-        # Decrease: upward drift can cross the threshold inside the segment.
-        x = b * dlam
-        m = config.threshold_m
-        first = None
-        while state.armed and state.v + x >= m:
-            # The rate is constant, so the drift is linear in time: m is
-            # reached the fraction needed / dlam of the way from a to t.
-            needed = (m - state.v) / b
-            t_star = a if needed <= 0 else min(t, a + (t - a) * (needed / dlam))
-            crossed, alarm = _resolve_alarm(replace(state, v=m, u=state.u + (m - state.v)), config, t_star)
-            first = first or alarm
-            if not config.reset_on_alarm:
-                return replace(crossed, v=state.v + x, u=state.u + x), first
-            # Re-armed at zero; the drift left from t_star may cross again.
-            state, a = crossed, t_star
-            dlam = cum_intensity(a, t)
+            u = u + x
+            v, u_min = max(0.0, v + x), min(u_min, u)
+        else:
+            # Upward drift can cross the threshold inside the segment.
             x = b * dlam
-        return replace(state, v=state.v + x, u=state.u + x), first
-
-    prev = t0
-    for ev in times:
-        state, alarm = drift(state, prev, ev)
-        first_alarm = first_alarm or alarm
-        u = state.u + sign * 1.0
-        state = replace(
-            state,
-            v=max(0.0, state.v + sign * 1.0),
-            u=u,
-            u_min=min(state.u_min, u),
-            events_seen=state.events_seen + 1,
-        )
-        state, alarm = _resolve_alarm(state, config, ev)
-        first_alarm = first_alarm or alarm
-        prev = ev
-    state, alarm = drift(state, prev, t1)
-    first_alarm = first_alarm or alarm
-    state = replace(state, clock=t1)
-    return state, first_alarm
+            while armed and v + x >= m:
+                # The rate is constant, so the drift is linear in time: m is
+                # reached the fraction needed / dlam of the way from a to t.
+                needed = (m - v) / b
+                t_star = a if needed <= 0 else min(t, a + (t - a) * (needed / dlam))
+                u_star = u + (m - v)
+                v_reset, u_min, armed, alarm = _alarm_rule(m, u_star, u_min, seen, armed, config, t_star)
+                first = first or alarm
+                if config.reset_on_alarm:
+                    # Re-armed at zero; the drift left from t_star may cross again.
+                    v, u, a = v_reset, u_star, t_star
+                    dlam = cum_intensity(a, t)
+                    x = b * dlam
+            v, u = v + x, u + x
+        if k < len(times):
+            u, seen = u + jump, seen + 1
+            v, u_min, armed, alarm = _alarm_rule(max(0.0, v + jump), u, min(u_min, u), seen, armed, config, t)
+            first = first or alarm
+        a = t
+    return CusumState(v=v, u=u, u_min=u_min, events_seen=seen, clock=t1, armed=armed), first
 
 
 @dataclass

@@ -155,17 +155,19 @@ class DelayReport:
 
 def worst_case_delay(
     timeline: SlotTimeline,
-    rho: float,
     theta_grid: Sequence[float],
     config: DetectorConfig,
     replications: int = 200,
     seed: int = 0,
 ) -> DelayReport:
-    """Delay statistics across a grid of change times, plus in-control rates."""
+    """Delay statistics across a grid of change times, plus in-control rates.
+
+    The simulated change multiplies the rate by the detector's own `config.rho`.
+    """
     if not theta_grid:
         raise ValidationError("theta grid is empty")
     per_theta = [
-        detection_delay(timeline, ChangeSpec(theta=float(t), rho=rho), config, replications, seed)
+        detection_delay(timeline, ChangeSpec(theta=float(t), rho=config.rho), config, replications, seed)
         for t in theta_grid
     ]
     means = [d.mean_delay_events for d in per_theta if not math.isnan(d.mean_delay_events)]
@@ -184,7 +186,7 @@ def worst_case_delay(
         worst_case_max_delay_events=max(maxes) if maxes else math.nan,
         false_alarm_rate=alarm_count / (_IN_CONTROL_REPLICATIONS * timeline.total_time),
         exceedance_fraction=exceed_steps / total_steps if total_steps else math.nan,
-        rho=rho,
+        rho=config.rho,
     )
 
 

@@ -101,6 +101,10 @@ def design_matrix(metas: Sequence[DayMeta], factor_spec: frozenset[str]) -> tupl
     return X, feature_names(factor_spec)
 
 
+# The largest log mean whose exp is a finite float.
+_MAX_LOG_MEAN = math.log(np.finfo(float).max)
+
+
 @dataclass(frozen=True)
 class GlmModel:
     """Fitted log-link Poisson regression for daily totals."""
@@ -115,7 +119,11 @@ class GlmModel:
     n_iter: int = 0
 
     def predict_mean(self, meta: DayMeta) -> float:
-        return math.exp(float(encode_features(meta, self.factor_spec) @ self.coefficients))
+        eta = float(encode_features(meta, self.factor_spec) @ self.coefficients)
+        # NaN fails the comparison too.
+        if not eta <= _MAX_LOG_MEAN:
+            raise ValidationError(f"predicted daily mean for {meta.date} overflows a float (log mean {eta!r})")
+        return math.exp(eta)
 
 
 def bic_score(log_likelihood: float, k: int, n_obs: int) -> float:
@@ -280,8 +288,8 @@ class SlotProfile:
         if len(self.saturday_fractions) != SATURDAY_SLOT_COUNT:
             raise ValidationError(f"saturday profile needs {SATURDAY_SLOT_COUNT} fractions")
         for fr in (self.weekday_fractions, self.saturday_fractions):
-            if any(f < 0 for f in fr) or abs(sum(fr) - 1.0) > 1e-9:
-                raise ValidationError("profile fractions must be nonnegative and sum to 1")
+            if not all(0 <= f < math.inf for f in fr) or abs(sum(fr) - 1.0) > 1e-9:
+                raise ValidationError("profile fractions must be finite, nonnegative and sum to 1")
 
     @classmethod
     def uniform(cls) -> "SlotProfile":

@@ -33,8 +33,9 @@ class SlotTimeline:
             raise ValidationError("timeline must contain at least one slot")
         if not len(self.starts) == len(self.lengths) == len(self.rates):
             raise ValidationError("slot starts, lengths and rates must have one entry per slot")
-        if np.any(self.lengths <= 0) or np.any(self.rates < 0):
-            raise ValidationError("slot lengths must be positive and rates nonnegative")
+        # NaN fails the rate comparisons too.
+        if np.any(self.lengths <= 0) or not np.all((self.rates >= 0) & (self.rates < np.inf)):
+            raise ValidationError("slot lengths must be positive and rates nonnegative and finite")
         self.ends = self.starts + self.lengths
         if not np.allclose(self.starts[1:], self.ends[:-1]):
             raise ValidationError("timeline slots must be contiguous")

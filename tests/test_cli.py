@@ -327,6 +327,37 @@ def test_detect_with_nan_model_coefficient_is_input_error(workspace, tmp_path):
     assert rc == EXIT_INPUT
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["calibrate", "--rho", "1.2", "--pi", "50", "--start-date", "2018-01-01", "--days", "7", "--replications", "100"],
+        ["simulate", "--start-date", "2018-01-01", "--days", "7"],
+        ["detect", "--series", "{series}", "--rho", "1.2", "--m", "10"],
+        ["evaluate", "--rho", "1.5", "--m", "20", "--theta-grid", "40.0", "--start-date", "2018-01-01", "--days", "7"],
+    ],
+    ids=["calibrate", "simulate", "detect", "evaluate"],
+)
+@pytest.mark.parametrize("case", ["nan-fraction", "overflowing-coefficient"])
+def test_non_finite_intensity_is_input_error(workspace, tmp_path, capsys, case, argv):
+    doc = json.loads(workspace["model"].read_text())
+    if case == "nan-fraction":
+        doc["profile"]["weekday_fractions"][3] = float("nan")
+        message = "profile fractions must be finite"
+    else:
+        doc["glm"]["coefficients"][0] = 1000.0
+        message = "predicted daily mean for 2018-01-0"
+    bad = tmp_path / "model.json"
+    bad.write_text(json.dumps(doc))
+    series = tmp_path / "series.csv"
+    series.write_text("date,slot_start,count\n2018-01-08,07:30,3\n")
+    out = tmp_path / "out"
+    argv = [argv[0], "--model", str(bad), *(a.format(series=series) for a in argv[1:])]
+    assert main([*argv, "--out", str(out)]) == EXIT_INPUT
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and message in err[0], err
+    assert not out.exists()
+
+
 def test_double_sided_detect_outputs(workspace, tmp_path):
     sim_dir = tmp_path / "sim"
     main(

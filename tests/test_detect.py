@@ -310,6 +310,59 @@ def test_step_events_reset_crossings_in_one_drift(rate, alarm_time, v, u, u_min)
     assert run.v.tolist() == [v]
 
 
+# Dyadic rates and event times, no random draws. Increase alarms fire at a jump
+# (1.25, 4.0); a decrease alarm crosses mid-drift at 0.35 before the events of
+# slot 0, and slot 2's drift of 8β ≈ 5.8 crosses m = 1 several times before its
+# boundary event at 3.0. Events at 1.0, 3.0 and 4.0 sit on slot ends.
+_PIN_TL = SlotTimeline.from_rates([2.0, 0.25, 8.0, 1.0])
+_PIN_TIMES = [0.5, 1.0, 1.125, 1.25, 1.375, 1.5, 3.0, 3.5, 3.75, 4.0]
+_PIN_COUNTS = [2, 4, 1, 3]
+_PIN_START = CusumState(v=0.5, u=0.5, u_min=0.0, clock=0.0)
+_UP_V, _UP_U, _UP_AGG_U = 2.5573049591110366, -5.7303192100008395, -5.730319210000838
+_DOWN_V, _DOWN_U, _DOWN_AGG_V = 2.5822961240558957, -1.3848403949995807, 2.4921276840003355
+# Exact results, so a change to the step functions' float operations shows:
+# (alarms as (time, v_at_alarm, events_at_alarm), v, u, u_min, armed), keyed by
+# direction, reset, armed start and runner.
+_PINNED = {
+    (INCREASE, True, True, "events"): ([(1.25, 2.9098315599444398, 4), (4.0, 2.5573049591110366, 10)], 0.0, _UP_U, _UP_U, True),
+    (INCREASE, True, True, "aggregated"): ([(2.0, 3.639326239777759, 6)], 1.5573049591110366, _UP_AGG_U, -7.287624169111875, True),
+    (INCREASE, False, True, "events"): ([(1.25, 2.9098315599444398, 4)], _UP_V, _UP_U, -8.287624169111876, False),
+    (INCREASE, False, True, "aggregated"): ([(2.0, 3.639326239777759, 6)], 1.5573049591110366, _UP_AGG_U, -7.287624169111875, False),
+    (INCREASE, True, False, "events"): ([], _UP_V, _UP_U, -8.287624169111876, False),
+    (INCREASE, True, False, "aggregated"): ([], 1.5573049591110366, _UP_AGG_U, -7.287624169111875, False),
+    (INCREASE, False, False, "events"): ([], _UP_V, _UP_U, -8.287624169111876, False),
+    (INCREASE, False, False, "aggregated"): ([], 1.5573049591110366, _UP_AGG_U, -7.287624169111875, False),
+    (DECREASE, True, True, "events"): (
+        [(0.34657359027997264, 1.0, 0), (2.1576617951399863, 1.0, 6)], 0.0, -1.3848403949995811, -1.3848403949995811, True
+    ),
+    (DECREASE, True, True, "aggregated"): ([(3.0, 4.7707801635558535, 7)], 0.0, _DOWN_U, _DOWN_U, True),
+    (DECREASE, False, True, "events"): ([(0.34657359027997264, 1.0, 0)], _DOWN_V, _DOWN_U, -3.9671365190554764, False),
+    (DECREASE, False, True, "aggregated"): ([(3.0, 4.7707801635558535, 7)], _DOWN_AGG_V, _DOWN_U, -3.876968078999916, False),
+    (DECREASE, True, False, "events"): ([], _DOWN_V, _DOWN_U, -3.9671365190554764, False),
+    (DECREASE, True, False, "aggregated"): ([], _DOWN_AGG_V, _DOWN_U, -3.876968078999916, False),
+    (DECREASE, False, False, "events"): ([], _DOWN_V, _DOWN_U, -3.9671365190554764, False),
+    (DECREASE, False, False, "aggregated"): ([], _DOWN_AGG_V, _DOWN_U, -3.876968078999916, False),
+}
+
+
+@pytest.mark.parametrize("armed", [True, False], ids=["armed", "disarmed"])
+@pytest.mark.parametrize("reset", [True, False], ids=["reset", "no-reset"])
+@pytest.mark.parametrize("direction", [INCREASE, DECREASE])
+def test_step_functions_equal_pinned_results(direction, reset, armed):
+    up = direction == INCREASE
+    cfg = _cfg(rho=2.0 if up else 0.5, m=2.5 if up else 1.0, direction=direction, mode=EVENT_TIMES, reset=reset)
+    start = replace(_PIN_START, armed=armed)
+    run = run_events(_PIN_TL, _PIN_TIMES, cfg, start)
+    state, alarms = start, []
+    for count, lam, end in zip(_PIN_COUNTS, _PIN_TL.means.tolist(), _PIN_TL.ends.tolist()):
+        state, alarm = step_aggregated(state, count, lam, cfg, clock=end)
+        alarms += [alarm] if alarm is not None else []
+    for runner, (got_alarms, got) in {"events": (run.alarms, run.state), "aggregated": (alarms, state)}.items():
+        times, v, u, u_min, still_armed = _PINNED[direction, reset, armed, runner]
+        assert got_alarms == [AlarmEvent(time=t, v_at_alarm=level, events_at_alarm=n, direction=direction) for t, level, n in times]
+        assert got == CusumState(v=v, u=u, u_min=u_min, events_seen=10, clock=4.0, armed=still_armed)
+
+
 @pytest.mark.parametrize(
     "events, interval",
     [([math.nan], (0.0, 1.0)), ([0.5, math.inf], (0.0, 1.0)), ([], (0.0, math.nan)), ([0.5], (math.nan, 1.0))],

@@ -86,7 +86,7 @@ def test_delay_aggregated_mode():
 
 def test_worst_case_single_point_grid():
     tl = SlotTimeline.from_rates([5.0] * 40)
-    report = worst_case_delay(tl, rho=2.0, theta_grid=[10.0], config=_cfg(2.0, 6.0), replications=100, seed=3)
+    report = worst_case_delay(tl, theta_grid=[10.0], config=_cfg(2.0, 6.0), replications=100, seed=3)
     assert report.worst_case_delay_events == report.per_theta[0].mean_delay_events
     assert report.worst_case_max_delay_events == report.per_theta[0].max_delay_events
     assert 0.0 <= report.exceedance_fraction <= 1.0
@@ -95,7 +95,7 @@ def test_worst_case_single_point_grid():
 def test_worst_case_homogeneous_rate_theta_invariant():
     tl = SlotTimeline.from_rates([5.0] * 60)
     report = worst_case_delay(
-        tl, rho=2.0, theta_grid=[10.0, 30.0, 50.0], config=_cfg(2.0, 6.0), replications=200, seed=17
+        tl, theta_grid=[10.0, 30.0, 50.0], config=_cfg(2.0, 6.0), replications=200, seed=17
     )
     means = [d.mean_delay_events for d in report.per_theta]
     ses = [d.stderr for d in report.per_theta]
@@ -106,14 +106,14 @@ def test_worst_case_homogeneous_rate_theta_invariant():
 def test_worst_case_empty_grid():
     tl = SlotTimeline.from_rates([5.0] * 10)
     with pytest.raises(ValidationError):
-        worst_case_delay(tl, rho=2.0, theta_grid=[], config=_cfg(2.0, 6.0))
+        worst_case_delay(tl, theta_grid=[], config=_cfg(2.0, 6.0))
 
 
 def test_report_serialization(tmp_path):
     from seasonal_cusum.evaluate import write_delay_report_json, write_delay_table_csv
 
     tl = SlotTimeline.from_rates([5.0] * 30)
-    report = worst_case_delay(tl, rho=2.0, theta_grid=[5.0, 15.0], config=_cfg(2.0, 6.0), replications=60, seed=2)
+    report = worst_case_delay(tl, theta_grid=[5.0, 15.0], config=_cfg(2.0, 6.0), replications=60, seed=2)
     write_delay_report_json(report, tmp_path / "r.json")
     write_delay_table_csv(report, tmp_path / "r.csv")
     import json
@@ -132,14 +132,14 @@ def test_fewer_than_one_replication_is_rejected():
         with pytest.raises(ValidationError, match="replications"):
             detection_delay(tl, ChangeSpec(theta=3.0, rho=2.0), cfg, replications=reps)
         with pytest.raises(ValidationError, match="replications"):
-            worst_case_delay(tl, rho=2.0, theta_grid=[3.0], config=cfg, replications=reps)
+            worst_case_delay(tl, theta_grid=[3.0], config=cfg, replications=reps)
 
 
-def _reference_report(tl, rho, thetas, config, replications, seed):
+def _reference_report(tl, thetas, config, replications, seed):
     """Aggregated-mode `worst_case_delay`, one path and one 1-D `run_aggregated` call per replication."""
     per_theta = []
     for theta in thetas:
-        change = ChangeSpec(theta=theta, rho=rho)
+        change = ChangeSpec(theta=theta, rho=config.rho)
         delays, time_delays = [], []
         for rep in range(replications):
             path = simulate_slot_counts(tl, change, seed, rep)
@@ -178,7 +178,7 @@ def _reference_report(tl, rho, thetas, config, replications, seed):
         worst_case_max_delay_events=max(maxes) if maxes else math.nan,
         false_alarm_rate=alarms / (_IN_CONTROL_REPLICATIONS * tl.total_time),
         exceedance_fraction=exceed / steps,
-        rho=rho,
+        rho=config.rho,
     )
 
 
@@ -193,6 +193,6 @@ def test_aggregated_worst_case_equals_per_replication_loop(rho, m, reset):
         rho=rho, threshold_m=m, direction="increase" if rho > 1 else DECREASE, mode=AGGREGATED_COUNTS, reset_on_alarm=reset
     )
     reps = _AGGREGATED_BLOCK + 9  # one full block and a partial one
-    args = (tl, rho, [0.75, 4.0, 10.9], cfg, reps, 23)
-    got = worst_case_delay(*args[:4], replications=reps, seed=23)
+    args = (tl, [0.75, 4.0, 10.9], cfg, reps, 23)
+    got = worst_case_delay(*args[:3], replications=reps, seed=23)
     assert repr(got.to_dict()) == repr(_reference_report(*args).to_dict())

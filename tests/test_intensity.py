@@ -243,6 +243,15 @@ def test_profile_fractions_validation():
         SlotProfile(weekday_fractions=tuple([0.5] * 22), saturday_fractions=tuple([0.1] * 10))
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_profile_fractions_must_be_finite(bad):
+    # NaN fails both the sign and the sum test, so it needs its own.
+    weekday = list(SlotProfile.uniform().weekday_fractions)
+    weekday[3] = bad
+    with pytest.raises(ValidationError, match="finite"):
+        SlotProfile(weekday_fractions=tuple(weekday), saturday_fractions=SlotProfile.uniform().saturday_fractions)
+
+
 # --- quartile diagnostic --------------------------------------------------------
 
 def test_quartiles_identical_shape_agree():
@@ -400,6 +409,19 @@ def test_model_with_nan_coefficient_rejected_at_load(truth_model):
     doc["glm"]["coefficients"][1] = math.nan
     with pytest.raises(ValidationError):
         IntensityModel.from_dict(doc)
+
+
+def test_overflowing_daily_mean_names_the_date(truth_model):
+    coefficients = truth_model.glm.coefficients.copy()
+    coefficients[0] = 1000.0
+    model = replace(truth_model, glm=replace(truth_model.glm, coefficients=coefficients))
+    d = date(2018, 1, 3)
+    for call in (model.daily_mean, model.slot_rates, lambda d: model.slot_rate(d, 0), lambda d: model.timeline([d])):
+        with pytest.raises(ValidationError, match="2018-01-03 overflows a float"):
+            call(d)
+    # A finite mean as large as a float holds still passes.
+    coefficients[0] -= 1000.0 - 700.0
+    assert math.isfinite(replace(model, glm=replace(model.glm, coefficients=coefficients)).daily_mean(d))
 
 
 def test_fit_intensity_model_report(train_dataset):

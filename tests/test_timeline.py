@@ -50,6 +50,12 @@ def test_rejects_gaps_and_empty():
         SlotTimeline([0.0, 2.0], [1.0, 1.0], [5.0, 5.0])
 
 
+@pytest.mark.parametrize("rate", [float("nan"), float("inf"), -1.0])
+def test_rejects_rates_that_are_negative_or_not_finite(rate):
+    with pytest.raises(ValidationError, match="rates nonnegative and finite"):
+        SlotTimeline.from_rates([5.0, rate])
+
+
 def test_out_of_range_raises():
     tl = SlotTimeline.from_rates([1.0, 2.0])
     with pytest.raises(CoverageError):
