@@ -8,15 +8,17 @@ factor rho; an alarm fires at the first passage over the threshold.
 Aggregated counts drive the same statistic interval by interval.
 
 `step_aggregated` and `step_events` are the streaming API and the reference
-the batch runners are pinned to. `run_detector` calls `step_aggregated` for
-every record. `run_aggregated` runs one row of counts or a block of rows at
-once, one numpy step per slot across the rows with `step_aggregated`'s IEEE
-operations, so every row equals a `step_aggregated` loop bit for bit.
-`run_events` takes Λ, every drift and the free walk u with its minimum
-from numpy, advances the reflected v alone in a float loop, and runs a slot
-where an alarm fires again through `step_events`, all with `step_events`'
-IEEE operations, so its output equals a per-slot `step_events` loop bit for
-bit.
+the batch runners are pinned to. `run_detector` advances plain floats over
+its records with `step_aggregated`'s checks and IEEE operations and builds
+one state per call. `run_aggregated` runs one row of counts or a block of
+rows at once, one numpy step per slot across the rows with
+`step_aggregated`'s IEEE operations, so every row equals a
+`step_aggregated` loop bit for bit. `run_events` takes Λ, every drift and
+the free walk u with its minimum from numpy, advances the reflected v alone
+in a float loop, and runs a slot where an alarm fires again through
+`step_events` with that slot's intensity integral in plain floats, all with
+`step_events`' IEEE operations, so its output equals a per-slot
+`step_events` loop bit for bit.
 """
 
 from __future__ import annotations
@@ -347,6 +349,26 @@ def _walk(u: float, u_min: float, steps: np.ndarray, read: np.ndarray) -> tuple[
     return float(walk[-1]), min(u_min, float(seen.min())) if seen.size else u_min
 
 
+def _slot_cumulative(timeline: SlotTimeline, i: int) -> Callable[[float, float], float]:
+    """`timeline.cumulative` on slot i's [start, end], bit for bit, without numpy lookups.
+
+    `cum_mean_at` reads the last slot starting at or before t, which is slot
+    i + 1 from that slot's start on (its start may equal slot i's end); any
+    further slot starting inside slot i falls back to `timeline.cumulative`.
+    """
+    j = int(np.searchsorted(timeline.starts, timeline.ends[i], side="right")) - 1
+    if j > i + 1:
+        return timeline.cumulative
+    s0, r0, c0 = float(timeline.starts[i]), float(timeline.rates[i]), float(timeline.cum_means[i])
+    s1, r1, c1 = float(timeline.starts[j]), float(timeline.rates[j]), float(timeline.cum_means[j])
+
+    def cum_mean_at(t: float) -> float:
+        return c1 + r1 * (t - s1) if t >= s1 else c0 + r0 * (t - s0)
+
+    # step_events asks for [a, b] with a <= b only.
+    return lambda a, b: cum_mean_at(b) - cum_mean_at(a)
+
+
 def run_events(
     timeline: SlotTimeline,
     event_times: Sequence[float],
@@ -423,7 +445,7 @@ def run_events(
                 state = replace(state, v=v, u=u, u_min=u_min, events_seen=seen + base + lo[k], armed=armed)
                 interval = (float(timeline.starts[i]), float(timeline.ends[i]))
                 inside = times[base + lo[k]:base + hi[k]].tolist()
-                state, alarm = step_events(state, inside, config, interval, timeline.cumulative)
+                state, alarm = step_events(state, inside, config, interval, _slot_cumulative(timeline, i))
                 if alarm is not None:
                     alarms.append(alarm)
                 v, u, u_min, armed = state.v, state.u, state.u_min, state.armed
@@ -465,19 +487,35 @@ def run_detector(
     Records are processed in time order; dates absent from the series
     (gaps, closed days) leave the state untouched. A record on a closed slot
     has a zero intensity increment.
+
+    Each record takes `step_aggregated`'s checks and IEEE operations on
+    plain floats, so the records, alarms and final state equal a
+    `step_aggregated` loop bit for bit.
     """
     state = state or CusumState.initial()
+    up, b = config.direction == INCREASE, config.beta
+    v, u, u_min, seen, clock, armed = state.v, state.u, state.u_min, state.events_seen, state.clock, state.armed
     steps, alarms = [], []
     for rec in sorted(series):
+        count = rec.count
         dlam = model.slot_rate(rec.date, rec.slot_index)
         clock = slot_timestamp(rec.date, rec.slot_index, end=True)
-        state, alarm = step_aggregated(state, rec.count, dlam, config, clock=clock)
+        # step_aggregated's checks; NaN fails every comparison.
+        if not count >= 0 or count % 1:
+            raise ValidationError(f"count must be a nonnegative integer, got {count}")
+        if not (0 <= dlam < math.inf):
+            raise ValidationError(f"intensity increment must be nonnegative and finite, got {dlam}")
+        n = int(count)
+        x = n - b * dlam if up else b * dlam - n
+        u = u + x
+        seen = seen + n
+        level = max(0.0, v + x)
+        v, u_min, armed, alarm = _alarm_rule(level, u, min(u_min, u), seen, armed, config, clock)
         # V is the pre-reset level where an alarm fires, so the path shows the actual excursion.
-        v = alarm.v_at_alarm if alarm is not None else state.v
-        steps.append(StepRecord(timestamp=clock, v=v, lambda_increment=dlam, count=rec.count, alarm=alarm is not None))
+        steps.append(StepRecord(clock, level, dlam, count, alarm is not None))
         if alarm is not None:
             alarms.append(alarm)
-    return DetectorRun(records=steps, alarms=alarms, state=state)
+    return DetectorRun(steps, alarms, CusumState(v, u, u_min, seen, clock, armed))
 
 
 def double_sided_run(

@@ -103,6 +103,9 @@ def design_matrix(metas: Sequence[DayMeta], factor_spec: frozenset[str]) -> tupl
 
 # The largest log mean whose exp is a finite float.
 _MAX_LOG_MEAN = math.log(np.finfo(float).max)
+# numpy's Poisson sampler refuses a mean above this (POISSON_LAM_MAX in
+# numpy.random), and simulation and calibration draw every count from it.
+_MAX_MEAN = float(np.iinfo(np.int64).max - 10 * np.sqrt(np.iinfo(np.int64).max))
 
 
 @dataclass(frozen=True)
@@ -120,10 +123,13 @@ class GlmModel:
 
     def predict_mean(self, meta: DayMeta) -> float:
         eta = float(encode_features(meta, self.factor_spec) @ self.coefficients)
-        # NaN fails the comparison too.
-        if not eta <= _MAX_LOG_MEAN:
-            raise ValidationError(f"predicted daily mean for {meta.date} overflows a float (log mean {eta!r})")
-        return math.exp(eta)
+        # NaN fails the comparisons too.
+        mean = math.exp(eta) if eta <= _MAX_LOG_MEAN else math.inf
+        if not mean <= _MAX_MEAN:
+            raise ValidationError(
+                f"predicted daily mean for {meta.date} is past numpy's Poisson limit {_MAX_MEAN:.4g} (log mean {eta!r})"
+            )
+        return mean
 
 
 def bic_score(log_likelihood: float, k: int, n_obs: int) -> float:

@@ -337,14 +337,15 @@ def test_detect_with_nan_model_coefficient_is_input_error(workspace, tmp_path):
     ],
     ids=["calibrate", "simulate", "detect", "evaluate"],
 )
-@pytest.mark.parametrize("case", ["nan-fraction", "overflowing-coefficient"])
+@pytest.mark.parametrize("case", ["nan-fraction", "overflowing-coefficient", "past-poisson-limit"])
 def test_non_finite_intensity_is_input_error(workspace, tmp_path, capsys, case, argv):
     doc = json.loads(workspace["model"].read_text())
     if case == "nan-fraction":
         doc["profile"]["weekday_fractions"][3] = float("nan")
         message = "profile fractions must be finite"
     else:
-        doc["glm"]["coefficients"][0] = 1000.0
+        # exp(1000) overflows a float; exp(100) is finite but past numpy's Poisson limit.
+        doc["glm"]["coefficients"][0] = 1000.0 if case == "overflowing-coefficient" else 100.0
         message = "predicted daily mean for 2018-01-0"
     bad = tmp_path / "model.json"
     bad.write_text(json.dumps(doc))

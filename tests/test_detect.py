@@ -590,12 +590,23 @@ _configs = st.builds(
 )
 
 
-@settings(max_examples=60, deadline=None)
-@given(series=_calendar_series(), cfg=_configs)
-def test_run_detector_chunked_equals_batch_equals_step_loop(truth_model, series, cfg):
-    batch = run_detector(series, truth_model, cfg)
+_states = st.builds(
+    lambda v, u, n, clock, armed: CusumState(v=v, u=u, u_min=u - v, events_seen=n, clock=clock, armed=armed),
+    st.floats(min_value=0.0, max_value=5.0),
+    st.floats(min_value=-10.0, max_value=10.0),
+    st.integers(0, 100),
+    st.floats(min_value=-5.0, max_value=0.0),
+    st.booleans(),
+)
 
-    state, records, alarms = CusumState.initial(), [], []
+
+@settings(max_examples=60, deadline=None)
+# Resumed and disarmed starts with any clock: run_detector reads every field of the state.
+@given(series=_calendar_series(), cfg=_configs, start=_states)
+def test_run_detector_chunked_equals_batch_equals_step_loop(truth_model, series, cfg, start):
+    batch = run_detector(series, truth_model, cfg, start)
+
+    state, records, alarms = start, [], []
     for d in sorted({r.date for r in series}):
         day = run_detector([r for r in series if r.date == d], truth_model, cfg, state)
         state = day.state
@@ -603,7 +614,7 @@ def test_run_detector_chunked_equals_batch_equals_step_loop(truth_model, series,
         alarms += day.alarms
     assert (records, alarms, state) == (batch.records, batch.alarms, batch.state)
 
-    oracle, oracle_v, oracle_alarms = CusumState.initial(), [], []
+    oracle, oracle_v, oracle_alarms = start, [], []
     for rec in sorted(series):
         dlam = truth_model.slot_rate(rec.date, rec.slot_index)
         end = slot_timestamp(rec.date, rec.slot_index, end=True)
@@ -613,6 +624,17 @@ def test_run_detector_chunked_equals_batch_equals_step_loop(truth_model, series,
             oracle_alarms.append(alarm)
     assert [r.v for r in batch.records] == oracle_v
     assert (batch.alarms, batch.state) == (oracle_alarms, oracle)
+
+
+@pytest.mark.parametrize("count", [-1, 2.5, math.nan])
+def test_run_detector_rejects_counts_as_step_aggregated_does(truth_model, count):
+    cfg = _cfg()
+    with pytest.raises(ValidationError) as expected:
+        step_aggregated(CusumState.initial(), count, 1.0, cfg)
+    records = [SlotRecord(date(2018, 1, 8), slot_start(0), 3), SlotRecord(date(2018, 1, 8), slot_start(1), count)]
+    with pytest.raises(ValidationError) as raised:
+        run_detector(records, truth_model, cfg)
+    assert str(raised.value) == str(expected.value) == f"count must be a nonnegative integer, got {count}"
 
 
 # Unit slots from 0: slot i covers [i, i + 1], so integer times sit on boundaries.
@@ -630,16 +652,6 @@ _event_configs = st.builds(
     ),
     st.booleans(),
     st.floats(min_value=0.5, max_value=6.0),
-    st.booleans(),
-)
-
-
-_states = st.builds(
-    lambda v, u, n, clock, armed: CusumState(v=v, u=u, u_min=u - v, events_seen=n, clock=clock, armed=armed),
-    st.floats(min_value=0.0, max_value=5.0),
-    st.floats(min_value=-10.0, max_value=10.0),
-    st.integers(0, 100),
-    st.floats(min_value=-5.0, max_value=0.0),
     st.booleans(),
 )
 

@@ -417,11 +417,17 @@ def test_overflowing_daily_mean_names_the_date(truth_model):
     model = replace(truth_model, glm=replace(truth_model.glm, coefficients=coefficients))
     d = date(2018, 1, 3)
     for call in (model.daily_mean, model.slot_rates, lambda d: model.slot_rate(d, 0), lambda d: model.timeline([d])):
-        with pytest.raises(ValidationError, match="2018-01-03 overflows a float"):
+        with pytest.raises(ValidationError, match="2018-01-03 is past numpy's Poisson limit"):
             call(d)
-    # A finite mean as large as a float holds still passes.
-    coefficients[0] -= 1000.0 - 700.0
-    assert math.isfinite(replace(model, glm=replace(model.glm, coefficients=coefficients)).daily_mean(d))
+
+    def with_mean(target):
+        coefficients[0] = truth_model.glm.coefficients[0] + math.log(target / truth_model.daily_mean(d))
+        return replace(model, glm=replace(model.glm, coefficients=coefficients))
+
+    # numpy's Poisson limit is about 9.2e18: a mean just under it passes and can be sampled, one just over fails.
+    np.random.default_rng(0).poisson(with_mean(9.2e18).daily_mean(d))
+    with pytest.raises(ValidationError, match="2018-01-03 is past numpy's Poisson limit"):
+        with_mean(9.3e18).daily_mean(d)
 
 
 def test_fit_intensity_model_report(train_dataset):
