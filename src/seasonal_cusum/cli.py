@@ -16,7 +16,6 @@ import shutil
 import sys
 import tempfile
 from contextlib import contextmanager
-from dataclasses import replace
 from datetime import date, datetime, timedelta
 from pathlib import Path
 
@@ -140,20 +139,17 @@ def cmd_fit(args) -> int:
     return EXIT_OK
 
 
-def _detector_config(args, direction: str, threshold: float) -> DetectorConfig:
-    rho = args.rho if direction == INCREASE else 1.0 / args.rho
-    return DetectorConfig(
-        rho=rho,
-        threshold_m=threshold,
-        direction=direction,
-        mode=AGGREGATED_COUNTS,
-        reset_on_alarm=args.reset_on_alarm,
-    )
+def _detector(rho: float, threshold: float, mode: str, reset_on_alarm: bool = True) -> DetectorConfig:
+    """The detector for a change by the factor rho: an increase above 1, a decrease below."""
+    direction = INCREASE if rho > 1 else DECREASE
+    return DetectorConfig(rho=rho, threshold_m=threshold, direction=direction, mode=mode, reset_on_alarm=reset_on_alarm)
 
 
-def _calibrate(args, timeline: SlotTimeline, direction: str) -> CalibrationResult:
-    config = replace(_detector_config(args, direction, 1.0), mode=EVENT_TIMES)
-    target = CalibrationTarget(pi=args.pi, replications=args.replications)
+def _calibrate(
+    args, timeline: SlotTimeline, config: DetectorConfig, horizon_cap: float | None = None
+) -> CalibrationResult:
+    """The threshold for the false-alarm budget --pi, from --replications paths seeded by --seed."""
+    target = CalibrationTarget(pi=args.pi, replications=args.replications, horizon_cap=horizon_cap)
     return calibrate_threshold(timeline, config, target, seed=args.seed)
 
 
@@ -163,33 +159,29 @@ def cmd_detect(args) -> int:
     if args.scenario == POSTPONE_THIRD_TUESDAY:
         series = apply_scenario(series, ScenarioTransform(kind=POSTPONE_THIRD_TUESDAY))
 
-    calibrations = {}
-    if args.m is not None:
-        m_up = m_down = args.m
-    else:
+    rhos, sides = [args.rho], [""]
+    # --double-sided adds 1/rho, and the side above 1 detects the increase; rho <= 0 or NaN is refused below.
+    if args.double_sided and args.rho > 0:
+        rhos, sides = sorted([args.rho, 1.0 / args.rho], reverse=True), ["_up", "_down"]
+    if args.pi is not None:
         timeline = model.timeline({r.date for r in series})
-        increase = _calibrate(args, timeline, INCREASE)
-        m_up = m_down = increase.threshold_m
-        calibrations = {"calibration.json": increase}
-        if args.double_sided:
-            decrease = _calibrate(args, timeline, DECREASE)
-            m_down = decrease.threshold_m
-            calibrations = {"calibration_up.json": increase, "calibration_down.json": decrease}
+    configs, calibrations = [], {}
+    for rho, side in zip(rhos, sides):
+        m = args.m
+        if m is None:
+            result = _calibrate(args, timeline, _detector(rho, 1.0, EVENT_TIMES))
+            calibrations[f"calibration{side}.json"] = result
+            m = result.threshold_m
+        configs.append(_detector(rho, m, AGGREGATED_COUNTS, args.reset_on_alarm))
 
     if args.double_sided:
-        up, down, alarms = double_sided_run(
-            series,
-            model,
-            _detector_config(args, INCREASE, m_up),
-            _detector_config(args, DECREASE, m_down),
-        )
-        vpaths = {"vpath_up.csv": up.records, "vpath_down.csv": down.records}
+        *runs, alarms = double_sided_run(series, model, *configs)
     else:
-        run = run_detector(series, model, _detector_config(args, INCREASE, m_up))
-        vpaths, alarms = {"vpath.csv": run.records}, run.alarms
+        runs = [run_detector(series, model, *configs)]
+        alarms = runs[0].alarms
     with _output(args, "detect") as out:
-        for name, records in vpaths.items():
-            write_vpath_csv(records, out / name)
+        for side, run in zip(sides, runs):
+            write_vpath_csv(run.records, out / f"vpath{side}.csv")
         write_alarms_jsonl(alarms, out / "alarms.jsonl")
         for name, result in calibrations.items():
             _write_calibration(result, timeline, out / name)
@@ -200,42 +192,42 @@ def cmd_detect(args) -> int:
 def cmd_calibrate(args) -> int:
     model = _load_model(args)
     timeline = model.timeline(_date_range(args.start_date, args.days))
-    direction = INCREASE if args.rho > 1 else DECREASE
-    mode = AGGREGATED_COUNTS if args.aggregated else EVENT_TIMES
-    config = DetectorConfig(rho=args.rho, threshold_m=1.0, direction=direction, mode=mode)
-    target = CalibrationTarget(
-        pi=args.pi,
-        replications=args.replications,
-        horizon_cap=args.horizon_cap,
-    )
-    result = calibrate_threshold(timeline, config, target, seed=args.seed)
+    config = _detector(args.rho, 1.0, AGGREGATED_COUNTS if args.aggregated else EVENT_TIMES)
+    result = _calibrate(args, timeline, config, args.horizon_cap)
     with _output(args, "calibrate") as out:
         _write_calibration(result, timeline, out / "calibration.json")
     print(f"threshold m = {result.threshold_m!r} (ARL {result.arl_estimate:.1f} events)")
     return EXIT_OK
 
 
-def _locate_change(timeline: SlotTimeline, text: str) -> float:
-    """Open-time position of a change time given as a local, naive ISO datetime."""
+def _change_time(timeline: SlotTimeline, text: str) -> float:
+    """Open-time position of a change time: an open-time float inside the timeline, or a naive ISO datetime."""
+    text = text.strip()
     try:
-        dt = datetime.fromisoformat(text)
+        theta = float(text)
     except ValueError:
-        raise ValidationError(f"change time {text!r} is not an ISO datetime") from None
-    if dt.tzinfo is not None:
-        raise ValidationError(f"change time {text!r} has a UTC offset; times are local and naive")
-    return timeline.locate(dt.date(), dt.time())
+        try:
+            dt = datetime.fromisoformat(text)
+        except ValueError:
+            raise ValidationError(f"change time {text!r} is neither an open-time number nor an ISO datetime") from None
+        if dt.tzinfo is not None:
+            raise ValidationError(f"change time {text!r} has a UTC offset; times are local and naive")
+        return timeline.locate(dt.date(), dt.time())
+    # NaN fails the comparison too.
+    if not timeline.starts[0] <= theta <= timeline.ends[-1]:
+        raise ValidationError(f"change time {text} outside the timeline [{timeline.starts[0]}, {timeline.ends[-1]}]")
+    return theta
 
 
 def cmd_simulate(args) -> int:
     if args.events and args.scenario is not None:
         # The scenario rewrites the slot records after the draw; the event times cannot follow.
         raise ValidationError("--events cannot be combined with --scenario: events.csv would not match slots.csv")
+    if args.theta is None and args.rho != 1.0:
+        raise ValidationError(f"--rho {args.rho} needs --theta: without a change time the series is in control")
     model = _load_model(args)
     timeline = model.timeline(_date_range(args.start_date, args.days))
-    if args.theta is not None:
-        change = ChangeSpec(theta=_locate_change(timeline, args.theta), rho=args.rho)
-    else:
-        change = ChangeSpec()
+    change = ChangeSpec() if args.theta is None else ChangeSpec(theta=_change_time(timeline, args.theta), rho=args.rho)
     path = (simulate_events if args.events else simulate_slot_counts)(timeline, change, seed=args.seed)
     records = path.to_slot_records()
     if args.scenario == POSTPONE_THIRD_TUESDAY:
@@ -258,27 +250,8 @@ def cmd_simulate(args) -> int:
 def cmd_evaluate(args) -> int:
     model = _load_model(args)
     timeline = model.timeline(_date_range(args.start_date, args.days))
-    thetas = []
-    for tok in args.theta_grid.split(","):
-        tok = tok.strip()
-        try:
-            theta = float(tok)
-        except ValueError:
-            thetas.append(_locate_change(timeline, tok))
-            continue
-        # NaN fails the comparison too.
-        if not timeline.starts[0] <= theta <= timeline.ends[-1]:
-            raise ValidationError(
-                f"change time {tok} outside the timeline [{timeline.starts[0]}, {timeline.ends[-1]}]"
-            )
-        thetas.append(theta)
-    config = DetectorConfig(
-        rho=args.rho,
-        threshold_m=args.m,
-        direction=INCREASE if args.rho > 1 else DECREASE,
-        mode=AGGREGATED_COUNTS,
-        reset_on_alarm=args.reset_on_alarm,
-    )
+    thetas = [_change_time(timeline, tok) for tok in args.theta_grid.split(",")]
+    config = _detector(args.rho, args.m, AGGREGATED_COUNTS, args.reset_on_alarm)
     report = worst_case_delay(
         timeline, theta_grid=thetas, config=config, replications=args.replications, seed=args.seed
     )
@@ -330,7 +303,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--days", type=int, required=True)
     p_sim.add_argument("--seed", type=int, default=0)
     p_sim.add_argument("--rho", type=float, default=1.0)
-    p_sim.add_argument("--theta", default=None, help="change instant, ISO datetime")
+    p_sim.add_argument("--theta", default=None, help="change time: open-time float or ISO datetime")
     p_sim.add_argument("--events", action="store_true", help="also write exact event times")
     p_sim.add_argument("--scenario", choices=[POSTPONE_THIRD_TUESDAY], default=None)
     p_sim.add_argument("--naive-lambda", action="store_true")

@@ -18,6 +18,7 @@ import numpy as np
 from .daycal import MORNING_SLOT_COUNT, ScenarioSchedule, slot_start
 from .errors import ValidationError
 from .ingest import SlotRecord
+from .intensity import _MAX_MEAN
 from .timeline import SlotTimeline
 
 POSTPONE_THIRD_TUESDAY = "postpone-third-tuesday"
@@ -75,14 +76,24 @@ def slot_means_with_change(timeline: SlotTimeline, change: ChangeSpec) -> np.nda
     """Expected count per slot under the change model.
 
     A slot containing theta splits its expectation proportionally to the
-    time spent on each side of the change.
+    time spent on each side of the change. A changed mean past numpy's
+    Poisson limit could not be drawn, so it is refused.
     """
     means = timeline.means.copy()
     if change.in_control or change.rho == 1.0:
         return means
     after = np.clip(timeline.ends - change.theta, 0.0, timeline.lengths)
     frac_after = after / timeline.lengths
-    return means * (1.0 - frac_after + change.rho * frac_after)
+    with np.errstate(over="ignore"):  # an overflow to inf is refused below
+        means = means * (1.0 - frac_after + change.rho * frac_after)
+    past = np.flatnonzero(~(means <= _MAX_MEAN))
+    if past.size:
+        i = int(past[0])
+        raise ValidationError(
+            f"changed mean {means[i]:.4g} of the slot at {timeline.timestamp(i)} is past numpy's Poisson limit "
+            f"{_MAX_MEAN:.4g} (rho {change.rho!r})"
+        )
+    return means
 
 
 def simulate_slot_counts(

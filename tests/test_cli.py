@@ -1,18 +1,23 @@
 from __future__ import annotations
 
 import json
+import math
 import os
 import subprocess
 import sys
+from datetime import date, timedelta
 from pathlib import Path
 
 import pytest
 
 from seasonal_cusum import cli
-from seasonal_cusum.cli import EXIT_INPUT, EXIT_OK, main
+from seasonal_cusum.cli import EXIT_INPUT, EXIT_NUMERIC, EXIT_OK, main
+from seasonal_cusum.detect import DECREASE, DetectorConfig, run_detector, write_vpath_csv
 from seasonal_cusum.errors import ValidationError
 from seasonal_cusum.ingest import parse_slot_csv, write_daily_csv, write_slot_csv
+from seasonal_cusum.intensity import IntensityModel
 from seasonal_cusum.simulate import POSTPONE_THIRD_TUESDAY, ScenarioTransform, apply_scenario
+from seasonal_cusum.synthetic import synthetic_model
 
 
 @pytest.fixture(scope="module")
@@ -434,18 +439,22 @@ def test_calibrate_aggregated_meets_budget_and_is_byte_deterministic(workspace, 
     assert (out / "calibration.json").read_bytes() == first
 
 
-@pytest.mark.parametrize("command", ["detect", "calibrate", "evaluate"])
-@pytest.mark.parametrize("rho", ["1", "0", "-2"])
-def test_rho_outside_domain_is_input_error(workspace, tmp_path, command, rho):
+@pytest.mark.parametrize("command", ["detect", "calibrate", "evaluate", "detect-double-sided"])
+@pytest.mark.parametrize("rho", ["1", "0", "-2", "nan"])
+def test_rho_outside_domain_is_input_error(workspace, tmp_path, capsys, command, rho):
     series = tmp_path / "series.csv"
     series.write_text("date,slot_start,count\n2018-01-08,07:30,3\n")
     extra = {
         "detect": ["--series", str(series), "--m", "20"],
+        "detect-double-sided": ["--series", str(series), "--m", "20", "--double-sided"],
         "calibrate": ["--pi", "50", "--start-date", "2018-01-01", "--days", "7"],
         "evaluate": ["--m", "20", "--theta-grid", "40.0", "--start-date", "2018-01-01", "--days", "7"],
     }[command]
-    argv = [command, "--model", str(workspace["model"]), "--rho", rho, *extra, "--out", str(tmp_path / "q")]
+    argv = [command.split("-")[0], "--model", str(workspace["model"]), "--rho", rho, *extra]
+    argv += ["--out", str(tmp_path / "q")]
     assert main(argv) == EXIT_INPUT
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error: rho must be positive"), err
     assert not (tmp_path / "q").exists()
 
 
@@ -733,3 +742,116 @@ def test_detect_pi_writes_the_calibrations_it_ran_with(workspace, tmp_path, monk
         assert doc["pi"] == 300 and doc["replications"] == 200 and doc["seed"] == 3
         assert [e["m"] for e in doc["trace"]][:2] == [1e-9, 0.5]
         assert abs(doc["arl_estimate"] - 300) <= 0.02 * 300 + 2 * doc["arl_stderr"]
+
+
+def _detect_argv(workspace, series, *options):
+    return ["detect", "--model", str(workspace["model"]), "--series", str(series), *options]
+
+
+def test_detect_rho_below_one_runs_a_decrease_detector(workspace, tmp_path):
+    series = _series(workspace, tmp_path)
+    out = tmp_path / "det"
+    assert main([*_detect_argv(workspace, series, "--rho", "0.8", "--m", "10"), "--out", str(out)]) == EXIT_OK
+    config = DetectorConfig(rho=0.8, threshold_m=10.0, direction=DECREASE)
+    run = run_detector(parse_slot_csv(series), IntensityModel.load(workspace["model"]), config)
+    write_vpath_csv(run.records, tmp_path / "expected.csv")
+    assert (out / "vpath.csv").read_bytes() == (tmp_path / "expected.csv").read_bytes()
+    directions = [json.loads(line)["direction"] for line in (out / "alarms.jsonl").read_text().splitlines()]
+    assert run.alarms and directions == [DECREASE] * len(run.alarms)
+
+
+@pytest.mark.parametrize("threshold", [["--m", "20"], ["--pi", "300", "--replications", "200"]], ids=["m", "pi"])
+def test_double_sided_detect_reads_rho_and_its_reciprocal_alike(workspace, tmp_path, threshold):
+    series = _series(workspace, tmp_path)
+    trees = []
+    for rho in ("0.8", "1.25"):
+        out = tmp_path / rho
+        argv = _detect_argv(workspace, series, "--rho", rho, "--double-sided", *threshold)
+        assert main([*argv, "--out", str(out)]) == EXIT_OK
+        trees.append({name: data for name, data in _tree(out).items() if name != "manifest.json"})
+    assert trees[0] == trees[1]
+    assert "vpath_up.csv" in trees[0] and "vpath_down.csv" in trees[0]
+
+
+def test_detect_naive_lambda_uses_the_constant_rate(workspace, tmp_path):
+    series = _series(workspace, tmp_path)
+    out = tmp_path / "det"
+    argv = [*_detect_argv(workspace, series, "--rho", "1.2", "--m", "20", "--naive-lambda"), "--out", str(out)]
+    assert main(argv) == EXIT_OK
+    rows = (out / "vpath.csv").read_text().splitlines()[1:]
+    assert len(rows) == len(list(parse_slot_csv(series)))
+    rate = IntensityModel.load(workspace["model"]).constant_rate
+    assert {float(row.split(",")[2]) for row in rows} == {rate}
+
+
+def test_detect_scenario_rewrites_the_series(workspace, tmp_path):
+    series = _series(workspace, tmp_path, days="28")
+    out = tmp_path / "det"
+    argv = [*_detect_argv(workspace, series, "--rho", "1.2", "--m", "20", "--scenario", POSTPONE_THIRD_TUESDAY)]
+    assert main([*argv, "--out", str(out)]) == EXIT_OK
+    plain = list(parse_slot_csv(series))
+    expected = [r.count for r in apply_scenario(plain, ScenarioTransform(kind=POSTPONE_THIRD_TUESDAY))]
+    counts = [int(row.split(",")[3]) for row in (out / "vpath.csv").read_text().splitlines()[1:]]
+    assert counts == expected != [r.count for r in plain]
+
+
+def _simulate_argv(workspace, *options):
+    return ["simulate", "--model", str(workspace["model"]), "--start-date", "2018-01-01", "--days", "6", "--seed", "5",
+            *options]
+
+
+def test_simulate_reads_a_change_time_as_open_time_or_iso(workspace, tmp_path):
+    # 2018-01-02T16:30 is 22 + 18 slots into a timeline from Monday 2018-01-01.
+    out = tmp_path / "eval"
+    assert main(_evaluate_argv(workspace, out, **{"--theta-grid": "2018-01-03T09:10", "--days": "6"})) == EXIT_OK
+    reported = json.loads((out / "delay_report.json").read_text())["per_theta"][0]["theta"]
+    for pair in (("40.0", "2018-01-02T16:30"), (repr(reported), "2018-01-03T09:10")):
+        outs = [tmp_path / f"sim{k}" for k in range(2)]
+        for theta, sim in zip(pair, outs):
+            assert main([*_simulate_argv(workspace, "--theta", theta, "--rho", "1.5"), "--out", str(sim)]) == EXIT_OK
+        assert json.loads((outs[0] / "sim_info.json").read_text())["change"]["theta"] == float(pair[0])
+        assert all((outs[0] / n).read_bytes() == (outs[1] / n).read_bytes() for n in ("slots.csv", "sim_info.json"))
+
+
+def test_simulate_rho_without_theta_is_input_error(workspace, tmp_path, capsys):
+    out = tmp_path / "sim"
+    assert main([*_simulate_argv(workspace, "--rho", "1.5"), "--out", str(out)]) == EXIT_INPUT
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error: --rho 1.5 needs --theta"), err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["evaluate", "--rho", "30", "--m", "20", "--theta-grid", "40.0", "--start-date", "2018-01-01", "--days", "7",
+         "--replications", "5"],
+        ["simulate", "--theta", "2018-01-03T09:00", "--rho", "30", "--start-date", "2018-01-01", "--days", "7"],
+    ],
+    ids=["evaluate", "simulate"],
+)
+def test_changed_mean_past_poisson_limit_is_input_error(workspace, tmp_path, capsys, argv):
+    # Scale the model so that its largest daily mean over the week is 9e18, just under numpy's Poisson limit.
+    doc = json.loads(workspace["model"].read_text())
+    model = IntensityModel.from_dict(doc)
+    largest = max(model.daily_mean(date(2018, 1, 1) + timedelta(days=i)) for i in range(7))
+    doc["glm"]["coefficients"][0] += math.log(9e18 / largest)
+    bad = tmp_path / "model.json"
+    bad.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    assert main([argv[0], "--model", str(bad), *argv[1:], "--out", str(out)]) == EXIT_INPUT
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error: changed mean") and "Poisson limit" in err[0], err
+    assert not out.exists()
+
+
+def test_calibrate_budget_below_the_shortest_run_is_numeric_failure(tmp_path, capsys):
+    model = tmp_path / "model.json"
+    synthetic_model().save(model)
+    out = tmp_path / "cal"
+    argv = ["calibrate", "--aggregated", "--model", str(model), "--rho", "1.2", "--pi", "5", "--start-date",
+            "2018-01-01", "--days", "7", "--replications", "100", "--out", str(out)]
+    assert main(argv) == EXIT_NUMERIC
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err == ["error: run length at a vanishing threshold already exceeds pi=5.0"], err
+    assert not out.exists()

@@ -17,6 +17,7 @@ from seasonal_cusum.detect import (
     EVENT_TIMES,
     INCREASE,
     _EVENT_BLOCK,
+    _slot_cumulative,
     AlarmEvent,
     CusumState,
     DetectorConfig,
@@ -708,6 +709,30 @@ def test_run_events_rejects_event_between_nearly_contiguous_slots():
         step_events(CusumState.initial(), [1.0 + 5e-10], _cfg(mode=EVENT_TIMES), (1.0 + 1e-9, 2.0 + 1e-9), tl.cumulative)
     with pytest.raises(ValidationError):
         run_events(tl, [0.5, 1.0 + 5e-10, 1.5], _cfg(mode=EVENT_TIMES))
+
+@pytest.mark.parametrize("direction", [INCREASE, DECREASE])
+def test_run_events_alarm_slot_with_a_later_slot_starting_inside_it(direction):
+    # Slots 1 and 2 start inside slot 0, within the contiguity tolerance, so
+    # slot 0's alarm is replayed on `timeline.cumulative` itself.
+    tl = SlotTimeline([0.0, 1 - 2e-9, 1 - 1e-9], [1.0, 1e-9, 1.0], [3.0, 5.0, 4.0])
+    assert _slot_cumulative(tl, 0) == tl.cumulative
+    up = direction == INCREASE
+    cfg = _cfg(rho=1.5 if up else 0.5, m=1.0 if up else 0.5, direction=direction, mode=EVENT_TIMES)
+    times = [0.1, 0.2, 0.3, 0.4, 1.5] if up else [1.5]
+    run = run_events(tl, times, cfg)
+
+    state, v, alarms = CusumState.initial(clock=0.0), [], []
+    for i in range(len(tl)):
+        a, b = float(tl.starts[i]), float(tl.ends[i])
+        inside = [t for t in times if (a <= t if i == 0 else a < t) and t <= b]
+        state, alarm = step_events(state, inside, cfg, (a, b), tl.cumulative)
+        v.append(state.v)
+        if alarm is not None:
+            alarms.append(alarm)
+    assert alarms and alarms[0].time < tl.ends[0]
+    assert run.v.tolist() == v
+    assert (run.alarms, run.state) == (alarms, state)
+
 
 # Unit slots over three and a half blocks of run_events' Λ evaluation. The two
 # slots around every block edge are empty, every fifth integer time is an event

@@ -404,6 +404,21 @@ def test_model_persistence_round_trip(tmp_path, truth_model, train_dataset):
     assert loaded.daily_mean(d) == model.daily_mean(d)
 
 
+
+def test_scenario_model_persistence_round_trip(tmp_path, truth_model):
+    model = truth_model.with_scenario(ScenarioSchedule(anchor=date(2018, 1, 2), every=2))
+    path = tmp_path / "model.json"
+    model.save(path)
+    loaded = IntensityModel.load(path)
+    assert loaded.scenario == model.scenario
+    days = [date(2018, 1, 1) + timedelta(days=i) for i in range(28)]
+    rates = [[m.slot_rate(d, k) for d in days for k in range(22)] for m in (model, loaded)]
+    assert rates[0] == rates[1]
+    # Two postponed mornings (Jan 2 and 16) against the plain model's busy ones.
+    for d in (date(2018, 1, 2), date(2018, 1, 16)):
+        assert loaded.slot_rate(d, 0) == 0.0 < truth_model.slot_rate(d, 0)
+    assert loaded.slot_rate(date(2018, 1, 9), 0) == truth_model.slot_rate(date(2018, 1, 9), 0) > 0.0
+
 def test_model_with_nan_coefficient_rejected_at_load(truth_model):
     doc = truth_model.to_dict()
     doc["glm"]["coefficients"][1] = math.nan
