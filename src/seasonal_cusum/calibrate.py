@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .detect import AGGREGATED_COUNTS, INCREASE, DetectorConfig
+from .detect import AGGREGATED_COUNTS, EVENT_TIMES, INCREASE, DetectorConfig
 from .errors import BracketingError, HorizonTooShortError, ValidationError
 from .simulate import rng_for
 from .timeline import SlotTimeline
@@ -98,8 +98,17 @@ class CalibrationResult:
 # each at typical rates; horizons needing more than this many are refused.
 _MAX_SLOT_COUNTS = 2**31
 
+# A path's expected events over the horizon stay at most this, so that its
+# int64 event counts (np.cumsum of its slot counts) cannot pass 2**63 - 1.
+_MAX_PATH_EVENTS = 2**62
 
-def _horizon(timeline: SlotTimeline, target: CalibrationTarget) -> tuple[int, float]:
+# An event-mode chunk holds at most _CHUNK_EVENTS plus one slot's expected
+# events, about 73 bytes each while it is simulated; more than this many is
+# refused (about 0.6 GB).
+_MAX_CHUNK_EVENTS = 2**23
+
+
+def _horizon(timeline: SlotTimeline, target: CalibrationTarget, mode: str) -> tuple[int, float]:
     """Number of timeline cycles and total duration covering the horizon cap."""
     if target.horizon_cap is not None:
         span = target.horizon_cap / timeline.total_time
@@ -113,6 +122,18 @@ def _horizon(timeline: SlotTimeline, target: CalibrationTarget) -> tuple[int, fl
             f"pi={target.pi:g} with {cap} needs a calibration horizon of {cycles:.4g} cycles of the "
             f"{len(timeline)}-slot timeline, over 2**31 slot counts for {target.replications} replications; "
             f"lower pi, the replications or --horizon-cap"
+        )
+    largest = float(timeline.means.max())
+    if mode == EVENT_TIMES and _CHUNK_EVENTS + largest > _MAX_CHUNK_EVENTS:
+        raise ValidationError(
+            f"a slot expecting {largest:.4g} events makes an event-time calibration chunk of over 2**23 "
+            f"events, more than a path holds in memory at a time; calibrate with --aggregated"
+        )
+    path_events = cycles * timeline.total_mean
+    if path_events > _MAX_PATH_EVENTS:
+        raise ValidationError(
+            f"a calibration path over {cycles:.4g} cycles of the timeline expects {path_events:.4g} events, "
+            f"past the 2**62 that its int64 event counts allow"
         )
     return cycles, cycles * timeline.total_time
 
@@ -128,10 +149,14 @@ class _Tiling:
     def __init__(self, timeline: SlotTimeline, cycles: int):
         self.means = np.tile(timeline.means, cycles)
         self.base = np.concatenate([[0.0], np.cumsum(self.means)])
-        # Chunks end at the first slot boundary past each multiple of
-        # _CHUNK_EVENTS expected events, so every path shares them.
-        marks = np.searchsorted(self.base, np.arange(_CHUNK_EVENTS, self.base[-1], _CHUNK_EVENTS))
-        self.chunk_ends = np.unique(np.append(marks, len(self.means)))
+        # Chunks end at the first slot boundary at or past each multiple of
+        # _CHUNK_EVENTS expected events below the total, so every path shares
+        # them: where floor(base / _CHUNK_EVENTS) steps up, if the first
+        # multiple it steps over is below the total. The division is exact,
+        # as _CHUNK_EVENTS is a power of two.
+        k = np.floor(self.base / _CHUNK_EVENTS)
+        steps = np.flatnonzero((k[1:] > k[:-1]) & ((k[:-1] + 1.0) * _CHUNK_EVENTS < self.base[-1])) + 1
+        self.chunk_ends = np.unique(np.append(steps, len(self.means)))
 
 
 class _EventPath:
@@ -288,7 +313,7 @@ def _record_curve(tiling: _Tiling, config: DetectorConfig, seed: int, rep: int) 
 
 
 def _build_curves(timeline: SlotTimeline, config: DetectorConfig, target: CalibrationTarget, seed: int) -> _CurveSet:
-    cycles, _ = _horizon(timeline, target)
+    cycles, _ = _horizon(timeline, target, config.mode)
     tiling = _Tiling(timeline, cycles)
     reps = range(target.replications)
     workers = worker_count()

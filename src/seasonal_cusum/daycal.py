@@ -23,15 +23,27 @@ DAY_OPEN_MINUTE = 7 * 60 + 30
 DEFAULT_ORIGIN = date(2015, 4, 1)
 
 
+# The 23 slot boundaries of the grid, 07:30 to 18:30, built once: slot k
+# runs from _STARTS[k] to _ENDS[k].
+_BOUNDARIES = tuple(time(*divmod(DAY_OPEN_MINUTE + SLOT_MINUTES * k, 60)) for k in range(WEEKDAY_SLOT_COUNT + 1))
+_STARTS, _ENDS = _BOUNDARIES[:-1], _BOUNDARIES[1:]
+
+
+def _check_index(index: int) -> None:
+    # Tuple indexing would wrap a negative index around silently.
+    if not 0 <= index < WEEKDAY_SLOT_COUNT:
+        raise ValidationError(f"slot index {index} outside [0, {WEEKDAY_SLOT_COUNT})")
+
+
 def slot_start(index: int) -> time:
     """Start time of slot `index` (0-based from 07:30)."""
-    minute = DAY_OPEN_MINUTE + SLOT_MINUTES * index
-    return time(minute // 60, minute % 60)
+    _check_index(index)
+    return _STARTS[index]
 
 
 def slot_end(index: int) -> time:
-    minute = DAY_OPEN_MINUTE + SLOT_MINUTES * (index + 1)
-    return time(minute // 60, minute % 60)
+    _check_index(index)
+    return _ENDS[index]
 
 
 def slot_index(t: time) -> int:
@@ -96,7 +108,9 @@ def read_holidays(path: str | Path) -> frozenset[date]:
 
 
 def slot_timestamp(d: date, index: int, end: bool = False) -> datetime:
-    return datetime.combine(d, slot_end(index) if end else slot_start(index))
+    """Naive datetime of slot `index`'s start on date d, or of its end with end=True."""
+    _check_index(index)
+    return datetime.combine(d, _ENDS[index] if end else _STARTS[index])
 
 
 @dataclass(frozen=True)

@@ -8,9 +8,11 @@ factor rho; an alarm fires at the first passage over the threshold.
 Aggregated counts drive the same statistic interval by interval.
 
 `step_aggregated` and `step_events` are the streaming API and the reference
-the batch runners are pinned to. `run_detector` advances plain floats over
-its records with `step_aggregated`'s checks and IEEE operations and builds
-one state per call. `run_aggregated` runs one row of counts or a block of
+the batch runners are pinned to. `run_detector` sorts its records in
+`SlotRecord` order by a C key, advances plain floats over them with
+`step_aggregated`'s checks and IEEE operations, calls the alarm rule only at
+or over the threshold, and builds one `StepRecord` tuple per record and one
+state per call. `run_aggregated` runs one row of counts or a block of
 rows at once, one numpy step per slot across the rows with
 `step_aggregated`'s IEEE operations, so every row equals a
 `step_aggregated` loop bit for bit. `run_events` takes Λ, every drift and
@@ -28,8 +30,9 @@ import math
 from dataclasses import dataclass, replace
 from datetime import datetime
 from functools import cached_property
+from operator import attrgetter
 from pathlib import Path
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -460,8 +463,7 @@ def run_events(
     return TimelineRun(v=np.array(path), alarms=alarms, state=state)
 
 
-@dataclass(frozen=True)
-class StepRecord:
+class StepRecord(NamedTuple):
     timestamp: datetime
     v: float
     lambda_increment: float
@@ -476,6 +478,10 @@ class DetectorRun:
     state: CusumState
 
 
+# SlotRecord's dataclass order (slot_index takes no part in it), read in C.
+_RECORD_ORDER = attrgetter("date", "slot_start", "count")
+
+
 def run_detector(
     series: Iterable[SlotRecord],
     model: IntensityModel,
@@ -488,15 +494,17 @@ def run_detector(
     (gaps, closed days) leave the state untouched. A record on a closed slot
     has a zero intensity increment.
 
-    Each record takes `step_aggregated`'s checks and IEEE operations on
-    plain floats, so the records, alarms and final state equal a
-    `step_aggregated` loop bit for bit.
+    Records are sorted in `SlotRecord`'s order (date, slot start, count),
+    stably. Each takes `step_aggregated`'s checks and IEEE operations on
+    plain floats, and `_alarm_rule` runs only where an armed level reaches
+    the threshold, which is its own first test; so the records, alarms and
+    final state equal a `step_aggregated` loop bit for bit.
     """
     state = state or CusumState.initial()
-    up, b = config.direction == INCREASE, config.beta
+    up, b, m = config.direction == INCREASE, config.beta, config.threshold_m
     v, u, u_min, seen, clock, armed = state.v, state.u, state.u_min, state.events_seen, state.clock, state.armed
     steps, alarms = [], []
-    for rec in sorted(series):
+    for rec in sorted(series, key=_RECORD_ORDER):
         count = rec.count
         dlam = model.slot_rate(rec.date, rec.slot_index)
         clock = slot_timestamp(rec.date, rec.slot_index, end=True)
@@ -509,12 +517,20 @@ def run_detector(
         x = n - b * dlam if up else b * dlam - n
         u = u + x
         seen = seen + n
-        level = max(0.0, v + x)
-        v, u_min, armed, alarm = _alarm_rule(level, u, min(u_min, u), seen, armed, config, clock)
+        # max(0.0, v + x) and min(u_min, u), the same for -0.0 and NaN.
+        level = v + x
+        if not level > 0.0:
+            level = 0.0
+        if u < u_min:
+            u_min = u
+        if armed and level >= m:
+            # _alarm_rule's own test: it is called only where it fires.
+            v, u_min, armed, alarm = _alarm_rule(level, u, u_min, seen, armed, config, clock)
+            alarms.append(alarm)
+        else:
+            v, alarm = level, None
         # V is the pre-reset level where an alarm fires, so the path shows the actual excursion.
         steps.append(StepRecord(clock, level, dlam, count, alarm is not None))
-        if alarm is not None:
-            alarms.append(alarm)
     return DetectorRun(steps, alarms, CusumState(v, u, u_min, seen, clock, armed))
 
 
@@ -527,7 +543,7 @@ def double_sided_run(
     """Advance an increase and a decrease detector independently on one stream."""
     if config_up.direction != INCREASE or config_down.direction != DECREASE:
         raise ValidationError("double-sided run needs one increase and one decrease config")
-    series = sorted(series)
+    series = sorted(series, key=_RECORD_ORDER)
     up = run_detector(series, model, config_up)
     down = run_detector(series, model, config_down)
     merged = sorted(up.alarms + down.alarms, key=lambda a: a.time)

@@ -13,7 +13,7 @@ from datetime import date, datetime, time
 
 import numpy as np
 
-from .daycal import DAY_OPEN_MINUTE, SLOT_MINUTES, slot_end, slot_start
+from .daycal import DAY_OPEN_MINUTE, SLOT_MINUTES, slot_timestamp
 from .errors import CoverageError, ValidationError
 
 
@@ -125,5 +125,4 @@ class SlotTimeline:
         """Calendar timestamp of slot i's boundary, or the float position."""
         if self.days is None:
             return float(self.ends[i] if end else self.starts[i])
-        k = int(self.grid[i])
-        return datetime.combine(self.days[i].item(), slot_end(k) if end else slot_start(k))
+        return slot_timestamp(self.days[i].item(), int(self.grid[i]), end)

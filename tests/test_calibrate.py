@@ -6,10 +6,14 @@ from datetime import date, timedelta
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from seasonal_cusum import calibrate
 from seasonal_cusum.calibrate import (
     _CHUNK_EVENTS,
+    _MAX_CHUNK_EVENTS,
+    _MAX_PATH_EVENTS,
     _MAX_SLOT_COUNTS,
     CalibrationResult,
     CalibrationTarget,
@@ -556,9 +560,59 @@ def test_batched_read_equals_per_curve_run_length(monkeypatch):
 def test_horizon_limit_is_exact():
     tl = SlotTimeline.from_rates([1.0, 1.0])
     cycles = _MAX_SLOT_COUNTS // (2 * 128)
-    assert _horizon(tl, CalibrationTarget(pi=5.0, replications=128, horizon_cap=2.0 * cycles)) == (cycles, 2.0 * cycles)
-    with pytest.raises(ValidationError, match="--horizon-cap"):
-        _horizon(tl, CalibrationTarget(pi=5.0, replications=128, horizon_cap=2.0 * cycles + 1.0))
+    for mode in (EVENT_TIMES, AGGREGATED_COUNTS):
+        target = CalibrationTarget(pi=5.0, replications=128, horizon_cap=2.0 * cycles)
+        assert _horizon(tl, target, mode) == (cycles, 2.0 * cycles)
+        with pytest.raises(ValidationError, match="--horizon-cap"):
+            _horizon(tl, CalibrationTarget(pi=5.0, replications=128, horizon_cap=2.0 * cycles + 1.0), mode)
+
+
+def test_event_chunk_limit_is_exact_and_event_mode_only():
+    target = CalibrationTarget(pi=5.0, replications=100)
+    fits = SlotTimeline.from_rates([1.0, float(_MAX_CHUNK_EVENTS - _CHUNK_EVENTS)])
+    too_big = SlotTimeline.from_rates([1.0, float(_MAX_CHUNK_EVENTS - _CHUNK_EVENTS + 1)])
+    assert _horizon(fits, target, EVENT_TIMES) == (1, 2.0)
+    with pytest.raises(ValidationError, match=r"a slot expecting 8\.385e\+06 events makes an event-time calibration chunk of over 2\*\*23"):
+        _horizon(too_big, target, EVENT_TIMES)
+    # One count per slot in aggregated mode, however large its mean.
+    assert _horizon(too_big, target, AGGREGATED_COUNTS) == (1, 2.0)
+
+
+def test_path_event_limit_is_exact():
+    target = CalibrationTarget(pi=5.0, replications=100)
+    limit = float(_MAX_PATH_EVENTS)
+    assert _horizon(SlotTimeline.from_rates([limit / 2, limit / 2]), target, AGGREGATED_COUNTS) == (1, 2.0)
+    # limit / 2 + 1024 and the total 2**62 + 1024 are both exact floats.
+    with pytest.raises(ValidationError, match=r"expects 4\.612e\+18 events, past the 2\*\*62"):
+        _horizon(SlotTimeline.from_rates([limit / 2, limit / 2 + 1024.0]), target, AGGREGATED_COUNTS)
+
+
+# Chunk ends as they were computed before: a searchsorted for every multiple
+# of _CHUNK_EVENTS expected events below the total, O(total events) in memory.
+def _arange_chunk_ends(tiling):
+    marks = np.searchsorted(tiling.base, np.arange(_CHUNK_EVENTS, tiling.base[-1], _CHUNK_EVENTS))
+    return np.unique(np.append(marks, len(tiling.means)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    rates=st.lists(
+        st.one_of(st.just(0.0), st.sampled_from([512.0, 1024.0, 4096.0, 12288.0]), st.floats(0.0, 5000.0)),
+        min_size=1,
+        max_size=12,
+    ),
+    cycles=st.integers(1, 40),
+)
+# Totals landing exactly on a multiple, a multiple reached inside the last
+# slot, slots spanning many multiples, and a total under one chunk.
+@example(rates=[4096.0], cycles=3)
+@example(rates=[1024.0, 0.0, 3072.0], cycles=2)
+@example(rates=[4095.5, 1.0], cycles=1)
+@example(rates=[1e9, 0.25], cycles=3)
+@example(rates=[0.0, 0.0], cycles=5)
+def test_chunk_ends_equal_the_arange_form(rates, cycles):
+    tiling = _Tiling(SlotTimeline.from_rates(rates), cycles)
+    assert np.array_equal(tiling.chunk_ends, _arange_chunk_ends(tiling))
 
 
 @pytest.mark.parametrize(

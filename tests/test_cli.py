@@ -821,6 +821,31 @@ def test_simulate_rho_without_theta_is_input_error(workspace, tmp_path, capsys):
     assert not out.exists()
 
 
+def _huge_mean_model(workspace, tmp_path):
+    # The model scaled so that its largest daily mean over the week is 9e18, just under numpy's Poisson limit.
+    doc = json.loads(workspace["model"].read_text())
+    model = IntensityModel.from_dict(doc)
+    largest = max(model.daily_mean(date(2018, 1, 1) + timedelta(days=i)) for i in range(7))
+    doc["glm"]["coefficients"][0] += math.log(9e18 / largest)
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(doc))
+    return path
+
+
+@pytest.mark.parametrize(
+    "mode, limit", [([], "event-time calibration chunk of over 2**23 events"), (["--aggregated"], "the 2**62 that")],
+    ids=["events", "aggregated"],
+)
+def test_calibrate_refuses_more_events_than_a_path_can_hold(workspace, tmp_path, capsys, mode, limit):
+    out = tmp_path / "cal"
+    argv = ["calibrate", "--model", str(_huge_mean_model(workspace, tmp_path)), "--rho", "1.2", "--pi", "50",
+            "--start-date", "2018-01-01", "--days", "7", "--replications", "100", *mode, "--out", str(out)]
+    assert main(argv) == EXIT_INPUT
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and limit in err[0], err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -831,15 +856,9 @@ def test_simulate_rho_without_theta_is_input_error(workspace, tmp_path, capsys):
     ids=["evaluate", "simulate"],
 )
 def test_changed_mean_past_poisson_limit_is_input_error(workspace, tmp_path, capsys, argv):
-    # Scale the model so that its largest daily mean over the week is 9e18, just under numpy's Poisson limit.
-    doc = json.loads(workspace["model"].read_text())
-    model = IntensityModel.from_dict(doc)
-    largest = max(model.daily_mean(date(2018, 1, 1) + timedelta(days=i)) for i in range(7))
-    doc["glm"]["coefficients"][0] += math.log(9e18 / largest)
-    bad = tmp_path / "model.json"
-    bad.write_text(json.dumps(doc))
     out = tmp_path / "out"
-    assert main([argv[0], "--model", str(bad), *argv[1:], "--out", str(out)]) == EXIT_INPUT
+    model = _huge_mean_model(workspace, tmp_path)
+    assert main([argv[0], "--model", str(model), *argv[1:], "--out", str(out)]) == EXIT_INPUT
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith("error: changed mean") and "Poisson limit" in err[0], err
     assert not out.exists()

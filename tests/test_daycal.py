@@ -1,6 +1,6 @@
 from __future__ import annotations
 
-from datetime import date, time
+from datetime import date, datetime, time, timedelta
 
 import pytest
 
@@ -14,8 +14,10 @@ from seasonal_cusum.daycal import (
     slot_end,
     slot_index,
     slot_start,
+    slot_timestamp,
 )
 from seasonal_cusum.errors import ParseError, ValidationError
+from seasonal_cusum.synthetic import synthetic_model
 
 
 def test_slot_grid_bounds():
@@ -24,6 +26,32 @@ def test_slot_grid_bounds():
     assert slot_end(21) == time(18, 30)
     assert slot_start(SATURDAY_SLOT_COUNT - 1) == time(12, 0)
     assert slot_end(SATURDAY_SLOT_COUNT - 1) == time(12, 30)
+
+
+def test_slot_timestamp_reads_the_half_hour_grid():
+    d = date(2018, 1, 8)
+    opening = datetime(2018, 1, 8, 7, 30)
+    for i in range(WEEKDAY_SLOT_COUNT):
+        assert slot_timestamp(d, i) == opening + timedelta(minutes=30 * i)
+        assert slot_timestamp(d, i, end=True) == opening + timedelta(minutes=30 * i + 30)
+
+
+@pytest.mark.parametrize("index", [-1, WEEKDAY_SLOT_COUNT])
+@pytest.mark.parametrize("call", [slot_start, slot_end, lambda i: slot_timestamp(date(2018, 1, 8), i, end=True)],
+                         ids=["slot_start", "slot_end", "slot_timestamp"])
+def test_slot_index_off_the_grid_is_refused(call, index):
+    # A negative index used to wrap silently: slot_end(-1) read 07:30.
+    with pytest.raises(ValidationError, match=f"slot index {index} outside"):
+        call(index)
+
+
+def test_timeline_timestamps_are_slot_timestamps():
+    days = [date(2018, 1, 1) + timedelta(days=i) for i in range(365)]
+    tl = synthetic_model().timeline(days)
+    for i in range(len(tl)):
+        d, k = tl.days[i].item(), int(tl.grid[i])
+        assert tl.timestamp(i) == slot_timestamp(d, k)
+        assert tl.timestamp(i, end=True) == slot_timestamp(d, k, end=True)
 
 
 def test_slot_index_round_trip():

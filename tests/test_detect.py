@@ -21,6 +21,7 @@ from seasonal_cusum.detect import (
     AlarmEvent,
     CusumState,
     DetectorConfig,
+    StepRecord,
     TimelineRun,
     beta,
     double_sided_run,
@@ -625,6 +626,58 @@ def test_run_detector_chunked_equals_batch_equals_step_loop(truth_model, series,
             oracle_alarms.append(alarm)
     assert [r.v for r in batch.records] == oracle_v
     assert (batch.alarms, batch.state) == (oracle_alarms, oracle)
+
+
+def _step_loop(records, model, cfg, start):
+    """step_aggregated over `records` in SlotRecord's dataclass order: (records, alarms, state)."""
+    state, steps, alarms = start, [], []
+    for rec in sorted(records):
+        dlam = model.slot_rate(rec.date, rec.slot_index)
+        end = slot_timestamp(rec.date, rec.slot_index, end=True)
+        state, alarm = step_aggregated(state, rec.count, dlam, cfg, clock=end)
+        level = alarm.v_at_alarm if alarm is not None else state.v
+        steps.append(StepRecord(end, level, dlam, rec.count, alarm is not None))
+        if alarm is not None:
+            alarms.append(alarm)
+    return steps, alarms, state
+
+
+@st.composite
+def _series_with_duplicates(draw):
+    # Slots drawn with repeats, so one (date, slot) can carry several counts,
+    # plus exact copies of some records, all shuffled.
+    slots = draw(st.lists(st.tuples(st.sampled_from(_DAYS[:3]), st.integers(0, 21)), min_size=1, max_size=8))
+    records = [SlotRecord(d, slot_start(k), draw(st.integers(0, 80))) for d, k in slots]
+    records += draw(st.lists(st.sampled_from(records), max_size=4))
+    return draw(st.permutations(records))
+
+
+@settings(max_examples=60, deadline=None)
+@given(series=_series_with_duplicates(), cfg=_configs, start=_states)
+def test_run_detector_sorts_as_slot_records_order(truth_model, series, cfg, start):
+    run = run_detector(series, truth_model, cfg, start)
+    expected = _step_loop(series, truth_model, cfg, start)
+    assert (run.records, run.alarms, run.state) == expected
+    # repr tells -0.0 from 0.0, which == does not.
+    assert repr(run.records) == repr(expected[0])
+
+    up_cfg = _cfg(rho=1.2, m=cfg.threshold_m, reset=cfg.reset_on_alarm)
+    down_cfg = _cfg(rho=1 / 1.2, m=cfg.threshold_m, direction=DECREASE, reset=cfg.reset_on_alarm)
+    up, down, merged = double_sided_run(series, truth_model, up_cfg, down_cfg)
+    for side, side_cfg in ((up, up_cfg), (down, down_cfg)):
+        expected = _step_loop(series, truth_model, side_cfg, CusumState.initial())
+        assert (side.records, side.alarms, side.state) == expected
+        assert repr(side.records) == repr(expected[0])
+    assert merged == sorted(up.alarms + down.alarms, key=lambda a: a.time)
+
+
+def test_step_record_fields_are_fixed():
+    assert StepRecord._fields == ("timestamp", "v", "lambda_increment", "count", "alarm")
+    record = StepRecord(datetime(2018, 1, 8, 8, 0), 1.5, 2.25, 3, False)
+    with pytest.raises(AttributeError):
+        record.v = 0.0
+    # A NamedTuple compares equal to the plain tuple of its fields.
+    assert record == (datetime(2018, 1, 8, 8, 0), 1.5, 2.25, 3, False)
 
 
 @pytest.mark.parametrize("count", [-1, 2.5, math.nan])
