@@ -156,7 +156,9 @@ class _Tiling:
         # as _CHUNK_EVENTS is a power of two.
         k = np.floor(self.base / _CHUNK_EVENTS)
         steps = np.flatnonzero((k[1:] > k[:-1]) & ((k[:-1] + 1.0) * _CHUNK_EVENTS < self.base[-1])) + 1
-        self.chunk_ends = np.unique(np.append(steps, len(self.means)))
+        # The steps strictly increase; the last chunk ends at the horizon.
+        done = len(steps) and steps[-1] == len(self.means)
+        self.chunk_ends = steps if done else np.append(steps, len(self.means))
 
 
 class _EventPath:
@@ -399,7 +401,9 @@ def calibrate_threshold(
         else:
             raise BracketingError(f"could not straddle pi={target.pi} within 60 expansions")
         # ARL(below) < pi <= ARL(top): the step straddling pi lies just above a level in [below, top).
-        levels = np.unique(curves.levels[(curves.levels >= below) & (curves.levels < top)])
+        # The distinct levels in order; np.unique would import numpy.ma.
+        levels = np.sort(curves.levels[(curves.levels >= below) & (curves.levels < top)])
+        levels = levels[np.concatenate([[True], levels[1:] != levels[:-1]])]
         i = bisect.bisect_left(levels, True, key=lambda r: evaluate(np.nextafter(r, np.inf))[0] >= target.pi)
         r, up = float(levels[i]), float(np.nextafter(levels[i], np.inf))
         m = r if target.pi - evaluate(r)[0] <= evaluate(up)[0] - target.pi else up

@@ -12,10 +12,12 @@ the batch runners are pinned to. `run_detector` sorts its records in
 `SlotRecord` order by a C key, advances plain floats over them with
 `step_aggregated`'s checks and IEEE operations, calls the alarm rule only at
 or over the threshold, and builds one `StepRecord` tuple per record and one
-state per call. `run_aggregated` runs one row of counts or a block of
+state per call. `_aggregated_rows` runs one row of counts or a block of
 rows at once, one numpy step per slot across the rows with
 `step_aggregated`'s IEEE operations, so every row equals a
-`step_aggregated` loop bit for bit. `run_events` takes Λ, every drift and
+`step_aggregated` loop bit for bit; `run_aggregated` builds its runs and
+alarms from those arrays, and `evaluate` reads them as they are, without
+building either. `run_events` takes Λ, every drift and
 the free walk u with its minimum from numpy, advances the reflected v alone
 in a float loop, and runs a slot where an alarm fires again through
 `step_events` with that slot's intensity integral in plain floats, all with
@@ -230,27 +232,20 @@ class TimelineRun:
     state: CusumState
 
 
-def run_aggregated(
-    timeline: SlotTimeline,
-    counts: Sequence[int] | np.ndarray,
-    config: DetectorConfig,
-    state: CusumState | None = None,
-) -> TimelineRun | list[TimelineRun]:
-    """Run from per-slot counts: one run for counts of shape (slots,), one per row for (rows, slots).
+def _aggregated_rows(
+    timeline: SlotTimeline, rows: np.ndarray, config: DetectorConfig, state: CusumState
+) -> tuple[np.ndarray, ...]:
+    """The aggregated detector over a (rows, slots) array of counts, every row from `state`.
 
-    Every row starts from `state` and advances over the slots with
-    `step_aggregated`'s IEEE operations, one numpy step per slot across all
-    rows, so each row's v, alarms and final state equal a `step_aggregated`
-    loop (and the 1-D call on that row) bit for bit. v is the pre-reset
-    level where an alarm fires.
+    Raises `step_aggregated`'s errors for the first slot that fails one of
+    its checks, then advances every row with its IEEE operations, one numpy
+    step per slot across the rows. Returns, each (rows, slots), V at every
+    slot end (the pre-reset level where an alarm fires), where an alarm
+    fires and the events seen by every slot end; then the final v, u, u_min
+    and armed of every row.
     """
-    counts = np.asarray(counts)
-    if counts.ndim not in (1, 2) or counts.shape[-1] != len(timeline):
-        raise ValidationError("counts length must match the timeline")
-    rows = counts.reshape(-1, len(timeline))
     means = timeline.means
-    # step_aggregated's checks, raised for the first slot that fails one of
-    # them; NaN fails every comparison.
+    # NaN fails every comparison.
     with np.errstate(invalid="ignore"):
         bad_count = ~((rows >= 0) & (rows % 1 == 0))
     bad_increment = ~((means >= 0) & (means < math.inf))
@@ -262,7 +257,6 @@ def run_aggregated(
         raise ValidationError(f"intensity increment must be nonnegative and finite, got {means[s]}")
     rows = rows.astype(np.int64)
 
-    state = state or CusumState.initial(clock=float(timeline.starts[0]))
     m = config.threshold_m
     drift = config.beta * means[:, None]
     # Slot-major, so each step reads and writes contiguous columns.
@@ -289,10 +283,31 @@ def run_aggregated(
                 u_min = np.where(fire, u, u_min)
             else:
                 armed = armed & ~fire
-    path, fired = path.T, fired.T
     seen = state.events_seen + np.cumsum(rows, axis=1)
+    return path.T, fired.T, seen, v, u, u_min, armed
+
+
+def run_aggregated(
+    timeline: SlotTimeline,
+    counts: Sequence[int] | np.ndarray,
+    config: DetectorConfig,
+    state: CusumState | None = None,
+) -> TimelineRun | list[TimelineRun]:
+    """Run from per-slot counts: one run for counts of shape (slots,), one per row for (rows, slots).
+
+    Every row starts from `state` and advances over the slots in
+    `_aggregated_rows`, with `step_aggregated`'s IEEE operations, one numpy
+    step per slot across all rows, so each row's v, alarms and final state
+    equal a `step_aggregated` loop (and the 1-D call on that row) bit for
+    bit. v is the pre-reset level where an alarm fires.
+    """
+    counts = np.asarray(counts)
+    if counts.ndim not in (1, 2) or counts.shape[-1] != len(timeline):
+        raise ValidationError("counts length must match the timeline")
+    state = state or CusumState.initial(clock=float(timeline.starts[0]))
+    path, fired, seen, v, u, u_min, armed = _aggregated_rows(timeline, counts.reshape(-1, len(timeline)), config, state)
     ends = timeline.ends.tolist()
-    alarms: list[list[AlarmEvent]] = [[] for _ in range(n)]
+    alarms: list[list[AlarmEvent]] = [[] for _ in range(len(path))]
     r_fired, s_fired = np.nonzero(fired)
     for r, s, level, events in zip(
         r_fired.tolist(), s_fired.tolist(), path[r_fired, s_fired].tolist(), seen[r_fired, s_fired].tolist()
@@ -356,12 +371,11 @@ def _slot_cumulative(timeline: SlotTimeline, i: int) -> Callable[[float, float],
     """`timeline.cumulative` on slot i's [start, end], bit for bit, without numpy lookups.
 
     `cum_mean_at` reads the last slot starting at or before t, which is slot
-    i + 1 from that slot's start on (its start may equal slot i's end); any
-    further slot starting inside slot i falls back to `timeline.cumulative`.
+    i + 1 from that slot's start on (its start may equal slot i's end, or
+    fall within the timeline's contiguity tolerance of it); no later slot
+    starts by slot i's end.
     """
     j = int(np.searchsorted(timeline.starts, timeline.ends[i], side="right")) - 1
-    if j > i + 1:
-        return timeline.cumulative
     s0, r0, c0 = float(timeline.starts[i]), float(timeline.rates[i]), float(timeline.cum_means[i])
     s1, r1, c1 = float(timeline.starts[j]), float(timeline.rates[j]), float(timeline.cum_means[j])
 

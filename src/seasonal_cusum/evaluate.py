@@ -4,6 +4,12 @@ Delays are measured in events, (N at alarm - N at the change)+, per the
 run-length view of the detector; the worst case over a grid of change
 times approximates the sup over change points, with per-path maxima kept
 as a pessimistic companion to the means.
+
+Each replication is reduced to what these statistics read: its first alarm
+at or after the change, its alarm count and how often V reached the
+threshold. Aggregated paths are read straight off the detector's per-slot
+arrays, a block of replications at a time, so no alarm or run objects are
+built for them.
 """
 
 from __future__ import annotations
@@ -12,11 +18,12 @@ import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterator, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from .detect import EVENT_TIMES, DetectorConfig, TimelineRun, run_aggregated, run_events
+# run_aggregated is not called here; bench/workloads.py traces it on this module by name.
+from .detect import EVENT_TIMES, CusumState, DetectorConfig, _aggregated_rows, run_aggregated, run_events  # noqa: F401
 from .errors import ValidationError
 from .simulate import ChangeSpec, simulate_events, simulate_slot_counts
 from .timeline import SlotTimeline
@@ -38,27 +45,60 @@ _IN_CONTROL_REPLICATIONS = 50
 _AGGREGATED_BLOCK = 128
 
 
+class _Path(NamedTuple):
+    """What the delay statistics read off one replication's run."""
+
+    before: int  # events before the change
+    first: tuple[int, float] | None  # events seen and time at the first alarm at or after the change
+    alarms: int  # alarms raised
+    exceeded: int  # slot ends where V is at or above the threshold
+
+
 def _runs(
     timeline: SlotTimeline, change: ChangeSpec, config: DetectorConfig, seed: int, replications: int
-) -> Iterator[tuple[TimelineRun, int]]:
-    """Each replication's run and its events before the change, in replication order.
+) -> Iterator[_Path]:
+    """Each replication's `_Path`, in replication order.
 
     Paths are drawn one replication at a time, from the same streams as a
-    lone `simulate_slot_counts` or `simulate_events` call; aggregated paths
-    then run through the detector a block of rows at a time.
+    lone `simulate_slot_counts` or `simulate_events` call. An event-time path
+    runs through `run_events`, whose alarm list gives its first alarm at or
+    after the change. Aggregated paths run through the detector a block of
+    rows at a time, and every summary is read off the block's arrays: an
+    alarm fires at its slot's end, so the first at or after the change is
+    the first fired slot from the first slot ending at or after it.
     """
+    m = config.threshold_m
     if config.mode == EVENT_TIMES:
         for rep in range(replications):
             path = simulate_events(timeline, change, seed, rep)
-            before = int(np.searchsorted(path.event_times, change.theta, side="left"))
-            yield run_events(timeline, path.event_times, config), before
+            run = run_events(timeline, path.event_times, config)
+            post = next((a for a in run.alarms if float(a.time) >= change.theta), None)
+            yield _Path(
+                before=int(np.searchsorted(path.event_times, change.theta, side="left")),
+                first=None if post is None else (post.events_at_alarm, float(post.time)),
+                alarms=len(run.alarms),
+                exceeded=int(np.sum(run.v >= m)),
+            )
         return
     # Aggregated observation: only whole slots ending by theta are attributable.
     attributable = timeline.ends <= change.theta
+    start = int(np.searchsorted(timeline.ends, change.theta, side="left"))
+    ends = timeline.ends.tolist()
+    state = CusumState.initial()
     for first in range(0, replications, _AGGREGATED_BLOCK):
         reps = range(first, min(first + _AGGREGATED_BLOCK, replications))
         counts = np.stack([simulate_slot_counts(timeline, change, seed, rep).counts for rep in reps])
-        yield from zip(run_aggregated(timeline, counts, config), counts[:, attributable].sum(axis=1).tolist())
+        v, fired, seen, *_ = _aggregated_rows(timeline, counts, config, state)
+        # The first fired slot from `start` on; a column of alarms past the last slot stands for none.
+        at = start + np.argmax(np.c_[fired[:, start:], np.ones(len(fired), dtype=bool)], axis=1)
+        rows = zip(
+            counts[:, attributable].sum(axis=1).tolist(),
+            at.tolist(),
+            fired.sum(axis=1).tolist(),
+            (v >= m).sum(axis=1).tolist(),
+        )
+        for r, (before, s, alarms, exceeded) in enumerate(rows):
+            yield _Path(before, (int(seen[r, s]), ends[s]) if s < len(ends) else None, alarms, exceeded)
 
 
 @dataclass(frozen=True)
@@ -92,13 +132,13 @@ def detection_delay(
     delays = []
     time_delays = []
     detected = 0
-    for run, n_theta in _runs(timeline, change, config, seed, replications):
-        post = [a for a in run.alarms if float(a.time) >= change.theta]
-        if post:
+    for path in _runs(timeline, change, config, seed, replications):
+        if path.first is not None:
+            events, time = path.first
             detected += 1
-            delays.append(max(0, post[0].events_at_alarm - n_theta))
-            time_delays.append(float(post[0].time) - change.theta)
-        elif run.alarms and not config.reset_on_alarm:
+            delays.append(max(0, events - path.before))
+            time_delays.append(time - change.theta)
+        elif path.alarms and not config.reset_on_alarm:
             detected += 1
             delays.append(0)
             time_delays.append(0.0)
@@ -175,17 +215,17 @@ def worst_case_delay(
 
     alarm_count = 0
     exceed_steps = 0
-    total_steps = 0
-    for run, _ in _runs(timeline, ChangeSpec(), config, seed + 1, _IN_CONTROL_REPLICATIONS):
-        alarm_count += len(run.alarms)
-        exceed_steps += int(np.sum(run.v >= config.threshold_m))
-        total_steps += len(run.v)
+    for path in _runs(timeline, ChangeSpec(), config, seed + 1, _IN_CONTROL_REPLICATIONS):
+        alarm_count += path.alarms
+        exceed_steps += path.exceeded
+    # Every run samples V once per slot.
+    total_steps = _IN_CONTROL_REPLICATIONS * len(timeline)
     return DelayReport(
         per_theta=per_theta,
         worst_case_delay_events=max(means) if means else math.nan,
         worst_case_max_delay_events=max(maxes) if maxes else math.nan,
         false_alarm_rate=alarm_count / (_IN_CONTROL_REPLICATIONS * timeline.total_time),
-        exceedance_fraction=exceed_steps / total_steps if total_steps else math.nan,
+        exceedance_fraction=exceed_steps / total_steps,
         rho=config.rho,
     )
 

@@ -37,7 +37,14 @@ class SlotTimeline:
         if np.any(self.lengths <= 0) or not np.all((self.rates >= 0) & (self.rates < np.inf)):
             raise ValidationError("slot lengths must be positive and rates nonnegative and finite")
         self.ends = self.starts + self.lengths
-        if not np.allclose(self.starts[1:], self.ends[:-1]):
+        # NaN and infinite starts fail this too.
+        if not np.all(self.ends > self.starts):
+            raise ValidationError("slot starts must be finite, and each slot must end after it starts")
+        # Each slot starts where the previous one ends, up to a rounding error
+        # far below either slot's length wherever the two sit on the axis: so
+        # slot i + 1 is the only slot that can start by slot i's end.
+        gaps = np.abs(self.starts[1:] - self.ends[:-1])
+        if not np.all(gaps <= 1e-9 * np.minimum(self.lengths[1:], self.lengths[:-1])):
             raise ValidationError("timeline slots must be contiguous")
         self.days = None if days is None else np.asarray(days, dtype="datetime64[D]")
         self.grid = None if grid is None else np.asarray(grid, dtype=np.int64)

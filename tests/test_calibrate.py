@@ -1,8 +1,12 @@
 from __future__ import annotations
 
 import math
+import os
 import random
+import subprocess
+import sys
 from datetime import date, timedelta
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -638,3 +642,24 @@ def test_overflowing_horizon_is_refused():
     tl = SlotTimeline.from_rates([1.0] * 168)
     with pytest.raises(ValidationError, match="inf cycles"):
         calibrate_threshold(tl, _event_cfg(), CalibrationTarget(pi=1e308, replications=100))
+
+
+def test_calibration_does_not_import_numpy_ma():
+    # numpy.ma costs over a megabyte of memory and about 10 ms to import; np.unique imports it.
+    code = """
+import sys
+from seasonal_cusum.calibrate import CalibrationTarget, calibrate_threshold
+from seasonal_cusum.detect import DetectorConfig
+from seasonal_cusum.timeline import SlotTimeline
+tl = SlotTimeline.from_rates([2.0] * 30)
+for mode, pi in (("events", 40.0), ("aggregated", 60.0)):
+    config = DetectorConfig(rho=1.4, threshold_m=1.0, mode=mode)
+    result = calibrate_threshold(tl, config, CalibrationTarget(pi=pi, replications=300), seed=6)
+    assert len(result.trace) > 3, result.trace
+print("numpy.ma" in sys.modules)
+"""
+    src = Path(__file__).resolve().parent.parent / "src"
+    done = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True, env={**os.environ, "PYTHONPATH": str(src)}
+    )
+    assert done.stdout.strip() == "False"

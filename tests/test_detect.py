@@ -17,7 +17,6 @@ from seasonal_cusum.detect import (
     EVENT_TIMES,
     INCREASE,
     _EVENT_BLOCK,
-    _slot_cumulative,
     AlarmEvent,
     CusumState,
     DetectorConfig,
@@ -755,36 +754,13 @@ def test_run_events_rejects_bad_times(data, fault, where):
 
 
 def test_run_events_rejects_event_between_nearly_contiguous_slots():
-    # Slot 1 starts a hair after slot 0 ends, which the timeline accepts as
-    # contiguous; an event in that hair is outside both slots, as in step_events.
-    tl = SlotTimeline([0.0, 1.0 + 1e-9], [1.0, 1.0], [2.0, 2.0])
-    with pytest.raises(ValidationError):
-        step_events(CusumState.initial(), [1.0 + 5e-10], _cfg(mode=EVENT_TIMES), (1.0 + 1e-9, 2.0 + 1e-9), tl.cumulative)
-    with pytest.raises(ValidationError):
-        run_events(tl, [0.5, 1.0 + 5e-10, 1.5], _cfg(mode=EVENT_TIMES))
-
-@pytest.mark.parametrize("direction", [INCREASE, DECREASE])
-def test_run_events_alarm_slot_with_a_later_slot_starting_inside_it(direction):
-    # Slots 1 and 2 start inside slot 0, within the contiguity tolerance, so
-    # slot 0's alarm is replayed on `timeline.cumulative` itself.
-    tl = SlotTimeline([0.0, 1 - 2e-9, 1 - 1e-9], [1.0, 1e-9, 1.0], [3.0, 5.0, 4.0])
-    assert _slot_cumulative(tl, 0) == tl.cumulative
-    up = direction == INCREASE
-    cfg = _cfg(rho=1.5 if up else 0.5, m=1.0 if up else 0.5, direction=direction, mode=EVENT_TIMES)
-    times = [0.1, 0.2, 0.3, 0.4, 1.5] if up else [1.5]
-    run = run_events(tl, times, cfg)
-
-    state, v, alarms = CusumState.initial(clock=0.0), [], []
-    for i in range(len(tl)):
-        a, b = float(tl.starts[i]), float(tl.ends[i])
-        inside = [t for t in times if (a <= t if i == 0 else a < t) and t <= b]
-        state, alarm = step_events(state, inside, cfg, (a, b), tl.cumulative)
-        v.append(state.v)
-        if alarm is not None:
-            alarms.append(alarm)
-    assert alarms and alarms[0].time < tl.ends[0]
-    assert run.v.tolist() == v
-    assert (run.alarms, run.state) == (alarms, state)
+    # A hair-width gap between slots is refused by the timeline itself, so no
+    # event can fall between two of its slots; step_events refuses an event
+    # just before its interval all the same.
+    with pytest.raises(ValidationError, match="contiguous"):
+        SlotTimeline([0.0, 1.0 + 1e-9], [1.0, 1.0], [2.0, 2.0])
+    with pytest.raises(ValidationError, match="outside the interval"):
+        step_events(CusumState.initial(), [1.0 + 5e-10], _cfg(mode=EVENT_TIMES), (1.0 + 1e-9, 2.0 + 1e-9), lambda a, b: 2.0 * (b - a))
 
 
 # Unit slots over three and a half blocks of run_events' Λ evaluation. The two
@@ -924,12 +900,13 @@ def test_run_aggregated_rejects_bad_records(rates, counts):
 def test_run_events_on_calendar_equals_step_events_loop(truth_model, direction, reset, gaps):
     # Three weeks of 2018 span two blocks of seasonal slot rates, with closed
     # Sundays; m = 3 alarms every few slots in both directions. The gapped
-    # copy starts each day 1e-6 later, inside the timeline's contiguity
-    # tolerance, so no slot starts where the previous one ends.
+    # copy starts each open day 5e-10 later than the one before, inside the
+    # timeline's contiguity tolerance (1e-9 of a unit slot), so no slot
+    # starts where the previous one ends.
     tl = truth_model.timeline([date(2018, 1, 1) + timedelta(days=k) for k in range(21)])
     if gaps:
-        day = (tl.days - tl.days[0]).astype(int)
-        tl = SlotTimeline(tl.starts + 1e-6 * day, tl.lengths, tl.rates, tl.days, tl.grid)
+        day = np.cumsum(np.concatenate([[0], tl.days[1:] != tl.days[:-1]]))
+        tl = SlotTimeline(tl.starts + 5e-10 * day, tl.lengths, tl.rates, tl.days, tl.grid)
         # 18 open days; rounding parts a few slots within a day as well.
         assert np.count_nonzero(tl.starts[1:] > tl.ends[:-1]) >= 17
     assert _EVENT_BLOCK < len(tl) < 2 * _EVENT_BLOCK

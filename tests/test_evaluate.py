@@ -5,7 +5,15 @@ import math
 import numpy as np
 import pytest
 
-from seasonal_cusum.detect import AGGREGATED_COUNTS, DECREASE, EVENT_TIMES, DetectorConfig, run_aggregated
+from seasonal_cusum.detect import (
+    AGGREGATED_COUNTS,
+    DECREASE,
+    EVENT_TIMES,
+    AlarmEvent,
+    DetectorConfig,
+    run_aggregated,
+    run_events,
+)
 from seasonal_cusum.errors import ValidationError
 from seasonal_cusum.evaluate import (
     _AGGREGATED_BLOCK,
@@ -16,7 +24,7 @@ from seasonal_cusum.evaluate import (
     exceedance_fraction,
     worst_case_delay,
 )
-from seasonal_cusum.simulate import ChangeSpec, simulate_slot_counts
+from seasonal_cusum.simulate import ChangeSpec, simulate_events, simulate_slot_counts
 from seasonal_cusum.timeline import SlotTimeline
 
 
@@ -136,20 +144,32 @@ def test_fewer_than_one_replication_is_rejected():
 
 
 def _reference_report(tl, thetas, config, replications, seed):
-    """Aggregated-mode `worst_case_delay`, one path and one 1-D `run_aggregated` call per replication."""
+    """`worst_case_delay`, one path and one detector run per replication, read off its alarm list.
+
+    Aggregated paths run through a 1-D `run_aggregated` call, event-time
+    paths through `run_events`.
+    """
+
+    def run(change, seed, rep):
+        if config.mode == EVENT_TIMES:
+            path = simulate_events(tl, change, seed, rep)
+            before = int(np.searchsorted(path.event_times, change.theta, side="left"))
+            return run_events(tl, path.event_times, config), before
+        path = simulate_slot_counts(tl, change, seed, rep)
+        before = sum(c for c, end in zip(path.counts, tl.ends.tolist()) if end <= change.theta)
+        return run_aggregated(tl, path.counts, config), before
+
     per_theta = []
     for theta in thetas:
         change = ChangeSpec(theta=theta, rho=config.rho)
         delays, time_delays = [], []
         for rep in range(replications):
-            path = simulate_slot_counts(tl, change, seed, rep)
-            run = run_aggregated(tl, path.counts, config)
-            n_theta = sum(c for c, end in zip(path.counts, tl.ends.tolist()) if end <= theta)
-            post = [a for a in run.alarms if a.time >= theta]
+            detector, n_theta = run(change, seed, rep)
+            post = [a for a in detector.alarms if float(a.time) >= theta]
             if post:
                 delays.append(max(0, post[0].events_at_alarm - n_theta))
-                time_delays.append(post[0].time - theta)
-            elif run.alarms and not config.reset_on_alarm:
+                time_delays.append(float(post[0].time) - theta)
+            elif detector.alarms and not config.reset_on_alarm:
                 delays.append(0)
                 time_delays.append(0.0)
         arr = np.array(delays, dtype=float)
@@ -166,10 +186,10 @@ def _reference_report(tl, thetas, config, replications, seed):
         )
     alarms = exceed = steps = 0
     for rep in range(_IN_CONTROL_REPLICATIONS):
-        run = run_aggregated(tl, simulate_slot_counts(tl, ChangeSpec(), seed + 1, rep).counts, config)
-        alarms += len(run.alarms)
-        exceed += int(np.sum(run.v >= config.threshold_m))
-        steps += len(run.v)
+        detector, _ = run(ChangeSpec(), seed + 1, rep)
+        alarms += len(detector.alarms)
+        exceed += int(np.sum(detector.v >= config.threshold_m))
+        steps += len(detector.v)
     means = [d.mean_delay_events for d in per_theta if not math.isnan(d.mean_delay_events)]
     maxes = [d.max_delay_events for d in per_theta if not math.isnan(d.max_delay_events)]
     return DelayReport(
@@ -182,17 +202,58 @@ def _reference_report(tl, thetas, config, replications, seed):
     )
 
 
-@pytest.mark.parametrize(
+_CASES = pytest.mark.parametrize(
     "rho, m, reset",
     [(2.0, 6.0, True), (2.0, 2.0, False), (1.3, 1.5, True), (0.5, 4.0, True), (0.5, 1.0, False)],
     ids=["up", "up-dense-no-reset", "up-dense", "down", "down-dense-no-reset"],
 )
-def test_aggregated_worst_case_equals_per_replication_loop(rho, m, reset):
-    tl = SlotTimeline.from_rates([4.0, 0.0, 6.5, 2.0, 0.0, 5.0] * 4, length=0.5)
-    cfg = DetectorConfig(
-        rho=rho, threshold_m=m, direction="increase" if rho > 1 else DECREASE, mode=AGGREGATED_COUNTS, reset_on_alarm=reset
+
+
+def _config(rho, m, reset, mode):
+    return DetectorConfig(
+        rho=rho, threshold_m=m, direction="increase" if rho > 1 else DECREASE, mode=mode, reset_on_alarm=reset
     )
+
+
+# Closed slots between busy ones, half-unit slots: change times fall inside slots and on their ends.
+_TIMELINE_RATES = [4.0, 0.0, 6.5, 2.0, 0.0, 5.0] * 4
+_THETAS = [0.75, 4.0, 10.9]
+
+
+@_CASES
+def test_aggregated_worst_case_equals_per_replication_loop(rho, m, reset):
+    tl = SlotTimeline.from_rates(_TIMELINE_RATES, length=0.5)
+    cfg = _config(rho, m, reset, AGGREGATED_COUNTS)
     reps = _AGGREGATED_BLOCK + 9  # one full block and a partial one
-    args = (tl, [0.75, 4.0, 10.9], cfg, reps, 23)
-    got = worst_case_delay(*args[:3], replications=reps, seed=23)
-    assert repr(got.to_dict()) == repr(_reference_report(*args).to_dict())
+    got = worst_case_delay(tl, _THETAS, cfg, replications=reps, seed=23)
+    assert repr(got.to_dict()) == repr(_reference_report(tl, _THETAS, cfg, reps, 23).to_dict())
+
+
+@_CASES
+def test_event_worst_case_equals_per_replication_loop(rho, m, reset):
+    tl = SlotTimeline.from_rates(_TIMELINE_RATES, length=0.5)
+    cfg = _config(rho, m, reset, EVENT_TIMES)
+    got = worst_case_delay(tl, _THETAS, cfg, replications=60, seed=29)
+    want = _reference_report(tl, _THETAS, cfg, 60, 29)
+    assert repr(got.to_dict()) == repr(want.to_dict())
+    # Every case detects some changes and raises in-control alarms.
+    assert all(d.detect_probability > 0 for d in want.per_theta) and want.false_alarm_rate > 0
+
+
+def test_aggregated_worst_case_builds_no_alarm_objects(monkeypatch):
+    built = []
+    init = AlarmEvent.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(AlarmEvent, "__init__", counting_init)
+    tl = SlotTimeline.from_rates(_TIMELINE_RATES, length=0.5)
+    cfg = _config(1.3, 1.5, True, AGGREGATED_COUNTS)
+    report = worst_case_delay(tl, _THETAS, cfg, replications=40, seed=23)
+    assert report.false_alarm_rate > 0 and all(d.detect_probability > 0 for d in report.per_theta)
+    assert built == []
+    # The same detector, run for its alarms, does build them.
+    run_aggregated(tl, simulate_slot_counts(tl, ChangeSpec(), 24, 0).counts, cfg)
+    assert built

@@ -50,6 +50,35 @@ def test_rejects_gaps_and_empty():
         SlotTimeline([0.0, 2.0], [1.0, 1.0], [5.0, 5.0])
 
 
+def test_contiguity_tolerance_follows_the_slot_lengths_not_the_position():
+    # A 5-unit gap a million units along is refused, as is a hair-width one
+    # between unit slots; Λ would otherwise step back at the next slot's start.
+    with pytest.raises(ValidationError, match="contiguous"):
+        SlotTimeline([1e6, 1e6 + 6, 1e6 + 7], [1, 1, 1], [1, 2, 3])
+    with pytest.raises(ValidationError, match="contiguous"):
+        SlotTimeline([0.0, 1.0 + 2e-9], [1.0, 1.0], [2.0, 2.0])
+    # Rounding far below the slot lengths is accepted, wherever the slots sit.
+    tl = SlotTimeline([1e6, 1e6 + 1 + 5e-10, 1e6 + 2], [1.0, 1.0, 1.0], [1.0, 2.0, 3.0])
+    assert tl.cum_mean_at(1e6 + 1.5) == pytest.approx(2.0)
+    far = SlotTimeline.from_rates([1.0, 2.0, 3.0], length=0.1, start=1e6)
+    assert np.all(far.starts[1:] == far.ends[:-1])
+
+
+def test_rejects_a_slot_starting_inside_an_earlier_one():
+    # Slots 1 and 2 start inside slot 0 by 2e-9 and 1e-9, twice and once the
+    # length of slot 1: each overlap is far past 1e-9 of its shorter slot.
+    with pytest.raises(ValidationError, match="contiguous"):
+        SlotTimeline([0.0, 1 - 2e-9, 1 - 1e-9], [1.0, 1e-9, 1.0], [3.0, 5.0, 4.0])
+    with pytest.raises(ValidationError, match="contiguous"):
+        SlotTimeline([0.0, 0.5], [1.0, 1.0], [3.0, 4.0])
+
+
+@pytest.mark.parametrize("start", [float("nan"), float("inf")])
+def test_rejects_a_start_that_is_not_finite(start):
+    with pytest.raises(ValidationError, match="finite"):
+        SlotTimeline([start], [1.0], [2.0])
+
+
 @pytest.mark.parametrize("rate", [float("nan"), float("inf"), -1.0])
 def test_rejects_rates_that_are_negative_or_not_finite(rate):
     with pytest.raises(ValidationError, match="rates nonnegative and finite"):
