@@ -17,6 +17,7 @@ from seasonal_cusum.detect import (
     EVENT_TIMES,
     INCREASE,
     _EVENT_BLOCK,
+    _slot_cumulative,
     AlarmEvent,
     CusumState,
     DetectorConfig,
@@ -761,6 +762,33 @@ def test_run_events_rejects_event_between_nearly_contiguous_slots():
         SlotTimeline([0.0, 1.0 + 1e-9], [1.0, 1.0], [2.0, 2.0])
     with pytest.raises(ValidationError, match="outside the interval"):
         step_events(CusumState.initial(), [1.0 + 5e-10], _cfg(mode=EVENT_TIMES), (1.0 + 1e-9, 2.0 + 1e-9), lambda a, b: 2.0 * (b - a))
+
+
+@pytest.mark.parametrize("direction", [INCREASE, DECREASE])
+def test_run_events_alarm_slot_with_a_later_slot_starting_inside_it(direction):
+    # Slot 1 starts 5e-10 inside slot 0, within the contiguity tolerance, so
+    # slot 0's alarm is replayed on a Λ that reads slot 1 from that start on,
+    # as `timeline.cumulative` does.
+    tl = SlotTimeline([0.0, 1 - 5e-10, 2 - 5e-10], [1.0, 1.0, 1.0], [3.0, 5.0, 4.0])
+    cum = _slot_cumulative(tl, 0)
+    for a, b in [(0.0, 0.4), (0.4, 1 - 5e-10), (0.4, 1.0), (1 - 5e-10, 1.0), (0.0, 1.0)]:
+        assert cum(a, b) == tl.cumulative(a, b)
+    up = direction == INCREASE
+    cfg = _cfg(rho=1.5 if up else 0.5, m=1.0 if up else 0.5, direction=direction, mode=EVENT_TIMES)
+    times = [0.1, 0.2, 0.3, 0.4, 1.5] if up else [1.5]
+    run = run_events(tl, times, cfg)
+
+    state, v, alarms = CusumState.initial(clock=0.0), [], []
+    for i in range(len(tl)):
+        a, b = float(tl.starts[i]), float(tl.ends[i])
+        inside = [t for t in times if (a <= t if i == 0 else a < t) and t <= b]
+        state, alarm = step_events(state, inside, cfg, (a, b), tl.cumulative)
+        v.append(state.v)
+        if alarm is not None:
+            alarms.append(alarm)
+    assert alarms and alarms[0].time < tl.ends[0]
+    assert run.v.tolist() == v
+    assert (run.alarms, run.state) == (alarms, state)
 
 
 # Unit slots over three and a half blocks of run_events' Λ evaluation. The two
