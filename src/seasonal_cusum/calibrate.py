@@ -10,13 +10,16 @@ aggregated-count paths record it at slot ends, from the same slot counts. An
 event-time path is simulated in chunks, and only as far as the largest
 threshold queried so far needs: up to its first record at or above it, or to
 the horizon. The records read are bit for bit those of the whole path
-simulated at once.
+simulated at once. Several detectors can read one draw per replication
+(`SharedDraws`): each chunk is drawn once and every attached curve takes its
+records from it.
 
 All curves are read together: their records sit in one flat array cut by
 per-curve offsets, and the run lengths at a threshold come from one numpy
-pass over it. The threshold is read off the record levels: a fixed ladder of
-tops finds the first whose ARL reaches the budget, and a binary search over
-the levels below it finds the step that straddles the budget exactly.
+pass over it. The threshold is read off the record levels: tops placed by
+extrapolating log ARL through the reads so far, capped by a fixed ladder,
+find the first whose ARL reaches the budget, and a binary search over the
+levels below it finds the step that straddles the budget exactly.
 """
 
 from __future__ import annotations
@@ -24,7 +27,6 @@ from __future__ import annotations
 import bisect
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -39,8 +41,10 @@ THREADS_ENV = "SEASONAL_CUSUM_THREADS"
 # A calibrated run length may miss pi by this fraction of pi plus two standard errors.
 _TOLERANCE_REL = 0.02
 
-# Thresholds read in turn until one's ARL reaches pi: 0.5, 0.75, 1, 1.5, 2, 3, ..., 2**60.
+# Bracket tops, each read until one's ARL reaches pi: 0.5, 0.75, 1, 1.5, 2, 3, ..., 2**60. A top
+# extrapolated from the reads replaces the next one where it is lower, this fraction past the guess.
 _LADDER = tuple(2.0**k * f for k in range(-1, 60) for f in (1.0, 1.5)) + (2.0**60,)
+_SECANT_MARGIN = 0.02
 
 
 def worker_count() -> int:
@@ -161,43 +165,84 @@ class _Tiling:
         self.chunk_ends = steps if done else np.append(steps, len(self.means))
 
 
-class _EventPath:
-    """Resumable state of one event-time path, simulated chunk by chunk.
+class _EventDraw:
+    """Resumable draw of one event-time replication, simulated chunk by chunk.
 
-    `base` is a sequential cumulative sum, so events of slot s have
-    cumulative intensity in [base[s], base[s + 1]]: sorting each chunk on its
-    own gives the global sort. Consecutive `random` draws on one generator
-    equal one long draw, and the carried minimum and maximum are exact, so
-    the records equal those of the whole path simulated at once.
+    Every record curve attached to the draw takes its records from each
+    chunk as it is made, so several detectors read one draw. `base` is a
+    sequential cumulative sum, so events of slot s have cumulative intensity
+    in [base[s], base[s + 1]]: sorting each chunk on its own gives the global
+    sort. Consecutive `random` draws on one generator equal one long draw, and
+    each curve carries its exact minimum of U and maximum of V, so the records
+    equal those of the whole path simulated at once.
     """
 
-    def __init__(self, tiling: _Tiling, config: DetectorConfig, rng: np.random.Generator, counts: np.ndarray):
+    def __init__(self, tiling: _Tiling, rng: np.random.Generator, counts: np.ndarray):
         self.tiling = tiling
-        self.beta = config.beta
-        self.increase = config.direction == INCREASE
         self.rng = rng
         self.counts = counts.astype(np.min_scalar_type(counts.max()))  # usually one byte per slot
         self.total = int(counts.sum())
         self.chunk = 0  # index of the next chunk in tiling.chunk_ends
         self.seen = 0  # events simulated so far
-        self.u_min = 0.0  # min(0, U at every event so far): pre-jump (increase) or post-jump (decrease)
-        self.peak = -math.inf  # running maximum of V so far
+        self.curves: list[RecordCurve] = []  # the attached curves
 
     @property
     def done(self) -> bool:
         return self.chunk == len(self.tiling.chunk_ends)
 
-    def advance(self) -> tuple[np.ndarray, np.ndarray]:
-        """Simulate the next chunk; return its new records (levels, event counts)."""
-        h, b = self.tiling, self.beta
+    def advance(self) -> None:
+        """Simulate the next chunk and add its records to every attached curve."""
+        h = self.tiling
         s0 = int(h.chunk_ends[self.chunk - 1]) if self.chunk else 0
         s1 = int(h.chunk_ends[self.chunk])
         self.chunk += 1
-        slot_of = np.repeat(np.arange(s0, s1), self.counts[s0:s1])
-        k = len(slot_of)
-        lam = np.sort(h.base[slot_of] + h.means[slot_of] * self.rng.random(k))
+        counts = self.counts[s0:s1]
+        starts = np.repeat(h.base[s0:s1], counts)
+        k = len(starts)
+        lam = np.sort(starts + np.repeat(h.means[s0:s1], counts) * self.rng.random(k))
         j = np.arange(self.seen + 1, self.seen + k + 1)
         self.seen += k
+        end = float(h.base[-1]) if self.done else None
+        for curve in self.curves:
+            curve.add_chunk(lam, j, end)
+            if end is not None:
+                curve.path = None
+        if end is not None:
+            self.curves = []
+
+
+class RecordCurve:
+    """Running-max levels of V with the event count at each new record.
+
+    An event-mode curve is attached to its replication's draw (`path`), which
+    it extends only as far as the thresholds queried so far need; the draw may
+    have been extended further for another curve attached to it. An
+    aggregated curve, and one whose draw reached its horizon, is complete.
+    """
+
+    def __init__(self, levels: np.ndarray, events: np.ndarray, total_events: int):
+        self.levels = levels
+        self.events = events
+        self.total_events = total_events
+        self.path: _EventDraw | None = None
+
+    def attach(self, path: _EventDraw, config: DetectorConfig) -> None:
+        """Take `config`'s records from every chunk of `path` from now on; `path` has made none yet."""
+        self.path = path
+        self.beta = config.beta
+        self.increase = config.direction == INCREASE
+        self.u_min = 0.0  # min(0, U at every event so far): pre-jump (increase) or post-jump (decrease)
+        path.curves.append(self)
+
+    def add_chunk(self, lam: np.ndarray, j: np.ndarray, end: float | None) -> None:
+        """Append the records set by one chunk of the draw.
+
+        The chunk's events are numbered j and sit at cumulative intensity
+        lam; end is the cumulative intensity at the horizon if the chunk is
+        the last, else None.
+        """
+        b, k = self.beta, len(j)
+        peak = float(self.levels[-1]) if len(self.levels) else -math.inf  # running maximum of V so far
         if self.increase:
             u_after = j - b * lam
             runmin = np.minimum(np.minimum.accumulate(u_after - 1.0), self.u_min)
@@ -210,40 +255,20 @@ class _EventPath:
             events = j - 1
         if k:
             self.u_min = float(runmin[-1])
-        if self.done and not self.increase:
+        if end is not None and not self.increase:
             # The drift keeps rising after the last event until the horizon end.
-            v = np.append(v, b * h.base[-1] - self.total - self.u_min)
-            events = np.append(events, self.total)
-        running = np.maximum(np.maximum.accumulate(v), self.peak)
-        keep = running > np.concatenate([[self.peak], running[:-1]])
-        if len(v):
-            self.peak = float(running[-1])
-        return running[keep], events[keep]
-
-
-class RecordCurve:
-    """Running-max levels of V with the event count at each new record.
-
-    An event-mode curve holds its path's resumable state and simulates it only
-    as far as the thresholds queried so far need; an aggregated curve, and a
-    path that reached its horizon, is complete.
-    """
-
-    def __init__(self, levels: np.ndarray, events: np.ndarray, total_events: int, path: _EventPath | None = None):
-        self.levels = levels
-        self.events = events
-        self.total_events = total_events
-        self.path = path
+            v = np.append(v, b * end - self.total_events - self.u_min)
+            events = np.append(events, self.total_events)
+        running = np.maximum(np.maximum.accumulate(v), peak)
+        keep = running > np.concatenate([[peak], running[:-1]])
+        if keep.any():
+            self.levels = np.concatenate([self.levels, running[keep]])
+            self.events = np.concatenate([self.events, events[keep]])
 
     def extend(self, m: float) -> None:
         """Simulate the path until a record reaches m or the horizon ends."""
         while self.path is not None and not (len(self.levels) and self.levels[-1] >= m):
-            levels, events = self.path.advance()
-            if len(levels):
-                self.levels = np.concatenate([self.levels, levels])
-                self.events = np.concatenate([self.events, events])
-            if self.path.done:
-                self.path = None
+            self.path.advance()
 
     def run_length(self, m: float) -> tuple[int, bool]:
         """(events to alarm, censored) for a threshold m on this path."""
@@ -260,14 +285,15 @@ class _CurveSet:
     The records are held flat, cut by per-curve offsets, with one spare event
     slot at the end so a censored path's index stays in range. The flat
     arrays are rebuilt only after a read extends some lazy curve; reads that
-    extend nothing reuse them.
+    extend nothing reuse them. A curve may hold records past the flat
+    arrays' (another curve on its draw extended it), but never fewer.
     """
 
     def __init__(self, curves: list[RecordCurve]):
         self.curves = curves
         self.totals = np.array([c.total_events for c in curves], dtype=np.int64)
-        # The last record of each curve still simulating (-inf before its
-        # first); +inf once a curve is complete, so it is never extended.
+        # At most the last record of each curve still simulating (-inf before
+        # its first); +inf once a curve is complete, so it is never extended.
         self.tops = np.array([-np.inf if c.path is not None else np.inf for c in curves])
         self._flatten()
 
@@ -296,33 +322,92 @@ class _CurveSet:
         n = np.where(censored, self.totals, self.events[self.offsets[:-1] + counts])
         return n.astype(float), censored
 
+    def detach(self) -> None:
+        """Leave the draws: their other curves go on without these, which are not read again."""
+        for c in self.curves:
+            if c.path is not None:
+                c.path.curves.remove(c)
+                c.path = None
+
+
+def _record_curves(tiling: _Tiling, configs: list[DetectorConfig], seed: int, rep: int) -> list[RecordCurve]:
+    """Each config's record curve of replication `rep` over the horizon `tiling`, from one draw."""
+    rng = rng_for(seed, rep, 2)
+    counts = rng.poisson(tiling.means)
+    if configs[0].mode != AGGREGATED_COUNTS:
+        draw = _EventDraw(tiling, rng, counts)
+        curves = [RecordCurve(np.empty(0), np.empty(0, dtype=int), draw.total) for _ in configs]
+        if draw.total:
+            for curve, config in zip(curves, configs):
+                curve.attach(draw, config)
+        return curves
+    # The slot-by-slot recursion v' = max(0, v + x) observed at slot ends,
+    # in closed form: V = U - min(0, running min of U).
+    events, total = np.cumsum(counts), int(counts.sum())
+    curves = []
+    for config in configs:
+        sign = 1.0 if config.direction == INCREASE else -1.0
+        u = np.cumsum(sign * (counts - config.beta * tiling.means))
+        v = u - np.minimum(np.minimum.accumulate(u), 0.0)
+        running = np.maximum.accumulate(v)
+        keep = running > np.concatenate([[-np.inf], running[:-1]])
+        curves.append(RecordCurve(running[keep], events[keep], total))
+    return curves
+
 
 def _record_curve(tiling: _Tiling, config: DetectorConfig, seed: int, rep: int) -> RecordCurve:
     """Record curve of replication `rep` over the horizon `tiling`, which all replications share."""
-    rng = rng_for(seed, rep, 2)
-    counts = rng.poisson(tiling.means)
-    if config.mode != AGGREGATED_COUNTS:
-        path = _EventPath(tiling, config, rng, counts)
-        return RecordCurve(np.empty(0), np.empty(0, dtype=int), path.total, path if path.total else None)
-    # The slot-by-slot recursion v' = max(0, v + x) observed at slot ends,
-    # in closed form: V = U - min(0, running min of U).
-    sign = 1.0 if config.direction == INCREASE else -1.0
-    u = np.cumsum(sign * (counts - config.beta * tiling.means))
-    v = u - np.minimum(np.minimum.accumulate(u), 0.0)
-    running = np.maximum.accumulate(v)
-    keep = running > np.concatenate([[-np.inf], running[:-1]])
-    return RecordCurve(levels=running[keep], events=np.cumsum(counts)[keep], total_events=int(counts.sum()))
+    return _record_curves(tiling, [config], seed, rep)[0]
 
 
-def _build_curves(timeline: SlotTimeline, config: DetectorConfig, target: CalibrationTarget, seed: int) -> _CurveSet:
-    cycles, _ = _horizon(timeline, target, config.mode)
+def _curve_sets(
+    timeline: SlotTimeline, configs: list[DetectorConfig], target: CalibrationTarget, seed: int
+) -> list[_CurveSet]:
+    """One curve set per config, all read off one draw per replication."""
+    cycles, _ = _horizon(timeline, target, configs[0].mode)
     tiling = _Tiling(timeline, cycles)
     reps = range(target.replications)
     workers = worker_count()
     if workers == 1:
-        return _CurveSet([_record_curve(tiling, config, seed, r) for r in reps])
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return _CurveSet(list(pool.map(lambda r: _record_curve(tiling, config, seed, r), reps)))
+        rows = [_record_curves(tiling, configs, seed, r) for r in reps]
+    else:
+        # Imported here: the default single thread never needs it, and it costs every start about 7 ms.
+        from concurrent.futures import ThreadPoolExecutor
+
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            rows = list(pool.map(lambda r: _record_curves(tiling, configs, seed, r), reps))
+    return [_CurveSet(list(curves)) for curves in zip(*rows)]
+
+
+def _build_curves(timeline: SlotTimeline, config: DetectorConfig, target: CalibrationTarget, seed: int) -> _CurveSet:
+    return _curve_sets(timeline, [config], target, seed)[0]
+
+
+class SharedDraws:
+    """One draw per replication for the calibrations of several detectors.
+
+    Pass it to `calibrate_threshold` once for each of `configs`, with one
+    timeline, target and seed. The first call draws every replication once
+    and attaches a record curve per config to it; each call then reads its
+    own config's curves, which the calls before it may already have extended.
+    Every result equals that of a call made without it.
+    """
+
+    def __init__(self, configs: list[DetectorConfig]):
+        if len({c.mode for c in configs}) != 1:
+            raise ValidationError("shared calibration draws need one observation mode")
+        self.configs = list(configs)
+        self._inputs: tuple | None = None
+        self._sets: dict[DetectorConfig, _CurveSet] = {}
+
+    def take(self, timeline: SlotTimeline, config: DetectorConfig, target: CalibrationTarget, seed: int) -> _CurveSet:
+        """`config`'s curve set; the first call draws for every config."""
+        if self._inputs is None:
+            self._inputs = (timeline, target, seed)
+            self._sets = dict(zip(self.configs, _curve_sets(timeline, self.configs, target, seed)))
+        if self._inputs[0] is not timeline or self._inputs[1:] != (target, seed) or config not in self._sets:
+            raise ValidationError("shared draws serve each of their configs once, on one timeline, target and seed")
+        return self._sets.pop(config)
 
 
 def _summarize(run_lengths: np.ndarray, censored: np.ndarray) -> tuple[float, float, float]:
@@ -362,21 +447,31 @@ def calibrate_threshold(
     config_template: DetectorConfig,
     target: CalibrationTarget,
     seed: int = 0,
+    *,
+    draws: SharedDraws | None = None,
 ) -> CalibrationResult:
     """Read the threshold off the record levels at the step where the ARL reaches pi.
 
     Under common random numbers the empirical ARL is a nondecreasing step
     function of m, constant on (r, r'] between consecutive record levels. The
-    top climbs the ladder 0.5, 0.75, 1, 1.5, 2, 3, ... 2**60 until ARL(top)
-    reaches pi, which leaves every record below it known; a binary search over
-    the levels r in [previous top, top) finds the first with ARL(nextafter(r))
-    >= pi, and m is r or nextafter(r), whichever ARL is closer to pi. `trace`
-    lists every ARL read, in order: 1e-9, the ladder tops, the search and r.
+    top climbs until ARL(top) reaches pi, which leaves every record below it
+    known. Each next top is the next value of the ladder 0.5, 0.75, 1, 1.5,
+    2, 3, ... 2**60 or, where that is lower and the last read raised the ARL,
+    2% past the m at which log ARL, extrapolated linearly through the last
+    two reads, meets log pi. A binary search over the levels r in [previous
+    top, top) finds the first with ARL(nextafter(r)) >= pi, and m is r or
+    nextafter(r), whichever ARL is closer to pi. `trace` lists every ARL
+    read, in order: 1e-9, the tops, the search and r. With `draws` the
+    curves are read off draws shared with other configs' calibrations; the
+    result is the same.
     """
     if target.pi < 1:
         raise ValidationError("budget below one event is unattainable")
 
-    curves = _build_curves(timeline, config_template, target, seed)
+    if draws is None:
+        curves = _build_curves(timeline, config_template, target, seed)
+    else:
+        curves = draws.take(timeline, config_template, target, seed)
     trace: list[dict] = []
     reads: dict[float, tuple[float, float, float]] = {}
 
@@ -393,13 +488,17 @@ def calibrate_threshold(
     elif floor[0] > target.pi:
         raise BracketingError(f"run length at a vanishing threshold already exceeds pi={target.pi}")
     else:
-        below = 1e-9
-        for top in _LADDER:
-            if evaluate(top)[0] >= target.pi:
-                break
-            below = top
-        else:
-            raise BracketingError(f"could not straddle pi={target.pi} within 60 expansions")
+        below, arl, top = 1e-9, floor[0], _LADDER[0]
+        while (read := evaluate(top)[0]) < target.pi:
+            step = bisect.bisect_right(_LADDER, top)
+            if step == len(_LADDER):
+                raise BracketingError(f"could not straddle pi={target.pi} within 60 expansions")
+            following = _LADDER[step]
+            if arl > 0 and (rise := math.log(read) - math.log(arl)) > 0:
+                # Where log ARL, linear through the last two reads, meets log pi.
+                guess = top + (math.log(target.pi) - math.log(read)) * (top - below) / rise
+                following = min(following, max(guess, top) * (1.0 + _SECANT_MARGIN))
+            below, arl, top = top, read, following
         # ARL(below) < pi <= ARL(top): the step straddling pi lies just above a level in [below, top).
         # The distinct levels in order; np.unique would import numpy.ma.
         levels = np.sort(curves.levels[(curves.levels >= below) & (curves.levels < top)])
@@ -407,6 +506,7 @@ def calibrate_threshold(
         i = bisect.bisect_left(levels, True, key=lambda r: evaluate(np.nextafter(r, np.inf))[0] >= target.pi)
         r, up = float(levels[i]), float(np.nextafter(levels[i], np.inf))
         m = r if target.pi - evaluate(r)[0] <= evaluate(up)[0] - target.pi else up
+    curves.detach()  # draws shared with other configs go on without these curves
 
     arl, stderr, cf = evaluate(m)
     if abs(arl - target.pi) > _TOLERANCE_REL * target.pi + 2.0 * stderr:
@@ -427,3 +527,4 @@ def calibrate_threshold(
         seed=seed,
         trace=trace,
     )
+

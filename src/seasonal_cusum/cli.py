@@ -20,7 +20,7 @@ from datetime import date, datetime, timedelta
 from pathlib import Path
 
 from . import __version__
-from .calibrate import CalibrationResult, CalibrationTarget, calibrate_threshold
+from .calibrate import CalibrationResult, CalibrationTarget, SharedDraws, calibrate_threshold
 from .daycal import DEFAULT_ORIGIN, read_holidays
 from .detect import (
     AGGREGATED_COUNTS,
@@ -113,6 +113,8 @@ def _write_calibration(result: CalibrationResult, timeline: SlotTimeline, path: 
 
 
 def _date_range(start: date, days: int) -> list[date]:
+    if days > (date.max - start).days + 1:
+        raise ValidationError(f"--start-date {start} with --days {days} runs past {date.max}, the last date there is")
     return [start + timedelta(days=i) for i in range(days)]
 
 
@@ -146,11 +148,15 @@ def _detector(rho: float, threshold: float, mode: str, reset_on_alarm: bool = Tr
 
 
 def _calibrate(
-    args, timeline: SlotTimeline, config: DetectorConfig, horizon_cap: float | None = None
+    args,
+    timeline: SlotTimeline,
+    config: DetectorConfig,
+    horizon_cap: float | None = None,
+    draws: SharedDraws | None = None,
 ) -> CalibrationResult:
     """The threshold for the false-alarm budget --pi, from --replications paths seeded by --seed."""
     target = CalibrationTarget(pi=args.pi, replications=args.replications, horizon_cap=horizon_cap)
-    return calibrate_threshold(timeline, config, target, seed=args.seed)
+    return calibrate_threshold(timeline, config, target, seed=args.seed, draws=draws)
 
 
 def cmd_detect(args) -> int:
@@ -165,11 +171,13 @@ def cmd_detect(args) -> int:
         rhos, sides = sorted([args.rho, 1.0 / args.rho], reverse=True), ["_up", "_down"]
     if args.pi is not None:
         timeline = model.timeline({r.date for r in series})
+        # Every side's calibration reads one draw per replication.
+        draws = SharedDraws([_detector(rho, 1.0, EVENT_TIMES) for rho in rhos])
     configs, calibrations = [], {}
     for rho, side in zip(rhos, sides):
         m = args.m
         if m is None:
-            result = _calibrate(args, timeline, _detector(rho, 1.0, EVENT_TIMES))
+            result = _calibrate(args, timeline, _detector(rho, 1.0, EVENT_TIMES), draws=draws)
             calibrations[f"calibration{side}.json"] = result
             m = result.threshold_m
         configs.append(_detector(rho, m, AGGREGATED_COUNTS, args.reset_on_alarm))

@@ -78,6 +78,8 @@ class DayMeta:
 
 
 def day_meta(d: date, holidays: frozenset[date] = frozenset(), origin: date = DEFAULT_ORIGIN) -> DayMeta:
+    if d == date.min:
+        raise ValidationError(f"date {d} has no day before it, which the day-after-holiday factor reads")
     dow = d.weekday()
     is_weekday = dow <= 4
     # Public holidays are treated as closed days; the center never opens Sundays.

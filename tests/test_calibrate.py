@@ -21,6 +21,7 @@ from seasonal_cusum.calibrate import (
     _MAX_SLOT_COUNTS,
     CalibrationResult,
     CalibrationTarget,
+    SharedDraws,
     _CurveSet,
     _Tiling,
     _build_curves,
@@ -322,6 +323,81 @@ def test_threaded_calibration_matches_serial(monkeypatch):
         assert len(serial["trace"]) > 5
 
 
+def _pair(mode):
+    sides = ((1.3, INCREASE), (1 / 1.3, DECREASE))
+    return [DetectorConfig(rho=rho, threshold_m=1.0, direction=d, mode=mode) for rho, d in sides]
+
+
+def _shared(timeline, configs, target, seed):
+    """Each config's calibration, in order, off one SharedDraws: its dict, or the error it raised."""
+    draws = SharedDraws(configs)
+
+    def calibration(*args):
+        return calibrate_threshold(*args, draws=draws).to_dict()
+
+    return [repr(_outcome(calibration, timeline, c, target, seed)) for c in configs]
+
+
+def _independent(timeline, configs, target, seed):
+    return [repr(_outcome(lambda *a: calibrate_threshold(*a).to_dict(), timeline, c, target, seed)) for c in configs]
+
+
+@pytest.mark.parametrize("mode", [EVENT_TIMES, AGGREGATED_COUNTS])
+def test_shared_draws_equal_independent_calibrations(monkeypatch, mode):
+    # Both sides off one draw per replication, in either order: the side
+    # calibrated second reads records the first side's reads made, and
+    # simulates on where it needs longer paths. Every field, trace included,
+    # equals a calibration of its own; so does a refusal.
+    monkeypatch.setattr(calibrate, "_CHUNK_EVENTS", 16)
+    tl = SlotTimeline.from_rates([6.0, 0.0, 2.0] * 4)
+    cases = 0
+    for pi, seed in ((40.0, 0), (150.0, 1), (1.5, 2), (5.0, 3)):
+        target = CalibrationTarget(pi=pi, replications=100)
+        for configs in (_pair(mode), _pair(mode)[::-1]):
+            shared = _shared(tl, configs, target, seed)
+            assert shared == _independent(tl, configs, target, seed), (pi, seed)
+            cases += all("threshold_m" in r for r in shared)
+    assert cases >= 4
+
+
+def test_shared_draws_at_the_double_sided_shape():
+    # Default chunks on two weeks of seasonal slots, as `detect --pi --double-sided` runs them.
+    tl = synthetic_model().timeline([date(2018, 1, 1) + timedelta(days=i) for i in range(14)])
+    target = CalibrationTarget(pi=2000.0, replications=200)
+    for configs in (_pair(EVENT_TIMES), _pair(EVENT_TIMES)[::-1]):
+        assert _shared(tl, configs, target, 4) == _independent(tl, configs, target, 4)
+
+
+def test_shared_draws_threaded_equal_serial(monkeypatch):
+    tl = SlotTimeline.from_rates([6.0, 0.0, 2.0] * 4)
+    target = CalibrationTarget(pi=40.0, replications=300)
+    for mode in (EVENT_TIMES, AGGREGATED_COUNTS):
+        monkeypatch.delenv("SEASONAL_CUSUM_THREADS", raising=False)
+        serial = _shared(tl, _pair(mode), target, 45)
+        monkeypatch.setenv("SEASONAL_CUSUM_THREADS", "2")
+        assert _shared(tl, _pair(mode), target, 45) == serial == _independent(tl, _pair(mode), target, 45), mode
+
+
+def test_shared_draws_serve_each_config_once_on_one_input(monkeypatch):
+    monkeypatch.setattr(calibrate, "_CHUNK_EVENTS", 16)
+    tl = SlotTimeline.from_rates([6.0, 0.0, 2.0] * 4)
+    target = CalibrationTarget(pi=40.0, replications=100)
+    up, down = _pair(EVENT_TIMES)
+    with pytest.raises(ValidationError, match="one observation mode"):
+        SharedDraws([up, _agg_cfg(1 / 1.3, direction=DECREASE)])
+    draws = SharedDraws([up, down])
+    calibrate_threshold(tl, up, target, seed=1, draws=draws)
+    # The finished side left the draws: they go on for the other side's curves alone.
+    rest = draws._sets[down].curves
+    assert any(c.path is not None for c in rest)
+    assert all(c.path is None or c.path.curves == [c] for c in rest)
+    other = SlotTimeline.from_rates([6.0, 0.0, 2.0] * 4)
+    for args in ((tl, up, target, 1), (tl, down, target, 2), (other, down, target, 1)):
+        with pytest.raises(ValidationError, match="shared draws serve each of their configs once"):
+            calibrate_threshold(*args, draws=draws)
+    calibrate_threshold(tl, down, target, seed=1, draws=draws)
+
+
 def _doubling_search(timeline, config, target, seed):
     """Oracle: double hi from 1 until ARL(hi) reaches pi, then bisect [1e-9, hi].
 
@@ -444,19 +520,33 @@ def test_bracket_search_equals_doubling_oracle_bit_for_bit():
 
 
 def test_ladder_stops_at_the_first_top_reaching_the_budget():
-    # Quick-start-like flat timeline: ARL(16) < pi <= ARL(24), so the ladder
-    # stops at 24, no threshold of 32 or more is simulated, and the level
-    # search reads only levels in [16, 24) and the level just above each.
+    # Quick-start-like flat timeline. The ladder gives each next top until the
+    # ARL rises; then a top 2% past the log-linear extrapolation of the last
+    # two reads to pi replaces the next ladder value where it is lower. The
+    # tops stop at the first whose ARL reaches pi, below the ladder's 24, and
+    # the level search reads only levels in [previous top, top) and the level
+    # just above each.
     tl = SlotTimeline.from_rates([60.0] * 48)
     target = CalibrationTarget(pi=2000.0, replications=100)
     result = calibrate_threshold(tl, _event_cfg(rho=1.2), target, seed=3)
-    ms = [e["m"] for e in result.trace]
-    ladder = [1e-9, 0.5, 0.75, 1.0, 1.5, 2.0, 3.0, 4.0, 6.0, 8.0, 12.0, 16.0, 24.0]
-    assert ms[: len(ladder)] == ladder
-    search = ms[len(ladder) :]
-    assert search and all(16.0 <= m < 24.0 for m in search)
+    reads = [(e["m"], e["arl"]) for e in result.trace]
+    assert reads[0][0] == 1e-9
+    tops = [reads[1]]
+    while tops[-1][1] < target.pi:
+        (below, arl_below), (top, arl) = ([reads[0]] + tops)[-2:]
+        following = min(x for x in calibrate._LADDER if x > top)
+        if 0 < arl_below < arl:
+            guess = top + (math.log(2000.0) - math.log(arl)) * (top - below) / (math.log(arl) - math.log(arl_below))
+            following = min(following, max(guess, top) * 1.02)
+        assert reads[len(tops) + 1][0] == following
+        tops.append(reads[len(tops) + 1])
+    ms = [m for m, _ in tops]
+    assert ms[:11] == [0.5, 0.75, 1.0, 1.5, 2.0, 3.0, 4.0, 6.0, 8.0, 12.0, 16.0]
+    assert 16.0 < ms[11] < ms[-1] < 24.0  # the extrapolated tops
+    search = [m for m, _ in reads[len(tops) + 1 :]]
+    assert search and all(ms[-2] <= m < ms[-1] for m in search)
     assert result.threshold_m in search
-    assert len(ms) == len(set(ms)) < 30
+    assert len(reads) == len({m for m, _ in reads}) < 30
 
 
 def _levels_and_arl(timeline, config, target, seed):
@@ -503,18 +593,29 @@ def test_aggregated_read_resolves_levels_the_bisection_could_not():
         _doubling_search(tl, _agg_cfg(rho=1.3), CalibrationTarget(pi=7.0, replications=300), 0)
 
 
-@pytest.mark.parametrize("rho, direction, advances", [(1.2, INCREASE, 3251), (1 / 1.2, DECREASE, 3613)])
-def test_calibration_simulates_as_far_as_the_ladder_top(monkeypatch, rho, direction, advances):
+@pytest.mark.parametrize(
+    "rho, direction, advances", [(1.2, INCREASE, 2302), (1 / 1.2, DECREASE, 2331)], ids=["increase", "decrease"]
+)
+def test_calibration_simulates_as_far_as_the_bracket_top(monkeypatch, rho, direction, advances):
     # The README `detect --pi --double-sided` shape: 28 days, 2,000
-    # replications, pi = 2000. The ladder stops at 24, as far as the paths
-    # were simulated before, with about half the ARL reads.
-    calls = []
-    advance = calibrate._EventPath.advance
-    monkeypatch.setattr(calibrate._EventPath, "advance", lambda self: calls.append(1) or advance(self))
+    # replications, pi = 2000, m near 19.7. The extrapolated top stays below
+    # the ladder's 24, so the paths simulate at most 2.6 times the events
+    # that their run lengths at m hold (3.4 to 3.7 times with the ladder).
+    events = []  # per chunk simulated
+    advance = calibrate._EventDraw.advance
+
+    def counted(draw):
+        seen = draw.seen
+        advance(draw)
+        events.append(draw.seen - seen)
+
+    monkeypatch.setattr(calibrate._EventDraw, "advance", counted)
     tl = synthetic_model().timeline([date(2018, 1, 1) + timedelta(days=i) for i in range(28)])
-    result = calibrate_threshold(tl, _event_cfg(rho, direction=direction), CalibrationTarget(pi=2000.0, replications=2000))
-    assert len(calls) == advances
-    assert max(e["m"] for e in result.trace) == 24.0
+    target = CalibrationTarget(pi=2000.0, replications=2000)
+    result = calibrate_threshold(tl, _event_cfg(rho, direction=direction), target)
+    assert len(events) == advances
+    assert sum(events) <= 2.6 * result.arl_estimate * target.replications
+    assert max(e["m"] for e in result.trace) < 24.0
     assert len(result.trace) <= 30
 
 

@@ -874,3 +874,47 @@ def test_calibrate_budget_below_the_shortest_run_is_numeric_failure(tmp_path, ca
     err = capsys.readouterr().err.strip().splitlines()
     assert err == ["error: run length at a vanishing threshold already exceeds pi=5.0"], err
     assert not out.exists()
+
+
+def test_cli_import_does_not_load_concurrent_futures():
+    # The thread pool is imported only where calibration runs on more than one thread.
+    src = Path(__file__).resolve().parent.parent / "src"
+    code = "import seasonal_cusum.cli, sys; print('concurrent.futures' in sys.modules)"
+    done = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True, env={**os.environ, "PYTHONPATH": str(src)}
+    )
+    assert done.stdout.strip() == "False"
+
+
+def test_double_sided_detect_draws_each_replication_once(workspace, tmp_path, monkeypatch):
+    from seasonal_cusum import calibrate
+
+    seeded = []
+    rng_for = calibrate.rng_for
+    monkeypatch.setattr(calibrate, "rng_for", lambda *a: seeded.append(a) or rng_for(*a))
+    series = _series(workspace, tmp_path)
+    argv = _detect_argv(workspace, series, "--rho", "1.2", "--pi", "300", "--replications", "150", "--double-sided")
+    assert main([*argv, "--out", str(tmp_path / "det")]) == EXIT_OK
+    assert seeded == [(0, rep, 2) for rep in range(150)]
+
+
+@pytest.mark.parametrize("command", ["fit", "calibrate", "simulate", "evaluate"])
+def test_date_past_the_calendar_is_input_error(workspace, tmp_path, capsys, command):
+    out = tmp_path / "out"
+    model = ["--model", str(workspace["model"])]
+    dates = ["--start-date", "9999-12-25", "--days", "30"]
+    if command == "fit":
+        daily = tmp_path / "daily.csv"
+        header, *rows = workspace["daily"].read_text().splitlines(keepends=True)
+        daily.write_text("".join([header, "0001-01-01,5\n", *rows]))
+        argv, named = ["fit", "--daily", str(daily)], "0001-01-01"
+    elif command == "calibrate":
+        argv, named = ["calibrate", *model, "--rho", "1.2", "--pi", "50", *dates], "9999-12-25"
+    elif command == "simulate":
+        argv, named = ["simulate", *model, *dates], "9999-12-25"
+    else:
+        argv, named = ["evaluate", *model, "--rho", "1.2", "--m", "5", "--theta-grid", "1.0", *dates], "9999-12-25"
+    assert main([*argv, "--out", str(out)]) == EXIT_INPUT
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and named in err[0], err
+    assert not out.exists()

@@ -961,3 +961,74 @@ def test_add_accumulate_is_a_left_fold():
         u = u + x
         fold.append(u)
     assert np.add.accumulate(np.concatenate([[0.1], steps]))[1:].tolist() == fold
+
+
+
+# --- exact threshold hits and infinite increments ---------------------------
+
+
+class _FlatRates:
+    """A model stand-in: every slot's intensity increment is `rate`."""
+
+    def __init__(self, rate):
+        self.rate = rate
+
+    def slot_rate(self, d, k):
+        return self.rate
+
+
+def test_aggregated_alarm_where_v_lands_exactly_on_m():
+    # Zero increments: V moves by whole counts and lands on m = 3 exactly,
+    # twice with the reset. step_aggregated alarms at V >= m, and so must
+    # run_aggregated and run_detector.
+    cfg = _cfg(rho=1.2, m=3.0)
+    counts = [1, 2, 0, 3, 1]
+    tl = SlotTimeline.from_rates([0.0] * len(counts))
+    state, v, alarms = CusumState.initial(clock=0.0), [], []
+    for count, end in zip(counts, tl.ends.tolist()):
+        state, alarm = step_aggregated(state, count, 0.0, cfg, clock=end)
+        v.append(alarm.v_at_alarm if alarm is not None else state.v)
+        alarms.extend([alarm] if alarm is not None else [])
+    assert [a.v_at_alarm for a in alarms] == [3.0, 3.0]
+    assert _run_key(run_aggregated(tl, counts, cfg)) == _run_key(TimelineRun(np.array(v), alarms, state))
+
+    records = [SlotRecord(date(2018, 1, 8), slot_start(k), c) for k, c in enumerate(counts)]
+    run = run_detector(records, _FlatRates(0.0), cfg)
+    assert (run.records, run.alarms, run.state) == _step_loop(records, _FlatRates(0.0), cfg, CusumState.initial())
+    assert len(run.alarms) == 2
+
+
+@pytest.mark.parametrize("event", [0.75, 0.25], ids=["before-the-event", "at-the-slot-end"])
+def test_decrease_alarm_where_the_drift_lands_exactly_on_m(event):
+    # One slot [0, 1] at rate 4 with one event: Λ is dyadic (1 or 3 at the
+    # event, 4 at the end), so each drift is one rounding of beta * dΛ, and m
+    # is set to the peak of V: b * 3 just before an event at 0.75, or from
+    # zero after an event at 0.25 up to the slot end. step_events alarms at
+    # V >= m, and so must run_events.
+    b = _cfg(rho=0.7, direction=DECREASE).beta
+    cfg = _cfg(rho=0.7, m=0.0 + b * 3.0, direction=DECREASE, mode=EVENT_TIMES)
+    tl = SlotTimeline.from_rates([4.0])
+    run = run_events(tl, [event], cfg)
+    v, alarms, state = _step_events_loop(tl, [event], cfg)
+    assert [a.v_at_alarm for a in alarms] == [cfg.threshold_m]
+    assert run.v.tolist() == v
+    assert (run.alarms, run.state) == (alarms, state)
+
+
+def test_step_aggregated_rejects_infinite_increment():
+    with pytest.raises(ValidationError, match="got inf"):
+        step_aggregated(CusumState(v=4.0, u=4.0, u_min=0.0), 1, math.inf, _cfg())
+
+
+def test_vectorised_kernels_reject_infinite_increment():
+    # A finite rate over a long slot overflows to an infinite mean, which the
+    # timeline itself does not refuse.
+    message = "intensity increment must be nonnegative and finite, got inf"
+    with np.errstate(over="ignore"):
+        tl = SlotTimeline.from_rates([1.0, 1e308], length=10.0)
+    assert tl.means[1] == math.inf
+    with pytest.raises(ValidationError, match=message):
+        run_aggregated(tl, [3, 2], _cfg())
+    records = [SlotRecord(date(2018, 1, 8), slot_start(0), 3)]
+    with pytest.raises(ValidationError, match=message):
+        run_detector(records, _FlatRates(math.inf), _cfg())
