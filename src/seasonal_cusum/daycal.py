@@ -24,9 +24,10 @@ DEFAULT_ORIGIN = date(2015, 4, 1)
 
 
 # The 23 slot boundaries of the grid, 07:30 to 18:30, built once: slot k
-# runs from _STARTS[k] to _ENDS[k].
+# runs from _STARTS[k] to SLOT_ENDS[k]. Index them only after checking the
+# index, as tuple indexing wraps a negative one around.
 _BOUNDARIES = tuple(time(*divmod(DAY_OPEN_MINUTE + SLOT_MINUTES * k, 60)) for k in range(WEEKDAY_SLOT_COUNT + 1))
-_STARTS, _ENDS = _BOUNDARIES[:-1], _BOUNDARIES[1:]
+_STARTS, SLOT_ENDS = _BOUNDARIES[:-1], _BOUNDARIES[1:]
 
 
 def _check_index(index: int) -> None:
@@ -43,7 +44,7 @@ def slot_start(index: int) -> time:
 
 def slot_end(index: int) -> time:
     _check_index(index)
-    return _ENDS[index]
+    return SLOT_ENDS[index]
 
 
 def slot_index(t: time) -> int:
@@ -112,7 +113,7 @@ def read_holidays(path: str | Path) -> frozenset[date]:
 def slot_timestamp(d: date, index: int, end: bool = False) -> datetime:
     """Naive datetime of slot `index`'s start on date d, or of its end with end=True."""
     _check_index(index)
-    return datetime.combine(d, _ENDS[index] if end else _STARTS[index])
+    return datetime.combine(d, SLOT_ENDS[index] if end else _STARTS[index])
 
 
 @dataclass(frozen=True)

@@ -11,13 +11,14 @@ Aggregated counts drive the same statistic interval by interval.
 the batch runners are pinned to. `run_detector` sorts its records in
 `SlotRecord` order by a C key, advances plain floats over them with
 `step_aggregated`'s checks and IEEE operations, calls the alarm rule only at
-or over the threshold, and builds one `StepRecord` tuple per record and one
+or over the threshold, reads each clock off daycal's slot-end table, and
+builds one `StepRecord` tuple per record, through `tuple.__new__`, and one
 state per call. `_aggregated_rows` runs one row of counts or a block of
 rows at once, one numpy step per slot across the rows with
 `step_aggregated`'s IEEE operations, so every row equals a
 `step_aggregated` loop bit for bit; `run_aggregated` builds its runs and
 alarms from those arrays, and `evaluate` reads them as they are, without
-building either. `run_events` takes Λ, every drift and
+building either. `run_events` takes Λ, read by slot, every drift and
 the free walk u with its minimum from numpy, advances the reflected v alone
 in a float loop, and runs a slot where an alarm fires again through
 `step_events` with that slot's intensity integral in plain floats, all with
@@ -38,7 +39,7 @@ from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from .daycal import slot_timestamp
+from .daycal import SLOT_ENDS, WEEKDAY_SLOT_COUNT
 from .errors import ValidationError
 from .ingest import SlotRecord
 from .intensity import IntensityModel
@@ -398,8 +399,9 @@ def run_events(
     the events in [start, end], every later slot those in (start, end].
 
     One block of `_EVENT_BLOCK` slots at a time, numpy evaluates Λ at the
-    event times and the slot bounds and every drift beta * dΛ with
-    `step_events`' IEEE operations. A float loop advances the reflected v
+    event times, each on its slot's line as `cum_mean_at` reads it, and at
+    the slot bounds, and every drift beta * dΛ with `step_events`' IEEE
+    operations. A float loop advances the reflected v
     alone; the free walk u and its minimum are folded with numpy where they
     are read, at a slot where an alarm fires and at the end of a block. That
     slot is run again through `step_events` from the state at its start, so
@@ -430,8 +432,19 @@ def run_events(
         slots = np.arange(stop - first)
         base = int(firsts[first])
         lo, hi, full = firsts[first:stop] - base, cuts[first:stop] - base, filled[first:stop]
-        lam = timeline.cum_mean_at(times[base:base + hi[-1]])
-        lam_starts = timeline.cum_mean_at(timeline.starts[first:stop])
+        block_times = times[base:base + hi[-1]]
+        # Λ as cum_mean_at computes it, each event on its own slot's line ...
+        lines = (timeline.cum_means, timeline.rates, timeline.starts)
+        cum, rate, start = (np.repeat(a[first:stop], hi - lo) for a in lines)
+        lam = cum + rate * (block_times - start)
+        # ... except from the next slot's start on, which contiguity lets fall
+        # a hair before this slot's end: only a slot's last events can lie
+        # there, and such a slot goes through cum_mean_at.
+        nexts = timeline.starts[first + 1:stop + 1]
+        tails = np.flatnonzero(full[:len(nexts)])
+        for k in tails[block_times[hi[tails] - 1] >= nexts[tails]].tolist():
+            lam[lo[k]:hi[k]] = timeline.cum_mean_at(block_times[lo[k]:hi[k]])
+        lam_starts = timeline.cum_means[first:stop]
         # Each drift runs from the previous event of its slot, or the slot start.
         prev = np.empty_like(lam)
         prev[1:] = lam[:-1]
@@ -509,19 +522,26 @@ def run_detector(
     has a zero intensity increment.
 
     Records are sorted in `SlotRecord`'s order (date, slot start, count),
-    stably. Each takes `step_aggregated`'s checks and IEEE operations on
-    plain floats, and `_alarm_rule` runs only where an armed level reaches
-    the threshold, which is its own first test; so the records, alarms and
-    final state equal a `step_aggregated` loop bit for bit.
+    stably. Each takes one `model.slot_rate` call, its clock read off
+    `SLOT_ENDS` after `slot_timestamp`'s index check, `step_aggregated`'s
+    checks and IEEE operations on plain floats, and one `StepRecord` built
+    by `tuple.__new__`; `_alarm_rule` runs only where an armed level
+    reaches the threshold, which is its own first test. So the records,
+    alarms and final state equal a `step_aggregated` loop bit for bit.
     """
     state = state or CusumState.initial()
     up, b, m = config.direction == INCREASE, config.beta, config.threshold_m
     v, u, u_min, seen, clock, armed = state.v, state.u, state.u_min, state.events_seen, state.clock, state.armed
     steps, alarms = [], []
+    # Bound once, as the loop below runs per record.
+    combine, new_tuple, append = datetime.combine, tuple.__new__, steps.append
     for rec in sorted(series, key=_RECORD_ORDER):
-        count = rec.count
-        dlam = model.slot_rate(rec.date, rec.slot_index)
-        clock = slot_timestamp(rec.date, rec.slot_index, end=True)
+        count, d, k = rec.count, rec.date, rec.slot_index
+        dlam = model.slot_rate(d, k)
+        # slot_timestamp(d, k, end=True), with its index check.
+        if not 0 <= k < WEEKDAY_SLOT_COUNT:
+            raise ValidationError(f"slot index {k} outside [0, {WEEKDAY_SLOT_COUNT})")
+        clock = combine(d, SLOT_ENDS[k])
         # step_aggregated's checks; NaN fails every comparison.
         if not count >= 0 or count % 1:
             raise ValidationError(f"count must be a nonnegative integer, got {count}")
@@ -544,7 +564,8 @@ def run_detector(
         else:
             v, alarm = level, None
         # V is the pre-reset level where an alarm fires, so the path shows the actual excursion.
-        steps.append(StepRecord(clock, level, dlam, count, alarm is not None))
+        # StepRecord's generated __new__ runs in Python; tuple's runs in C.
+        append(new_tuple(StepRecord, (clock, level, dlam, count, alarm is not None)))
     return DetectorRun(steps, alarms, CusumState(v, u, u_min, seen, clock, armed))
 
 

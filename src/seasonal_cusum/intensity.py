@@ -159,7 +159,10 @@ def _check_rank(X: np.ndarray, names: Sequence[str]) -> None:
 
 # IRLS stopping rule: converged once the score max-norm drops below
 # _SCORE_TOL, or stalled once the relative deviance change falls below
-# _DEVIANCE_RTOL; _MAX_ITER iterations without either is a failure.
+# _DEVIANCE_RTOL; _MAX_ITER iterations without either is a failure. A step
+# that leaves the coefficients where they were, bit for bit, is a fixed
+# point: every later iteration would repeat the last one, stalled exactly
+# when its deviance is finite, so the loop stops there with their answer.
 _MAX_ITER = 100
 _SCORE_TOL = 1e-8
 _DEVIANCE_RTOL = 1e-10
@@ -171,7 +174,12 @@ def fit_poisson_glm(
     column_names: Sequence[str] | None = None,
     factor_spec: frozenset[str] = frozenset(),
 ) -> GlmModel:
-    """Maximum-likelihood fit by IRLS from a deterministic start."""
+    """Maximum-likelihood fit by IRLS from a deterministic start.
+
+    Returns the iterate with the smallest score max-norm once the score
+    converges, the deviance stalls or a step no longer moves the
+    coefficients (see the stopping rule above).
+    """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
     if X.ndim != 2 or y.ndim != 1 or X.shape[0] != y.shape[0]:
@@ -215,10 +223,14 @@ def fit_poisson_glm(
         eta = np.clip(X @ beta_hat, -30.0, 30.0)
         mu = np.exp(eta)
         xtw = X.T * mu
-        beta_hat = beta_hat + np.linalg.solve(xtw @ X, np.asarray(score, dtype=float))
-    else:
-        if not stalled:
-            raise ConvergenceError(f"IRLS did not converge in {_MAX_ITER} iterations", deviance)
+        stepped = beta_hat + np.linalg.solve(xtw @ X, np.asarray(score, dtype=float))
+        if iteration < _MAX_ITER and stepped.tobytes() == beta_hat.tobytes():
+            # A fixed point (see the stopping rule): what the later iterations would find.
+            stalled = math.isfinite(deviance)
+            break
+        beta_hat = stepped
+    if not (score_norm < _SCORE_TOL or stalled):
+        raise ConvergenceError(f"IRLS did not converge in {_MAX_ITER} iterations", deviance)
     score_norm, beta_hat, iteration = best
 
     eta = X @ beta_hat
@@ -346,6 +358,13 @@ def _daily_fraction_rows(
     return np.array(rows), np.array(totals)
 
 
+def _column_medians(rows: np.ndarray) -> np.ndarray:
+    """np.median(rows, axis=0) of finite rows, bit for bit, without the numpy.ma import it makes."""
+    ranked = np.sort(rows, axis=0)
+    mid = len(ranked) // 2
+    return ranked[mid] if len(ranked) % 2 else (ranked[mid - 1] + ranked[mid]) / 2.0
+
+
 def fit_slot_profile(slots: Iterable[SlotRecord], meta: Mapping[date, DayMeta]) -> SlotProfile:
     """Median per-slot fraction of the day's calls, renormalized to sum to 1."""
     slots = list(slots)
@@ -354,7 +373,7 @@ def fit_slot_profile(slots: Iterable[SlotRecord], meta: Mapping[date, DayMeta]) 
         rows, _ = _daily_fraction_rows(slots, meta, is_sat)
         if rows.size == 0:
             raise ValidationError(f"no usable {label} days with positive totals")
-        med = np.median(rows, axis=0)
+        med = _column_medians(rows)
         parts[label] = tuple(med / med.sum())
     return SlotProfile(weekday_fractions=parts["weekday"], saturday_fractions=parts["Saturday"])
 
@@ -386,7 +405,7 @@ def busyness_quartile_check(slots: Iterable[SlotRecord], meta: Mapping[date, Day
                 quartile=q,
                 day_count=len(idx),
                 total_range=(float(group_totals.min()), float(group_totals.max())),
-                fractions=tuple(np.median(group, axis=0)),
+                fractions=tuple(_column_medians(group)),
             )
         )
     return out

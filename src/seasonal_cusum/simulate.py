@@ -76,22 +76,23 @@ def slot_means_with_change(timeline: SlotTimeline, change: ChangeSpec) -> np.nda
     """Expected count per slot under the change model.
 
     A slot containing theta splits its expectation proportionally to the
-    time spent on each side of the change. A changed mean past numpy's
-    Poisson limit could not be drawn, so it is refused.
+    time spent on each side of the change. A mean past numpy's Poisson
+    limit, changed or not, could not be drawn, so it is refused.
     """
     means = timeline.means.copy()
-    if change.in_control or change.rho == 1.0:
-        return means
-    after = np.clip(timeline.ends - change.theta, 0.0, timeline.lengths)
-    frac_after = after / timeline.lengths
-    with np.errstate(over="ignore"):  # an overflow to inf is refused below
-        means = means * (1.0 - frac_after + change.rho * frac_after)
+    changed = not (change.in_control or change.rho == 1.0)
+    if changed:
+        after = np.clip(timeline.ends - change.theta, 0.0, timeline.lengths)
+        frac_after = after / timeline.lengths
+        with np.errstate(over="ignore"):  # an overflow to inf is refused below
+            means = means * (1.0 - frac_after + change.rho * frac_after)
     past = np.flatnonzero(~(means <= _MAX_MEAN))
     if past.size:
         i = int(past[0])
+        what, why = ("changed mean", f" (rho {change.rho!r})") if changed else ("mean", "")
         raise ValidationError(
-            f"changed mean {means[i]:.4g} of the slot at {timeline.timestamp(i)} is past numpy's Poisson limit "
-            f"{_MAX_MEAN:.4g} (rho {change.rho!r})"
+            f"{what} {means[i]:.4g} of the slot at {timeline.timestamp(i)} is past numpy's Poisson limit "
+            f"{_MAX_MEAN:.4g}{why}"
         )
     return means
 

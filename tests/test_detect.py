@@ -4,6 +4,7 @@ import bisect
 import math
 from dataclasses import replace
 from datetime import date, datetime, time, timedelta
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -201,6 +202,16 @@ def test_step_events_single_jump():
     state, _ = step_events(CusumState.initial(), [0.0], _cfg(m=1e9, mode=EVENT_TIMES), (0.0, 0.0), tl.cumulative)
     assert state.v == 1.0
     assert state.events_seen == 1
+
+
+@pytest.mark.parametrize("reset", [True, False], ids=["reset", "no-reset"])
+def test_step_events_armed_start_on_m_over_a_zero_rate_slot(reset):
+    # v starts exactly on m and no intensity accrues: the decrease crossing is
+    # at the interval start, with no fraction of a zero drift to compute.
+    cfg = _cfg(rho=0.5, m=2.0, direction=DECREASE, mode=EVENT_TIMES, reset=reset)
+    state, alarm = step_events(CusumState(v=2.0, u=2.0), [], cfg, (0.0, 1.0), lambda a, b: 0.0)
+    assert (alarm.time, alarm.v_at_alarm) == (0.0, 2.0)
+    assert (state.v, state.armed) == ((0.0, True) if reset else (2.0, False))
 
 
 def test_step_events_rejects_unsorted():
@@ -680,6 +691,26 @@ def test_step_record_fields_are_fixed():
     assert record == (datetime(2018, 1, 8, 8, 0), 1.5, 2.25, 3, False)
 
 
+def test_run_detector_records_are_step_records(truth_model):
+    records = [SlotRecord(date(2018, 1, 8), slot_start(k), 4 * k) for k in (3, 0, 21)]
+    run = run_detector(records, truth_model, _cfg(m=5.0))
+    assert [type(r) for r in run.records] == [StepRecord] * 3
+    first, _, last = run.records
+    assert (first.timestamp, first.count, last.timestamp, last.count) == (datetime(2018, 1, 8, 8, 0), 0, datetime(2018, 1, 8, 18, 30), 84)
+    assert last.alarm and not first.alarm
+    assert (last.v, last.lambda_increment) == (run.alarms[0].v_at_alarm, truth_model.slot_rate(date(2018, 1, 8), 21))
+
+
+@pytest.mark.parametrize("k", [-1, 22])
+def test_run_detector_refuses_a_slot_index_off_the_grid(k):
+    # A record that is not a SlotRecord carries any index; -1 would read the
+    # last slot's end, as tuple indexing wraps around.
+    record = SimpleNamespace(date=date(2018, 1, 8), slot_start=time(7, 30), count=3, slot_index=k)
+    with pytest.raises(ValidationError) as raised:
+        run_detector([record], _FlatRates(1.0), _cfg())
+    assert str(raised.value) == f"slot index {k} outside [0, 22)"
+
+
 @pytest.mark.parametrize("count", [-1, 2.5, math.nan])
 def test_run_detector_rejects_counts_as_step_aggregated_does(truth_model, count):
     cfg = _cfg()
@@ -789,6 +820,22 @@ def test_run_events_alarm_slot_with_a_later_slot_starting_inside_it(direction):
     assert alarms and alarms[0].time < tl.ends[0]
     assert run.v.tolist() == v
     assert (run.alarms, run.state) == (alarms, state)
+
+
+@pytest.mark.parametrize("direction", [INCREASE, DECREASE])
+def test_run_events_events_past_the_start_of_the_next_slot(direction):
+    # Slot 1 starts 5e-10 inside slot 0, and three of slot 0's events lie at
+    # or after that start, where Λ reads slot 1's line; no alarm fires.
+    tl = SlotTimeline([0.0, 1 - 5e-10, 2 - 5e-10], [1.0, 1.0, 1.0], [3.0, 5.0, 4.0])
+    times = [0.5, 1 - 5e-10, 1 - 2e-10, 1.0, 1.5, 2.5]
+    assert tl.slot_at(np.array(times[1:4])).tolist() == [1, 1, 1]
+    up = direction == INCREASE
+    cfg = _cfg(rho=1.5 if up else 0.5, m=50.0, direction=direction, mode=EVENT_TIMES)
+    run = run_events(tl, times, cfg)
+    v, alarms, state = _step_events_loop(tl, times, cfg)
+    assert not alarms
+    assert run.v.tolist() == v
+    assert run.state == state
 
 
 # Unit slots over three and a half blocks of run_events' Λ evaluation. The two

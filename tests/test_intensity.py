@@ -1,12 +1,19 @@
 from __future__ import annotations
 
 import math
+import os
+import subprocess
+import sys
 import warnings
 from dataclasses import replace
 from datetime import date, datetime, timedelta
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from seasonal_cusum.daycal import ScenarioSchedule, day_meta
 from seasonal_cusum.errors import SingularDesignError, ValidationError
@@ -34,6 +41,7 @@ from seasonal_cusum.intensity import (
     poisson_log_likelihood,
     select_model,
 )
+from seasonal_cusum.intensity import _DEVIANCE_RTOL, _MAX_ITER, _SCORE_TOL, _column_medians
 from seasonal_cusum.simulate import rng_for
 from seasonal_cusum.synthetic import sample_dataset
 
@@ -99,6 +107,102 @@ def test_deterministic_refit_is_bit_identical():
     b = fit_poisson_glm(X, y)
     assert a.bic == b.bic
     assert a.coefficients.tolist() == b.coefficients.tolist()
+
+
+def _irls_oracle(X, y):
+    """fit_poisson_glm's IRLS loop run without the fixed-point exit: (score_norm, coefficients, iteration)."""
+    beta_hat = np.zeros(X.shape[1])
+    beta_hat[0] = math.log(float(np.mean(y)) + 0.1)
+    x_ext, y_ext = X.astype(np.longdouble), y.astype(np.longdouble)
+    deviance, stalled, best = math.inf, False, None
+    for iteration in range(1, _MAX_ITER + 1):
+        mu_ext = np.exp(x_ext @ beta_hat.astype(np.longdouble))
+        score = x_ext.T @ (y_ext - mu_ext)
+        score_norm = float(np.max(np.abs(score)))
+        if best is None or score_norm < best[0]:
+            best = (score_norm, beta_hat.copy(), iteration)
+        new_deviance = poisson_deviance(y, np.asarray(mu_ext, dtype=float))
+        now_stalled = math.isfinite(deviance) and abs(deviance - new_deviance) <= _DEVIANCE_RTOL * max(abs(deviance), 1.0)
+        deviance = new_deviance
+        if score_norm < _SCORE_TOL:
+            break
+        if stalled and now_stalled and score_norm > best[0]:
+            break
+        stalled = now_stalled
+        mu = np.exp(np.clip(X @ beta_hat, -30.0, 30.0))
+        beta_hat = beta_hat + np.linalg.solve((X.T * mu) @ X, np.asarray(score, dtype=float))
+    else:
+        assert stalled
+    return best
+
+
+def _training_designs(train_dataset):
+    open_daily = [r for r in train_dataset.daily if train_dataset.meta[r.date].is_open]
+    metas = [train_dataset.meta[r.date] for r in open_daily]
+    y = np.array([r.count for r in open_daily], dtype=float)
+    return [(design_matrix(metas, spec)[0], y) for spec in DEFAULT_CANDIDATES]
+
+
+def _random_designs():
+    # Counts in the hundreds to thousands against a raw trend column: some
+    # fits converge, others land on the score's double-precision floor.
+    designs = []
+    for seed in range(6):
+        rng = rng_for(seed, 10)
+        n, k = int(rng.integers(200, 600)), int(rng.integers(2, 5))
+        X = np.column_stack([np.ones(n), np.arange(n, dtype=float)] + [rng.integers(0, 2, n).astype(float) for _ in range(k - 2)])
+        truth = np.concatenate([[rng.uniform(5.0, 8.0), rng.uniform(-1e-3, 1e-3)], rng.normal(0.0, 0.2, k - 2)])
+        designs.append((X, rng.poisson(np.exp(X @ truth)).astype(float)))
+    return designs
+
+
+def test_irls_fixed_point_exit_gives_the_full_loops_answer(train_dataset, monkeypatch):
+    designs = _training_designs(train_dataset) + _random_designs()
+    expected = [_irls_oracle(X, y) for X, y in designs]
+    solve, solves = np.linalg.solve, []
+    monkeypatch.setattr(np.linalg, "solve", lambda a, b: solves.append(1) or solve(a, b))
+    runs = []
+    for (X, y), (score_norm, coefficients, n_iter) in zip(designs, expected):
+        solves.clear()
+        model = fit_poisson_glm(X, y)
+        runs.append(len(solves))
+        assert (model.score_norm, model.coefficients.tobytes(), model.n_iter) == (score_norm, coefficients.tobytes(), n_iter)
+    # Without the exit, the fits on the score's floor repeat their last step
+    # until _MAX_ITER: on the training set that is four of the five candidates.
+    assert all(n < _MAX_ITER for n in runs), runs
+    assert sum(e[0] >= _SCORE_TOL for e in expected) >= 4
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    arrays(
+        float,
+        st.tuples(st.integers(1, 12), st.integers(1, 4)),
+        # Ties, and finite values without -0.0, whose sort order against 0.0 is unspecified.
+        elements=st.sampled_from([0.0, 0.25, 1 / 3, 0.5]) | st.floats(-1e3, 1e3).filter(lambda x: math.copysign(1.0, x) > 0 or x),
+    )
+)
+def test_column_medians_equal_np_median(rows):
+    assert _column_medians(rows).tobytes() == np.median(rows, axis=0).tobytes()
+
+
+def test_fit_intensity_model_does_not_import_numpy_ma():
+    # np.median imports numpy.ma (about 23 ms) the first time it runs.
+    code = """
+import sys
+from datetime import date
+from seasonal_cusum.intensity import fit_intensity_model
+from seasonal_cusum.synthetic import sample_dataset, synthetic_model
+ds = sample_dataset(synthetic_model(), date(2016, 1, 4), date(2016, 3, 31), seed=2)
+model, report = fit_intensity_model(ds)
+assert not report.profile_fallback and report.quartile_profiles
+print("numpy.ma" in sys.modules)
+"""
+    src = Path(__file__).resolve().parent.parent / "src"
+    done = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True, env={**os.environ, "PYTHONPATH": str(src)}
+    )
+    assert done.stdout.strip() == "False"
 
 
 def test_collinear_design_raises_with_names():

@@ -212,3 +212,13 @@ def test_negative_seed_or_stream_key_is_refused():
     for seed, stream in ((0, ()), (11, (3, 1)), (2**40, (7, 0))):
         expected = np.random.default_rng(np.random.SeedSequence([seed, *stream])).random(4)
         assert rng_for(seed, *stream).random(4).tolist() == expected.tolist()
+
+
+@pytest.mark.parametrize("simulate", [simulate_slot_counts, simulate_events])
+def test_in_control_mean_past_the_poisson_limit_is_refused(simulate):
+    # A finite rate over a long slot overflows to an infinite mean, which the
+    # timeline itself does not refuse; numpy would fail with "lam value too large".
+    with np.errstate(over="ignore"):
+        tl = SlotTimeline.from_rates([1.0, 1e308], length=10.0)
+    with pytest.raises(ValidationError, match=r"^mean inf of the slot at 10\.0 is past numpy's Poisson limit [0-9.e+]+$"):
+        simulate(tl, ChangeSpec(), seed=3)
