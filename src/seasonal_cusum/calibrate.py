@@ -26,8 +26,7 @@ from __future__ import annotations
 
 import bisect
 import math
-import os
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -35,8 +34,6 @@ from .detect import AGGREGATED_COUNTS, EVENT_TIMES, INCREASE, DetectorConfig
 from .errors import BracketingError, HorizonTooShortError, ValidationError
 from .simulate import rng_for
 from .timeline import SlotTimeline
-
-THREADS_ENV = "SEASONAL_CUSUM_THREADS"
 
 # A calibrated run length may miss pi by this fraction of pi plus two standard errors.
 _TOLERANCE_REL = 0.02
@@ -47,13 +44,14 @@ _LADDER = tuple(2.0**k * f for k in range(-1, 60) for f in (1.0, 1.5)) + (2.0**6
 _SECANT_MARGIN = 0.02
 
 
+# Calibration runs on one thread and reads no environment variable. Both names
+# stay only for bench/, which imports them, and go with those imports (ROADMAP item 0).
+THREADS_ENV = "SEASONAL_CUSUM_THREADS"
+
+
 def worker_count() -> int:
-    """Replication parallelism cap from the environment (default 1)."""
-    raw = os.environ.get(THREADS_ENV, "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
+    """Replication parallelism: always 1."""
+    return 1
 
 
 @dataclass(frozen=True)
@@ -86,16 +84,7 @@ class CalibrationResult:
     trace: list[dict] = field(default_factory=list)
 
     def to_dict(self) -> dict:
-        return {
-            "threshold_m": self.threshold_m,
-            "arl_estimate": self.arl_estimate,
-            "arl_stderr": self.arl_stderr,
-            "censored_fraction": self.censored_fraction,
-            "pi": self.pi,
-            "replications": self.replications,
-            "seed": self.seed,
-            "trace": self.trace,
-        }
+        return asdict(self)
 
 
 # Calibration keeps one slot count per slot, cycle and replication, one byte
@@ -355,32 +344,14 @@ def _record_curves(tiling: _Tiling, configs: list[DetectorConfig], seed: int, re
     return curves
 
 
-def _record_curve(tiling: _Tiling, config: DetectorConfig, seed: int, rep: int) -> RecordCurve:
-    """Record curve of replication `rep` over the horizon `tiling`, which all replications share."""
-    return _record_curves(tiling, [config], seed, rep)[0]
-
-
 def _curve_sets(
     timeline: SlotTimeline, configs: list[DetectorConfig], target: CalibrationTarget, seed: int
 ) -> list[_CurveSet]:
     """One curve set per config, all read off one draw per replication."""
     cycles, _ = _horizon(timeline, target, configs[0].mode)
     tiling = _Tiling(timeline, cycles)
-    reps = range(target.replications)
-    workers = worker_count()
-    if workers == 1:
-        rows = [_record_curves(tiling, configs, seed, r) for r in reps]
-    else:
-        # Imported here: the default single thread never needs it, and it costs every start about 7 ms.
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(lambda r: _record_curves(tiling, configs, seed, r), reps))
+    rows = [_record_curves(tiling, configs, seed, r) for r in range(target.replications)]
     return [_CurveSet(list(curves)) for curves in zip(*rows)]
-
-
-def _build_curves(timeline: SlotTimeline, config: DetectorConfig, target: CalibrationTarget, seed: int) -> _CurveSet:
-    return _curve_sets(timeline, [config], target, seed)[0]
 
 
 class SharedDraws:
@@ -434,7 +405,7 @@ def estimate_arl(
     """
     if not 0 < m < math.inf:
         raise ValidationError(f"threshold must be positive and finite, got {m}")
-    arl, stderr, cf = _summarize(*_build_curves(timeline, config, target, seed).run_lengths(m))
+    arl, stderr, cf = _summarize(*_curve_sets(timeline, [config], target, seed)[0].run_lengths(m))
     if cf > 0.5:
         raise HorizonTooShortError(
             f"{cf:.0%} of paths were censored at the horizon; extend horizon_cap"
@@ -469,7 +440,7 @@ def calibrate_threshold(
         raise ValidationError("budget below one event is unattainable")
 
     if draws is None:
-        curves = _build_curves(timeline, config_template, target, seed)
+        curves = _curve_sets(timeline, [config_template], target, seed)[0]
     else:
         curves = draws.take(timeline, config_template, target, seed)
     trace: list[dict] = []

@@ -13,17 +13,16 @@ the batch runners are pinned to. `run_detector` sorts its records in
 `step_aggregated`'s checks and IEEE operations, calls the alarm rule only at
 or over the threshold, reads each clock off daycal's slot-end table, and
 builds one `StepRecord` tuple per record, through `tuple.__new__`, and one
-state per call. `_aggregated_rows` runs one row of counts or a block of
-rows at once, one numpy step per slot across the rows with
-`step_aggregated`'s IEEE operations, so every row equals a
-`step_aggregated` loop bit for bit; `run_aggregated` builds its runs and
-alarms from those arrays, and `evaluate` reads them as they are, without
-building either. `run_events` takes Λ, read by slot, every drift and
-the free walk u with its minimum from numpy, advances the reflected v alone
-in a float loop, and runs a slot where an alarm fires again through
-`step_events` with that slot's intensity integral in plain floats, all with
-`step_events`' IEEE operations, so its output equals a per-slot
-`step_events` loop bit for bit.
+state per call. `_aggregated_rows` runs a block of rows of counts at once,
+one numpy step per slot across the rows with `step_aggregated`'s IEEE
+operations, so every row equals a `step_aggregated` loop bit for bit;
+`run_aggregated` builds one series' run and alarms from its one-row arrays,
+and `evaluate` reads a block's arrays as they are, without building either.
+`run_events` takes Λ, read by slot, every drift and the free walk u with its
+minimum from numpy, advances the reflected v alone in a float loop, and runs
+a slot where an alarm fires again through `step_events` with that slot's
+intensity integral in plain floats, all with `step_events`' IEEE operations,
+so its output equals a per-slot `step_events` loop bit for bit.
 """
 
 from __future__ import annotations
@@ -293,37 +292,29 @@ def run_aggregated(
     counts: Sequence[int] | np.ndarray,
     config: DetectorConfig,
     state: CusumState | None = None,
-) -> TimelineRun | list[TimelineRun]:
-    """Run from per-slot counts: one run for counts of shape (slots,), one per row for (rows, slots).
+) -> TimelineRun:
+    """Run from per-slot counts of shape (slots,), starting from `state`.
 
-    Every row starts from `state` and advances over the slots in
-    `_aggregated_rows`, with `step_aggregated`'s IEEE operations, one numpy
-    step per slot across all rows, so each row's v, alarms and final state
-    equal a `step_aggregated` loop (and the 1-D call on that row) bit for
-    bit. v is the pre-reset level where an alarm fires.
+    The counts advance as the one row of `_aggregated_rows`, with
+    `step_aggregated`'s IEEE operations, so v, the alarms and the final
+    state equal a `step_aggregated` loop bit for bit. v is the pre-reset
+    level where an alarm fires.
     """
     counts = np.asarray(counts)
-    if counts.ndim not in (1, 2) or counts.shape[-1] != len(timeline):
+    if counts.shape != (len(timeline),):
         raise ValidationError("counts length must match the timeline")
     state = state or CusumState.initial(clock=float(timeline.starts[0]))
-    path, fired, seen, v, u, u_min, armed = _aggregated_rows(timeline, counts.reshape(-1, len(timeline)), config, state)
+    (path,), (fired,), (seen,), v, u, u_min, armed = _aggregated_rows(timeline, counts[None], config, state)
     ends = timeline.ends.tolist()
-    alarms: list[list[AlarmEvent]] = [[] for _ in range(len(path))]
-    r_fired, s_fired = np.nonzero(fired)
-    for r, s, level, events in zip(
-        r_fired.tolist(), s_fired.tolist(), path[r_fired, s_fired].tolist(), seen[r_fired, s_fired].tolist()
-    ):
-        alarms[r].append(AlarmEvent(time=ends[s], v_at_alarm=level, events_at_alarm=events, direction=config.direction))
-    finals = zip(v.tolist(), u.tolist(), u_min.tolist(), seen[:, -1].tolist(), armed.tolist())
-    runs = [
-        TimelineRun(
-            v=path[r],
-            alarms=alarms[r],
-            state=replace(state, v=fv, u=fu, u_min=fm, events_seen=fn, clock=ends[-1], armed=fa),
-        )
-        for r, (fv, fu, fm, fn, fa) in enumerate(finals)
+    s_fired = np.flatnonzero(fired)
+    alarms = [
+        AlarmEvent(time=ends[s], v_at_alarm=level, events_at_alarm=events, direction=config.direction)
+        for s, level, events in zip(s_fired.tolist(), path[s_fired].tolist(), seen[s_fired].tolist())
     ]
-    return runs if counts.ndim == 2 else runs[0]
+    final = replace(
+        state, v=v.item(), u=u.item(), u_min=u_min.item(), events_seen=seen[-1].item(), clock=ends[-1], armed=armed.item()
+    )
+    return TimelineRun(v=path, alarms=alarms, state=final)
 
 
 # Slots per block in `run_events`: Λ, the drifts and the free walk are

@@ -40,7 +40,7 @@ def exceedance_fraction(v_path: Sequence[float], m: float) -> float:
 # In-control replications behind the false-alarm rate and exceedance fraction.
 _IN_CONTROL_REPLICATIONS = 50
 
-# Replications per `run_aggregated` call in aggregated mode: the stacked
+# Replications per `_aggregated_rows` call in aggregated mode: the stacked
 # counts take O(block x slots) memory whatever the replication count.
 _AGGREGATED_BLOCK = 128
 

@@ -491,7 +491,7 @@ class IntensityModel:
     def slot_rate(self, d: date, index: int) -> float:
         """Expected calls in grid slot `index` of the day; 0.0 in a closed slot."""
         if not 0 <= index < WEEKDAY_SLOT_COUNT:
-            raise ValidationError(f"slot index {index} outside the grid")
+            raise ValidationError(f"slot index {index} outside [0, {WEEKDAY_SLOT_COUNT})")
         rates = self._day_rates.get(d)
         if rates is None:
             rates = self._day_rates[d] = tuple(self.slot_rates(d).tolist())

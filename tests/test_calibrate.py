@@ -24,13 +24,12 @@ from seasonal_cusum.calibrate import (
     SharedDraws,
     _CurveSet,
     _Tiling,
-    _build_curves,
+    _curve_sets,
     _horizon,
-    _record_curve,
+    _record_curves,
     _summarize,
     calibrate_threshold,
     estimate_arl,
-    worker_count,
 )
 from seasonal_cusum.detect import AGGREGATED_COUNTS, DECREASE, EVENT_TIMES, INCREASE, DetectorConfig, run_aggregated
 from seasonal_cusum.errors import BracketingError, HorizonTooShortError, ValidationError
@@ -86,6 +85,23 @@ def test_arl_matches_independent_oracle():
     assert abs(arl - oracle_arl) < 3.0 * combined
 
 
+def test_event_arl_does_not_depend_on_the_calendar():
+    # Time rescaling puts in-control events on a unit-rate Poisson process
+    # along the cumulative-intensity axis, so the run length in events has
+    # one law on a flat and on a strongly seasonal timeline (zero-rate slot
+    # included).
+    flat = SlotTimeline.from_rates([6.0] * 24)
+    seasonal = SlotTimeline.from_rates([0.5, 20.0, 0.0, 3.0, 11.0, 0.25] * 4)
+    target = CalibrationTarget(pi=500.0, replications=1000)
+    for rho, direction in ((1.3, INCREASE), (1 / 1.3, DECREASE)):
+        for m in (2.0, 6.0):
+            cfg = _event_cfg(rho, m, direction)
+            arl_flat, se_flat, cens_flat = estimate_arl(m, flat, cfg, target, seed=20)
+            arl_seasonal, se_seasonal, cens_seasonal = estimate_arl(m, seasonal, cfg, target, seed=21)
+            assert cens_flat == cens_seasonal == 0.0, (direction, m)
+            assert abs(arl_flat - arl_seasonal) < 3.0 * math.hypot(se_flat, se_seasonal), (direction, m)
+
+
 def test_arl_monotone_in_threshold_event_mode():
     tl = SlotTimeline.from_rates([5.0] * 20)
     target = CalibrationTarget(pi=20.0, replications=500)
@@ -123,7 +139,7 @@ def test_aggregated_record_curve_matches_run_aggregated():
     for rho, direction in ((1.3, INCREASE), (1 / 1.3, DECREASE)):
         for rep in range(5):
             counts = rng_for(seed, rep, 2).poisson(tiled.means)
-            curve = _record_curve(_Tiling(tl, cycles), _agg_cfg(rho, direction=direction), seed, rep)
+            curve = _record_curves(_Tiling(tl, cycles), [_agg_cfg(rho, direction=direction)], seed, rep)[0]
             for m in (0.5, 2.0, 6.0, 15.0, 40.0):
                 alarms = run_aggregated(tiled, counts, _agg_cfg(rho, m, direction)).alarms
                 expected = (alarms[0].events_at_alarm, False) if alarms else (int(counts.sum()), True)
@@ -178,7 +194,7 @@ def _assert_lazy_equals_eager(tl, cycles, seeds, reps=3):
                 top = float(levels[-1]) if len(levels) else 1.0
                 grid = [0.3, 1.0, 2.5] + list(np.linspace(0.0, top, 12)[1:]) + [top + 1.0]
                 for order in (grid, grid[::-1], grid[3:5] * 2 + grid[:1]):
-                    curve = _record_curve(_Tiling(tl, cycles), cfg, seed, rep)
+                    curve = _record_curves(_Tiling(tl, cycles), [cfg], seed, rep)[0]
                     for m in order:
                         assert curve.run_length(m) == expected(m), (direction, seed, rep, m)
                 assert curve.run_length(top + 1.0) == (total, True)
@@ -209,7 +225,7 @@ def test_lazy_event_curve_on_short_and_empty_paths():
     _assert_lazy_equals_eager(SlotTimeline.from_rates([0.5, 1.0]), 2, seeds=(6, 7), reps=20)
     tl = SlotTimeline.from_rates([1e-6, 1e-6])
     for direction in (INCREASE, DECREASE):
-        curve = _record_curve(_Tiling(tl, 1), _event_cfg(1.3 if direction == INCREASE else 0.7, direction=direction), 0, 0)
+        curve = _record_curves(_Tiling(tl, 1), [_event_cfg(1.3 if direction == INCREASE else 0.7, direction=direction)], 0, 0)[0]
         assert _eager_event_curve(tl, _event_cfg(), 1, 0, 0)[2] == 0
         assert curve.run_length(0.5) == (0, True)
         assert curve.run_length(1e-9) == (0, True)
@@ -291,38 +307,6 @@ def test_target_rejects_non_finite_budget(pi):
         CalibrationTarget(pi=pi)
 
 
-def test_worker_count_env(monkeypatch):
-    monkeypatch.delenv("SEASONAL_CUSUM_THREADS", raising=False)
-    assert worker_count() == 1
-    monkeypatch.setenv("SEASONAL_CUSUM_THREADS", "4")
-    assert worker_count() == 4
-    monkeypatch.setenv("SEASONAL_CUSUM_THREADS", "junk")
-    assert worker_count() == 1
-
-
-def test_threaded_curves_match_serial(monkeypatch):
-    tl = SlotTimeline.from_rates([6.0] * 10)
-    target = CalibrationTarget(pi=15.0, replications=200)
-    for cfg in (_event_cfg(rho=1.3), _agg_cfg(rho=1.3)):
-        monkeypatch.delenv("SEASONAL_CUSUM_THREADS", raising=False)
-        serial = estimate_arl(2.0, tl, cfg, target, seed=44)
-        monkeypatch.setenv("SEASONAL_CUSUM_THREADS", "4")
-        threaded = estimate_arl(2.0, tl, cfg, target, seed=44)
-        assert serial == threaded, cfg.mode
-
-
-def test_threaded_calibration_matches_serial(monkeypatch):
-    tl = SlotTimeline.from_rates([6.0, 0.0, 2.0] * 4)
-    target = CalibrationTarget(pi=40.0, replications=300)
-    for cfg in (_event_cfg(rho=1.3), _event_cfg(rho=1 / 1.3, direction=DECREASE), _agg_cfg(rho=1.3)):
-        monkeypatch.delenv("SEASONAL_CUSUM_THREADS", raising=False)
-        serial = calibrate_threshold(tl, cfg, target, seed=45).to_dict()
-        monkeypatch.setenv("SEASONAL_CUSUM_THREADS", "4")
-        threaded = calibrate_threshold(tl, cfg, target, seed=45).to_dict()
-        assert serial == threaded, (cfg.mode, cfg.direction)
-        assert len(serial["trace"]) > 5
-
-
 def _pair(mode):
     sides = ((1.3, INCREASE), (1 / 1.3, DECREASE))
     return [DetectorConfig(rho=rho, threshold_m=1.0, direction=d, mode=mode) for rho, d in sides]
@@ -368,16 +352,6 @@ def test_shared_draws_at_the_double_sided_shape():
         assert _shared(tl, configs, target, 4) == _independent(tl, configs, target, 4)
 
 
-def test_shared_draws_threaded_equal_serial(monkeypatch):
-    tl = SlotTimeline.from_rates([6.0, 0.0, 2.0] * 4)
-    target = CalibrationTarget(pi=40.0, replications=300)
-    for mode in (EVENT_TIMES, AGGREGATED_COUNTS):
-        monkeypatch.delenv("SEASONAL_CUSUM_THREADS", raising=False)
-        serial = _shared(tl, _pair(mode), target, 45)
-        monkeypatch.setenv("SEASONAL_CUSUM_THREADS", "2")
-        assert _shared(tl, _pair(mode), target, 45) == serial == _independent(tl, _pair(mode), target, 45), mode
-
-
 def test_shared_draws_serve_each_config_once_on_one_input(monkeypatch):
     monkeypatch.setattr(calibrate, "_CHUNK_EVENTS", 16)
     tl = SlotTimeline.from_rates([6.0, 0.0, 2.0] * 4)
@@ -398,6 +372,27 @@ def test_shared_draws_serve_each_config_once_on_one_input(monkeypatch):
     calibrate_threshold(tl, down, target, seed=1, draws=draws)
 
 
+def test_calibration_ignores_the_threads_variable():
+    # Calibration runs on one thread whatever SEASONAL_CUSUM_THREADS says, and loads no thread pool.
+    code = """
+import sys
+from seasonal_cusum.calibrate import CalibrationTarget, calibrate_threshold
+from seasonal_cusum.detect import DetectorConfig
+from seasonal_cusum.timeline import SlotTimeline
+tl = SlotTimeline.from_rates([6.0, 0.0, 2.0] * 4)
+result = calibrate_threshold(tl, DetectorConfig(rho=1.3, threshold_m=1.0), CalibrationTarget(pi=40.0, replications=200), seed=3)
+print(repr(result.to_dict()), "concurrent.futures" in sys.modules)
+"""
+    env = {k: v for k, v in os.environ.items() if k != "SEASONAL_CUSUM_THREADS"}
+    env["PYTHONPATH"] = str(Path(__file__).resolve().parent.parent / "src")
+    unset, four = (
+        subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, env=e).stdout
+        for e in (env, {**env, "SEASONAL_CUSUM_THREADS": "4"})
+    )
+    assert four == unset
+    assert unset.strip().endswith("} False")
+
+
 def _doubling_search(timeline, config, target, seed):
     """Oracle: double hi from 1 until ARL(hi) reaches pi, then bisect [1e-9, hi].
 
@@ -406,7 +401,7 @@ def _doubling_search(timeline, config, target, seed):
     """
     if target.pi < 1:
         raise ValidationError("budget below one event is unattainable")
-    curves = _build_curves(timeline, config, target, seed).curves
+    curves = _curve_sets(timeline, [config], target, seed)[0].curves
     ms = []
 
     def evaluate(m):
@@ -551,7 +546,7 @@ def test_ladder_stops_at_the_first_top_reaching_the_budget():
 
 def _levels_and_arl(timeline, config, target, seed):
     """Every record level below the largest, with the ARL read curve by curve at a threshold."""
-    curves = _build_curves(timeline, config, target, seed).curves
+    curves = _curve_sets(timeline, [config], target, seed)[0].curves
     for c in curves:
         c.run_length(math.inf)
     levels = np.unique(np.concatenate([c.levels for c in curves]))
@@ -623,7 +618,7 @@ def _read_both(curve_args, monkeypatch):
     """Two independent copies of the same curves: one for the batched reader, one read curve by curve."""
     monkeypatch.setattr(calibrate, "_CHUNK_EVENTS", 3)
     return tuple(
-        [_record_curve(_Tiling(tl, cycles), cfg, seed, rep) for tl, cfg, cycles, seed, rep in curve_args]
+        [_record_curves(_Tiling(tl, cycles), [cfg], seed, rep)[0] for tl, cfg, cycles, seed, rep in curve_args]
         for _ in range(2)
     )
 

@@ -18,6 +18,7 @@ from seasonal_cusum.detect import (
     EVENT_TIMES,
     INCREASE,
     _EVENT_BLOCK,
+    _aggregated_rows,
     _slot_cumulative,
     AlarmEvent,
     CusumState,
@@ -702,13 +703,15 @@ def test_run_detector_records_are_step_records(truth_model):
 
 
 @pytest.mark.parametrize("k", [-1, 22])
-def test_run_detector_refuses_a_slot_index_off_the_grid(k):
+def test_run_detector_refuses_a_slot_index_off_the_grid(truth_model, k):
     # A record that is not a SlotRecord carries any index; -1 would read the
-    # last slot's end, as tuple indexing wraps around.
+    # last slot's end, as tuple indexing wraps around. A fitted model's
+    # slot_rate refuses it first, in the same words.
     record = SimpleNamespace(date=date(2018, 1, 8), slot_start=time(7, 30), count=3, slot_index=k)
-    with pytest.raises(ValidationError) as raised:
-        run_detector([record], _FlatRates(1.0), _cfg())
-    assert str(raised.value) == f"slot index {k} outside [0, 22)"
+    for model in (_FlatRates(1.0), truth_model):
+        with pytest.raises(ValidationError) as raised:
+            run_detector([record], model, _cfg())
+        assert str(raised.value) == f"slot index {k} outside [0, 22)"
 
 
 @pytest.mark.parametrize("count", [-1, 2.5, math.nan])
@@ -920,20 +923,29 @@ def _run_key(run):
     data=st.data(),
 )
 def test_run_aggregated_dense_alarms_equals_step_loop(rates, rows, cfg, start, data):
-    """Each row of a 2-D call equals the 1-D call on that row and a `step_aggregated` loop."""
+    """Each row of one `_aggregated_rows` call equals a `step_aggregated` loop and the 1-D `run_aggregated` call."""
     tl = SlotTimeline.from_rates(rates)
     row = st.lists(st.integers(0, 30), min_size=len(rates), max_size=len(rates))
     counts = data.draw(st.lists(row, min_size=rows, max_size=rows))
-    runs = run_aggregated(tl, np.array(counts), cfg, start)
-    assert len(runs) == rows
-    for row, run in zip(counts, runs):
-        state, v, alarms = start or CusumState.initial(clock=float(tl.starts[0])), [], []
-        for count, dlam, end in zip(row, tl.means.tolist(), tl.ends.tolist()):
+    first = start or CusumState.initial(clock=float(tl.starts[0]))
+    path, fired, seen, v, u, u_min, armed = _aggregated_rows(tl, np.array(counts), cfg, first)
+    assert path.shape == fired.shape == seen.shape == (rows, len(rates))
+    ends = tl.ends.tolist()
+    for r, row in enumerate(counts):
+        state, levels, alarms = first, [], []
+        for count, dlam, end in zip(row, tl.means.tolist(), ends):
             state, alarm = step_aggregated(state, count, dlam, cfg, clock=end)
-            v.append(alarm.v_at_alarm if alarm is not None else state.v)
+            levels.append(alarm.v_at_alarm if alarm is not None else state.v)
             alarms.extend([alarm] if alarm is not None else [])
-        reference = TimelineRun(v=np.array(v), alarms=alarms, state=state)
-        assert _run_key(run) == _run_key(run_aggregated(tl, row, cfg, start)) == _run_key(reference)
+        reference = TimelineRun(v=np.array(levels), alarms=alarms, state=state)
+        assert _run_key(run_aggregated(tl, row, cfg, start)) == _run_key(reference)
+        assert repr(path[r].tolist()) == repr(levels)
+        fired_at = np.flatnonzero(fired[r]).tolist()
+        assert repr([(ends[s], path[r, s].item(), seen[r, s].item()) for s in fired_at]) == repr(
+            [(a.time, a.v_at_alarm, a.events_at_alarm) for a in alarms]
+        )
+        final = (v[r].item(), u[r].item(), u_min[r].item(), seen[r, -1].item(), armed[r].item())
+        assert repr(final) == repr((state.v, state.u, state.u_min, state.events_seen, state.armed))
 
 
 def test_run_aggregated_reflects_negative_zero_as_max_does():
@@ -951,12 +963,13 @@ def test_run_aggregated_reflects_negative_zero_as_max_does():
 
 def test_run_aggregated_rows_are_validated_and_shaped():
     tl = SlotTimeline.from_rates([1.0, 2.0, 3.0])
-    with pytest.raises(ValidationError, match="got -1"):
-        run_aggregated(tl, np.array([[1, 2, 3], [1, -1, 3]]), _cfg())
-    for bad_shape in (np.zeros((2, 2), dtype=int), np.zeros((1, 2, 3), dtype=int), 4):
+    # The message names a bad count of the first slot holding one, whatever its row.
+    with pytest.raises(ValidationError, match="got -1$"):
+        _aggregated_rows(tl, np.array([[1, 2, -2], [1, -1, 3]]), _cfg(), CusumState.initial())
+    right_length_rows = np.zeros((1, 3), dtype=int)
+    for bad_shape in (np.zeros((2, 2), dtype=int), np.zeros((1, 2, 3), dtype=int), right_length_rows, 4):
         with pytest.raises(ValidationError, match="length"):
             run_aggregated(tl, bad_shape, _cfg())
-    assert run_aggregated(tl, np.zeros((0, 3), dtype=int), _cfg()) == []
 
 
 @pytest.mark.parametrize(
