@@ -360,14 +360,12 @@ def _walk(u: float, u_min: float, steps: np.ndarray, read: np.ndarray) -> tuple[
 
 
 def _slot_cumulative(timeline: SlotTimeline, i: int) -> Callable[[float, float], float]:
-    """`timeline.cumulative` on slot i's [start, end], bit for bit, without numpy lookups.
+    """`timeline.cumulative` on slot i's [start, end], bit for bit, in plain floats.
 
-    `cum_mean_at` reads the last slot starting at or before t, which is slot
-    i + 1 from that slot's start on (its start may equal slot i's end, or
-    fall within the timeline's contiguity tolerance of it); no later slot
-    starts by slot i's end.
+    Λ reads slot i's line, and the next slot's line at slot i's end, which
+    is that slot's start, as `SlotTimeline.cum_mean_in_slot` does.
     """
-    j = int(np.searchsorted(timeline.starts, timeline.ends[i], side="right")) - 1
+    j = min(i + 1, len(timeline) - 1)
     s0, r0, c0 = float(timeline.starts[i]), float(timeline.rates[i]), float(timeline.cum_means[i])
     s1, r1, c1 = float(timeline.starts[j]), float(timeline.rates[j]), float(timeline.cum_means[j])
 
@@ -390,8 +388,9 @@ def run_events(
     the events in [start, end], every later slot those in (start, end].
 
     One block of `_EVENT_BLOCK` slots at a time, numpy evaluates Λ at the
-    event times, each on its slot's line as `cum_mean_at` reads it, and at
-    the slot bounds, and every drift beta * dΛ with `step_events`' IEEE
+    event times and the slot ends with `SlotTimeline.cum_mean_in_slot`,
+    which reads an event on its slot's end on the next slot's line as
+    `cum_mean_at` does, and every drift beta * dΛ with `step_events`' IEEE
     operations. A float loop advances the reflected v
     alone; the free walk u and its minimum are folded with numpy where they
     are read, at a slot where an alarm fires and at the end of a block. That
@@ -402,16 +401,13 @@ def run_events(
     times = np.asarray(event_times, dtype=float)
     if not np.all(np.isfinite(times)):
         raise ValidationError("event times must be finite")
-    if np.any(np.diff(times) < 0):
+    if np.any(times[1:] < times[:-1]):
         raise ValidationError("event times must be sorted")
     if times.size and (times[0] < timeline.starts[0] or times[-1] > timeline.ends[-1]):
         raise ValidationError(f"event times outside the timeline [{timeline.starts[0]}, {timeline.ends[-1]}]")
     cuts = np.searchsorted(times, timeline.ends, side="right")
     firsts = np.concatenate([[0], cuts[:-1]])
     filled = cuts > firsts
-    # step_events' own check, for slots that start after the previous one ends.
-    if np.any(times[firsts[filled]] < timeline.starts[filled]):
-        raise ValidationError("event times outside the interval")
     state = state or CusumState.initial(clock=float(timeline.starts[0]))
     increase = config.direction == INCREASE
     coef, jump = (-config.beta, 1.0) if increase else (config.beta, -1.0)
@@ -424,17 +420,8 @@ def run_events(
         base = int(firsts[first])
         lo, hi, full = firsts[first:stop] - base, cuts[first:stop] - base, filled[first:stop]
         block_times = times[base:base + hi[-1]]
-        # Λ as cum_mean_at computes it, each event on its own slot's line ...
-        lines = (timeline.cum_means, timeline.rates, timeline.starts)
-        cum, rate, start = (np.repeat(a[first:stop], hi - lo) for a in lines)
-        lam = cum + rate * (block_times - start)
-        # ... except from the next slot's start on, which contiguity lets fall
-        # a hair before this slot's end: only a slot's last events can lie
-        # there, and such a slot goes through cum_mean_at.
-        nexts = timeline.starts[first + 1:stop + 1]
-        tails = np.flatnonzero(full[:len(nexts)])
-        for k in tails[block_times[hi[tails] - 1] >= nexts[tails]].tolist():
-            lam[lo[k]:hi[k]] = timeline.cum_mean_at(block_times[lo[k]:hi[k]])
+        owner = np.repeat(slots, hi - lo)
+        lam = timeline.cum_mean_in_slot(first + owner, block_times)
         lam_starts = timeline.cum_means[first:stop]
         # Each drift runs from the previous event of its slot, or the slot start.
         prev = np.empty_like(lam)
@@ -443,11 +430,11 @@ def run_events(
         last = lam_starts.copy()
         last[full] = lam[hi[full] - 1]
         drifts = coef * (lam - prev)
-        end_drifts = coef * (timeline.cum_mean_at(timeline.ends[first:stop]) - last)
+        end_drifts = coef * (timeline.cum_mean_in_slot(first + slots, timeline.ends[first:stop]) - last)
         # The free walk's increments in step_events' order: each event's drift
         # and jump, then its slot's final drift. u_min reads every partial sum
         # going up, only the post-jump ones going down.
-        at = 2 * np.arange(len(lam)) + np.repeat(slots, hi - lo)
+        at = 2 * np.arange(len(lam)) + owner
         ends_at = 2 * hi + slots
         steps = np.empty(2 * len(lam) + len(slots))
         steps[at], steps[at + 1], steps[ends_at] = drifts, jump, end_drifts

@@ -506,7 +506,6 @@ class IntensityModel:
         if not n:
             raise CoverageError("no open slots in the requested dates")
         return SlotTimeline(
-            np.arange(n, dtype=float),
             np.ones(n),
             np.concatenate(rates),
             days=np.repeat(np.array(days, dtype="datetime64[D]"), per_day),

@@ -1,10 +1,11 @@
 """Piecewise-constant intensity timelines over the open-time axis.
 
-A timeline strings the open slots of a horizon together on a continuous
-axis with closed periods removed: slot i occupies [start_i, start_i + length_i)
-and carries a constant arrival rate per unit time. Calendar timelines use
-unit-length slots (one half hour = one time unit); abstract timelines may
-use any slot lengths.
+A timeline strings the open slots of a horizon end to end on a continuous
+axis with closed periods removed: slot i occupies [start_i, end_i), where
+end_i = start_i + length_i is bit for bit slot i + 1's start, and carries a
+constant arrival rate per unit time. Calendar timelines use unit-length
+slots (one half hour = one time unit); abstract timelines may use any slot
+lengths.
 """
 
 from __future__ import annotations
@@ -18,34 +19,29 @@ from .errors import CoverageError, ValidationError
 
 
 class SlotTimeline:
-    """Ordered, contiguous open slots with piecewise-constant rates.
+    """Ordered open slots laid end to end from `start`, with piecewise-constant rates.
 
     Calendar timelines also carry each slot's date (`days`, datetime64[D])
     and its index on the half-hour grid (`grid`); abstract timelines carry
     neither.
     """
 
-    def __init__(self, starts, lengths, rates, days=None, grid=None):
-        self.starts = np.asarray(starts, dtype=float)
+    def __init__(self, lengths, rates, *, start=0.0, days=None, grid=None):
         self.lengths = np.asarray(lengths, dtype=float)
         self.rates = np.asarray(rates, dtype=float)
-        if not len(self.starts):
+        if not len(self.lengths):
             raise ValidationError("timeline must contain at least one slot")
-        if not len(self.starts) == len(self.lengths) == len(self.rates):
-            raise ValidationError("slot starts, lengths and rates must have one entry per slot")
+        if not len(self.lengths) == len(self.rates):
+            raise ValidationError("slot lengths and rates must have one entry per slot")
         # NaN fails the rate comparisons too.
         if np.any(self.lengths <= 0) or not np.all((self.rates >= 0) & (self.rates < np.inf)):
             raise ValidationError("slot lengths must be positive and rates nonnegative and finite")
-        self.ends = self.starts + self.lengths
-        # NaN and infinite starts fail this too.
+        # A strict left fold: each end is start + length, bit for bit the next slot's start.
+        edges = np.cumsum(np.concatenate([[start], self.lengths]))
+        self.starts, self.ends = edges[:-1], edges[1:]
+        # NaN and infinite starts fail this too, as does a length lost to rounding.
         if not np.all(self.ends > self.starts):
             raise ValidationError("slot starts must be finite, and each slot must end after it starts")
-        # Each slot starts where the previous one ends, up to a rounding error
-        # far below either slot's length wherever the two sit on the axis: so
-        # slot i + 1 is the only slot that can start by slot i's end.
-        gaps = np.abs(self.starts[1:] - self.ends[:-1])
-        if not np.all(gaps <= 1e-9 * np.minimum(self.lengths[1:], self.lengths[:-1])):
-            raise ValidationError("timeline slots must be contiguous")
         self.days = None if days is None else np.asarray(days, dtype="datetime64[D]")
         self.grid = None if grid is None else np.asarray(grid, dtype=np.int64)
         if (self.days is None) != (self.grid is None):
@@ -61,11 +57,7 @@ class SlotTimeline:
 
     @classmethod
     def from_rates(cls, rates, length: float = 1.0, start: float = 0.0) -> "SlotTimeline":
-        rates = np.asarray(rates, dtype=float)
-        steps = np.full(len(rates), float(length))
-        steps[:1] = start
-        # np.cumsum adds in order: bit for bit a running t += length.
-        return cls(np.cumsum(steps), np.full(len(rates), float(length)), rates)
+        return cls(np.full(len(rates), float(length)), rates, start=start)
 
     def __len__(self) -> int:
         return len(self.starts)
@@ -91,9 +83,22 @@ class SlotTimeline:
 
     def cum_mean_at(self, t: float | np.ndarray) -> float | np.ndarray:
         """Expected events in [timeline start, t]; elementwise, bit for bit, over an array."""
-        i = self.slot_at(t)
-        lam = self.cum_means[i] + self.rates[i] * (t - self.starts[i])
+        lam = self._line(self.slot_at(t), t)
         return lam if isinstance(t, np.ndarray) else float(lam)
+
+    def cum_mean_in_slot(self, i: int | np.ndarray, t: float | np.ndarray) -> np.floating | np.ndarray:
+        """`cum_mean_at(t)` for times t known to lie in slot i, bit for bit; elementwise over arrays.
+
+        t reads slot i's line, and the next slot's line from that slot's start
+        on, as `cum_mean_at` does: the only such t is slot i's end, which is
+        the next slot's start. No slot is looked up.
+        """
+        j = np.minimum(i + 1, len(self) - 1)
+        return self._line(np.where(t >= self.starts[j], j, i), t)
+
+    def _line(self, i, t):
+        # Slot i's line: the expected events before it plus its rate times t's way into it.
+        return self.cum_means[i] + self.rates[i] * (t - self.starts[i])
 
     def cumulative(self, a: float, b: float) -> float:
         """Expected events in [a, b]; additive over adjacent intervals."""

@@ -877,7 +877,7 @@ def test_calibrate_budget_below_the_shortest_run_is_numeric_failure(tmp_path, ca
 
 
 def test_cli_import_does_not_load_concurrent_futures():
-    # The thread pool is imported only where calibration runs on more than one thread.
+    # Calibration runs on one thread and imports no concurrent.futures.
     src = Path(__file__).resolve().parent.parent / "src"
     code = "import seasonal_cusum.cli, sys; print('concurrent.futures' in sys.modules)"
     done = subprocess.run(

@@ -219,6 +219,9 @@ def test_step_events_rejects_unsorted():
     tl = SlotTimeline.from_rates([10.0])
     with pytest.raises(ValidationError):
         step_events(CusumState.initial(), [0.5, 0.2], _cfg(mode=EVENT_TIMES), (0.0, 1.0), tl.cumulative)
+    # Times that are in order but start a hair before the interval are refused too.
+    with pytest.raises(ValidationError, match="outside the interval"):
+        step_events(CusumState.initial(), [1.0 + 5e-10], _cfg(mode=EVENT_TIMES), (1.0 + 1e-9, 2.0 + 1e-9), lambda a, b: 2.0 * (b - a))
 
 
 def test_step_events_alarm_at_jump_timestamp():
@@ -787,29 +790,21 @@ def test_run_events_rejects_bad_times(data, fault, where):
         run_events(tl, times, _cfg(mode=EVENT_TIMES))
 
 
-
-def test_run_events_rejects_event_between_nearly_contiguous_slots():
-    # A hair-width gap between slots is refused by the timeline itself, so no
-    # event can fall between two of its slots; step_events refuses an event
-    # just before its interval all the same.
-    with pytest.raises(ValidationError, match="contiguous"):
-        SlotTimeline([0.0, 1.0 + 1e-9], [1.0, 1.0], [2.0, 2.0])
-    with pytest.raises(ValidationError, match="outside the interval"):
-        step_events(CusumState.initial(), [1.0 + 5e-10], _cfg(mode=EVENT_TIMES), (1.0 + 1e-9, 2.0 + 1e-9), lambda a, b: 2.0 * (b - a))
-
-
 @pytest.mark.parametrize("direction", [INCREASE, DECREASE])
 def test_run_events_alarm_slot_with_a_later_slot_starting_inside_it(direction):
-    # Slot 1 starts 5e-10 inside slot 0, within the contiguity tolerance, so
-    # slot 0's alarm is replayed on a Λ that reads slot 1 from that start on,
-    # as `timeline.cumulative` does.
-    tl = SlotTimeline([0.0, 1 - 5e-10, 2 - 5e-10], [1.0, 1.0, 1.0], [3.0, 5.0, 4.0])
+    # Slot 0 ends where slot 1 starts, at 0.1 + 0.3, where slot 0's own line
+    # rounds off slot 1's. Slot 0's alarm is replayed on a Λ that reads slot
+    # 1's line there, as `timeline.cumulative` does, and slot 0's last event
+    # lies on that end.
+    tl = SlotTimeline([0.3, 0.3, 0.3], [3.0, 5.0, 4.0], start=0.1)
+    end = float(tl.ends[0])
+    assert tl.cum_means[0] + tl.rates[0] * (end - tl.starts[0]) != tl.cum_means[1]
     cum = _slot_cumulative(tl, 0)
-    for a, b in [(0.0, 0.4), (0.4, 1 - 5e-10), (0.4, 1.0), (1 - 5e-10, 1.0), (0.0, 1.0)]:
+    for a, b in [(0.1, 0.2), (0.2, end), (end, end), (0.1, end)]:
         assert cum(a, b) == tl.cumulative(a, b)
     up = direction == INCREASE
     cfg = _cfg(rho=1.5 if up else 0.5, m=1.0 if up else 0.5, direction=direction, mode=EVENT_TIMES)
-    times = [0.1, 0.2, 0.3, 0.4, 1.5] if up else [1.5]
+    times = [0.15, 0.2, 0.25, 0.3, end, 0.55] if up else [end, 0.55]
     run = run_events(tl, times, cfg)
 
     state, v, alarms = CusumState.initial(clock=0.0), [], []
@@ -827,10 +822,11 @@ def test_run_events_alarm_slot_with_a_later_slot_starting_inside_it(direction):
 
 @pytest.mark.parametrize("direction", [INCREASE, DECREASE])
 def test_run_events_events_past_the_start_of_the_next_slot(direction):
-    # Slot 1 starts 5e-10 inside slot 0, and three of slot 0's events lie at
-    # or after that start, where Λ reads slot 1's line; no alarm fires.
-    tl = SlotTimeline([0.0, 1 - 5e-10, 2 - 5e-10], [1.0, 1.0, 1.0], [3.0, 5.0, 4.0])
-    times = [0.5, 1 - 5e-10, 1 - 2e-10, 1.0, 1.5, 2.5]
+    # Slots 0 and 1 each end on an event, three of them at slot 0's end, where
+    # Λ reads slot 1's line and slot 0's own line rounds off it; no alarm fires.
+    tl = SlotTimeline([0.3, 0.3, 0.3], [3.0, 5.0, 4.0], start=0.1)
+    e0, e1 = float(tl.ends[0]), float(tl.ends[1])
+    times = [0.3, e0, e0, e0, 0.5, e1, 0.85]
     assert tl.slot_at(np.array(times[1:4])).tolist() == [1, 1, 1]
     up = direction == INCREASE
     cfg = _cfg(rho=1.5 if up else 0.5, m=50.0, direction=direction, mode=EVENT_TIMES)
@@ -982,21 +978,19 @@ def test_run_aggregated_rejects_bad_records(rates, counts):
         run_aggregated(SlotTimeline.from_rates(rates), counts, _cfg())
 
 
-@pytest.mark.parametrize("gaps", [False, True], ids=["open-time", "overnight-gaps"])
+@pytest.mark.parametrize("start", [0.0, 2.0**20 - 100 + 1 / 3], ids=["open-time", "far-start"])
 @pytest.mark.parametrize("reset", [True, False], ids=["reset", "no-reset"])
 @pytest.mark.parametrize("direction", [INCREASE, DECREASE])
-def test_run_events_on_calendar_equals_step_events_loop(truth_model, direction, reset, gaps):
+def test_run_events_on_calendar_equals_step_events_loop(truth_model, direction, reset, start):
     # Three weeks of 2018 span two blocks of seasonal slot rates, with closed
-    # Sundays; m = 3 alarms every few slots in both directions. The gapped
-    # copy starts each open day 5e-10 later than the one before, inside the
-    # timeline's contiguity tolerance (1e-9 of a unit slot), so no slot
-    # starts where the previous one ends.
+    # Sundays; m = 3 alarms every few slots in both directions. The far copy
+    # starts a third of a unit past 2**20 - 100, so no slot bound is a round
+    # number, and the unit step that crosses 2**20 rounds: each end is the
+    # next slot's start by construction only.
     tl = truth_model.timeline([date(2018, 1, 1) + timedelta(days=k) for k in range(21)])
-    if gaps:
-        day = np.cumsum(np.concatenate([[0], tl.days[1:] != tl.days[:-1]]))
-        tl = SlotTimeline(tl.starts + 5e-10 * day, tl.lengths, tl.rates, tl.days, tl.grid)
-        # 18 open days; rounding parts a few slots within a day as well.
-        assert np.count_nonzero(tl.starts[1:] > tl.ends[:-1]) >= 17
+    tl = SlotTimeline(tl.lengths, tl.rates, start=start, days=tl.days, grid=tl.grid)
+    if start:
+        assert np.count_nonzero(tl.ends - tl.starts != 1.0) == 1
     assert _EVENT_BLOCK < len(tl) < 2 * _EVENT_BLOCK
     times = simulate_events(tl, seed=5).event_times.tolist()
     up = direction == INCREASE

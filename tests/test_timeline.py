@@ -44,39 +44,42 @@ def test_cumulative_additive(rates, cuts):
 
 
 def test_rejects_gaps_and_empty():
+    # Slots are laid end to end, so a gap cannot be built; empty timelines and
+    # slots of no length are refused, and a positional start is no longer read.
     with pytest.raises(ValidationError):
-        SlotTimeline([], [], [])
-    with pytest.raises(ValidationError):
-        SlotTimeline([0.0, 2.0], [1.0, 1.0], [5.0, 5.0])
-
-
-def test_contiguity_tolerance_follows_the_slot_lengths_not_the_position():
-    # A 5-unit gap a million units along is refused, as is a hair-width one
-    # between unit slots; Λ would otherwise step back at the next slot's start.
-    with pytest.raises(ValidationError, match="contiguous"):
-        SlotTimeline([1e6, 1e6 + 6, 1e6 + 7], [1, 1, 1], [1, 2, 3])
-    with pytest.raises(ValidationError, match="contiguous"):
-        SlotTimeline([0.0, 1.0 + 2e-9], [1.0, 1.0], [2.0, 2.0])
-    # Rounding far below the slot lengths is accepted, wherever the slots sit.
-    tl = SlotTimeline([1e6, 1e6 + 1 + 5e-10, 1e6 + 2], [1.0, 1.0, 1.0], [1.0, 2.0, 3.0])
-    assert tl.cum_mean_at(1e6 + 1.5) == pytest.approx(2.0)
-    far = SlotTimeline.from_rates([1.0, 2.0, 3.0], length=0.1, start=1e6)
-    assert np.all(far.starts[1:] == far.ends[:-1])
-
-
-def test_rejects_a_slot_starting_inside_an_earlier_one():
-    # Slots 1 and 2 start inside slot 0 by 2e-9 and 1e-9, twice and once the
-    # length of slot 1: each overlap is far past 1e-9 of its shorter slot.
-    with pytest.raises(ValidationError, match="contiguous"):
-        SlotTimeline([0.0, 1 - 2e-9, 1 - 1e-9], [1.0, 1e-9, 1.0], [3.0, 5.0, 4.0])
-    with pytest.raises(ValidationError, match="contiguous"):
-        SlotTimeline([0.0, 0.5], [1.0, 1.0], [3.0, 4.0])
+        SlotTimeline([], [])
+    for length in (0.0, -1.0):
+        with pytest.raises(ValidationError, match="lengths must be positive"):
+            SlotTimeline([1.0, length], [5.0, 5.0])
+    with pytest.raises(TypeError):
+        SlotTimeline([0.0, 1.0], [1.0, 1.0], [5.0, 5.0])
 
 
 @pytest.mark.parametrize("start", [float("nan"), float("inf")])
 def test_rejects_a_start_that_is_not_finite(start):
     with pytest.raises(ValidationError, match="finite"):
-        SlotTimeline([start], [1.0], [2.0])
+        SlotTimeline([1.0], [2.0], start=start)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    lengths=st.lists(st.sampled_from([1 / 24, 0.1, 1.0]) | st.floats(1e-3, 1e3), min_size=1, max_size=12),
+    start=st.just(0.0) | st.floats(-1e6, 1e6),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_slots_are_laid_end_to_end(lengths, start, seed):
+    rng = np.random.default_rng(seed)
+    tl = SlotTimeline(lengths, rng.uniform(0.0, 50.0, len(lengths)), start=start)
+    assert tl.starts[0] == start
+    assert tl.starts[1:].tolist() == tl.ends[:-1].tolist()
+    # Every slot end but the last is the next slot's start, where Λ reads that slot's line.
+    assert tl.cum_mean_at(tl.ends[:-1]).tolist() == tl.cum_means[1:-1].tolist()
+    # The in-slot reader equals cum_mean_at at both bounds of every slot and
+    # inside it, over arrays and one time at a time.
+    slots = np.arange(len(tl))
+    for t in (tl.starts, tl.starts + rng.uniform(0.0, 1.0, len(tl)) * tl.lengths, tl.ends):
+        assert tl.cum_mean_in_slot(slots, t).tolist() == tl.cum_mean_at(t).tolist()
+        assert [float(tl.cum_mean_in_slot(i, x)) for i, x in enumerate(t.tolist())] == [tl.cum_mean_at(x) for x in t.tolist()]
 
 
 @pytest.mark.parametrize("rate", [float("nan"), float("inf"), -1.0])
