@@ -32,7 +32,7 @@ import numpy as np
 
 from .detect import AGGREGATED_COUNTS, EVENT_TIMES, INCREASE, DetectorConfig
 from .errors import BracketingError, HorizonTooShortError, ValidationError
-from .simulate import rng_for
+from .simulate import MAX_SLOT_COUNTS, rng_for
 from .timeline import SlotTimeline
 
 # A calibrated run length may miss pi by this fraction of pi plus two standard errors.
@@ -87,10 +87,6 @@ class CalibrationResult:
         return asdict(self)
 
 
-# Calibration keeps one slot count per slot, cycle and replication, one byte
-# each at typical rates; horizons needing more than this many are refused.
-_MAX_SLOT_COUNTS = 2**31
-
 # A path's expected events over the horizon stay at most this, so that its
 # int64 event counts (np.cumsum of its slot counts) cannot pass 2**63 - 1.
 _MAX_PATH_EVENTS = 2**62
@@ -101,15 +97,16 @@ _MAX_PATH_EVENTS = 2**62
 _MAX_CHUNK_EVENTS = 2**23
 
 
-def _horizon(timeline: SlotTimeline, target: CalibrationTarget, mode: str) -> tuple[int, float]:
-    """Number of timeline cycles and total duration covering the horizon cap."""
+def _horizon(timeline: SlotTimeline, target: CalibrationTarget, mode: str) -> int:
+    """Number of timeline cycles covering the horizon cap."""
     if target.horizon_cap is not None:
         span = target.horizon_cap / timeline.total_time
     else:
         span = max(20.0 * target.pi, 50.0) / max(timeline.total_mean, 1e-12)
     # An overflowed (infinite) span has no ceiling, and is past the limit anyway.
     cycles = max(1, math.ceil(span)) if math.isfinite(span) else math.inf
-    if cycles * len(timeline) * target.replications > _MAX_SLOT_COUNTS:
+    # Calibration keeps one slot count per slot, cycle and replication, one byte each at typical rates.
+    if cycles * len(timeline) * target.replications > MAX_SLOT_COUNTS:
         cap = "no --horizon-cap" if target.horizon_cap is None else f"--horizon-cap {target.horizon_cap:g}"
         raise ValidationError(
             f"pi={target.pi:g} with {cap} needs a calibration horizon of {cycles:.4g} cycles of the "
@@ -128,7 +125,7 @@ def _horizon(timeline: SlotTimeline, target: CalibrationTarget, mode: str) -> tu
             f"a calibration path over {cycles:.4g} cycles of the timeline expects {path_events:.4g} events, "
             f"past the 2**62 that its int64 event counts allow"
         )
-    return cycles, cycles * timeline.total_time
+    return cycles
 
 
 # A lazily simulated event-mode path advances about this many expected events
@@ -207,6 +204,7 @@ class RecordCurve:
     it extends only as far as the thresholds queried so far need; the draw may
     have been extended further for another curve attached to it. An
     aggregated curve, and one whose draw reached its horizon, is complete.
+    Both take their records through `add_records`, event-mode curves chunk by chunk.
     """
 
     def __init__(self, levels: np.ndarray, events: np.ndarray, total_events: int):
@@ -231,7 +229,6 @@ class RecordCurve:
         the last, else None.
         """
         b, k = self.beta, len(j)
-        peak = float(self.levels[-1]) if len(self.levels) else -math.inf  # running maximum of V so far
         if self.increase:
             u_after = j - b * lam
             runmin = np.minimum(np.minimum.accumulate(u_after - 1.0), self.u_min)
@@ -248,6 +245,11 @@ class RecordCurve:
             # The drift keeps rising after the last event until the horizon end.
             v = np.append(v, b * end - self.total_events - self.u_min)
             events = np.append(events, self.total_events)
+        self.add_records(v, events)
+
+    def add_records(self, v: np.ndarray, events: np.ndarray) -> None:
+        """Append the strict rises of V's running maximum past the last record, each with its event count."""
+        peak = float(self.levels[-1]) if len(self.levels) else -math.inf
         running = np.maximum(np.maximum.accumulate(v), peak)
         keep = running > np.concatenate([[peak], running[:-1]])
         if keep.any():
@@ -337,10 +339,9 @@ def _record_curves(tiling: _Tiling, configs: list[DetectorConfig], seed: int, re
     for config in configs:
         sign = 1.0 if config.direction == INCREASE else -1.0
         u = np.cumsum(sign * (counts - config.beta * tiling.means))
-        v = u - np.minimum(np.minimum.accumulate(u), 0.0)
-        running = np.maximum.accumulate(v)
-        keep = running > np.concatenate([[-np.inf], running[:-1]])
-        curves.append(RecordCurve(running[keep], events[keep], total))
+        curve = RecordCurve(np.empty(0), np.empty(0, dtype=int), total)
+        curve.add_records(u - np.minimum(np.minimum.accumulate(u), 0.0), events)
+        curves.append(curve)
     return curves
 
 
@@ -348,8 +349,7 @@ def _curve_sets(
     timeline: SlotTimeline, configs: list[DetectorConfig], target: CalibrationTarget, seed: int
 ) -> list[_CurveSet]:
     """One curve set per config, all read off one draw per replication."""
-    cycles, _ = _horizon(timeline, target, configs[0].mode)
-    tiling = _Tiling(timeline, cycles)
+    tiling = _Tiling(timeline, _horizon(timeline, target, configs[0].mode))
     rows = [_record_curves(tiling, configs, seed, r) for r in range(target.replications)]
     return [_CurveSet(list(curves)) for curves in zip(*rows)]
 

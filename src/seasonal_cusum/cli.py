@@ -120,9 +120,7 @@ def _date_range(start: date, days: int) -> list[date]:
 
 def _load_model(args) -> IntensityModel:
     model = IntensityModel.load(args.model)
-    if getattr(args, "naive_lambda", False):
-        model = model.as_naive()
-    return model
+    return model.as_naive() if args.naive_lambda else model
 
 
 def cmd_fit(args) -> int:
@@ -291,60 +289,55 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common_out(p_fit)
     p_fit.set_defaults(func=cmd_fit)
 
-    p_cal = sub.add_parser("calibrate", help="choose the alarm threshold for a false-alarm budget")
-    p_cal.add_argument("--model", required=True)
+    # Flags every model-reading command shares, defined once.
+    model_flags = argparse.ArgumentParser(add_help=False)
+    model_flags.add_argument("--model", required=True)
+    model_flags.add_argument("--seed", type=int, default=0)
+    model_flags.add_argument("--naive-lambda", action="store_true", help="constant baseline rate")
+    span_flags = argparse.ArgumentParser(add_help=False)
+    span_flags.add_argument("--start-date", type=date.fromisoformat, required=True)
+    span_flags.add_argument("--days", type=int, required=True)
+
+    p_cal = sub.add_parser(
+        "calibrate", parents=[model_flags, span_flags], help="choose the alarm threshold for a false-alarm budget"
+    )
     p_cal.add_argument("--rho", type=float, required=True)
     p_cal.add_argument("--pi", type=float, required=True, help="expected events to false alarm")
-    p_cal.add_argument("--start-date", type=date.fromisoformat, required=True)
-    p_cal.add_argument("--days", type=int, required=True)
     p_cal.add_argument("--replications", type=int, default=2000)
     p_cal.add_argument("--horizon-cap", type=float, default=None)
-    p_cal.add_argument("--seed", type=int, default=0)
     p_cal.add_argument("--aggregated", action="store_true", help="calibrate at half-hour granularity")
-    p_cal.add_argument("--naive-lambda", action="store_true")
     _add_common_out(p_cal)
     p_cal.set_defaults(func=cmd_calibrate)
 
-    p_sim = sub.add_parser("simulate", help="draw a synthetic series from a model")
-    p_sim.add_argument("--model", required=True)
-    p_sim.add_argument("--start-date", type=date.fromisoformat, required=True)
-    p_sim.add_argument("--days", type=int, required=True)
-    p_sim.add_argument("--seed", type=int, default=0)
+    p_sim = sub.add_parser("simulate", parents=[model_flags, span_flags], help="draw a synthetic series from a model")
     p_sim.add_argument("--rho", type=float, default=1.0)
     p_sim.add_argument("--theta", default=None, help="change time: open-time float or ISO datetime")
     p_sim.add_argument("--events", action="store_true", help="also write exact event times")
     p_sim.add_argument("--scenario", choices=[POSTPONE_THIRD_TUESDAY], default=None)
-    p_sim.add_argument("--naive-lambda", action="store_true")
     _add_common_out(p_sim)
     p_sim.set_defaults(func=cmd_simulate)
 
-    p_det = sub.add_parser("detect", help="run the detector over a slot series")
-    p_det.add_argument("--model", required=True)
+    p_det = sub.add_parser("detect", parents=[model_flags], help="run the detector over a slot series")
     p_det.add_argument("--series", required=True, help="slot counts CSV")
     p_det.add_argument("--rho", type=float, required=True)
     group = p_det.add_mutually_exclusive_group(required=True)
     group.add_argument("--m", type=float, default=None, help="alarm threshold")
     group.add_argument("--pi", type=float, default=None, help="calibrate the threshold to this budget")
     p_det.add_argument("--replications", type=int, default=2000, help="calibration replications")
-    p_det.add_argument("--seed", type=int, default=0)
-    p_det.add_argument("--naive-lambda", action="store_true", help="constant baseline rate")
     p_det.add_argument("--double-sided", action="store_true")
     p_det.add_argument("--reset-on-alarm", action=argparse.BooleanOptionalAction, default=True)
     p_det.add_argument("--scenario", choices=[POSTPONE_THIRD_TUESDAY], default=None)
     _add_common_out(p_det)
     p_det.set_defaults(func=cmd_detect)
 
-    p_eval = sub.add_parser("evaluate", help="delay and false-alarm statistics by simulation")
-    p_eval.add_argument("--model", required=True)
+    p_eval = sub.add_parser(
+        "evaluate", parents=[model_flags, span_flags], help="delay and false-alarm statistics by simulation"
+    )
     p_eval.add_argument("--rho", type=float, required=True)
     p_eval.add_argument("--m", type=float, required=True)
     p_eval.add_argument("--theta-grid", required=True, help="comma list: open-time floats or ISO datetimes")
-    p_eval.add_argument("--start-date", type=date.fromisoformat, required=True)
-    p_eval.add_argument("--days", type=int, required=True)
     p_eval.add_argument("--replications", type=int, default=200)
-    p_eval.add_argument("--seed", type=int, default=0)
     p_eval.add_argument("--reset-on-alarm", action=argparse.BooleanOptionalAction, default=True)
-    p_eval.add_argument("--naive-lambda", action="store_true")
     _add_common_out(p_eval)
     p_eval.set_defaults(func=cmd_evaluate)
 

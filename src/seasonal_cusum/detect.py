@@ -21,8 +21,8 @@ and `evaluate` reads a block's arrays as they are, without building either.
 `run_events` takes Λ, read by slot, every drift and the free walk u with its
 minimum from numpy, advances the reflected v alone in a float loop, and runs
 a slot where an alarm fires again through `step_events` with that slot's
-intensity integral in plain floats, all with `step_events`' IEEE operations,
-so its output equals a per-slot `step_events` loop bit for bit.
+integral from `SlotTimeline.slot_cumulative`, all with `step_events`' IEEE
+operations, so its output equals a per-slot `step_events` loop bit for bit.
 """
 
 from __future__ import annotations
@@ -359,23 +359,6 @@ def _walk(u: float, u_min: float, steps: np.ndarray, read: np.ndarray) -> tuple[
     return float(walk[-1]), min(u_min, float(seen.min())) if seen.size else u_min
 
 
-def _slot_cumulative(timeline: SlotTimeline, i: int) -> Callable[[float, float], float]:
-    """`timeline.cumulative` on slot i's [start, end], bit for bit, in plain floats.
-
-    Λ reads slot i's line, and the next slot's line at slot i's end, which
-    is that slot's start, as `SlotTimeline.cum_mean_in_slot` does.
-    """
-    j = min(i + 1, len(timeline) - 1)
-    s0, r0, c0 = float(timeline.starts[i]), float(timeline.rates[i]), float(timeline.cum_means[i])
-    s1, r1, c1 = float(timeline.starts[j]), float(timeline.rates[j]), float(timeline.cum_means[j])
-
-    def cum_mean_at(t: float) -> float:
-        return c1 + r1 * (t - s1) if t >= s1 else c0 + r0 * (t - s0)
-
-    # step_events asks for [a, b] with a <= b only.
-    return lambda a, b: cum_mean_at(b) - cum_mean_at(a)
-
-
 def run_events(
     timeline: SlotTimeline,
     event_times: Sequence[float],
@@ -394,8 +377,9 @@ def run_events(
     operations. A float loop advances the reflected v
     alone; the free walk u and its minimum are folded with numpy where they
     are read, at a slot where an alarm fires and at the end of a block. That
-    slot is run again through `step_events` from the state at its start, so
-    v, the alarms and the final state equal a per-slot `step_events` loop
+    slot is run again through `step_events` from the state at its start,
+    with `SlotTimeline.slot_cumulative`'s plain-float integral on the slot,
+    so v, the alarms and the final state equal a per-slot `step_events` loop
     bit for bit, at a cost linear in events and slots.
     """
     times = np.asarray(event_times, dtype=float)
@@ -453,7 +437,7 @@ def run_events(
                 state = replace(state, v=v, u=u, u_min=u_min, events_seen=seen + base + lo[k], armed=armed)
                 interval = (float(timeline.starts[i]), float(timeline.ends[i]))
                 inside = times[base + lo[k]:base + hi[k]].tolist()
-                state, alarm = step_events(state, inside, config, interval, _slot_cumulative(timeline, i))
+                state, alarm = step_events(state, inside, config, interval, timeline.slot_cumulative(i))
                 if alarm is not None:
                     alarms.append(alarm)
                 v, u, u_min, armed = state.v, state.u, state.u_min, state.armed

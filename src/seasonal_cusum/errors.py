@@ -10,11 +10,9 @@ class SeasonalCusumError(Exception):
 class ParseError(SeasonalCusumError):
     """Malformed input row; carries the 1-based line number."""
 
-    def __init__(self, message: str, line: int | None = None):
+    def __init__(self, message: str, line: int):
         self.line = line
-        if line is not None:
-            message = f"line {line}: {message}"
-        super().__init__(message)
+        super().__init__(f"line {line}: {message}")
 
 
 class DuplicateKeyError(SeasonalCusumError):

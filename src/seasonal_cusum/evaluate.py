@@ -25,7 +25,7 @@ import numpy as np
 # run_aggregated is not called here; bench/workloads.py traces it on this module by name.
 from .detect import EVENT_TIMES, CusumState, DetectorConfig, _aggregated_rows, run_aggregated, run_events  # noqa: F401
 from .errors import ValidationError
-from .simulate import ChangeSpec, simulate_events, simulate_slot_counts
+from .simulate import MAX_SLOT_COUNTS, ChangeSpec, simulate_events, simulate_slot_counts
 from .timeline import SlotTimeline
 
 
@@ -129,6 +129,11 @@ def detection_delay(
         raise ValidationError("detection delay needs a finite change time")
     if replications < 1:
         raise ValidationError(f"replications must be at least 1, got {replications}")
+    if replications * len(timeline) > MAX_SLOT_COUNTS:
+        raise ValidationError(
+            f"{replications} replications of the {len(timeline)}-slot timeline draw over 2**31 slot counts; "
+            f"lower the replications or shorten the timeline"
+        )
     delays = []
     time_delays = []
     detected = 0

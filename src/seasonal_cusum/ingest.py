@@ -62,14 +62,6 @@ class Dataset:
         seen = {r.date for r in self.daily} | {r.date for r in self.slots}
         return sorted(seen)
 
-    @property
-    def first_date(self) -> date:
-        return self.dates[0]
-
-    @property
-    def last_date(self) -> date:
-        return self.dates[-1]
-
 
 def _build_meta(dates: Iterable[date], holidays: frozenset[date], origin: date) -> Mapping[date, DayMeta]:
     return MappingProxyType({d: day_meta(d, holidays, origin) for d in dates})
@@ -193,10 +185,10 @@ def write_slot_csv(records: Iterable[SlotRecord], path: str | Path) -> None:
 
 def split_train_test(dataset: Dataset, split_date: date) -> tuple[Dataset, Dataset]:
     """Partition into train (date < split_date) and test (date >= split_date)."""
-    if split_date <= dataset.first_date or split_date > dataset.last_date:
+    dates = dataset.dates
+    if split_date <= dates[0] or split_date > dates[-1]:
         raise ValidationError(
-            f"split date {split_date.isoformat()} outside data range "
-            f"({dataset.first_date.isoformat()}, {dataset.last_date.isoformat()}]"
+            f"split date {split_date.isoformat()} outside data range ({dates[0].isoformat()}, {dates[-1].isoformat()}]"
         )
     train = build_dataset(
         daily=[r for r in dataset.daily if r.date < split_date],

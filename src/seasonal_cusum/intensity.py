@@ -205,30 +205,36 @@ def fit_poisson_glm(
     deviance = math.inf
     stalled = False
     best: tuple[float, np.ndarray, int] | None = None
-    for iteration in range(1, _MAX_ITER + 1):
-        mu_ext = np.exp(x_ext @ beta_hat.astype(np.longdouble))
-        score = x_ext.T @ (y_ext - mu_ext)
-        score_norm = float(np.max(np.abs(score)))
-        if best is None or score_norm < best[0]:
-            best = (score_norm, beta_hat.copy(), iteration)
-        new_deviance = poisson_deviance(y, np.asarray(mu_ext, dtype=float))
-        now_stalled = math.isfinite(deviance) and abs(deviance - new_deviance) <= _DEVIANCE_RTOL * max(abs(deviance), 1.0)
-        deviance = new_deviance
-        if score_norm < _SCORE_TOL:
-            break
-        if stalled and now_stalled and score_norm > best[0]:
-            break  # bouncing on the representable floor; keep the best iterate
-        stalled = now_stalled
+    # An iterate thrown off by an outlying count overflows: its score or deviance is not
+    # finite, which the stopping rule never accepts, so the fit raises ConvergenceError.
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        for iteration in range(1, _MAX_ITER + 1):
+            mu_ext = np.exp(x_ext @ beta_hat.astype(np.longdouble))
+            score = x_ext.T @ (y_ext - mu_ext)
+            score_norm = float(np.max(np.abs(score)))
+            if best is None or score_norm < best[0]:
+                best = (score_norm, beta_hat.copy(), iteration)
+            new_deviance = poisson_deviance(y, np.asarray(mu_ext, dtype=float))
+            now_stalled = math.isfinite(deviance) and abs(deviance - new_deviance) <= _DEVIANCE_RTOL * max(abs(deviance), 1.0)
+            deviance = new_deviance
+            if score_norm < _SCORE_TOL:
+                break
+            if stalled and now_stalled and score_norm > best[0]:
+                break  # bouncing on the representable floor; keep the best iterate
+            stalled = now_stalled
 
-        eta = np.clip(X @ beta_hat, -30.0, 30.0)
-        mu = np.exp(eta)
-        xtw = X.T * mu
-        stepped = beta_hat + np.linalg.solve(xtw @ X, np.asarray(score, dtype=float))
-        if iteration < _MAX_ITER and stepped.tobytes() == beta_hat.tobytes():
-            # A fixed point (see the stopping rule): what the later iterations would find.
-            stalled = math.isfinite(deviance)
-            break
-        beta_hat = stepped
+            eta = np.clip(X @ beta_hat, -30.0, 30.0)
+            mu = np.exp(eta)
+            xtw = X.T * mu
+            try:
+                stepped = beta_hat + np.linalg.solve(xtw @ X, np.asarray(score, dtype=float))
+            except np.linalg.LinAlgError:
+                raise ConvergenceError("IRLS step has a singular weighted design", deviance) from None
+            if iteration < _MAX_ITER and stepped.tobytes() == beta_hat.tobytes():
+                # A fixed point (see the stopping rule): what the later iterations would find.
+                stalled = math.isfinite(deviance)
+                break
+            beta_hat = stepped
     if not (score_norm < _SCORE_TOL or stalled):
         raise ConvergenceError(f"IRLS did not converge in {_MAX_ITER} iterations", deviance)
     score_norm, beta_hat, iteration = best

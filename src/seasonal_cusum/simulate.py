@@ -23,6 +23,10 @@ from .timeline import SlotTimeline
 
 POSTPONE_THIRD_TUESDAY = "postpone-third-tuesday"
 
+# The most slot counts (slots x cycles x replications) one calibration or evaluation
+# may draw: past it a run would not finish or fit in memory, so it is refused up front.
+MAX_SLOT_COUNTS = 2**31
+
 
 def rng_for(seed: int, *stream: int) -> np.random.Generator:
     """Independent generator for a derived stream key; the seed and the key must be nonnegative."""

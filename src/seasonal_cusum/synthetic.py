@@ -73,19 +73,15 @@ DEFAULT_HOLIDAY_EFFECT = 0.35
 
 def synthetic_model(
     base_daily: float = 1200.0,
-    origin: date = DEFAULT_ORIGIN,
     holidays: frozenset[date] = frozenset(),
-    month_effects: tuple[float, ...] = DEFAULT_MONTH_EFFECTS,
-    dow_effects: tuple[float, ...] = DEFAULT_DOW_EFFECTS,
     trend: float = DEFAULT_TREND,
-    holiday_effect: float = DEFAULT_HOLIDAY_EFFECT,
 ) -> IntensityModel:
-    """Seasonal model with known coefficients (full factor set)."""
+    """Seasonal model with known coefficients (full factor set) and the default effects."""
     spec = frozenset({TREND, MONTH, DAY_OF_WEEK, DAY_AFTER_HOLIDAY})
-    coefficients = np.array([math.log(base_daily), trend, *month_effects, *dow_effects, holiday_effect])
+    coefficients = np.array(
+        [math.log(base_daily), trend, *DEFAULT_MONTH_EFFECTS, *DEFAULT_DOW_EFFECTS, DEFAULT_HOLIDAY_EFFECT]
+    )
     names = feature_names(spec)
-    if len(coefficients) != len(names):
-        raise ValueError("effect vectors do not match the factor encoding")
     glm = GlmModel(
         factor_spec=spec,
         coefficients=coefficients,
@@ -99,7 +95,7 @@ def synthetic_model(
         kind="seasonal",
         profile=shared_shape_profile(),
         holidays=holidays,
-        origin=origin,
+        origin=DEFAULT_ORIGIN,
         glm=glm,
         constant_rate=constant,
     )

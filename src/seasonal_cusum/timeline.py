@@ -11,6 +11,7 @@ lengths.
 from __future__ import annotations
 
 from datetime import date, datetime, time
+from typing import Callable
 
 import numpy as np
 
@@ -23,7 +24,8 @@ class SlotTimeline:
 
     Calendar timelines also carry each slot's date (`days`, datetime64[D])
     and its index on the half-hour grid (`grid`); abstract timelines carry
-    neither.
+    neither. Λ has one end-of-slot rule, which `cum_mean_at`, `cum_mean_in_slot`
+    and `slot_cumulative` share: a time on slot i's end reads the next slot's line.
     """
 
     def __init__(self, lengths, rates, *, start=0.0, days=None, grid=None):
@@ -96,6 +98,18 @@ class SlotTimeline:
         j = np.minimum(i + 1, len(self) - 1)
         return self._line(np.where(t >= self.starts[j], j, i), t)
 
+    def slot_cumulative(self, i: int) -> Callable[[float, float], float]:
+        """`cumulative` on slot i's [start, end], bit for bit: `cum_mean_in_slot`'s two lines in plain floats."""
+        j = min(i + 1, len(self) - 1)
+        s0, r0, c0 = float(self.starts[i]), float(self.rates[i]), float(self.cum_means[i])
+        s1, r1, c1 = float(self.starts[j]), float(self.rates[j]), float(self.cum_means[j])
+
+        def cum_mean_at(t: float) -> float:
+            return c1 + r1 * (t - s1) if t >= s1 else c0 + r0 * (t - s0)
+
+        # step_events asks for [a, b] with a <= b only.
+        return lambda a, b: cum_mean_at(b) - cum_mean_at(a)
+
     def _line(self, i, t):
         # Slot i's line: the expected events before it plus its rate times t's way into it.
         return self.cum_means[i] + self.rates[i] * (t - self.starts[i])
@@ -106,7 +120,7 @@ class SlotTimeline:
             raise ValidationError("interval end precedes start")
         return self.cum_mean_at(b) - self.cum_mean_at(a)
 
-    def locate(self, d: date, tod: time | None = None) -> float:
+    def locate(self, d: date, tod: time) -> float:
         """Open-time position of a calendar instant.
 
         Instants inside closed periods snap to the next open slot boundary;
@@ -120,15 +134,14 @@ class SlotTimeline:
             raise CoverageError(f"{d} {tod} is before the start of the timeline")
         i = int(np.searchsorted(self.days, day, side="left"))
         stop = int(np.searchsorted(self.days, day, side="right"))
-        if tod is not None and stop > i:
-            us = ((tod.hour * 60 + tod.minute) * 60 + tod.second) * 1_000_000 + tod.microsecond
-            opens = DAY_OPEN_MINUTE + SLOT_MINUTES * self.grid[i:stop]
-            # The first of the day's slots closing at or after tod; past them all, the next day's first slot.
-            k = int(np.searchsorted((opens + SLOT_MINUTES) * 60_000_000, us, side="left"))
-            if k < stop - i and us > opens[k] * 60_000_000:
-                into = (us - int(opens[k]) * 60_000_000) / (SLOT_MINUTES * 60_000_000)
-                return float(self.starts[i + k] + into * self.lengths[i + k])
-            i += k
+        us = ((tod.hour * 60 + tod.minute) * 60 + tod.second) * 1_000_000 + tod.microsecond
+        opens = DAY_OPEN_MINUTE + SLOT_MINUTES * self.grid[i:stop]
+        # The first of the day's slots closing at or after tod; past them all, the next day's first slot.
+        k = int(np.searchsorted((opens + SLOT_MINUTES) * 60_000_000, us, side="left"))
+        if k < stop - i and us > opens[k] * 60_000_000:
+            into = (us - int(opens[k]) * 60_000_000) / (SLOT_MINUTES * 60_000_000)
+            return float(self.starts[i + k] + into * self.lengths[i + k])
+        i += k
         if i == len(self):
             raise CoverageError(f"{d} {tod} is past the end of the timeline")
         return float(self.starts[i])

@@ -18,7 +18,6 @@ from seasonal_cusum.calibrate import (
     _CHUNK_EVENTS,
     _MAX_CHUNK_EVENTS,
     _MAX_PATH_EVENTS,
-    _MAX_SLOT_COUNTS,
     CalibrationResult,
     CalibrationTarget,
     SharedDraws,
@@ -33,7 +32,7 @@ from seasonal_cusum.calibrate import (
 )
 from seasonal_cusum.detect import AGGREGATED_COUNTS, DECREASE, EVENT_TIMES, INCREASE, DetectorConfig, run_aggregated
 from seasonal_cusum.errors import BracketingError, HorizonTooShortError, ValidationError
-from seasonal_cusum.simulate import rng_for
+from seasonal_cusum.simulate import MAX_SLOT_COUNTS, rng_for
 from seasonal_cusum.synthetic import synthetic_model
 from seasonal_cusum.timeline import SlotTimeline
 
@@ -659,10 +658,10 @@ def test_batched_read_equals_per_curve_run_length(monkeypatch):
 
 def test_horizon_limit_is_exact():
     tl = SlotTimeline.from_rates([1.0, 1.0])
-    cycles = _MAX_SLOT_COUNTS // (2 * 128)
+    cycles = MAX_SLOT_COUNTS // (2 * 128)
     for mode in (EVENT_TIMES, AGGREGATED_COUNTS):
         target = CalibrationTarget(pi=5.0, replications=128, horizon_cap=2.0 * cycles)
-        assert _horizon(tl, target, mode) == (cycles, 2.0 * cycles)
+        assert _horizon(tl, target, mode) == cycles
         with pytest.raises(ValidationError, match="--horizon-cap"):
             _horizon(tl, CalibrationTarget(pi=5.0, replications=128, horizon_cap=2.0 * cycles + 1.0), mode)
 
@@ -671,17 +670,17 @@ def test_event_chunk_limit_is_exact_and_event_mode_only():
     target = CalibrationTarget(pi=5.0, replications=100)
     fits = SlotTimeline.from_rates([1.0, float(_MAX_CHUNK_EVENTS - _CHUNK_EVENTS)])
     too_big = SlotTimeline.from_rates([1.0, float(_MAX_CHUNK_EVENTS - _CHUNK_EVENTS + 1)])
-    assert _horizon(fits, target, EVENT_TIMES) == (1, 2.0)
+    assert _horizon(fits, target, EVENT_TIMES) == 1
     with pytest.raises(ValidationError, match=r"a slot expecting 8\.385e\+06 events makes an event-time calibration chunk of over 2\*\*23"):
         _horizon(too_big, target, EVENT_TIMES)
     # One count per slot in aggregated mode, however large its mean.
-    assert _horizon(too_big, target, AGGREGATED_COUNTS) == (1, 2.0)
+    assert _horizon(too_big, target, AGGREGATED_COUNTS) == 1
 
 
 def test_path_event_limit_is_exact():
     target = CalibrationTarget(pi=5.0, replications=100)
     limit = float(_MAX_PATH_EVENTS)
-    assert _horizon(SlotTimeline.from_rates([limit / 2, limit / 2]), target, AGGREGATED_COUNTS) == (1, 2.0)
+    assert _horizon(SlotTimeline.from_rates([limit / 2, limit / 2]), target, AGGREGATED_COUNTS) == 1
     # limit / 2 + 1024 and the total 2**62 + 1024 are both exact floats.
     with pytest.raises(ValidationError, match=r"expects 4\.612e\+18 events, past the 2\*\*62"):
         _horizon(SlotTimeline.from_rates([limit / 2, limit / 2 + 1024.0]), target, AGGREGATED_COUNTS)

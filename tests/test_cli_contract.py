@@ -1,20 +1,24 @@
-"""The CLI's input contract, fuzzed one flag at a time.
+"""The CLI's input contract, fuzzed one flag, CSV cell or model leaf at a time.
 
 Each example takes a small valid invocation of one command and replaces one
-of its flags with an edge value. Whatever the value, the command exits 0
-(ran), 2 (input error) or 3 (numeric failure); a refusal prints exactly one
+of its flags with an edge value, or one cell of its daily or slot CSV, or
+one leaf of its model JSON. Whatever the value, the command exits 0 (ran),
+2 (input error) or 3 (numeric failure); a refusal prints exactly one
 `error:` line and leaves no --out behind, and nothing ends in a traceback.
 """
 
 from __future__ import annotations
 
 import contextlib
+import csv
 import io
 import itertools
+import json
 from datetime import date
+from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from seasonal_cusum.cli import EXIT_INPUT, EXIT_NUMERIC, EXIT_OK, main
@@ -23,7 +27,9 @@ from seasonal_cusum.simulate import simulate_slot_counts
 from seasonal_cusum.synthetic import sample_dataset
 
 EDGES = ["0", "-1", "-inf", "nan", "inf", "1e-300", "1e300", date.min.isoformat(), date.max.isoformat()]
-SEED_EDGES = EDGES + ["12345678901234567890123"]
+HUGE = "12345678901234567890123"
+# Flags that take an integer also get a 23-digit one.
+INTEGER_FLAGS = {"--seed", "--replications", "--days"}
 
 # The flags each command's skeleton may have replaced.
 FLAGS = {
@@ -38,8 +44,19 @@ CASES = [
     (command, flag, value)
     for command, flags in FLAGS.items()
     for flag in flags
-    for value in (SEED_EDGES if flag == "--seed" else EDGES)
+    for value in (EDGES + [HUGE] if flag in INTEGER_FLAGS else EDGES)
 ]
+# Edge values for one CSV cell or model leaf, each as the JSON type it would be read as.
+FILE_EDGES = ["", -1, float("nan"), 1e300, int(HUGE), "2018-02-30"]
+# The input file each command's skeleton reads, by the flag that names it.
+FILES = {
+    "fit": ["--daily"],
+    "calibrate": ["--model"],
+    "simulate": ["--model"],
+    "detect": ["--model", "--series"],
+    "detect-pi": ["--model", "--series"],
+    "evaluate": ["--model"],
+}
 _OUTS = itertools.count()
 
 
@@ -82,8 +99,21 @@ def test_every_skeleton_runs(skeletons):
         assert (code, err) == (EXIT_OK, ""), command
 
 
+def _assert_contract(root, argv, case):
+    out = root / f"out-{next(_OUTS)}"
+    code, stdout, stderr = _run([*argv, "--out", str(out)])
+    assert code in (EXIT_OK, EXIT_INPUT, EXIT_NUMERIC), (case, stderr)
+    assert "Traceback" not in stdout + stderr
+    if code != EXIT_OK:
+        assert sum("error:" in line for line in stderr.splitlines()) == 1, (case, stderr)
+        assert not out.exists()
+
+
 @settings(max_examples=300, deadline=None)
 @given(case=st.sampled_from(CASES))
+@example(case=("calibrate", "--replications", HUGE))
+@example(case=("detect-pi", "--replications", HUGE))
+@example(case=("evaluate", "--replications", HUGE))
 def test_one_edge_value_exits_cleanly(skeletons, case):
     root, argvs = skeletons
     command, flag, value = case
@@ -92,10 +122,46 @@ def test_one_edge_value_exits_cleanly(skeletons, case):
         argv[argv.index(flag) + 1] = value
     else:
         argv += [flag, value]
-    out = root / f"out-{next(_OUTS)}"
-    code, stdout, stderr = _run([*argv, "--out", str(out)])
-    assert code in (EXIT_OK, EXIT_INPUT, EXIT_NUMERIC), (case, stderr)
-    assert "Traceback" not in stdout + stderr
-    if code != EXIT_OK:
-        assert sum("error:" in line for line in stderr.splitlines()) == 1, (case, stderr)
-        assert not out.exists()
+    _assert_contract(root, argv, case)
+
+
+def _leaves(doc, path=()):
+    """The key path of every leaf of a JSON document."""
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc) if isinstance(doc, list) else None
+    if items is None:
+        return [path]
+    return [leaf for key, value in items for leaf in _leaves(value, (*path, key))]
+
+
+def _mutated(source, target, draw, value):
+    """Write `source` to `target` with one drawn CSV cell or JSON leaf replaced by `value`."""
+    text = source.read_text()
+    if source.suffix == ".json":
+        doc = json.loads(text)
+        *parents, last = draw(st.sampled_from(_leaves(doc)))
+        node = doc
+        for key in parents:
+            node = node[key]
+        node[last] = value
+        target.write_text(json.dumps(doc))
+        return
+    rows = list(csv.reader(io.StringIO(text)))
+    r = draw(st.integers(0, len(rows) - 1))
+    rows[r][draw(st.integers(0, len(rows[r]) - 1))] = str(value)
+    with open(target, "w", newline="") as fh:
+        csv.writer(fh).writerows(rows)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_one_edge_value_in_an_input_file_exits_cleanly(skeletons, data):
+    root, argvs = skeletons
+    command = data.draw(st.sampled_from(sorted(FILES)))
+    flag = data.draw(st.sampled_from(FILES[command]))
+    value = data.draw(st.sampled_from(FILE_EDGES))
+    argv = list(argvs[command])
+    source = Path(argv[argv.index(flag) + 1])
+    target = root / f"input-{next(_OUTS)}{source.suffix}"
+    _mutated(source, target, data.draw, value)
+    argv[argv.index(flag) + 1] = str(target)
+    _assert_contract(root, argv, (command, flag, value))

@@ -19,7 +19,6 @@ from seasonal_cusum.detect import (
     INCREASE,
     _EVENT_BLOCK,
     _aggregated_rows,
-    _slot_cumulative,
     AlarmEvent,
     CusumState,
     DetectorConfig,
@@ -799,7 +798,7 @@ def test_run_events_alarm_slot_with_a_later_slot_starting_inside_it(direction):
     tl = SlotTimeline([0.3, 0.3, 0.3], [3.0, 5.0, 4.0], start=0.1)
     end = float(tl.ends[0])
     assert tl.cum_means[0] + tl.rates[0] * (end - tl.starts[0]) != tl.cum_means[1]
-    cum = _slot_cumulative(tl, 0)
+    cum = tl.slot_cumulative(0)
     for a, b in [(0.1, 0.2), (0.2, end), (end, end), (0.1, end)]:
         assert cum(a, b) == tl.cumulative(a, b)
     up = direction == INCREASE

@@ -24,7 +24,7 @@ from seasonal_cusum.evaluate import (
     exceedance_fraction,
     worst_case_delay,
 )
-from seasonal_cusum.simulate import ChangeSpec, simulate_events, simulate_slot_counts
+from seasonal_cusum.simulate import MAX_SLOT_COUNTS, ChangeSpec, simulate_events, simulate_slot_counts
 from seasonal_cusum.timeline import SlotTimeline
 
 
@@ -140,6 +140,19 @@ def test_fewer_than_one_replication_is_rejected():
         with pytest.raises(ValidationError, match="replications"):
             detection_delay(tl, ChangeSpec(theta=3.0, rho=2.0), cfg, replications=reps)
         with pytest.raises(ValidationError, match="replications"):
+            worst_case_delay(tl, theta_grid=[3.0], config=cfg, replications=reps)
+
+
+def test_replications_past_the_slot_count_limit_are_refused():
+    # One more replication than 2**31 slot counts allow on 10 slots, and a
+    # 23-digit count: each is refused before a path is drawn.
+    tl = SlotTimeline.from_rates([5.0] * 10)
+    cfg = _cfg(2.0, 5.0)
+    for reps in (MAX_SLOT_COUNTS // 10 + 1, 12345678901234567890123):
+        message = f"{reps} replications of the 10-slot timeline draw over 2\\*\\*31 slot counts"
+        with pytest.raises(ValidationError, match=message):
+            detection_delay(tl, ChangeSpec(theta=3.0, rho=2.0), cfg, replications=reps)
+        with pytest.raises(ValidationError, match=message):
             worst_case_delay(tl, theta_grid=[3.0], config=cfg, replications=reps)
 
 

@@ -131,6 +131,11 @@ def test_split_out_of_range():
         split_train_test(ds, date(2016, 12, 1))
     with pytest.raises(ValidationError):
         split_train_test(ds, date(2018, 1, 1))
+    # One date leaves no split that gives both halves a day.
+    one = build_dataset(daily=days[:1])
+    for split in (date(2017, 1, 2), date(2017, 1, 3)):
+        with pytest.raises(ValidationError, match=r"outside data range \(2017-01-02, 2017-01-02\]"):
+            split_train_test(one, split)
 
 
 def test_meta_covers_slot_dates():

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from seasonal_cusum.daycal import ScenarioSchedule, day_meta
-from seasonal_cusum.errors import SingularDesignError, ValidationError
+from seasonal_cusum.errors import ConvergenceError, SingularDesignError, ValidationError
 from seasonal_cusum.ingest import SlotRecord, build_dataset
 from seasonal_cusum.intensity import (
     DAY_AFTER_HOLIDAY,
@@ -241,6 +241,20 @@ def test_likelihood_and_deviance_match_scipy_oracle():
 def test_negative_counts_rejected():
     with pytest.raises(ValidationError):
         fit_poisson_glm(np.ones((3, 1)), np.array([1.0, -2.0, 3.0]))
+
+
+def test_an_outlying_count_fails_the_fit_without_a_warning(train_dataset):
+    # One daily count of 1.2e22 among about a thousand throws IRLS off: the
+    # iterates overflow, then a weighted design goes singular. Each is a
+    # ConvergenceError, so no candidate fits; warnings are errors in this suite.
+    opens = [r for r in train_dataset.daily if train_dataset.meta[r.date].is_open]
+    metas = [train_dataset.meta[r.date] for r in opens]
+    counts = [r.count for r in opens]
+    counts[0] = 12345678901234567890123
+    with pytest.raises(ConvergenceError):
+        fit_daily_glm(metas, counts, frozenset({WEEKDAY}))
+    with pytest.raises(ValidationError, match="all candidate fits failed"):
+        select_model(DEFAULT_CANDIDATES, metas, counts)
 
 
 # --- BIC and model selection --------------------------------------------------

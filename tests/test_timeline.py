@@ -123,7 +123,7 @@ def test_calendar_timeline_locate_edges(truth_model):
     with pytest.raises(CoverageError, match="timeline"):
         tl.locate(date(2017, 6, 1), time(9, 0))
     with pytest.raises(CoverageError, match="timeline"):
-        tl.locate(date(2017, 12, 31))
+        tl.locate(date(2017, 12, 31), time(9, 0))
     with pytest.raises(CoverageError, match="timeline"):
         tl.locate(date(2018, 1, 6), time(12, 31))
 
@@ -132,7 +132,7 @@ def _us(t):
     return ((t.hour * 60 + t.minute) * 60 + t.second) * 1_000_000 + t.microsecond
 
 
-def _locate_by_loop(tl, d, tod=None):
+def _locate_by_loop(tl, d, tod):
     """Slot-by-slot search for an instant's position: the reference for `locate`."""
     days, grid = tl.days.tolist(), tl.grid.tolist()
     if d < days[0]:
@@ -140,7 +140,7 @@ def _locate_by_loop(tl, d, tod=None):
     for start, length, day, k in zip(tl.starts.tolist(), tl.lengths.tolist(), days, grid):
         if day < d:
             continue
-        if day > d or tod is None or tod <= slot_start(k):
+        if day > d or tod <= slot_start(k):
             return start
         if tod <= slot_end(k):
             return start + (_us(tod) - _us(slot_start(k))) / (30 * 60_000_000) * length
@@ -155,7 +155,7 @@ def test_locate_matches_slot_by_slot_search(truth_model):
     instants += [(t.date(), (t + timedelta(minutes=12, seconds=34, microseconds=500)).time())
                  for t in map(tl.timestamp, range(len(tl)))]
     evening, saturday_afternoon = time(19, 0), time(14, 0)
-    instants += [(d, tod) for d in days for tod in (None, time(0, 0), time(6, 0), time(12, 30, 1), saturday_afternoon,
+    instants += [(d, tod) for d in days for tod in (time(7, 0), time(0, 0), time(6, 0), time(12, 30, 1), saturday_afternoon,
                                                   time(18, 29, 59), time(18, 30), evening, time(23, 59, 59))]
     instants += [(date(2017, 4, 26), time(9, 0)), (date(2017, 5, 4), time(7, 30)), (date(2017, 5, 3), time(18, 30, 0, 1))]
     checked = 0
