@@ -4,22 +4,12 @@ The map m -> E[N at first alarm] is estimated by Monte Carlo with common
 random numbers, so it is a nondecreasing step function of m that jumps only
 just above record levels. Each simulated path is reduced once to a "record
 curve" (the running maxima of the reflected statistic with the event count
-at each new record), from which the run length at any threshold is a single
-binary search. Event-time paths record the statistic at every event;
-aggregated-count paths record it at slot ends, from the same slot counts. An
-event-time path is simulated in chunks, and only as far as the largest
-threshold queried so far needs: up to its first record at or above it, or to
-the horizon. The records read are bit for bit those of the whole path
-simulated at once. Several detectors can read one draw per replication
-(`SharedDraws`): each chunk is drawn once and every attached curve takes its
-records from it.
-
-All curves are read together: their records sit in one flat array cut by
-per-curve offsets, and the run lengths at a threshold come from one numpy
-pass over it. The threshold is read off the record levels: tops placed by
-extrapolating log ARL through the reads so far, capped by a fixed ladder,
-find the first whose ARL reaches the budget, and a binary search over the
-levels below it finds the step that straddles the budget exactly.
+at each new record), and all curves are read at a threshold in one numpy
+pass. Event-time paths record the statistic at every event, simulated in
+chunks only as far as the thresholds queried need, bit for bit as if whole;
+aggregated-count paths record it at slot ends, from the same slot counts,
+on the aggregated detector's own kernel. Several detectors can read one
+draw per replication (`SharedDraws`).
 """
 
 from __future__ import annotations
@@ -30,9 +20,9 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .detect import AGGREGATED_COUNTS, EVENT_TIMES, INCREASE, DetectorConfig
+from .detect import AGGREGATED_COUNTS, EVENT_TIMES, INCREASE, CusumState, DetectorConfig, _Aggregated
 from .errors import BracketingError, HorizonTooShortError, ValidationError
-from .simulate import MAX_SLOT_COUNTS, rng_for
+from .simulate import MAX_SLOT_COUNTS, rng_for, stack_counts
 from .timeline import SlotTimeline
 
 # A calibrated run length may miss pi by this fraction of pi plus two standard errors.
@@ -197,14 +187,20 @@ class _EventDraw:
             self.curves = []
 
 
+def _rises(peaks: np.ndarray, v: np.ndarray) -> tuple[tuple[np.ndarray, np.ndarray], np.ndarray]:
+    """The record step: where v's rows (rows, n) rise strictly past their maxima from `peaks`, and the new maxima."""
+    running = np.maximum.accumulate(np.concatenate([peaks[:, None], v], axis=1), axis=1)
+    return np.nonzero(running[:, 1:] > running[:, :-1]), running[:, -1]
+
+
 class RecordCurve:
     """Running-max levels of V with the event count at each new record.
 
     An event-mode curve is attached to its replication's draw (`path`), which
     it extends only as far as the thresholds queried so far need; the draw may
     have been extended further for another curve attached to it. An
-    aggregated curve, and one whose draw reached its horizon, is complete.
-    Both take their records through `add_records`, event-mode curves chunk by chunk.
+    aggregated curve, built whole by `_aggregated_curves`, and one whose draw
+    reached its horizon are complete.
     """
 
     def __init__(self, levels: np.ndarray, events: np.ndarray, total_events: int):
@@ -245,16 +241,9 @@ class RecordCurve:
             # The drift keeps rising after the last event until the horizon end.
             v = np.append(v, b * end - self.total_events - self.u_min)
             events = np.append(events, self.total_events)
-        self.add_records(v, events)
-
-    def add_records(self, v: np.ndarray, events: np.ndarray) -> None:
-        """Append the strict rises of V's running maximum past the last record, each with its event count."""
-        peak = float(self.levels[-1]) if len(self.levels) else -math.inf
-        running = np.maximum(np.maximum.accumulate(v), peak)
-        keep = running > np.concatenate([[peak], running[:-1]])
-        if keep.any():
-            self.levels = np.concatenate([self.levels, running[keep]])
-            self.events = np.concatenate([self.events, events[keep]])
+        (_, s), _ = _rises(np.array([self.levels[-1] if len(self.levels) else -np.inf]), v[None])
+        if len(s):
+            self.levels, self.events = np.concatenate([self.levels, v[s]]), np.concatenate([self.events, events[s]])
 
     def extend(self, m: float) -> None:
         """Simulate the path until a record reaches m or the horizon ends."""
@@ -321,28 +310,44 @@ class _CurveSet:
                 c.path = None
 
 
-def _record_curves(tiling: _Tiling, configs: list[DetectorConfig], seed: int, rep: int) -> list[RecordCurve]:
-    """Each config's record curve of replication `rep` over the horizon `tiling`, from one draw."""
+def _event_curves(tiling: _Tiling, configs: list[DetectorConfig], seed: int, rep: int) -> list[RecordCurve]:
+    """Each event-mode config's record curve of replication `rep` over the horizon `tiling`, from one draw."""
     rng = rng_for(seed, rep, 2)
-    counts = rng.poisson(tiling.means)
-    if configs[0].mode != AGGREGATED_COUNTS:
-        draw = _EventDraw(tiling, rng, counts)
-        curves = [RecordCurve(np.empty(0), np.empty(0, dtype=int), draw.total) for _ in configs]
-        if draw.total:
-            for curve, config in zip(curves, configs):
-                curve.attach(draw, config)
-        return curves
-    # The slot-by-slot recursion v' = max(0, v + x) observed at slot ends,
-    # in closed form: V = U - min(0, running min of U).
-    events, total = np.cumsum(counts), int(counts.sum())
-    curves = []
-    for config in configs:
-        sign = 1.0 if config.direction == INCREASE else -1.0
-        u = np.cumsum(sign * (counts - config.beta * tiling.means))
-        curve = RecordCurve(np.empty(0), np.empty(0, dtype=int), total)
-        curve.add_records(u - np.minimum(np.minimum.accumulate(u), 0.0), events)
-        curves.append(curve)
+    draw = _EventDraw(tiling, rng, rng.poisson(tiling.means))
+    curves = [RecordCurve(np.empty(0), np.empty(0, dtype=int), draw.total) for _ in configs]
+    if draw.total:
+        for curve, config in zip(curves, configs):
+            curve.attach(draw, config)
     return curves
+
+
+def _aggregated_curves(
+    tiling: _Tiling, configs: list[DetectorConfig], seed: int, replications: int
+) -> list[list[RecordCurve]]:
+    """Each aggregated config's record curve of every replication, all from one draw per replication.
+
+    The replications are rows of the detector's kernel, disarmed so that no alarm resets V: the records
+    are V's rises on the detector's own arithmetic, and a read at m gives the events seen at its first alarm at m.
+    """
+    draws = (rng_for(seed, rep, 2).poisson(tiling.means) for rep in range(replications))
+    counts = stack_counts(draws, (replications, len(tiling.means)))
+    per_config = []
+    for config in configs:
+        kernel = _Aggregated(config, CusumState(armed=False), replications)
+        peaks, found = np.full(replications, -np.inf), []
+        for s0 in range(0, len(tiling.means), kernel.chunk):
+            v, _, seen = kernel.advance(counts[:, s0 : s0 + kernel.chunk], tiling.means[s0 : s0 + kernel.chunk])
+            rising = np.flatnonzero(v.max(axis=1) > peaks)  # the rows that set a record in this chunk
+            (r, s), peaks[rising] = _rises(peaks[rising], v[rising])
+            r = rising[r]
+            found.append((r, v[r, s], seen[r, s]))
+        rows, levels, events = (np.concatenate(a) for a in zip(*found))
+        order = np.argsort(rows, kind="stable")  # replication by replication, each in slot order
+        levels, events = levels[order], events[order]
+        cuts = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=replications))]).tolist()
+        totals = kernel.seen.tolist()  # the events seen by the horizon's end
+        per_config.append([RecordCurve(levels[a:b], events[a:b], n) for a, b, n in zip(cuts, cuts[1:], totals)])
+    return per_config
 
 
 def _curve_sets(
@@ -350,8 +355,11 @@ def _curve_sets(
 ) -> list[_CurveSet]:
     """One curve set per config, all read off one draw per replication."""
     tiling = _Tiling(timeline, _horizon(timeline, target, configs[0].mode))
-    rows = [_record_curves(tiling, configs, seed, r) for r in range(target.replications)]
-    return [_CurveSet(list(curves)) for curves in zip(*rows)]
+    if configs[0].mode == AGGREGATED_COUNTS:
+        per_config = _aggregated_curves(tiling, configs, seed, target.replications)
+    else:
+        per_config = zip(*(_event_curves(tiling, configs, seed, rep) for rep in range(target.replications)))
+    return [_CurveSet(list(curves)) for curves in per_config]
 
 
 class SharedDraws:

@@ -8,21 +8,11 @@ factor rho; an alarm fires at the first passage over the threshold.
 Aggregated counts drive the same statistic interval by interval.
 
 `step_aggregated` and `step_events` are the streaming API and the reference
-the batch runners are pinned to. `run_detector` sorts its records in
-`SlotRecord` order by a C key, advances plain floats over them with
-`step_aggregated`'s checks and IEEE operations, calls the alarm rule only at
-or over the threshold, reads each clock off daycal's slot-end table, and
-builds one `StepRecord` tuple per record, through `tuple.__new__`, and one
-state per call. `_aggregated_rows` runs a block of rows of counts at once,
-one numpy step per slot across the rows with `step_aggregated`'s IEEE
-operations, so every row equals a `step_aggregated` loop bit for bit;
-`run_aggregated` builds one series' run and alarms from its one-row arrays,
-and `evaluate` reads a block's arrays as they are, without building either.
-`run_events` takes Λ, read by slot, every drift and the free walk u with its
-minimum from numpy, advances the reflected v alone in a float loop, and runs
-a slot where an alarm fires again through `step_events` with that slot's
-integral from `SlotTimeline.slot_cumulative`, all with `step_events`' IEEE
-operations, so its output equals a per-slot `step_events` loop bit for bit.
+that every batch runner equals bit for bit, with their checks and IEEE
+operations: `run_detector` over calendar records, `run_events` over event
+times, and `_Aggregated`, the one aggregated kernel, which advances rows of
+detector state a slot chunk at a time for `run_aggregated` (one row),
+`evaluate` and aggregated calibration (blocks of replications).
 """
 
 from __future__ import annotations
@@ -232,59 +222,64 @@ class TimelineRun:
     state: CusumState
 
 
-def _aggregated_rows(
-    timeline: SlotTimeline, rows: np.ndarray, config: DetectorConfig, state: CusumState
-) -> tuple[np.ndarray, ...]:
-    """The aggregated detector over a (rows, slots) array of counts, every row from `state`.
+# Floats per array of one `_Aggregated` chunk of slots: no kernel array spans the horizon.
+_BLOCK_FLOATS = 2**15
 
-    Raises `step_aggregated`'s errors for the first slot that fails one of
-    its checks, then advances every row with its IEEE operations, one numpy
-    step per slot across the rows. Returns, each (rows, slots), V at every
-    slot end (the pre-reset level where an alarm fires), where an alarm
-    fires and the events seen by every slot end; then the final v, u, u_min
-    and armed of every row.
-    """
-    means = timeline.means
-    # NaN fails every comparison.
-    with np.errstate(invalid="ignore"):
-        bad_count = ~((rows >= 0) & (rows % 1 == 0))
-    bad_increment = ~((means >= 0) & (means < math.inf))
-    bad = np.flatnonzero(bad_count.any(axis=0) | bad_increment)
-    if bad.size:
-        s = bad[0]
-        if bad_count[:, s].any():
-            raise ValidationError(f"count must be a nonnegative integer, got {rows[bad_count[:, s], s][0]}")
-        raise ValidationError(f"intensity increment must be nonnegative and finite, got {means[s]}")
-    rows = rows.astype(np.int64)
 
-    m = config.threshold_m
-    drift = config.beta * means[:, None]
-    # Slot-major, so each step reads and writes contiguous columns.
-    x = rows.T - drift if config.direction == INCREASE else drift - rows.T
-    n = len(rows)
-    v = np.full(n, float(state.v))
-    u = np.full(n, float(state.u))
-    u_min = np.full(n, float(state.u_min))
-    armed = np.full(n, bool(state.armed))
-    path = np.empty(x.shape)
-    fired = np.zeros(x.shape, dtype=bool)
-    for s in range(len(timeline)):
-        u += x[s]
-        v += x[s]
-        # Not np.maximum: max(0.0, -0.0) is 0.0 where np.maximum gives -0.0.
-        v = np.where(v > 0.0, v, 0.0)
-        u_min = np.where(u < u_min, u, u_min)
-        fire = armed & (v >= m)
-        path[s] = v
-        if fire.any():
-            fired[s] = fire
-            if config.reset_on_alarm:
-                v = np.where(fire, 0.0, v)
-                u_min = np.where(fire, u, u_min)
-            else:
-                armed = armed & ~fire
-    seen = state.events_seen + np.cumsum(rows, axis=1)
-    return path.T, fired.T, seen, v, u, u_min, armed
+class _Aggregated:
+    """The aggregated detector's v, u, u_min, armed flag and events seen for rows starting from `state`."""
+
+    def __init__(self, config: DetectorConfig, state: CusumState, rows: int):
+        self.config = config
+        self.chunk = max(1, _BLOCK_FLOATS // rows)  # slots per call to `advance` for callers that chunk
+        self.v, self.u, self.u_min = (np.full(rows, float(x)) for x in (state.v, state.u, state.u_min))
+        self.armed = np.full(rows, bool(state.armed))
+        self.seen = np.full(rows, state.events_seen, dtype=np.int64)
+
+    def advance(self, counts: np.ndarray, means: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Advance over the next slots' counts (rows, slots) and increments, with `step_aggregated`'s checks.
+
+        Each row equals a `step_aggregated` loop bit for bit however its slots are cut. Returns, each
+        (rows, slots), V at every slot end (pre-reset where an alarm fires), where alarms fire and the events seen.
+        """
+        # NaN fails every comparison; an unsigned count needs no integer test.
+        with np.errstate(invalid="ignore"):
+            bad_count = ~((counts >= 0) & (counts.dtype.kind == "u" or counts % 1 == 0))
+        bad = np.flatnonzero(bad_count.any(axis=0) | ~((means >= 0) & (means < math.inf)))
+        if bad.size:
+            s = bad[0]
+            if bad_count[:, s].any():
+                raise ValidationError(f"count must be a nonnegative integer, got {counts[bad_count[:, s], s][0]}")
+            raise ValidationError(f"intensity increment must be nonnegative and finite, got {means[s]}")
+        # A slot-major copy, so each step reads and writes contiguous rows; it becomes `seen` in place.
+        counts = np.array(counts.T, dtype=np.int64, order="C")
+
+        m, reset = self.config.threshold_m, self.config.reset_on_alarm
+        drift = self.config.beta * means[:, None]
+        x = counts - drift if self.config.direction == INCREASE else drift - counts
+        v, u, u_min, armed = self.v, self.u, self.u_min, self.armed
+        path, fired = np.empty(x.shape), np.zeros(x.shape, dtype=bool)
+        live = armed.any()  # no row can fire once every row is disarmed
+        for s in range(len(x)):
+            u += x[s]
+            v += x[s]
+            # Not np.maximum: max(0.0, -0.0) is 0.0 where np.maximum gives -0.0.
+            v = np.where(v > 0.0, v, 0.0)
+            u_min = np.where(u < u_min, u, u_min)
+            path[s] = v
+            if live and (fire := armed & (v >= m)).any():
+                fired[s] = fire
+                if reset:
+                    v = np.where(fire, 0.0, v)
+                    u_min = np.where(fire, u, u_min)
+                else:
+                    armed = armed & ~fire
+                    live = armed.any()
+        self.v, self.u, self.u_min, self.armed = v, u, u_min, armed
+        seen = np.cumsum(counts, axis=0, out=counts)
+        seen += self.seen
+        self.seen = seen[-1].copy()
+        return path.T, fired.T, seen.T
 
 
 def run_aggregated(
@@ -293,27 +288,21 @@ def run_aggregated(
     config: DetectorConfig,
     state: CusumState | None = None,
 ) -> TimelineRun:
-    """Run from per-slot counts of shape (slots,), starting from `state`.
-
-    The counts advance as the one row of `_aggregated_rows`, with
-    `step_aggregated`'s IEEE operations, so v, the alarms and the final
-    state equal a `step_aggregated` loop bit for bit. v is the pre-reset
-    level where an alarm fires.
-    """
+    """Run per-slot counts of shape (slots,) from `state` as one row of `_Aggregated`; v is pre-reset at alarms."""
     counts = np.asarray(counts)
     if counts.shape != (len(timeline),):
         raise ValidationError("counts length must match the timeline")
     state = state or CusumState.initial(clock=float(timeline.starts[0]))
-    (path,), (fired,), (seen,), v, u, u_min, armed = _aggregated_rows(timeline, counts[None], config, state)
+    kernel = _Aggregated(config, state, 1)
+    (path,), (fired,), (seen,) = kernel.advance(counts[None], timeline.means)
     ends = timeline.ends.tolist()
     s_fired = np.flatnonzero(fired)
     alarms = [
         AlarmEvent(time=ends[s], v_at_alarm=level, events_at_alarm=events, direction=config.direction)
         for s, level, events in zip(s_fired.tolist(), path[s_fired].tolist(), seen[s_fired].tolist())
     ]
-    final = replace(
-        state, v=v.item(), u=u.item(), u_min=u_min.item(), events_seen=seen[-1].item(), clock=ends[-1], armed=armed.item()
-    )
+    v, u, u_min, seen, armed = (a.item() for a in (kernel.v, kernel.u, kernel.u_min, kernel.seen, kernel.armed))
+    final = replace(state, v=v, u=u, u_min=u_min, events_seen=seen, clock=ends[-1], armed=armed)
     return TimelineRun(v=path, alarms=alarms, state=final)
 
 

@@ -7,9 +7,9 @@ as a pessimistic companion to the means.
 
 Each replication is reduced to what these statistics read: its first alarm
 at or after the change, its alarm count and how often V reached the
-threshold. Aggregated paths are read straight off the detector's per-slot
-arrays, a block of replications at a time, so no alarm or run objects are
-built for them.
+threshold. Aggregated paths run as the rows of the detector's kernel, a
+block of replications at a time, and are reduced one slot chunk at a time:
+no alarm or run object is built and no array spans the horizon.
 """
 
 from __future__ import annotations
@@ -23,9 +23,9 @@ from typing import Iterator, NamedTuple, Sequence
 import numpy as np
 
 # run_aggregated is not called here; bench/workloads.py traces it on this module by name.
-from .detect import EVENT_TIMES, CusumState, DetectorConfig, _aggregated_rows, run_aggregated, run_events  # noqa: F401
+from .detect import EVENT_TIMES, CusumState, DetectorConfig, _Aggregated, run_aggregated, run_events  # noqa: F401
 from .errors import ValidationError
-from .simulate import MAX_SLOT_COUNTS, ChangeSpec, simulate_events, simulate_slot_counts
+from .simulate import MAX_SLOT_COUNTS, ChangeSpec, simulate_events, simulate_slot_counts, stack_counts
 from .timeline import SlotTimeline
 
 
@@ -40,8 +40,7 @@ def exceedance_fraction(v_path: Sequence[float], m: float) -> float:
 # In-control replications behind the false-alarm rate and exceedance fraction.
 _IN_CONTROL_REPLICATIONS = 50
 
-# Replications per `_aggregated_rows` call in aggregated mode: the stacked
-# counts take O(block x slots) memory whatever the replication count.
+# Replications per kernel in aggregated mode, whose counts take a byte or two per slot.
 _AGGREGATED_BLOCK = 128
 
 
@@ -62,10 +61,10 @@ def _runs(
     Paths are drawn one replication at a time, from the same streams as a
     lone `simulate_slot_counts` or `simulate_events` call. An event-time path
     runs through `run_events`, whose alarm list gives its first alarm at or
-    after the change. Aggregated paths run through the detector a block of
-    rows at a time, and every summary is read off the block's arrays: an
-    alarm fires at its slot's end, so the first at or after the change is
-    the first fired slot from the first slot ending at or after it.
+    after the change. Aggregated paths run as rows of the detector's kernel,
+    reduced a slot chunk at a time: an alarm fires at its slot's end, so the
+    first at or after the change is the first fired slot from the first slot
+    ending at or after it.
     """
     m = config.threshold_m
     if config.mode == EVENT_TIMES:
@@ -81,24 +80,29 @@ def _runs(
             )
         return
     # Aggregated observation: only whole slots ending by theta are attributable.
-    attributable = timeline.ends <= change.theta
+    attributable = int(np.searchsorted(timeline.ends, change.theta, side="right"))
     start = int(np.searchsorted(timeline.ends, change.theta, side="left"))
-    ends = timeline.ends.tolist()
-    state = CusumState.initial()
+    ends, means = timeline.ends.tolist(), timeline.means
     for first in range(0, replications, _AGGREGATED_BLOCK):
-        reps = range(first, min(first + _AGGREGATED_BLOCK, replications))
-        counts = np.stack([simulate_slot_counts(timeline, change, seed, rep).counts for rep in reps])
-        v, fired, seen, *_ = _aggregated_rows(timeline, counts, config, state)
-        # The first fired slot from `start` on; a column of alarms past the last slot stands for none.
-        at = start + np.argmax(np.c_[fired[:, start:], np.ones(len(fired), dtype=bool)], axis=1)
-        rows = zip(
-            counts[:, attributable].sum(axis=1).tolist(),
-            at.tolist(),
-            fired.sum(axis=1).tolist(),
-            (v >= m).sum(axis=1).tolist(),
-        )
-        for r, (before, s, alarms, exceeded) in enumerate(rows):
-            yield _Path(before, (int(seen[r, s]), ends[s]) if s < len(ends) else None, alarms, exceeded)
+        n = min(_AGGREGATED_BLOCK, replications - first)
+        draws = (simulate_slot_counts(timeline, change, seed, rep).counts for rep in range(first, first + n))
+        counts = stack_counts(draws, (n, len(ends)))
+        kernel = _Aggregated(config, CusumState.initial(), n)
+        # The first fired slot from `start` on (len(ends) while there is none) and the events seen by it.
+        at = np.full(n, len(ends))
+        at_seen, alarms, exceeded = np.zeros((3, n), dtype=np.int64)
+        for s0 in range(0, len(ends), kernel.chunk):
+            v, fired, seen = kernel.advance(counts[:, s0 : s0 + kernel.chunk], means[s0 : s0 + kernel.chunk])
+            alarms += fired.sum(axis=1)
+            exceeded += (v >= m).sum(axis=1)
+            fired[:, : max(start - s0, 0)] = False  # slots ending before the change
+            new = fired.any(axis=1) & (at == len(ends))
+            col = np.argmax(fired, axis=1)
+            at = np.where(new, s0 + col, at)
+            at_seen = np.where(new, seen[np.arange(n), col], at_seen)
+        rows = zip(*(a.tolist() for a in (counts[:, :attributable].sum(axis=1), at, at_seen, alarms, exceeded)))
+        for before, s, events, alarm_count, exceed_count in rows:
+            yield _Path(before, (events, ends[s]) if s < len(ends) else None, alarm_count, exceed_count)
 
 
 @dataclass(frozen=True)

@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from datetime import date
+from typing import Iterable
 
 import numpy as np
 
@@ -34,6 +35,15 @@ def rng_for(seed: int, *stream: int) -> np.random.Generator:
     if min(key) < 0:
         raise ValidationError(f"seed and stream keys must be nonnegative, got seed {seed} and stream {tuple(stream)}")
     return np.random.default_rng(np.random.SeedSequence(key))
+
+
+def stack_counts(rows: Iterable[np.ndarray], shape: tuple[int, int]) -> np.ndarray:
+    """Rows of slot counts, each stored as drawn in the smallest unsigned dtype holding them all."""
+    stack = np.zeros(shape, np.uint8)
+    for i, row in enumerate(rows):
+        stack = stack.astype(np.promote_types(stack.dtype, np.min_scalar_type(row.max())), copy=False)
+        stack[i] = row
+    return stack
 
 
 @dataclass(frozen=True)

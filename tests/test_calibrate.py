@@ -13,7 +13,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from seasonal_cusum import calibrate
+from seasonal_cusum import calibrate, detect
 from seasonal_cusum.calibrate import (
     _CHUNK_EVENTS,
     _MAX_CHUNK_EVENTS,
@@ -23,14 +23,24 @@ from seasonal_cusum.calibrate import (
     SharedDraws,
     _CurveSet,
     _Tiling,
+    _aggregated_curves,
     _curve_sets,
     _horizon,
-    _record_curves,
+    _event_curves,
     _summarize,
     calibrate_threshold,
     estimate_arl,
 )
-from seasonal_cusum.detect import AGGREGATED_COUNTS, DECREASE, EVENT_TIMES, INCREASE, DetectorConfig, run_aggregated
+from seasonal_cusum.detect import (
+    AGGREGATED_COUNTS,
+    DECREASE,
+    EVENT_TIMES,
+    INCREASE,
+    CusumState,
+    DetectorConfig,
+    run_aggregated,
+    step_aggregated,
+)
 from seasonal_cusum.errors import BracketingError, HorizonTooShortError, ValidationError
 from seasonal_cusum.simulate import MAX_SLOT_COUNTS, rng_for
 from seasonal_cusum.synthetic import synthetic_model
@@ -101,6 +111,61 @@ def test_event_arl_does_not_depend_on_the_calendar():
             assert abs(arl_flat - arl_seasonal) < 3.0 * math.hypot(se_flat, se_seasonal), (direction, m)
 
 
+def _chain_arl(timeline, config, cycles, cells=100):
+    """Seed-free oracle: the aggregated ARL from a periodic Brook-Evans chain over `cycles` tiled cycles.
+
+    V' = max(0, V + k - beta * mu) for increase, max(0, V + beta * mu - k)
+    for decrease, with k ~ Poisson(mu) in a slot of mean mu and an alarm at
+    V' >= m. V lives on an atom at 0 plus `cells` cells of [0, m), each read
+    at its midpoint (Brook & Evans 1972), and each slot moves the surviving
+    mass through one substochastic matrix. k_t does not depend on the event
+    {tau >= t}, so the expected events to alarm are sum_t mu_t P(tau >= t).
+    Summed up to the horizon, a path that never alarms counts its horizon
+    total, as a censored Monte Carlo path does.
+    """
+    from scipy.stats import poisson
+
+    m, up = config.threshold_m, config.direction == INCREASE
+    width = m / cells
+    x = np.concatenate([[0.0], (np.arange(cells) + 0.5) * width])[:, None]
+    tops = np.arange(1, cells + 1) * width
+    steps = []
+    for mu in timeline.means.tolist():
+        d = config.beta * mu
+        if up:  # P(V' <= 0) and P(V' < top) with V' = x + k - d
+            atom = poisson.cdf(np.floor(d - x), mu)
+            below = poisson.cdf(np.ceil(tops - x + d) - 1, mu)
+        else:  # the same with V' = x + d - k
+            atom = poisson.sf(np.ceil(x + d) - 1, mu)
+            below = poisson.sf(np.floor(x + d - tops), mu)
+        steps.append((mu, np.hstack([atom, np.diff(np.hstack([atom, below]), axis=1)])))
+    alive = np.zeros(cells + 1)
+    alive[0] = 1.0
+    arl = 0.0
+    for _ in range(cycles):
+        for mu, move in steps:
+            arl += mu * alive.sum()
+            alive = alive @ move
+    return arl
+
+
+def test_aggregated_arl_matches_the_brook_evans_chain():
+    # Both directions, two thresholds each, on a flat and a strongly seasonal
+    # timeline (a zero-rate slot included): estimate_arl within 3 standard
+    # errors of the chain over the same horizon.
+    flat = SlotTimeline.from_rates([5.0] * 24)
+    seasonal = SlotTimeline.from_rates([0.5, 20.0, 0.0, 3.0, 11.0, 0.25] * 4)
+    target = CalibrationTarget(pi=300.0, replications=1000)
+    for tl in (flat, seasonal):
+        for rho, direction in ((1.2, INCREASE), (1 / 1.2, DECREASE)):
+            for m in (3.0, 7.0):
+                cfg = _agg_cfg(rho, m, direction)
+                arl, stderr, censored = estimate_arl(m, tl, cfg, target, seed=1)
+                chain = _chain_arl(tl, cfg, _horizon(tl, target, AGGREGATED_COUNTS))
+                assert censored == 0.0 and 30.0 < chain < 300.0, (direction, m, chain)
+                assert abs(arl - chain) < 3.0 * stderr, (tl.means.tolist()[:6], direction, m, arl, stderr, chain)
+
+
 def test_arl_monotone_in_threshold_event_mode():
     tl = SlotTimeline.from_rates([5.0] * 20)
     target = CalibrationTarget(pi=20.0, replications=500)
@@ -130,19 +195,77 @@ def test_aggregated_arl_not_below_event_arl():
 
 
 def test_aggregated_record_curve_matches_run_aggregated():
-    # The closed-form slot-end curve against the step_aggregated loop on the
-    # same tiled counts.
+    # Each replication's curve against run_aggregated on the same tiled
+    # counts, read at every record level and one ulp either side of it: the
+    # records are the detector's own V at slot ends, bit for bit.
     tl = SlotTimeline.from_rates([2.0, 5.0, 0.5, 8.0, 3.0])
-    cycles, seed = 40, 9
+    cycles, seed, reps = 40, 9, 5
     tiled = SlotTimeline.from_rates(np.tile(tl.means, cycles))
+    read = 0
     for rho, direction in ((1.3, INCREASE), (1 / 1.3, DECREASE)):
-        for rep in range(5):
+        curves = _aggregated_curves(_Tiling(tl, cycles), [_agg_cfg(rho, direction=direction)], seed, reps)[0]
+        for rep, curve in enumerate(curves):
             counts = rng_for(seed, rep, 2).poisson(tiled.means)
-            curve = _record_curves(_Tiling(tl, cycles), [_agg_cfg(rho, direction=direction)], seed, rep)[0]
-            for m in (0.5, 2.0, 6.0, 15.0, 40.0):
+            assert curve.total_events == int(counts.sum())
+            grid = [0.5, 2.0, 6.0, 15.0, 40.0]
+            for level in curve.levels[curve.levels > 0].tolist():
+                grid += [float(np.nextafter(level, -np.inf)), level, float(np.nextafter(level, np.inf))]
+                read += 1
+            for m in grid:
                 alarms = run_aggregated(tiled, counts, _agg_cfg(rho, m, direction)).alarms
                 expected = (alarms[0].events_at_alarm, False) if alarms else (int(counts.sum()), True)
                 assert curve.run_length(m) == expected, (direction, rep, m)
+    assert read > 50
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    rates=st.lists(st.sampled_from([0.0, 0.5, 3.0, 9.0]) | st.floats(0.0, 12.0), min_size=1, max_size=8),
+    cycles=st.integers(1, 6),
+    reps=st.integers(1, 7),
+    block=st.integers(1, 150),
+)
+def test_aggregated_curves_do_not_depend_on_the_chunk(rates, cycles, reps, block):
+    # Any block size, down to chunks of one slot: both configs' curves, read
+    # off one draw, are those of one chunk of the whole horizon and the
+    # strict rises of a disarmed step_aggregated loop at slot ends.
+    tl = SlotTimeline.from_rates(rates)
+    configs = [_agg_cfg(1.3), _agg_cfg(1 / 1.3, direction=DECREASE)]
+    whole = _aggregated_curves(_Tiling(tl, cycles), configs, 8, reps)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(detect, "_BLOCK_FLOATS", block)
+        cut = _aggregated_curves(_Tiling(tl, cycles), configs, 8, reps)
+    means = np.tile(tl.means, cycles).tolist()
+    for config, whole_curves, cut_curves in zip(configs, whole, cut):
+        for rep, (a, b) in enumerate(zip(whole_curves, cut_curves)):
+            state, levels, events = CusumState(armed=False), [], []
+            for count, dlam in zip(rng_for(8, rep, 2).poisson(means).tolist(), means):
+                state, _ = step_aggregated(state, count, dlam, config)
+                if state.v > (levels[-1] if levels else -math.inf):
+                    levels.append(state.v)
+                    events.append(state.events_seen)
+            loop = (levels, events, state.events_seen)
+            for curve in (a, b):
+                assert repr((curve.levels.tolist(), curve.events.tolist(), curve.total_events)) == repr(loop)
+
+
+def test_aggregated_arl_is_the_detectors_mean_first_alarm():
+    # The calibrated threshold sits on a record level or one ulp above it, so
+    # the records must be the detector's own levels: the ARL reported is
+    # bit for bit the mean first-alarm event count of run_aggregated on the
+    # same tiled counts at the calibrated m (the horizon total where none fires).
+    tl = SlotTimeline.from_rates([2.0, 5.0, 0.5, 8.0, 3.0])
+    target = CalibrationTarget(pi=60.0, replications=200)
+    for rho, direction in ((1.3, INCREASE), (1 / 1.3, DECREASE)):
+        cfg = _agg_cfg(rho, direction=direction)
+        result = calibrate_threshold(tl, cfg, target, seed=4)
+        tiled = SlotTimeline.from_rates(np.tile(tl.means, _horizon(tl, target, AGGREGATED_COUNTS)))
+        firsts = []
+        for rep in range(target.replications):
+            counts = rng_for(4, rep, 2).poisson(tiled.means)
+            alarms = run_aggregated(tiled, counts, _agg_cfg(rho, result.threshold_m, direction)).alarms
+            firsts.append(alarms[0].events_at_alarm if alarms else int(counts.sum()))
+        assert repr(result.arl_estimate) == repr(float(np.array(firsts, dtype=float).mean())), direction
 
 
 def _eager_event_curve(tl, config, cycles, seed, rep):
@@ -193,7 +316,7 @@ def _assert_lazy_equals_eager(tl, cycles, seeds, reps=3):
                 top = float(levels[-1]) if len(levels) else 1.0
                 grid = [0.3, 1.0, 2.5] + list(np.linspace(0.0, top, 12)[1:]) + [top + 1.0]
                 for order in (grid, grid[::-1], grid[3:5] * 2 + grid[:1]):
-                    curve = _record_curves(_Tiling(tl, cycles), [cfg], seed, rep)[0]
+                    curve = _event_curves(_Tiling(tl, cycles), [cfg], seed, rep)[0]
                     for m in order:
                         assert curve.run_length(m) == expected(m), (direction, seed, rep, m)
                 assert curve.run_length(top + 1.0) == (total, True)
@@ -224,7 +347,7 @@ def test_lazy_event_curve_on_short_and_empty_paths():
     _assert_lazy_equals_eager(SlotTimeline.from_rates([0.5, 1.0]), 2, seeds=(6, 7), reps=20)
     tl = SlotTimeline.from_rates([1e-6, 1e-6])
     for direction in (INCREASE, DECREASE):
-        curve = _record_curves(_Tiling(tl, 1), [_event_cfg(1.3 if direction == INCREASE else 0.7, direction=direction)], 0, 0)[0]
+        curve = _event_curves(_Tiling(tl, 1), [_event_cfg(1.3 if direction == INCREASE else 0.7, direction=direction)], 0, 0)[0]
         assert _eager_event_curve(tl, _event_cfg(), 1, 0, 0)[2] == 0
         assert curve.run_length(0.5) == (0, True)
         assert curve.run_length(1e-9) == (0, True)
@@ -577,14 +700,23 @@ def test_threshold_is_the_record_level_of_the_step_straddling_pi(mode, rho, dire
 
 
 def test_aggregated_read_resolves_levels_the_bisection_could_not():
-    # The doubling oracle's bisection stops at a bracket narrower than 1e-12
-    # that still holds several steps, and misses the budget at 6.117.
+    # Decrease paths on a flat timeline reach nearly one level by different
+    # sums of the same drifts, which round an ulp apart: three record levels
+    # are adjacent floats, and the ARL steps from 37.99 to 40.48, 40.70 and
+    # 40.72 across them. The doubling oracle's bisection stops at a bracket
+    # narrower than 1e-12 that still holds them, at 40.72; the exact read
+    # takes the step closest to pi.
     tl = SlotTimeline.from_rates([2.0] * 30)
-    result = calibrate_threshold(tl, _agg_cfg(rho=1.3), CalibrationTarget(pi=7.0, replications=300), seed=0)
-    assert result.arl_estimate == pytest.approx(7.1733, abs=1e-4)
-    assert result.arl_stderr == pytest.approx(0.363, abs=1e-3)
-    with pytest.raises(BracketingError, match="nearest run length 6.117"):
-        _doubling_search(tl, _agg_cfg(rho=1.3), CalibrationTarget(pi=7.0, replications=300), 0)
+    cfg = _agg_cfg(rho=1 / 1.3, direction=DECREASE)
+    target = CalibrationTarget(pi=40.0, replications=100)
+    result = calibrate_threshold(tl, cfg, target, seed=0)
+    assert (result.arl_estimate, result.arl_stderr) == pytest.approx((40.48, 3.2864), abs=1e-4)
+    (_, arl, stderr, _), _, _ = _doubling_search(tl, cfg, target, 0)
+    assert (arl, stderr) == pytest.approx((40.72, 3.3091), abs=1e-4)
+    levels, _ = _levels_and_arl(tl, cfg, target, 0)
+    near = levels[np.abs(levels - result.threshold_m) < 1e-12]
+    assert len(near) == 3 and near[1] == result.threshold_m
+    assert near[0] == np.nextafter(near[1], -np.inf) and near[2] == np.nextafter(near[1], np.inf)
 
 
 @pytest.mark.parametrize(
@@ -616,10 +748,14 @@ def test_calibration_simulates_as_far_as_the_bracket_top(monkeypatch, rho, direc
 def _read_both(curve_args, monkeypatch):
     """Two independent copies of the same curves: one for the batched reader, one read curve by curve."""
     monkeypatch.setattr(calibrate, "_CHUNK_EVENTS", 3)
-    return tuple(
-        [_record_curves(_Tiling(tl, cycles), [cfg], seed, rep)[0] for tl, cfg, cycles, seed, rep in curve_args]
-        for _ in range(2)
-    )
+    return tuple([_curve(_Tiling(tl, cycles), cfg, seed, rep) for tl, cfg, cycles, seed, rep in curve_args] for _ in range(2))
+
+
+def _curve(tiling, cfg, seed, rep):
+    """The record curve of replication `rep` in either mode."""
+    if cfg.mode == AGGREGATED_COUNTS:
+        return _aggregated_curves(tiling, [cfg], seed, rep + 1)[0][rep]
+    return _event_curves(tiling, [cfg], seed, rep)[0]
 
 
 def test_batched_read_equals_per_curve_run_length(monkeypatch):

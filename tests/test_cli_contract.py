@@ -1,8 +1,10 @@
-"""The CLI's input contract, fuzzed one flag, CSV cell or model leaf at a time.
+"""The CLI's input contract, fuzzed one flag, CSV cell or row, model leaf or holiday line at a time.
 
 Each example takes a small valid invocation of one command and replaces one
 of its flags with an edge value, or one cell of its daily or slot CSV, or
-one leaf of its model JSON. Whatever the value, the command exits 0 (ran),
+one leaf of its model JSON; or it drops or adds a field of one CSV row,
+repeats a row, or leaves an empty line, a bad date or a repeated date in
+the holiday file. Whatever the edit, the command exits 0 (ran),
 2 (input error) or 3 (numeric failure); a refusal prints exactly one
 `error:` line and leaves no --out behind, and nothing ends in a traceback.
 """
@@ -69,10 +71,11 @@ def skeletons(tmp_path_factory, truth_model):
     write_daily_csv(sample_dataset(truth_model, date(2016, 1, 4), date(2016, 6, 30), seed=1).daily, root / "daily.csv")
     timeline = truth_model.timeline([date(2018, 1, 1), date(2018, 1, 2), date(2018, 1, 3)])
     write_slot_csv(simulate_slot_counts(timeline, seed=0).to_slot_records(), root / "series.csv")
+    (root / "holidays.txt").write_text("2016-03-28\n2016-05-16\n")
     series = ["--model", model, "--series", str(root / "series.csv"), "--rho", "1.5"]
     days = ["--start-date", "2018-01-01", "--days", "2"]
     return root, {
-        "fit": ["fit", "--daily", str(root / "daily.csv")],
+        "fit": ["fit", "--daily", str(root / "daily.csv"), "--holidays", str(root / "holidays.txt")],
         "calibrate": ["calibrate", "--model", model, "--rho", "1.5", "--pi", "50", *days, "--replications", "100"],
         "simulate": ["simulate", "--model", model, *days, "--rho", "1.5", "--theta", "5.0"],
         "detect": ["detect", *series, "--m", "3.0"],
@@ -165,3 +168,41 @@ def test_one_edge_value_in_an_input_file_exits_cleanly(skeletons, data):
     _mutated(source, target, data.draw, value)
     argv[argv.index(flag) + 1] = str(target)
     _assert_contract(root, argv, (command, flag, value))
+
+
+# Whole-line edits, each mapping one line of an input file to the lines that replace it.
+CSV_ROW_EDITS = {
+    "missing-field": lambda line: [line.rsplit(",", 1)[0]],
+    "extra-field": lambda line: [line + ",7"],
+    "repeated-row": lambda line: [line, line],
+}
+HOLIDAY_EDITS = {
+    "empty-line": lambda line: ["", line],
+    "bad-date": lambda line: ["2018-02-30"],
+    "repeated-date": lambda line: [line, line],
+}
+ROW_CASES = [
+    (command, flag, name)
+    for (command, flag), edits in {
+        ("fit", "--daily"): CSV_ROW_EDITS,
+        ("fit", "--holidays"): HOLIDAY_EDITS,
+        ("detect", "--series"): CSV_ROW_EDITS,
+        ("detect-pi", "--series"): CSV_ROW_EDITS,
+    }.items()
+    for name in edits
+]
+
+
+@pytest.mark.parametrize("command, flag, name", ROW_CASES)
+def test_one_whole_line_edit_exits_cleanly(skeletons, command, flag, name):
+    # The header, the first two lines after it, one in the middle and the last.
+    root, argvs = skeletons
+    edit = {**CSV_ROW_EDITS, **HOLIDAY_EDITS}[name]
+    argv = list(argvs[command])
+    source = Path(argv[argv.index(flag) + 1])
+    lines = source.read_text().splitlines()
+    for i in sorted({0, 1, 2, len(lines) // 2, len(lines) - 1} & set(range(len(lines)))):
+        target = root / f"input-{next(_OUTS)}{source.suffix}"
+        target.write_text("\n".join(lines[:i] + edit(lines[i]) + lines[i + 1 :]) + "\n")
+        argv[argv.index(flag) + 1] = str(target)
+        _assert_contract(root, argv, (command, flag, name, i))

@@ -18,7 +18,7 @@ from seasonal_cusum.detect import (
     EVENT_TIMES,
     INCREASE,
     _EVENT_BLOCK,
-    _aggregated_rows,
+    _Aggregated,
     AlarmEvent,
     CusumState,
     DetectorConfig,
@@ -918,12 +918,14 @@ def _run_key(run):
     data=st.data(),
 )
 def test_run_aggregated_dense_alarms_equals_step_loop(rates, rows, cfg, start, data):
-    """Each row of one `_aggregated_rows` call equals a `step_aggregated` loop and the 1-D `run_aggregated` call."""
+    """Each row of one `_Aggregated.advance` over all slots equals a `step_aggregated` loop and the 1-D `run_aggregated` call."""
     tl = SlotTimeline.from_rates(rates)
     row = st.lists(st.integers(0, 30), min_size=len(rates), max_size=len(rates))
     counts = data.draw(st.lists(row, min_size=rows, max_size=rows))
     first = start or CusumState.initial(clock=float(tl.starts[0]))
-    path, fired, seen, v, u, u_min, armed = _aggregated_rows(tl, np.array(counts), cfg, first)
+    kernel = _Aggregated(cfg, first, rows)
+    path, fired, seen = kernel.advance(np.array(counts), tl.means)
+    v, u, u_min, armed = kernel.v, kernel.u, kernel.u_min, kernel.armed
     assert path.shape == fired.shape == seen.shape == (rows, len(rates))
     ends = tl.ends.tolist()
     for r, row in enumerate(counts):
@@ -940,6 +942,52 @@ def test_run_aggregated_dense_alarms_equals_step_loop(rates, rows, cfg, start, d
             [(a.time, a.v_at_alarm, a.events_at_alarm) for a in alarms]
         )
         final = (v[r].item(), u[r].item(), u_min[r].item(), seen[r, -1].item(), armed[r].item())
+        assert repr(final) == repr((state.v, state.u, state.u_min, state.events_seen, state.armed))
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    rates=st.lists(st.sampled_from([0.0, -0.0, 0.5, 3.0]) | st.floats(min_value=0.0, max_value=12.0), min_size=1, max_size=30),
+    rows=st.integers(1, 4),
+    cfg=st.builds(
+        lambda up, m, reset: _cfg(rho=1.2 if up else 1 / 1.2, m=m, direction=INCREASE if up else DECREASE, reset=reset),
+        st.booleans(),
+        st.floats(min_value=0.25, max_value=6.0),
+        st.booleans(),
+    ),
+    start=_states | _states.map(lambda state: replace(state, v=-0.0)),
+    dtype=st.sampled_from([np.int64, np.uint8]),
+    data=st.data(),
+)
+def test_aggregated_kernel_cut_anywhere_equals_one_chunk_and_step_loop(rates, rows, cfg, start, dtype, data):
+    """`_Aggregated.advance` over slot chunks cut anywhere, down to one slot, equals one call and a `step_aggregated` loop.
+
+    The starts include disarmed rows and an incoming v of -0.0. The caller's counts are left as they were.
+    """
+    tl = SlotTimeline.from_rates(rates)
+    row = st.lists(st.integers(0, 30), min_size=len(rates), max_size=len(rates))
+    counts = np.array(data.draw(st.lists(row, min_size=rows, max_size=rows)), dtype=dtype)
+    kept = counts.copy()
+    cuts = sorted(data.draw(st.sets(st.integers(1, len(rates) - 1)))) if len(rates) > 1 else []
+    whole = _Aggregated(cfg, start, rows)
+    arrays = whole.advance(counts, tl.means)
+    cut = _Aggregated(cfg, start, rows)
+    pieces = [cut.advance(counts[:, a:b], tl.means[a:b]) for a, b in zip([0, *cuts], [*cuts, len(rates)])]
+    assert np.array_equal(counts, kept)
+    for got, want in zip(zip(*pieces), arrays):
+        assert repr(np.concatenate(got, axis=1).tolist()) == repr(want.tolist())
+    finals = [repr([k.v.tolist(), k.u.tolist(), k.u_min.tolist(), k.seen.tolist(), k.armed.tolist()]) for k in (whole, cut)]
+    assert finals[0] == finals[1]
+    path, fired, seen = arrays
+    for r in range(rows):
+        state, levels, flags, events = start, [], [], []
+        for count, dlam in zip(counts[r].tolist(), tl.means.tolist()):
+            state, alarm = step_aggregated(state, count, dlam, cfg)
+            levels.append(alarm.v_at_alarm if alarm is not None else state.v)
+            flags.append(alarm is not None)
+            events.append(state.events_seen)
+        assert repr((path[r].tolist(), fired[r].tolist(), seen[r].tolist())) == repr((levels, flags, events))
+        final = (whole.v[r].item(), whole.u[r].item(), whole.u_min[r].item(), whole.seen[r].item(), whole.armed[r].item())
         assert repr(final) == repr((state.v, state.u, state.u_min, state.events_seen, state.armed))
 
 
@@ -960,7 +1008,7 @@ def test_run_aggregated_rows_are_validated_and_shaped():
     tl = SlotTimeline.from_rates([1.0, 2.0, 3.0])
     # The message names a bad count of the first slot holding one, whatever its row.
     with pytest.raises(ValidationError, match="got -1$"):
-        _aggregated_rows(tl, np.array([[1, 2, -2], [1, -1, 3]]), _cfg(), CusumState.initial())
+        _Aggregated(_cfg(), CusumState.initial(), 2).advance(np.array([[1, 2, -2], [1, -1, 3]]), tl.means)
     right_length_rows = np.zeros((1, 3), dtype=int)
     for bad_shape in (np.zeros((2, 2), dtype=int), np.zeros((1, 2, 3), dtype=int), right_length_rows, 4):
         with pytest.raises(ValidationError, match="length"):

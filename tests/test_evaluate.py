@@ -4,15 +4,20 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from seasonal_cusum import detect
 from seasonal_cusum.detect import (
     AGGREGATED_COUNTS,
     DECREASE,
     EVENT_TIMES,
     AlarmEvent,
+    CusumState,
     DetectorConfig,
     run_aggregated,
     run_events,
+    step_aggregated,
 )
 from seasonal_cusum.errors import ValidationError
 from seasonal_cusum.evaluate import (
@@ -20,6 +25,8 @@ from seasonal_cusum.evaluate import (
     _IN_CONTROL_REPLICATIONS,
     DelayReport,
     DelayStats,
+    _Path,
+    _runs,
     detection_delay,
     exceedance_fraction,
     worst_case_delay,
@@ -251,6 +258,43 @@ def test_event_worst_case_equals_per_replication_loop(rho, m, reset):
     assert repr(got.to_dict()) == repr(want.to_dict())
     # Every case detects some changes and raises in-control alarms.
     assert all(d.detect_probability > 0 for d in want.per_theta) and want.false_alarm_rate > 0
+
+
+def _step_loop_path(tl, change, config, seed, rep):
+    """One replication's `_Path`, from a `step_aggregated` loop over its slot counts."""
+    counts = simulate_slot_counts(tl, change, seed, rep).counts.tolist()
+    ends = tl.ends.tolist()
+    state, first, alarms, exceeded = CusumState.initial(), None, 0, 0
+    for count, dlam, end in zip(counts, tl.means.tolist(), ends):
+        state, alarm = step_aggregated(state, count, dlam, config, clock=end)
+        level = state.v if alarm is None else alarm.v_at_alarm
+        exceeded += level >= config.threshold_m
+        alarms += alarm is not None
+        if alarm is not None and first is None and end >= change.theta:
+            first = (alarm.events_at_alarm, end)
+    before = sum(c for c, end in zip(counts, ends) if end <= change.theta)
+    return _Path(before, first, alarms, exceeded)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    block=st.integers(1, 120),
+    case=st.sampled_from([(2.0, 6.0, True), (2.0, 2.0, False), (1.3, 1.5, True), (0.5, 4.0, True), (0.5, 1.0, False)]),
+    theta=st.sampled_from(_THETAS + [0.0, 12.0, math.inf]),
+    reps=st.integers(1, 9),
+)
+def test_aggregated_paths_do_not_depend_on_the_chunk(block, case, theta, reps):
+    # Any block size, down to chunks of one slot: every replication's
+    # summary is that of one chunk of all slots and of a step_aggregated loop.
+    tl = SlotTimeline.from_rates(_TIMELINE_RATES, length=0.5)
+    cfg = _config(*case, AGGREGATED_COUNTS)
+    change = ChangeSpec() if math.isinf(theta) else ChangeSpec(theta=theta, rho=cfg.rho)
+    whole = list(_runs(tl, change, cfg, 31, reps))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(detect, "_BLOCK_FLOATS", block)
+        cut = list(_runs(tl, change, cfg, 31, reps))
+    loop = [_step_loop_path(tl, change, cfg, 31, rep) for rep in range(reps)]
+    assert repr(cut) == repr(whole) == repr(loop)
 
 
 def test_aggregated_worst_case_builds_no_alarm_objects(monkeypatch):
