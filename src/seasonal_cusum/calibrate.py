@@ -2,14 +2,15 @@
 
 The map m -> E[N at first alarm] is estimated by Monte Carlo with common
 random numbers, so it is a nondecreasing step function of m that jumps only
-just above record levels. Each simulated path is reduced once to a "record
-curve" (the running maxima of the reflected statistic with the event count
-at each new record), and all curves are read at a threshold in one numpy
-pass. Event-time paths record the statistic at every event, simulated in
-chunks only as far as the thresholds queried need, bit for bit as if whole;
-aggregated-count paths record it at slot ends, from the same slot counts,
-on the aggregated detector's own kernel. Several detectors can read one
-draw per replication (`SharedDraws`).
+just above record levels. Every replication's slot counts are drawn once,
+into one stack that both observation modes read, and each simulated path is
+reduced once to a "record curve" (the running maxima of the reflected
+statistic with the event count at each new record); all curves are read at
+a threshold in one numpy pass. Event-time paths record the statistic at
+every event, placing their counts' events in chunks only as far as the
+thresholds queried need, bit for bit as if whole; aggregated-count paths
+record it at slot ends, on the aggregated detector's own kernel. Several
+detectors can read one draw per replication (`SharedDraws`).
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .detect import AGGREGATED_COUNTS, EVENT_TIMES, INCREASE, CusumState, DetectorConfig, _Aggregated
+from .detect import EVENT_TIMES, INCREASE, CusumState, DetectorConfig, _Aggregated
 from .errors import BracketingError, HorizonTooShortError, ValidationError
 from .simulate import MAX_SLOT_COUNTS, rng_for, stack_counts
 from .timeline import SlotTimeline
@@ -118,27 +119,9 @@ def _horizon(timeline: SlotTimeline, target: CalibrationTarget, mode: str) -> in
     return cycles
 
 
-# A lazily simulated event-mode path advances about this many expected events
-# at a time, rounded up to whole slots.
+# A lazily simulated event-mode chunk ends at the first slot boundary at least
+# this many expected events past its start, or at the horizon.
 _CHUNK_EVENTS = 4096
-
-
-class _Tiling:
-    """The slot means tiled over one calibration's horizon, shared by all its paths."""
-
-    def __init__(self, timeline: SlotTimeline, cycles: int):
-        self.means = np.tile(timeline.means, cycles)
-        self.base = np.concatenate([[0.0], np.cumsum(self.means)])
-        # Chunks end at the first slot boundary at or past each multiple of
-        # _CHUNK_EVENTS expected events below the total, so every path shares
-        # them: where floor(base / _CHUNK_EVENTS) steps up, if the first
-        # multiple it steps over is below the total. The division is exact,
-        # as _CHUNK_EVENTS is a power of two.
-        k = np.floor(self.base / _CHUNK_EVENTS)
-        steps = np.flatnonzero((k[1:] > k[:-1]) & ((k[:-1] + 1.0) * _CHUNK_EVENTS < self.base[-1])) + 1
-        # The steps strictly increase; the last chunk ends at the horizon.
-        done = len(steps) and steps[-1] == len(self.means)
-        self.chunk_ends = steps if done else np.append(steps, len(self.means))
 
 
 class _EventDraw:
@@ -150,35 +133,27 @@ class _EventDraw:
     in [base[s], base[s + 1]]: sorting each chunk on its own gives the global
     sort. Consecutive `random` draws on one generator equal one long draw, and
     each curve carries its exact minimum of U and maximum of V, so the records
-    equal those of the whole path simulated at once.
+    equal those of the whole path simulated at once, wherever its chunks end.
     """
 
-    def __init__(self, tiling: _Tiling, rng: np.random.Generator, counts: np.ndarray):
-        self.tiling = tiling
-        self.rng = rng
-        self.counts = counts.astype(np.min_scalar_type(counts.max()))  # usually one byte per slot
+    def __init__(self, means: np.ndarray, base: np.ndarray, rng: np.random.Generator, counts: np.ndarray):
+        self.means, self.base, self.rng, self.counts = means, base, rng, counts
         self.total = int(counts.sum())
-        self.chunk = 0  # index of the next chunk in tiling.chunk_ends
+        self.slot = 0  # the next chunk's first slot
         self.seen = 0  # events simulated so far
         self.curves: list[RecordCurve] = []  # the attached curves
 
-    @property
-    def done(self) -> bool:
-        return self.chunk == len(self.tiling.chunk_ends)
-
     def advance(self) -> None:
         """Simulate the next chunk and add its records to every attached curve."""
-        h = self.tiling
-        s0 = int(h.chunk_ends[self.chunk - 1]) if self.chunk else 0
-        s1 = int(h.chunk_ends[self.chunk])
-        self.chunk += 1
+        base, s0 = self.base, self.slot
+        s1 = self.slot = min(int(np.searchsorted(base, base[s0] + _CHUNK_EVENTS)), len(self.means))
         counts = self.counts[s0:s1]
-        starts = np.repeat(h.base[s0:s1], counts)
+        starts = np.repeat(base[s0:s1], counts)
         k = len(starts)
-        lam = np.sort(starts + np.repeat(h.means[s0:s1], counts) * self.rng.random(k))
+        lam = np.sort(starts + np.repeat(self.means[s0:s1], counts) * self.rng.random(k))
         j = np.arange(self.seen + 1, self.seen + k + 1)
         self.seen += k
-        end = float(h.base[-1]) if self.done else None
+        end = float(base[-1]) if s1 == len(self.means) else None
         for curve in self.curves:
             curve.add_chunk(lam, j, end)
             if end is not None:
@@ -310,33 +285,21 @@ class _CurveSet:
                 c.path = None
 
 
-def _event_curves(tiling: _Tiling, configs: list[DetectorConfig], seed: int, rep: int) -> list[RecordCurve]:
-    """Each event-mode config's record curve of replication `rep` over the horizon `tiling`, from one draw."""
-    rng = rng_for(seed, rep, 2)
-    draw = _EventDraw(tiling, rng, rng.poisson(tiling.means))
-    curves = [RecordCurve(np.empty(0), np.empty(0, dtype=int), draw.total) for _ in configs]
-    if draw.total:
-        for curve, config in zip(curves, configs):
-            curve.attach(draw, config)
-    return curves
-
-
 def _aggregated_curves(
-    tiling: _Tiling, configs: list[DetectorConfig], seed: int, replications: int
+    means: np.ndarray, counts: np.ndarray, configs: list[DetectorConfig]
 ) -> list[list[RecordCurve]]:
-    """Each aggregated config's record curve of every replication, all from one draw per replication.
+    """Each aggregated config's record curve of every replication's row of slot `counts`.
 
     The replications are rows of the detector's kernel, disarmed so that no alarm resets V: the records
     are V's rises on the detector's own arithmetic, and a read at m gives the events seen at its first alarm at m.
     """
-    draws = (rng_for(seed, rep, 2).poisson(tiling.means) for rep in range(replications))
-    counts = stack_counts(draws, (replications, len(tiling.means)))
+    replications = len(counts)
     per_config = []
     for config in configs:
         kernel = _Aggregated(config, CusumState(armed=False), replications)
         peaks, found = np.full(replications, -np.inf), []
-        for s0 in range(0, len(tiling.means), kernel.chunk):
-            v, _, seen = kernel.advance(counts[:, s0 : s0 + kernel.chunk], tiling.means[s0 : s0 + kernel.chunk])
+        for s0 in range(0, len(means), kernel.chunk):
+            v, _, seen = kernel.advance(counts[:, s0 : s0 + kernel.chunk], means[s0 : s0 + kernel.chunk])
             rising = np.flatnonzero(v.max(axis=1) > peaks)  # the rows that set a record in this chunk
             (r, s), peaks[rising] = _rises(peaks[rising], v[rising])
             r = rising[r]
@@ -350,16 +313,35 @@ def _aggregated_curves(
     return per_config
 
 
+def _record_curves(
+    means: np.ndarray, configs: list[DetectorConfig], seed: int, replications: int
+) -> list[list[RecordCurve]]:
+    """Each config's record curve of every replication over slots with `means`, all from one draw per replication."""
+    event = configs[0].mode == EVENT_TIMES
+    rngs = (rng_for(seed, rep, 2) for rep in range(replications))
+    if event:
+        rngs = list(rngs)  # an event draw goes on with its generator; an aggregated one is done with it
+    # Both modes observe these slot counts, one row per replication.
+    counts = stack_counts((rng.poisson(means) for rng in rngs), (replications, len(means)))
+    if not event:
+        return _aggregated_curves(means, counts, configs)
+    base = np.concatenate([[0.0], np.cumsum(means)])
+    per_config: list[list[RecordCurve]] = [[] for _ in configs]
+    for rng, row in zip(rngs, counts):
+        draw = _EventDraw(means, base, rng, row)
+        for curves, config in zip(per_config, configs):
+            curves.append(RecordCurve(np.empty(0), np.empty(0, dtype=int), draw.total))
+            if draw.total:
+                curves[-1].attach(draw, config)
+    return per_config
+
+
 def _curve_sets(
     timeline: SlotTimeline, configs: list[DetectorConfig], target: CalibrationTarget, seed: int
 ) -> list[_CurveSet]:
     """One curve set per config, all read off one draw per replication."""
-    tiling = _Tiling(timeline, _horizon(timeline, target, configs[0].mode))
-    if configs[0].mode == AGGREGATED_COUNTS:
-        per_config = _aggregated_curves(tiling, configs, seed, target.replications)
-    else:
-        per_config = zip(*(_event_curves(tiling, configs, seed, rep) for rep in range(target.replications)))
-    return [_CurveSet(list(curves)) for curves in per_config]
+    means = np.tile(timeline.means, _horizon(timeline, target, configs[0].mode))
+    return [_CurveSet(curves) for curves in _record_curves(means, configs, seed, target.replications)]
 
 
 class SharedDraws:

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from datetime import date, datetime, time, timedelta
 from pathlib import Path
 
-from .errors import ParseError, ValidationError
+from .errors import ParseError, ValidationError, read_utf8
 
 WEEKDAY_SLOT_COUNT = 22
 SATURDAY_SLOT_COUNT = 10
@@ -99,7 +99,7 @@ def day_meta(d: date, holidays: frozenset[date] = frozenset(), origin: date = DE
 def read_holidays(path: str | Path) -> frozenset[date]:
     """Read a holiday file: one ISO date per line, blank lines ignored."""
     dates = set()
-    for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
+    for lineno, raw in enumerate(read_utf8(path).splitlines(), start=1):
         text = raw.strip()
         if not text:
             continue

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from pathlib import Path
+
 
 class SeasonalCusumError(Exception):
     """Base class for all package errors."""
@@ -13,6 +15,16 @@ class ParseError(SeasonalCusumError):
     def __init__(self, message: str, line: int):
         self.line = line
         super().__init__(f"line {line}: {message}")
+
+
+def read_utf8(path: str | Path) -> str:
+    """The text of a UTF-8 file; a byte that does not decode is a ParseError on its line."""
+    data = Path(path).read_bytes()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise ParseError(f"byte 0x{data[exc.start]:02x} is not valid UTF-8", line=line) from None
 
 
 class DuplicateKeyError(SeasonalCusumError):

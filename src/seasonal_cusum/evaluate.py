@@ -5,11 +5,13 @@ run-length view of the detector; the worst case over a grid of change
 times approximates the sup over change points, with per-path maxima kept
 as a pessimistic companion to the means.
 
-Each replication is reduced to what these statistics read: its first alarm
-at or after the change, its alarm count and how often V reached the
-threshold. Aggregated paths run as the rows of the detector's kernel, a
-block of replications at a time, and are reduced one slot chunk at a time:
-no alarm or run object is built and no array spans the horizon.
+Each replication is reduced to what these statistics read: its events
+before the change, its first alarm at or after the change, its alarm count
+and how often V reached the threshold, each held in one array entry per
+replication, and the statistics reduce those arrays with no per-path
+object. Aggregated paths run as the rows of the detector's kernel, a block
+of replications at a time, and are reduced one slot chunk at a time: no
+alarm or run object is built and no array spans the horizon.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterator, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -44,19 +46,20 @@ _IN_CONTROL_REPLICATIONS = 50
 _AGGREGATED_BLOCK = 128
 
 
-class _Path(NamedTuple):
-    """What the delay statistics read off one replication's run."""
+class _Paths(NamedTuple):
+    """What the delay statistics read off the replications' runs, one entry per replication."""
 
-    before: int  # events before the change
-    first: tuple[int, float] | None  # events seen and time at the first alarm at or after the change
-    alarms: int  # alarms raised
-    exceeded: int  # slot ends where V is at or above the threshold
+    before: np.ndarray  # events before the change
+    events: np.ndarray  # events seen at the first alarm at or after the change; -1 where there is none
+    time: np.ndarray  # that alarm's time; NaN where there is none
+    alarms: np.ndarray  # alarms raised
+    exceeded: np.ndarray  # slot ends where V is at or above the threshold
 
 
 def _runs(
     timeline: SlotTimeline, change: ChangeSpec, config: DetectorConfig, seed: int, replications: int
-) -> Iterator[_Path]:
-    """Each replication's `_Path`, in replication order.
+) -> _Paths:
+    """Every replication's `_Paths` entries, in replication order.
 
     Paths are drawn one replication at a time, from the same streams as a
     lone `simulate_slot_counts` or `simulate_events` call. An event-time path
@@ -67,42 +70,45 @@ def _runs(
     ending at or after it.
     """
     m = config.threshold_m
+    paths = _Paths(
+        before=np.zeros(replications, dtype=np.int64),
+        events=np.full(replications, -1, dtype=np.int64),
+        time=np.full(replications, math.nan),
+        alarms=np.zeros(replications, dtype=np.int64),
+        exceeded=np.zeros(replications, dtype=np.int64),
+    )
     if config.mode == EVENT_TIMES:
         for rep in range(replications):
             path = simulate_events(timeline, change, seed, rep)
             run = run_events(timeline, path.event_times, config)
             post = next((a for a in run.alarms if float(a.time) >= change.theta), None)
-            yield _Path(
-                before=int(np.searchsorted(path.event_times, change.theta, side="left")),
-                first=None if post is None else (post.events_at_alarm, float(post.time)),
-                alarms=len(run.alarms),
-                exceeded=int(np.sum(run.v >= m)),
-            )
-        return
+            paths.before[rep] = np.searchsorted(path.event_times, change.theta, side="left")
+            if post is not None:
+                paths.events[rep], paths.time[rep] = post.events_at_alarm, post.time
+            paths.alarms[rep] = len(run.alarms)
+            paths.exceeded[rep] = np.sum(run.v >= m)
+        return paths
     # Aggregated observation: only whole slots ending by theta are attributable.
     attributable = int(np.searchsorted(timeline.ends, change.theta, side="right"))
     start = int(np.searchsorted(timeline.ends, change.theta, side="left"))
-    ends, means = timeline.ends.tolist(), timeline.means
+    ends, means = timeline.ends, timeline.means
     for first in range(0, replications, _AGGREGATED_BLOCK):
-        n = min(_AGGREGATED_BLOCK, replications - first)
-        draws = (simulate_slot_counts(timeline, change, seed, rep).counts for rep in range(first, first + n))
+        block = slice(first, min(first + _AGGREGATED_BLOCK, replications))
+        n = block.stop - first
+        draws = (simulate_slot_counts(timeline, change, seed, rep).counts for rep in range(first, block.stop))
         counts = stack_counts(draws, (n, len(ends)))
         kernel = _Aggregated(config, CusumState.initial(), n)
-        # The first fired slot from `start` on (len(ends) while there is none) and the events seen by it.
-        at = np.full(n, len(ends))
-        at_seen, alarms, exceeded = np.zeros((3, n), dtype=np.int64)
+        before, events, time, alarms, exceeded = (a[block] for a in paths)  # this block's entries, as views
+        before[:] = counts[:, :attributable].sum(axis=1)
         for s0 in range(0, len(ends), kernel.chunk):
             v, fired, seen = kernel.advance(counts[:, s0 : s0 + kernel.chunk], means[s0 : s0 + kernel.chunk])
             alarms += fired.sum(axis=1)
             exceeded += (v >= m).sum(axis=1)
             fired[:, : max(start - s0, 0)] = False  # slots ending before the change
-            new = fired.any(axis=1) & (at == len(ends))
-            col = np.argmax(fired, axis=1)
-            at = np.where(new, s0 + col, at)
-            at_seen = np.where(new, seen[np.arange(n), col], at_seen)
-        rows = zip(*(a.tolist() for a in (counts[:, :attributable].sum(axis=1), at, at_seen, alarms, exceeded)))
-        for before, s, events, alarm_count, exceed_count in rows:
-            yield _Path(before, (events, ends[s]) if s < len(ends) else None, alarm_count, exceed_count)
+            new = np.flatnonzero(fired.any(axis=1) & (events < 0))  # rows whose first alarm from the change is here
+            col = np.argmax(fired[new], axis=1)
+            events[new], time[new] = seen[new, col], ends[s0 + col]
+    return paths
 
 
 @dataclass(frozen=True)
@@ -138,31 +144,22 @@ def detection_delay(
             f"{replications} replications of the {len(timeline)}-slot timeline draw over 2**31 slot counts; "
             f"lower the replications or shorten the timeline"
         )
-    delays = []
-    time_delays = []
-    detected = 0
-    for path in _runs(timeline, change, config, seed, replications):
-        if path.first is not None:
-            events, time = path.first
-            detected += 1
-            delays.append(max(0, events - path.before))
-            time_delays.append(time - change.theta)
-        elif path.alarms and not config.reset_on_alarm:
-            detected += 1
-            delays.append(0)
-            time_delays.append(0.0)
-    if detected == 0:
+    paths = _runs(timeline, change, config, seed, replications)
+    found = paths.events >= 0
+    # Without resets, a path in alarm before the change and in none after it has an alarm standing: a zero delay.
+    detected = found | ((paths.alarms > 0) & (not config.reset_on_alarm))
+    if not detected.any():
         return DelayStats(change.theta, math.nan, math.nan, 0.0, math.nan, replications)
-    arr = np.array(delays, dtype=float)
+    arr = np.where(found, np.maximum(paths.events - paths.before, 0), 0)[detected].astype(float)
     stderr = float(arr.std(ddof=1) / math.sqrt(len(arr))) if len(arr) > 1 else 0.0
     return DelayStats(
         theta=change.theta,
         mean_delay_events=float(arr.mean()),
         stderr=stderr,
-        detect_probability=detected / replications,
+        detect_probability=int(detected.sum()) / replications,
         max_delay_events=float(arr.max()),
         replications=replications,
-        mean_delay_time=float(np.mean(time_delays)),
+        mean_delay_time=float(np.mean(np.where(found, paths.time - change.theta, 0.0)[detected])),
     )
 
 
@@ -222,19 +219,15 @@ def worst_case_delay(
     means = [d.mean_delay_events for d in per_theta if not math.isnan(d.mean_delay_events)]
     maxes = [d.max_delay_events for d in per_theta if not math.isnan(d.max_delay_events)]
 
-    alarm_count = 0
-    exceed_steps = 0
-    for path in _runs(timeline, ChangeSpec(), config, seed + 1, _IN_CONTROL_REPLICATIONS):
-        alarm_count += path.alarms
-        exceed_steps += path.exceeded
+    in_control = _runs(timeline, ChangeSpec(), config, seed + 1, _IN_CONTROL_REPLICATIONS)
     # Every run samples V once per slot.
     total_steps = _IN_CONTROL_REPLICATIONS * len(timeline)
     return DelayReport(
         per_theta=per_theta,
         worst_case_delay_events=max(means) if means else math.nan,
         worst_case_max_delay_events=max(maxes) if maxes else math.nan,
-        false_alarm_rate=alarm_count / (_IN_CONTROL_REPLICATIONS * timeline.total_time),
-        exceedance_fraction=exceed_steps / total_steps,
+        false_alarm_rate=int(in_control.alarms.sum()) / (_IN_CONTROL_REPLICATIONS * timeline.total_time),
+        exceedance_fraction=int(in_control.exceeded.sum()) / total_steps,
         rho=config.rho,
     )
 

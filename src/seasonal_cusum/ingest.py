@@ -10,6 +10,7 @@ detector state is frozen across them, not reset.
 from __future__ import annotations
 
 import csv
+import io
 from dataclasses import dataclass, field
 from datetime import date, time
 from pathlib import Path
@@ -23,7 +24,7 @@ from .daycal import (
     day_meta,
     slot_index,
 )
-from .errors import DuplicateKeyError, ParseError, ValidationError
+from .errors import DuplicateKeyError, ParseError, ValidationError, read_utf8
 
 DAILY_HEADER = ["date", "count"]
 SLOT_HEADER = ["date", "slot_start", "count"]
@@ -88,20 +89,19 @@ def build_dataset(
 
 
 def _read_rows(path: str | Path, header: list[str]):
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            first = next(reader)
-        except StopIteration:
-            raise ParseError("empty file", line=1) from None
-        if [c.strip() for c in first] != header:
-            raise ParseError(f"expected header {','.join(header)!r}, got {','.join(first)!r}", line=1)
-        for lineno, row in enumerate(reader, start=2):
-            if not row or all(not c.strip() for c in row):
-                continue
-            if len(row) != len(header):
-                raise ParseError(f"expected {len(header)} fields, got {len(row)}", line=lineno)
-            yield lineno, [c.strip() for c in row]
+    reader = csv.reader(io.StringIO(read_utf8(path), newline=""))
+    try:
+        first = next(reader)
+    except StopIteration:
+        raise ParseError("empty file", line=1) from None
+    if [c.strip() for c in first] != header:
+        raise ParseError(f"expected header {','.join(header)!r}, got {','.join(first)!r}", line=1)
+    for lineno, row in enumerate(reader, start=2):
+        if not row or all(not c.strip() for c in row):
+            continue
+        if len(row) != len(header):
+            raise ParseError(f"expected {len(header)} fields, got {len(row)}", line=lineno)
+        yield lineno, [c.strip() for c in row]
 
 
 def _parse_date(text: str, lineno: int) -> date:

@@ -22,11 +22,10 @@ from seasonal_cusum.calibrate import (
     CalibrationTarget,
     SharedDraws,
     _CurveSet,
-    _Tiling,
-    _aggregated_curves,
+    _EventDraw,
     _curve_sets,
     _horizon,
-    _event_curves,
+    _record_curves,
     _summarize,
     calibrate_threshold,
     estimate_arl,
@@ -45,6 +44,8 @@ from seasonal_cusum.errors import BracketingError, HorizonTooShortError, Validat
 from seasonal_cusum.simulate import MAX_SLOT_COUNTS, rng_for
 from seasonal_cusum.synthetic import synthetic_model
 from seasonal_cusum.timeline import SlotTimeline
+
+from chains import chain_arl, event_chain_arl
 
 
 def _event_cfg(rho=1.5, m=1.0, direction=INCREASE):
@@ -111,42 +112,21 @@ def test_event_arl_does_not_depend_on_the_calendar():
             assert abs(arl_flat - arl_seasonal) < 3.0 * math.hypot(se_flat, se_seasonal), (direction, m)
 
 
-def _chain_arl(timeline, config, cycles, cells=100):
-    """Seed-free oracle: the aggregated ARL from a periodic Brook-Evans chain over `cycles` tiled cycles.
-
-    V' = max(0, V + k - beta * mu) for increase, max(0, V + beta * mu - k)
-    for decrease, with k ~ Poisson(mu) in a slot of mean mu and an alarm at
-    V' >= m. V lives on an atom at 0 plus `cells` cells of [0, m), each read
-    at its midpoint (Brook & Evans 1972), and each slot moves the surviving
-    mass through one substochastic matrix. k_t does not depend on the event
-    {tau >= t}, so the expected events to alarm are sum_t mu_t P(tau >= t).
-    Summed up to the horizon, a path that never alarms counts its horizon
-    total, as a censored Monte Carlo path does.
-    """
-    from scipy.stats import poisson
-
-    m, up = config.threshold_m, config.direction == INCREASE
-    width = m / cells
-    x = np.concatenate([[0.0], (np.arange(cells) + 0.5) * width])[:, None]
-    tops = np.arange(1, cells + 1) * width
-    steps = []
-    for mu in timeline.means.tolist():
-        d = config.beta * mu
-        if up:  # P(V' <= 0) and P(V' < top) with V' = x + k - d
-            atom = poisson.cdf(np.floor(d - x), mu)
-            below = poisson.cdf(np.ceil(tops - x + d) - 1, mu)
-        else:  # the same with V' = x + d - k
-            atom = poisson.sf(np.ceil(x + d) - 1, mu)
-            below = poisson.sf(np.floor(x + d - tops), mu)
-        steps.append((mu, np.hstack([atom, np.diff(np.hstack([atom, below]), axis=1)])))
-    alive = np.zeros(cells + 1)
-    alive[0] = 1.0
-    arl = 0.0
-    for _ in range(cycles):
-        for mu, move in steps:
-            arl += mu * alive.sum()
-            alive = alive @ move
-    return arl
+def test_event_arl_matches_the_chain():
+    # Both directions, two thresholds each, on the calendar test's flat and
+    # seasonal timelines: estimate_arl within 3 standard errors of the one
+    # chain value both timelines share, which needs no seed.
+    flat = SlotTimeline.from_rates([6.0] * 24)
+    seasonal = SlotTimeline.from_rates([0.5, 20.0, 0.0, 3.0, 11.0, 0.25] * 4)
+    target = CalibrationTarget(pi=500.0, replications=1000)
+    for rho, direction in ((1.2, INCREASE), (1 / 1.2, DECREASE)):
+        for m in (2.0, 6.0):
+            cfg = _event_cfg(rho, m, direction)
+            chain = event_chain_arl(cfg)
+            for tl, seed in ((flat, 20), (seasonal, 21)):
+                arl, stderr, censored = estimate_arl(m, tl, cfg, target, seed=seed)
+                assert censored == 0.0, (direction, m, seed)
+                assert abs(arl - chain) < 3.0 * stderr, (direction, m, seed, arl, stderr, chain)
 
 
 def test_aggregated_arl_matches_the_brook_evans_chain():
@@ -161,7 +141,7 @@ def test_aggregated_arl_matches_the_brook_evans_chain():
             for m in (3.0, 7.0):
                 cfg = _agg_cfg(rho, m, direction)
                 arl, stderr, censored = estimate_arl(m, tl, cfg, target, seed=1)
-                chain = _chain_arl(tl, cfg, _horizon(tl, target, AGGREGATED_COUNTS))
+                chain = chain_arl(tl, cfg, _horizon(tl, target, AGGREGATED_COUNTS))
                 assert censored == 0.0 and 30.0 < chain < 300.0, (direction, m, chain)
                 assert abs(arl - chain) < 3.0 * stderr, (tl.means.tolist()[:6], direction, m, arl, stderr, chain)
 
@@ -203,7 +183,7 @@ def test_aggregated_record_curve_matches_run_aggregated():
     tiled = SlotTimeline.from_rates(np.tile(tl.means, cycles))
     read = 0
     for rho, direction in ((1.3, INCREASE), (1 / 1.3, DECREASE)):
-        curves = _aggregated_curves(_Tiling(tl, cycles), [_agg_cfg(rho, direction=direction)], seed, reps)[0]
+        curves = _record_curves(np.tile(tl.means, cycles), [_agg_cfg(rho, direction=direction)], seed, reps)[0]
         for rep, curve in enumerate(curves):
             counts = rng_for(seed, rep, 2).poisson(tiled.means)
             assert curve.total_events == int(counts.sum())
@@ -231,10 +211,10 @@ def test_aggregated_curves_do_not_depend_on_the_chunk(rates, cycles, reps, block
     # strict rises of a disarmed step_aggregated loop at slot ends.
     tl = SlotTimeline.from_rates(rates)
     configs = [_agg_cfg(1.3), _agg_cfg(1 / 1.3, direction=DECREASE)]
-    whole = _aggregated_curves(_Tiling(tl, cycles), configs, 8, reps)
+    whole = _record_curves(np.tile(tl.means, cycles), configs, 8, reps)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(detect, "_BLOCK_FLOATS", block)
-        cut = _aggregated_curves(_Tiling(tl, cycles), configs, 8, reps)
+        cut = _record_curves(np.tile(tl.means, cycles), configs, 8, reps)
     means = np.tile(tl.means, cycles).tolist()
     for config, whole_curves, cut_curves in zip(configs, whole, cut):
         for rep, (a, b) in enumerate(zip(whole_curves, cut_curves)):
@@ -316,28 +296,38 @@ def _assert_lazy_equals_eager(tl, cycles, seeds, reps=3):
                 top = float(levels[-1]) if len(levels) else 1.0
                 grid = [0.3, 1.0, 2.5] + list(np.linspace(0.0, top, 12)[1:]) + [top + 1.0]
                 for order in (grid, grid[::-1], grid[3:5] * 2 + grid[:1]):
-                    curve = _event_curves(_Tiling(tl, cycles), [cfg], seed, rep)[0]
+                    curve = _curve(tl, cfg, cycles, seed, rep)
                     for m in order:
                         assert curve.run_length(m) == expected(m), (direction, seed, rep, m)
                 assert curve.run_length(top + 1.0) == (total, True)
 
 
+def _chunk_ends(means):
+    """Where every event draw over slots with `means` ends its chunks: one holding no events, advanced to the end."""
+    base = np.concatenate([[0.0], np.cumsum(means)])
+    draw, ends = _EventDraw(means, base, rng_for(0, 0, 2), np.zeros(len(means), dtype=np.uint8)), []
+    while draw.slot < len(means):
+        draw.advance()
+        ends.append(draw.slot)
+    return np.array(ends)
+
+
 def test_lazy_event_curve_equals_eager_across_chunks():
-    # Zero-rate slots and a light slot put zero-count slots on chunk edges.
+    # Zero-rate slots put zero-count slots on chunk edges.
     tl = SlotTimeline.from_rates([0.0, 0.0, 0.4, 55.0, 0.0, 9.0, 0.3])
     cycles = 300
-    ends = _Tiling(tl, cycles).chunk_ends
+    ends = _chunk_ends(np.tile(tl.means, cycles))
     assert len(ends) >= 3
-    assert set(ends[:-1] % 7) == {4, 6}  # the next chunk opens on a zero-rate or a light slot
+    assert set(ends[:-1] % 7) == {4}  # the next chunk opens on a zero-rate slot
     assert (np.tile(tl.means, cycles).sum()) >= 3 * _CHUNK_EVENTS
     _assert_lazy_equals_eager(tl, cycles, seeds=(1, 2, 3))
 
 
 def test_lazy_event_curve_equals_eager_with_tiny_chunks(monkeypatch):
-    # Chunks of a few events: many end on zero-count slots, some hold no event.
+    # Chunks of a few events, one per cycle, each opening on a zero-rate slot; some hold no event.
     monkeypatch.setattr(calibrate, "_CHUNK_EVENTS", 3)
     tl = SlotTimeline.from_rates([0.0, 2.0, 0.0, 0.5, 4.0])
-    assert len(_Tiling(tl, 40).chunk_ends) > 50
+    assert _chunk_ends(np.tile(tl.means, 40)).tolist() == list(range(5, 201, 5))
     _assert_lazy_equals_eager(tl, 40, seeds=(4, 5), reps=6)
 
 
@@ -347,7 +337,7 @@ def test_lazy_event_curve_on_short_and_empty_paths():
     _assert_lazy_equals_eager(SlotTimeline.from_rates([0.5, 1.0]), 2, seeds=(6, 7), reps=20)
     tl = SlotTimeline.from_rates([1e-6, 1e-6])
     for direction in (INCREASE, DECREASE):
-        curve = _event_curves(_Tiling(tl, 1), [_event_cfg(1.3 if direction == INCREASE else 0.7, direction=direction)], 0, 0)[0]
+        curve = _curve(tl, _event_cfg(1.3 if direction == INCREASE else 0.7, direction=direction), 1, 0, 0)
         assert _eager_event_curve(tl, _event_cfg(), 1, 0, 0)[2] == 0
         assert curve.run_length(0.5) == (0, True)
         assert curve.run_length(1e-9) == (0, True)
@@ -720,7 +710,7 @@ def test_aggregated_read_resolves_levels_the_bisection_could_not():
 
 
 @pytest.mark.parametrize(
-    "rho, direction, advances", [(1.2, INCREASE, 2302), (1 / 1.2, DECREASE, 2331)], ids=["increase", "decrease"]
+    "rho, direction, advances", [(1.2, INCREASE, 2301), (1 / 1.2, DECREASE, 2329)], ids=["increase", "decrease"]
 )
 def test_calibration_simulates_as_far_as_the_bracket_top(monkeypatch, rho, direction, advances):
     # The README `detect --pi --double-sided` shape: 28 days, 2,000
@@ -748,14 +738,12 @@ def test_calibration_simulates_as_far_as_the_bracket_top(monkeypatch, rho, direc
 def _read_both(curve_args, monkeypatch):
     """Two independent copies of the same curves: one for the batched reader, one read curve by curve."""
     monkeypatch.setattr(calibrate, "_CHUNK_EVENTS", 3)
-    return tuple([_curve(_Tiling(tl, cycles), cfg, seed, rep) for tl, cfg, cycles, seed, rep in curve_args] for _ in range(2))
+    return tuple([_curve(*args) for args in curve_args] for _ in range(2))
 
 
-def _curve(tiling, cfg, seed, rep):
-    """The record curve of replication `rep` in either mode."""
-    if cfg.mode == AGGREGATED_COUNTS:
-        return _aggregated_curves(tiling, [cfg], seed, rep + 1)[0][rep]
-    return _event_curves(tiling, [cfg], seed, rep)[0]
+def _curve(tl, cfg, cycles, seed, rep):
+    """The record curve of replication `rep` over `cycles` cycles of `tl`, in either mode."""
+    return _record_curves(np.tile(tl.means, cycles), [cfg], seed, rep + 1)[0][rep]
 
 
 def test_batched_read_equals_per_curve_run_length(monkeypatch):
@@ -822,13 +810,6 @@ def test_path_event_limit_is_exact():
         _horizon(SlotTimeline.from_rates([limit / 2, limit / 2 + 1024.0]), target, AGGREGATED_COUNTS)
 
 
-# Chunk ends as they were computed before: a searchsorted for every multiple
-# of _CHUNK_EVENTS expected events below the total, O(total events) in memory.
-def _arange_chunk_ends(tiling):
-    marks = np.searchsorted(tiling.base, np.arange(_CHUNK_EVENTS, tiling.base[-1], _CHUNK_EVENTS))
-    return np.unique(np.append(marks, len(tiling.means)))
-
-
 @settings(max_examples=200, deadline=None)
 @given(
     rates=st.lists(
@@ -838,16 +819,39 @@ def _arange_chunk_ends(tiling):
     ),
     cycles=st.integers(1, 40),
 )
-# Totals landing exactly on a multiple, a multiple reached inside the last
-# slot, slots spanning many multiples, and a total under one chunk.
+# A chunk landing exactly on _CHUNK_EVENTS, one reached inside a slot, slots
+# holding many chunks' events, a total under one chunk, and no events at all.
 @example(rates=[4096.0], cycles=3)
 @example(rates=[1024.0, 0.0, 3072.0], cycles=2)
 @example(rates=[4095.5, 1.0], cycles=1)
 @example(rates=[1e9, 0.25], cycles=3)
 @example(rates=[0.0, 0.0], cycles=5)
-def test_chunk_ends_equal_the_arange_form(rates, cycles):
-    tiling = _Tiling(SlotTimeline.from_rates(rates), cycles)
-    assert np.array_equal(tiling.chunk_ends, _arange_chunk_ends(tiling))
+def test_event_chunks_hold_chunk_events_up_to_one_slot(rates, cycles):
+    # Chunks are laid end to end from slot 0 to the horizon; each but the last
+    # holds at least _CHUNK_EVENTS expected events, and each holds fewer
+    # before its last slot, so at most _CHUNK_EVENTS plus that slot's mean.
+    means = np.tile(SlotTimeline.from_rates(rates).means, cycles)
+    base = np.concatenate([[0.0], np.cumsum(means)])
+    ends = _chunk_ends(means).tolist()
+    assert ends[-1] == len(means)
+    for s0, s1 in zip([0] + ends, ends):
+        assert s0 < s1
+        assert base[s1 - 1] < base[s0] + _CHUNK_EVENTS, (s0, s1)
+        assert s1 == len(means) or base[s1] >= base[s0] + _CHUNK_EVENTS, (s0, s1)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    rates=st.lists(st.sampled_from([0.0, 0.5, 3.0]) | st.floats(0.0, 6.0), min_size=1, max_size=6),
+    cycles=st.integers(1, 12),
+)
+def test_lazy_event_curves_equal_eager_with_one_event_chunks(rates, cycles):
+    # Chunks of one expected event, most of them ending on a slot with no
+    # events or holding none: the lazy records equal the eager ones.
+    tl = SlotTimeline.from_rates(rates)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(calibrate, "_CHUNK_EVENTS", 1)
+        _assert_lazy_equals_eager(tl, cycles, seeds=(3,), reps=2)
 
 
 @pytest.mark.parametrize(

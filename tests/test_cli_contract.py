@@ -68,7 +68,9 @@ def skeletons(tmp_path_factory, truth_model):
     root = tmp_path_factory.mktemp("contract")
     model = str(root / "model.json")
     truth_model.save(root / "model.json")
-    write_daily_csv(sample_dataset(truth_model, date(2016, 1, 4), date(2016, 6, 30), seed=1).daily, root / "daily.csv")
+    sample = sample_dataset(truth_model, date(2016, 1, 4), date(2016, 6, 30), seed=1)
+    write_daily_csv(sample.daily, root / "daily.csv")
+    write_slot_csv(sample.slots, root / "slots.csv")
     timeline = truth_model.timeline([date(2018, 1, 1), date(2018, 1, 2), date(2018, 1, 3)])
     write_slot_csv(simulate_slot_counts(timeline, seed=0).to_slot_records(), root / "series.csv")
     (root / "holidays.txt").write_text("2016-03-28\n2016-05-16\n")
@@ -76,6 +78,7 @@ def skeletons(tmp_path_factory, truth_model):
     days = ["--start-date", "2018-01-01", "--days", "2"]
     return root, {
         "fit": ["fit", "--daily", str(root / "daily.csv"), "--holidays", str(root / "holidays.txt")],
+        "fit-slots": ["fit", "--daily", str(root / "daily.csv"), "--slots", str(root / "slots.csv")],
         "calibrate": ["calibrate", "--model", model, "--rho", "1.5", "--pi", "50", *days, "--replications", "100"],
         "simulate": ["simulate", "--model", model, *days, "--rho", "1.5", "--theta", "5.0"],
         "detect": ["detect", *series, "--m", "3.0"],
@@ -206,3 +209,31 @@ def test_one_whole_line_edit_exits_cleanly(skeletons, command, flag, name):
         target.write_text("\n".join(lines[:i] + edit(lines[i]) + lines[i + 1 :]) + "\n")
         argv[argv.index(flag) + 1] = str(target)
         _assert_contract(root, argv, (command, flag, name, i))
+
+
+# Every input file read line by line, by the skeleton and the flag that names it.
+TEXT_INPUTS = [
+    ("fit", "--daily"),
+    ("fit", "--holidays"),
+    ("fit-slots", "--slots"),
+    ("detect", "--series"),
+    ("detect-pi", "--series"),
+]
+
+
+@pytest.mark.parametrize("command, flag", TEXT_INPUTS)
+def test_an_undecodable_byte_exits_2_on_its_line(skeletons, command, flag):
+    # A 0xff byte, never valid UTF-8, inside the header, the first line after
+    # it, one in the middle or the last: one error line naming that line.
+    root, argvs = skeletons
+    argv = list(argvs[command])
+    source = Path(argv[argv.index(flag) + 1])
+    lines = source.read_bytes().splitlines()
+    for i in sorted({0, 1, len(lines) // 2, len(lines) - 1}):
+        target = root / f"input-{next(_OUTS)}{source.suffix}"
+        target.write_bytes(b"\n".join(lines[:i] + [lines[i][:3] + b"\xff" + lines[i][3:]] + lines[i + 1 :]) + b"\n")
+        argv[argv.index(flag) + 1] = str(target)
+        out = root / f"out-{next(_OUTS)}"
+        code, _, stderr = _run([*argv, "--out", str(out)])
+        assert (code, stderr) == (EXIT_INPUT, f"error: line {i + 1}: byte 0xff is not valid UTF-8\n"), (flag, i)
+        assert not out.exists()

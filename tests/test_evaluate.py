@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+from datetime import date, time, timedelta
 
 import numpy as np
 import pytest
@@ -25,7 +26,7 @@ from seasonal_cusum.evaluate import (
     _IN_CONTROL_REPLICATIONS,
     DelayReport,
     DelayStats,
-    _Path,
+    _Paths,
     _runs,
     detection_delay,
     exceedance_fraction,
@@ -33,6 +34,8 @@ from seasonal_cusum.evaluate import (
 )
 from seasonal_cusum.simulate import MAX_SLOT_COUNTS, ChangeSpec, simulate_events, simulate_slot_counts
 from seasonal_cusum.timeline import SlotTimeline
+
+from chains import chain_delay
 
 
 def _cfg(rho, m, mode=EVENT_TIMES, reset=True):
@@ -97,6 +100,24 @@ def test_delay_aggregated_mode():
     stats = detection_delay(tl, change, _cfg(3.0, 8.0, mode=AGGREGATED_COUNTS), replications=120, seed=9)
     assert stats.detect_probability > 0.9
     assert stats.mean_delay_events > 0.0
+
+
+def test_aggregated_mean_delay_matches_the_chain(truth_model):
+    # Four weeks of the truth model, both directions, a change at 09:00 (a
+    # slot end, whose slot's events count as before the change) and one
+    # inside a slot: the mean delay within 3 standard errors of the chain's,
+    # which needs no seed.
+    tl = truth_model.timeline([date(2018, 1, 1) + timedelta(days=i) for i in range(28)])
+    thetas = [tl.locate(date(2018, 1, 3), time(9, 0)), tl.locate(date(2018, 1, 4), time(14, 10))]
+    assert thetas[0] in tl.ends.tolist() and thetas[1] not in tl.ends.tolist()
+    for rho, m in ((1.5, 20.0), (0.7, 15.0)):
+        cfg = _config(rho, m, True, AGGREGATED_COUNTS)
+        for theta in thetas:
+            change = ChangeSpec(theta=theta, rho=rho)
+            chain, detected = chain_delay(tl, change, cfg)
+            stats = detection_delay(tl, change, cfg, replications=1000, seed=3)
+            assert stats.detect_probability == 1.0 and detected > 0.999, (rho, theta, detected)
+            assert abs(stats.mean_delay_events - chain) < 3.0 * stats.stderr, (rho, theta, stats, chain)
 
 
 def test_worst_case_single_point_grid():
@@ -260,20 +281,27 @@ def test_event_worst_case_equals_per_replication_loop(rho, m, reset):
     assert all(d.detect_probability > 0 for d in want.per_theta) and want.false_alarm_rate > 0
 
 
-def _step_loop_path(tl, change, config, seed, rep):
-    """One replication's `_Path`, from a `step_aggregated` loop over its slot counts."""
-    counts = simulate_slot_counts(tl, change, seed, rep).counts.tolist()
+def _step_loop_paths(tl, change, config, seed, reps):
+    """The replications' `_Paths`, from a `step_aggregated` loop over each one's slot counts."""
+    rows = []
     ends = tl.ends.tolist()
-    state, first, alarms, exceeded = CusumState.initial(), None, 0, 0
-    for count, dlam, end in zip(counts, tl.means.tolist(), ends):
-        state, alarm = step_aggregated(state, count, dlam, config, clock=end)
-        level = state.v if alarm is None else alarm.v_at_alarm
-        exceeded += level >= config.threshold_m
-        alarms += alarm is not None
-        if alarm is not None and first is None and end >= change.theta:
-            first = (alarm.events_at_alarm, end)
-    before = sum(c for c, end in zip(counts, ends) if end <= change.theta)
-    return _Path(before, first, alarms, exceeded)
+    for rep in range(reps):
+        counts = simulate_slot_counts(tl, change, seed, rep).counts.tolist()
+        state, first, alarms, exceeded = CusumState.initial(), (-1, math.nan), 0, 0
+        for count, dlam, end in zip(counts, tl.means.tolist(), ends):
+            state, alarm = step_aggregated(state, count, dlam, config, clock=end)
+            level = state.v if alarm is None else alarm.v_at_alarm
+            exceeded += level >= config.threshold_m
+            alarms += alarm is not None
+            if alarm is not None and first[0] < 0 and end >= change.theta:
+                first = (alarm.events_at_alarm, end)
+        before = sum(c for c, end in zip(counts, ends) if end <= change.theta)
+        rows.append((before, *first, alarms, exceeded))
+    return _Paths(*(np.array(column) for column in zip(*rows)))
+
+
+def _listed(paths):
+    return [a.tolist() for a in paths]
 
 
 @settings(max_examples=30, deadline=None)
@@ -285,16 +313,16 @@ def _step_loop_path(tl, change, config, seed, rep):
 )
 def test_aggregated_paths_do_not_depend_on_the_chunk(block, case, theta, reps):
     # Any block size, down to chunks of one slot: every replication's
-    # summary is that of one chunk of all slots and of a step_aggregated loop.
+    # entries are those of one chunk of all slots and of a step_aggregated loop.
     tl = SlotTimeline.from_rates(_TIMELINE_RATES, length=0.5)
     cfg = _config(*case, AGGREGATED_COUNTS)
     change = ChangeSpec() if math.isinf(theta) else ChangeSpec(theta=theta, rho=cfg.rho)
-    whole = list(_runs(tl, change, cfg, 31, reps))
+    whole = _runs(tl, change, cfg, 31, reps)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(detect, "_BLOCK_FLOATS", block)
-        cut = list(_runs(tl, change, cfg, 31, reps))
-    loop = [_step_loop_path(tl, change, cfg, 31, rep) for rep in range(reps)]
-    assert repr(cut) == repr(whole) == repr(loop)
+        cut = _runs(tl, change, cfg, 31, reps)
+    loop = _step_loop_paths(tl, change, cfg, 31, reps)
+    assert repr(_listed(cut)) == repr(_listed(whole)) == repr(_listed(loop))
 
 
 def test_aggregated_worst_case_builds_no_alarm_objects(monkeypatch):
