@@ -21,9 +21,9 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .detect import EVENT_TIMES, INCREASE, CusumState, DetectorConfig, _Aggregated
+from .detect import EVENT_TIMES, INCREASE, DetectorConfig, _aggregated_chunks
 from .errors import BracketingError, HorizonTooShortError, ValidationError
-from .simulate import MAX_SLOT_COUNTS, rng_for, stack_counts
+from .simulate import MAX_PATH_EVENTS, MAX_SLOT_COUNTS, rng_for, stack_counts
 from .timeline import SlotTimeline
 
 # A calibrated run length may miss pi by this fraction of pi plus two standard errors.
@@ -78,10 +78,6 @@ class CalibrationResult:
         return asdict(self)
 
 
-# A path's expected events over the horizon stay at most this, so that its
-# int64 event counts (np.cumsum of its slot counts) cannot pass 2**63 - 1.
-_MAX_PATH_EVENTS = 2**62
-
 # An event-mode chunk holds at most _CHUNK_EVENTS plus one slot's expected
 # events, about 73 bytes each while it is simulated; more than this many is
 # refused (about 0.6 GB).
@@ -111,7 +107,7 @@ def _horizon(timeline: SlotTimeline, target: CalibrationTarget, mode: str) -> in
             f"events, more than a path holds in memory at a time; calibrate with --aggregated"
         )
     path_events = cycles * timeline.total_mean
-    if path_events > _MAX_PATH_EVENTS:
+    if path_events > MAX_PATH_EVENTS:
         raise ValidationError(
             f"a calibration path over {cycles:.4g} cycles of the timeline expects {path_events:.4g} events, "
             f"past the 2**62 that its int64 event counts allow"
@@ -296,10 +292,8 @@ def _aggregated_curves(
     replications = len(counts)
     per_config = []
     for config in configs:
-        kernel = _Aggregated(config, CusumState(armed=False), replications)
         peaks, found = np.full(replications, -np.inf), []
-        for s0 in range(0, len(means), kernel.chunk):
-            v, _, seen = kernel.advance(counts[:, s0 : s0 + kernel.chunk], means[s0 : s0 + kernel.chunk])
+        for _, v, _, seen in _aggregated_chunks(config, counts, means, armed=False):
             rising = np.flatnonzero(v.max(axis=1) > peaks)  # the rows that set a record in this chunk
             (r, s), peaks[rising] = _rises(peaks[rising], v[rising])
             r = rising[r]
@@ -308,7 +302,7 @@ def _aggregated_curves(
         order = np.argsort(rows, kind="stable")  # replication by replication, each in slot order
         levels, events = levels[order], events[order]
         cuts = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=replications))]).tolist()
-        totals = kernel.seen.tolist()  # the events seen by the horizon's end
+        totals = seen[:, -1].tolist()  # the events seen by the horizon's end
         per_config.append([RecordCurve(levels[a:b], events[a:b], n) for a, b, n in zip(cuts, cuts[1:], totals)])
     return per_config
 

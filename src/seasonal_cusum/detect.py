@@ -10,9 +10,10 @@ Aggregated counts drive the same statistic interval by interval.
 `step_aggregated` and `step_events` are the streaming API and the reference
 that every batch runner equals bit for bit, with their checks and IEEE
 operations: `run_detector` over calendar records, `run_events` over event
-times, and `_Aggregated`, the one aggregated kernel, which advances rows of
-detector state a slot chunk at a time for `run_aggregated` (one row),
-`evaluate` and aggregated calibration (blocks of replications).
+times, and `_aggregated_chunks`, the one aggregated kernel, which runs
+blocks of fresh replications for `evaluate` and aggregated calibration a
+slot chunk at a time, holding V alone. `run_aggregated` runs one series as
+a `step_aggregated` loop.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from datetime import datetime
 from functools import cached_property
 from operator import attrgetter
 from pathlib import Path
-from typing import Callable, Iterable, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -222,64 +223,47 @@ class TimelineRun:
     state: CusumState
 
 
-# Floats per array of one `_Aggregated` chunk of slots: no kernel array spans the horizon.
+# Floats per array of one `_aggregated_chunks` chunk of slots: no kernel array spans the horizon.
 _BLOCK_FLOATS = 2**15
 
 
-class _Aggregated:
-    """The aggregated detector's v, u, u_min, armed flag and events seen for rows starting from `state`."""
+def _aggregated_chunks(
+    config: DetectorConfig, counts: np.ndarray, means: np.ndarray, armed: bool = True
+) -> Iterator[tuple[int, np.ndarray, np.ndarray, np.ndarray]]:
+    """The aggregated detector over rows of slot `counts` (rows, slots), each from V = 0 with no events seen.
 
-    def __init__(self, config: DetectorConfig, state: CusumState, rows: int):
-        self.config = config
-        self.chunk = max(1, _BLOCK_FLOATS // rows)  # slots per call to `advance` for callers that chunk
-        self.v, self.u, self.u_min = (np.full(rows, float(x)) for x in (state.v, state.u, state.u_min))
-        self.armed = np.full(rows, bool(state.armed))
-        self.seen = np.full(rows, state.events_seen, dtype=np.int64)
-
-    def advance(self, counts: np.ndarray, means: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Advance over the next slots' counts (rows, slots) and increments, with `step_aggregated`'s checks.
-
-        Each row equals a `step_aggregated` loop bit for bit however its slots are cut. Returns, each
-        (rows, slots), V at every slot end (pre-reset where an alarm fires), where alarms fire and the events seen.
-        """
-        # NaN fails every comparison; an unsigned count needs no integer test.
-        with np.errstate(invalid="ignore"):
-            bad_count = ~((counts >= 0) & (counts.dtype.kind == "u" or counts % 1 == 0))
-        bad = np.flatnonzero(bad_count.any(axis=0) | ~((means >= 0) & (means < math.inf)))
-        if bad.size:
-            s = bad[0]
-            if bad_count[:, s].any():
-                raise ValidationError(f"count must be a nonnegative integer, got {counts[bad_count[:, s], s][0]}")
-            raise ValidationError(f"intensity increment must be nonnegative and finite, got {means[s]}")
+    Yields, one chunk of slots at a time, its first slot and, each (rows, chunk), V at every slot end
+    (pre-reset where an alarm fires), where alarms fire and the events seen. Every row equals a
+    `step_aggregated` loop bit for bit; `armed=False` starts every row disarmed, so nothing fires. The
+    counts are the package's Poisson draws and the means a `SlotTimeline`'s, so neither is checked here.
+    """
+    rows = len(counts)
+    chunk = max(1, _BLOCK_FLOATS // rows)
+    m, reset = config.threshold_m, config.reset_on_alarm
+    v, on, total = np.zeros(rows), np.full(rows, armed), np.zeros(rows, dtype=np.int64)
+    live = armed  # no row can fire once every row is disarmed
+    for s0 in range(0, len(means), chunk):
         # A slot-major copy, so each step reads and writes contiguous rows; it becomes `seen` in place.
-        counts = np.array(counts.T, dtype=np.int64, order="C")
-
-        m, reset = self.config.threshold_m, self.config.reset_on_alarm
-        drift = self.config.beta * means[:, None]
-        x = counts - drift if self.config.direction == INCREASE else drift - counts
-        v, u, u_min, armed = self.v, self.u, self.u_min, self.armed
+        c = np.array(counts[:, s0 : s0 + chunk].T, dtype=np.int64, order="C")
+        drift = config.beta * means[s0 : s0 + chunk, None]
+        x = c - drift if config.direction == INCREASE else drift - c
         path, fired = np.empty(x.shape), np.zeros(x.shape, dtype=bool)
-        live = armed.any()  # no row can fire once every row is disarmed
         for s in range(len(x)):
-            u += x[s]
             v += x[s]
             # Not np.maximum: max(0.0, -0.0) is 0.0 where np.maximum gives -0.0.
             v = np.where(v > 0.0, v, 0.0)
-            u_min = np.where(u < u_min, u, u_min)
             path[s] = v
-            if live and (fire := armed & (v >= m)).any():
+            if live and (fire := on & (v >= m)).any():
                 fired[s] = fire
                 if reset:
                     v = np.where(fire, 0.0, v)
-                    u_min = np.where(fire, u, u_min)
                 else:
-                    armed = armed & ~fire
-                    live = armed.any()
-        self.v, self.u, self.u_min, self.armed = v, u, u_min, armed
-        seen = np.cumsum(counts, axis=0, out=counts)
-        seen += self.seen
-        self.seen = seen[-1].copy()
-        return path.T, fired.T, seen.T
+                    on = on & ~fire
+                    live = on.any()
+        seen = np.cumsum(c, axis=0, out=c)
+        seen += total
+        total = seen[-1].copy()
+        yield s0, path.T, fired.T, seen.T
 
 
 def run_aggregated(
@@ -288,22 +272,18 @@ def run_aggregated(
     config: DetectorConfig,
     state: CusumState | None = None,
 ) -> TimelineRun:
-    """Run per-slot counts of shape (slots,) from `state` as one row of `_Aggregated`; v is pre-reset at alarms."""
+    """Run per-slot counts of shape (slots,) from `state`, one `step_aggregated` per slot; v is pre-reset at alarms."""
     counts = np.asarray(counts)
     if counts.shape != (len(timeline),):
         raise ValidationError("counts length must match the timeline")
     state = state or CusumState.initial(clock=float(timeline.starts[0]))
-    kernel = _Aggregated(config, state, 1)
-    (path,), (fired,), (seen,) = kernel.advance(counts[None], timeline.means)
-    ends = timeline.ends.tolist()
-    s_fired = np.flatnonzero(fired)
-    alarms = [
-        AlarmEvent(time=ends[s], v_at_alarm=level, events_at_alarm=events, direction=config.direction)
-        for s, level, events in zip(s_fired.tolist(), path[s_fired].tolist(), seen[s_fired].tolist())
-    ]
-    v, u, u_min, seen, armed = (a.item() for a in (kernel.v, kernel.u, kernel.u_min, kernel.seen, kernel.armed))
-    final = replace(state, v=v, u=u, u_min=u_min, events_seen=seen, clock=ends[-1], armed=armed)
-    return TimelineRun(v=path, alarms=alarms, state=final)
+    path, alarms = [], []
+    for count, dlam, end in zip(counts.tolist(), timeline.means.tolist(), timeline.ends.tolist()):
+        state, alarm = step_aggregated(state, count, dlam, config, clock=end)
+        path.append(state.v if alarm is None else alarm.v_at_alarm)
+        if alarm is not None:
+            alarms.append(alarm)
+    return TimelineRun(v=np.array(path), alarms=alarms, state=state)
 
 
 # Slots per block in `run_events`: Λ, the drifts and the free walk are

@@ -25,9 +25,17 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 # run_aggregated is not called here; bench/workloads.py traces it on this module by name.
-from .detect import EVENT_TIMES, CusumState, DetectorConfig, _Aggregated, run_aggregated, run_events  # noqa: F401
+from .detect import EVENT_TIMES, DetectorConfig, _aggregated_chunks, run_aggregated, run_events  # noqa: F401
 from .errors import ValidationError
-from .simulate import MAX_SLOT_COUNTS, ChangeSpec, simulate_events, simulate_slot_counts, stack_counts
+from .simulate import (
+    MAX_PATH_EVENTS,
+    MAX_SLOT_COUNTS,
+    ChangeSpec,
+    simulate_events,
+    simulate_slot_counts,
+    slot_means_with_change,
+    stack_counts,
+)
 from .timeline import SlotTimeline
 
 
@@ -91,17 +99,15 @@ def _runs(
     # Aggregated observation: only whole slots ending by theta are attributable.
     attributable = int(np.searchsorted(timeline.ends, change.theta, side="right"))
     start = int(np.searchsorted(timeline.ends, change.theta, side="left"))
-    ends, means = timeline.ends, timeline.means
+    ends = timeline.ends
     for first in range(0, replications, _AGGREGATED_BLOCK):
         block = slice(first, min(first + _AGGREGATED_BLOCK, replications))
         n = block.stop - first
         draws = (simulate_slot_counts(timeline, change, seed, rep).counts for rep in range(first, block.stop))
         counts = stack_counts(draws, (n, len(ends)))
-        kernel = _Aggregated(config, CusumState.initial(), n)
         before, events, time, alarms, exceeded = (a[block] for a in paths)  # this block's entries, as views
         before[:] = counts[:, :attributable].sum(axis=1)
-        for s0 in range(0, len(ends), kernel.chunk):
-            v, fired, seen = kernel.advance(counts[:, s0 : s0 + kernel.chunk], means[s0 : s0 + kernel.chunk])
+        for s0, v, fired, seen in _aggregated_chunks(config, counts, timeline.means):
             alarms += fired.sum(axis=1)
             exceeded += (v >= m).sum(axis=1)
             fired[:, : max(start - s0, 0)] = False  # slots ending before the change
@@ -143,6 +149,12 @@ def detection_delay(
         raise ValidationError(
             f"{replications} replications of the {len(timeline)}-slot timeline draw over 2**31 slot counts; "
             f"lower the replications or shorten the timeline"
+        )
+    path_events = max(timeline.total_mean, float(slot_means_with_change(timeline, change).sum()))
+    if path_events > MAX_PATH_EVENTS:
+        raise ValidationError(
+            f"a path over the {len(timeline)}-slot timeline expects {path_events:.4g} events, "
+            f"past the 2**62 that its int64 event counts allow; shorten the timeline"
         )
     paths = _runs(timeline, change, config, seed, replications)
     found = paths.events >= 0

@@ -28,6 +28,10 @@ POSTPONE_THIRD_TUESDAY = "postpone-third-tuesday"
 # may draw: past it a run would not finish or fit in memory, so it is refused up front.
 MAX_SLOT_COUNTS = 2**31
 
+# A path's expected events stay at most this, so that its int64 event counts
+# (np.cumsum of its slot counts) cannot pass 2**63 - 1.
+MAX_PATH_EVENTS = 2**62
+
 
 def rng_for(seed: int, *stream: int) -> np.random.Generator:
     """Independent generator for a derived stream key; the seed and the key must be nonnegative."""

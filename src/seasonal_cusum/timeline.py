@@ -38,12 +38,22 @@ class SlotTimeline:
         # NaN fails the rate comparisons too.
         if np.any(self.lengths <= 0) or not np.all((self.rates >= 0) & (self.rates < np.inf)):
             raise ValidationError("slot lengths must be positive and rates nonnegative and finite")
-        # A strict left fold: each end is start + length, bit for bit the next slot's start.
-        edges = np.cumsum(np.concatenate([[start], self.lengths]))
+        # Overflows and NaN are refused below, from the last end and the total mean.
+        with np.errstate(over="ignore", invalid="ignore"):
+            # A strict left fold: each end is start + length, bit for bit the next slot's start.
+            edges = np.cumsum(np.concatenate([[start], self.lengths]))
+            self.means = self.rates * self.lengths
+            # cum_means[i] = expected events strictly before slot i
+            self.cum_means = np.concatenate([[0.0], np.cumsum(self.means)])
         self.starts, self.ends = edges[:-1], edges[1:]
         # NaN and infinite starts fail this too, as does a length lost to rounding.
         if not np.all(self.ends > self.starts):
             raise ValidationError("slot starts must be finite, and each slot must end after it starts")
+        # Ends rise and means are nonnegative, so these bound every end and mean; NaN fails them too.
+        if not (np.isfinite(self.ends[-1]) and np.isfinite(self.cum_means[-1])):
+            raise ValidationError(
+                f"the timeline ends at {self.ends[-1]} and expects {self.cum_means[-1]} events; both must be finite"
+            )
         self.days = None if days is None else np.asarray(days, dtype="datetime64[D]")
         self.grid = None if grid is None else np.asarray(grid, dtype=np.int64)
         if (self.days is None) != (self.grid is None):
@@ -53,9 +63,6 @@ class SlotTimeline:
                 raise ValidationError("calendar labels must have one entry per slot")
             if np.any(self.days[1:] < self.days[:-1]):
                 raise ValidationError("slot dates must be in time order")
-        self.means = self.rates * self.lengths
-        # cum_means[i] = expected events strictly before slot i
-        self.cum_means = np.concatenate([[0.0], np.cumsum(self.means)])
 
     @classmethod
     def from_rates(cls, rates, length: float = 1.0, start: float = 0.0) -> "SlotTimeline":

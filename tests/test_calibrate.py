@@ -17,7 +17,6 @@ from seasonal_cusum import calibrate, detect
 from seasonal_cusum.calibrate import (
     _CHUNK_EVENTS,
     _MAX_CHUNK_EVENTS,
-    _MAX_PATH_EVENTS,
     CalibrationResult,
     CalibrationTarget,
     SharedDraws,
@@ -41,7 +40,7 @@ from seasonal_cusum.detect import (
     step_aggregated,
 )
 from seasonal_cusum.errors import BracketingError, HorizonTooShortError, ValidationError
-from seasonal_cusum.simulate import MAX_SLOT_COUNTS, rng_for
+from seasonal_cusum.simulate import MAX_PATH_EVENTS, MAX_SLOT_COUNTS, rng_for
 from seasonal_cusum.synthetic import synthetic_model
 from seasonal_cusum.timeline import SlotTimeline
 
@@ -803,7 +802,7 @@ def test_event_chunk_limit_is_exact_and_event_mode_only():
 
 def test_path_event_limit_is_exact():
     target = CalibrationTarget(pi=5.0, replications=100)
-    limit = float(_MAX_PATH_EVENTS)
+    limit = float(MAX_PATH_EVENTS)
     assert _horizon(SlotTimeline.from_rates([limit / 2, limit / 2]), target, AGGREGATED_COUNTS) == 1
     # limit / 2 + 1024 and the total 2**62 + 1024 are both exact floats.
     with pytest.raises(ValidationError, match=r"expects 4\.612e\+18 events, past the 2\*\*62"):

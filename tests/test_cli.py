@@ -864,6 +864,19 @@ def test_changed_mean_past_poisson_limit_is_input_error(workspace, tmp_path, cap
     assert not out.exists()
 
 
+def test_evaluate_refuses_paths_past_int64_event_counts(tmp_path, capsys):
+    # 2e18 calls a day over 28 days: a path expects more than 2**62 events.
+    model = tmp_path / "model.json"
+    synthetic_model(base_daily=2e18).save(model)
+    out = tmp_path / "eval"
+    argv = ["evaluate", "--model", str(model), "--rho", "1.5", "--m", "20", "--theta-grid", "2018-01-05T14:00",
+            "--start-date", "2018-01-01", "--days", "28", "--replications", "20", "--out", str(out)]
+    assert main(argv) == EXIT_INPUT
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error: a path over the 480-slot timeline") and "2**62" in err[0], err
+    assert not out.exists()
+
+
 def test_calibrate_budget_below_the_shortest_run_is_numeric_failure(tmp_path, capsys):
     model = tmp_path / "model.json"
     synthetic_model().save(model)

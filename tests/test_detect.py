@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from seasonal_cusum import detect
 from seasonal_cusum.daycal import slot_start, slot_timestamp
 from seasonal_cusum.detect import (
     AGGREGATED_COUNTS,
@@ -18,7 +19,7 @@ from seasonal_cusum.detect import (
     EVENT_TIMES,
     INCREASE,
     _EVENT_BLOCK,
-    _Aggregated,
+    _aggregated_chunks,
     AlarmEvent,
     CusumState,
     DetectorConfig,
@@ -904,91 +905,104 @@ def _run_key(run):
     )
 
 
+def _step_aggregated_loop(tl, row, cfg, start):
+    """V at every slot end (pre-reset at alarms), where alarms fire, the events seen, the alarms and the final state."""
+    state, levels, flags, events, alarms = start, [], [], [], []
+    for count, dlam, end in zip(row, tl.means.tolist(), tl.ends.tolist()):
+        state, alarm = step_aggregated(state, count, dlam, cfg, clock=end)
+        levels.append(state.v if alarm is None else alarm.v_at_alarm)
+        flags.append(alarm is not None)
+        events.append(state.events_seen)
+        alarms.extend([alarm] if alarm is not None else [])
+    return levels, flags, events, alarms, state
+
+
+_aggregated_configs = st.builds(
+    lambda up, m, reset: _cfg(rho=1.2 if up else 1 / 1.2, m=m, direction=INCREASE if up else DECREASE, reset=reset),
+    st.booleans(),
+    st.floats(min_value=0.25, max_value=6.0),
+    st.booleans(),
+)
+
+
 @settings(max_examples=80, deadline=None)
 @given(
     rates=st.lists(st.sampled_from([0.0, -0.0, 0.5, 3.0]) | st.floats(min_value=0.0, max_value=12.0), min_size=1, max_size=40),
     rows=st.integers(1, 5),
-    cfg=st.builds(
-        lambda up, m, reset: _cfg(rho=1.2 if up else 1 / 1.2, m=m, direction=INCREASE if up else DECREASE, reset=reset),
-        st.booleans(),
-        st.floats(min_value=0.25, max_value=6.0),
-        st.booleans(),
-    ),
+    cfg=_aggregated_configs,
     start=st.none() | _states | _states.map(lambda state: replace(state, v=-0.0)),
     data=st.data(),
 )
 def test_run_aggregated_dense_alarms_equals_step_loop(rates, rows, cfg, start, data):
-    """Each row of one `_Aggregated.advance` over all slots equals a `step_aggregated` loop and the 1-D `run_aggregated` call."""
+    """Each row of one `_aggregated_chunks` pass, armed and disarmed from V = 0, equals a `step_aggregated` loop.
+
+    So does the 1-D `run_aggregated` call from any start, in everything it reports.
+    """
     tl = SlotTimeline.from_rates(rates)
     row = st.lists(st.integers(0, 30), min_size=len(rates), max_size=len(rates))
     counts = data.draw(st.lists(row, min_size=rows, max_size=rows))
     first = start or CusumState.initial(clock=float(tl.starts[0]))
-    kernel = _Aggregated(cfg, first, rows)
-    path, fired, seen = kernel.advance(np.array(counts), tl.means)
-    v, u, u_min, armed = kernel.v, kernel.u, kernel.u_min, kernel.armed
-    assert path.shape == fired.shape == seen.shape == (rows, len(rates))
-    ends = tl.ends.tolist()
-    for r, row in enumerate(counts):
-        state, levels, alarms = first, [], []
-        for count, dlam, end in zip(row, tl.means.tolist(), ends):
-            state, alarm = step_aggregated(state, count, dlam, cfg, clock=end)
-            levels.append(alarm.v_at_alarm if alarm is not None else state.v)
-            alarms.extend([alarm] if alarm is not None else [])
+    for row in counts:
+        levels, _, _, alarms, state = _step_aggregated_loop(tl, row, cfg, first)
         reference = TimelineRun(v=np.array(levels), alarms=alarms, state=state)
         assert _run_key(run_aggregated(tl, row, cfg, start)) == _run_key(reference)
-        assert repr(path[r].tolist()) == repr(levels)
-        fired_at = np.flatnonzero(fired[r]).tolist()
-        assert repr([(ends[s], path[r, s].item(), seen[r, s].item()) for s in fired_at]) == repr(
-            [(a.time, a.v_at_alarm, a.events_at_alarm) for a in alarms]
-        )
-        final = (v[r].item(), u[r].item(), u_min[r].item(), seen[r, -1].item(), armed[r].item())
-        assert repr(final) == repr((state.v, state.u, state.u_min, state.events_seen, state.armed))
+    for armed in (True, False):
+        ((s0, path, fired, seen),) = _aggregated_chunks(cfg, np.array(counts), tl.means, armed)
+        assert s0 == 0 and path.shape == fired.shape == seen.shape == (rows, len(rates))
+        for r, row in enumerate(counts):
+            levels, flags, events, _, _ = _step_aggregated_loop(tl, row, cfg, CusumState(armed=armed))
+            assert repr((path[r].tolist(), fired[r].tolist(), seen[r].tolist())) == repr((levels, flags, events))
+        assert armed or not fired.any()
 
 
 @settings(max_examples=80, deadline=None)
 @given(
     rates=st.lists(st.sampled_from([0.0, -0.0, 0.5, 3.0]) | st.floats(min_value=0.0, max_value=12.0), min_size=1, max_size=30),
     rows=st.integers(1, 4),
-    cfg=st.builds(
-        lambda up, m, reset: _cfg(rho=1.2 if up else 1 / 1.2, m=m, direction=INCREASE if up else DECREASE, reset=reset),
-        st.booleans(),
-        st.floats(min_value=0.25, max_value=6.0),
-        st.booleans(),
-    ),
-    start=_states | _states.map(lambda state: replace(state, v=-0.0)),
+    cfg=_aggregated_configs,
+    armed=st.booleans(),
     dtype=st.sampled_from([np.int64, np.uint8]),
     data=st.data(),
 )
-def test_aggregated_kernel_cut_anywhere_equals_one_chunk_and_step_loop(rates, rows, cfg, start, dtype, data):
-    """`_Aggregated.advance` over slot chunks cut anywhere, down to one slot, equals one call and a `step_aggregated` loop.
+def test_aggregated_kernel_every_chunk_size_equals_one_chunk_and_step_loop(rates, rows, cfg, armed, dtype, data):
+    """`_aggregated_chunks` at every chunk size, from one slot to all of them, equals one chunk and a `step_aggregated` loop.
 
-    The starts include disarmed rows and an incoming v of -0.0. The caller's counts are left as they were.
+    The chunks lie end to end; the caller's counts are left as they were.
     """
     tl = SlotTimeline.from_rates(rates)
     row = st.lists(st.integers(0, 30), min_size=len(rates), max_size=len(rates))
     counts = np.array(data.draw(st.lists(row, min_size=rows, max_size=rows)), dtype=dtype)
     kept = counts.copy()
-    cuts = sorted(data.draw(st.sets(st.integers(1, len(rates) - 1)))) if len(rates) > 1 else []
-    whole = _Aggregated(cfg, start, rows)
-    arrays = whole.advance(counts, tl.means)
-    cut = _Aggregated(cfg, start, rows)
-    pieces = [cut.advance(counts[:, a:b], tl.means[a:b]) for a, b in zip([0, *cuts], [*cuts, len(rates)])]
+    ((_, *arrays),) = _aggregated_chunks(cfg, counts, tl.means, armed)
+    for chunk in range(1, len(rates) + 1):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(detect, "_BLOCK_FLOATS", chunk * rows)
+            pieces = list(_aggregated_chunks(cfg, counts, tl.means, armed))
+        assert [p[0] for p in pieces] == list(range(0, len(rates), chunk))
+        for got, want in zip(list(zip(*pieces))[1:], arrays):
+            assert repr(np.concatenate(got, axis=1).tolist()) == repr(want.tolist())
     assert np.array_equal(counts, kept)
-    for got, want in zip(zip(*pieces), arrays):
-        assert repr(np.concatenate(got, axis=1).tolist()) == repr(want.tolist())
-    finals = [repr([k.v.tolist(), k.u.tolist(), k.u_min.tolist(), k.seen.tolist(), k.armed.tolist()]) for k in (whole, cut)]
-    assert finals[0] == finals[1]
     path, fired, seen = arrays
     for r in range(rows):
-        state, levels, flags, events = start, [], [], []
-        for count, dlam in zip(counts[r].tolist(), tl.means.tolist()):
-            state, alarm = step_aggregated(state, count, dlam, cfg)
-            levels.append(alarm.v_at_alarm if alarm is not None else state.v)
-            flags.append(alarm is not None)
-            events.append(state.events_seen)
+        levels, flags, events, _, _ = _step_aggregated_loop(tl, counts[r].tolist(), cfg, CusumState(armed=armed))
         assert repr((path[r].tolist(), fired[r].tolist(), seen[r].tolist())) == repr((levels, flags, events))
-        final = (whole.v[r].item(), whole.u[r].item(), whole.u_min[r].item(), whole.seen[r].item(), whole.armed[r].item())
-        assert repr(final) == repr((state.v, state.u, state.u_min, state.events_seen, state.armed))
+
+
+@pytest.mark.parametrize(
+    "counts",
+    [np.array([1e20, 3.0]), np.array([2**63, 1], dtype=np.uint64), [3, 2**64 + 5]],
+    ids=["float", "uint64", "python-int"],
+)
+@pytest.mark.parametrize("m", [5.0, 1e30], ids=["fires", "quiet"])
+def test_run_aggregated_counts_past_int64_equal_the_step_loop(counts, m):
+    # Counts past 2**63 - 1 are whole numbers all the same: their events seen stay exact Python ints.
+    tl = SlotTimeline.from_rates([1.0, 2.0])
+    cfg = _cfg(m=m)
+    levels, _, events, alarms, state = _step_aggregated_loop(tl, list(counts), cfg, CusumState.initial(clock=0.0))
+    run = run_aggregated(tl, counts, cfg)
+    assert _run_key(run) == _run_key(TimelineRun(v=np.array(levels), alarms=alarms, state=state))
+    assert run.state.events_seen == events[-1] == sum(int(c) for c in counts) > 2**63
+    assert len(run.alarms) == (m == 5.0)
 
 
 def test_run_aggregated_reflects_negative_zero_as_max_does():
@@ -1006,9 +1020,9 @@ def test_run_aggregated_reflects_negative_zero_as_max_does():
 
 def test_run_aggregated_rows_are_validated_and_shaped():
     tl = SlotTimeline.from_rates([1.0, 2.0, 3.0])
-    # The message names a bad count of the first slot holding one, whatever its row.
+    # The message names the first bad count.
     with pytest.raises(ValidationError, match="got -1$"):
-        _Aggregated(_cfg(), CusumState.initial(), 2).advance(np.array([[1, 2, -2], [1, -1, 3]]), tl.means)
+        run_aggregated(tl, [1, -1, -2], _cfg())
     right_length_rows = np.zeros((1, 3), dtype=int)
     for bad_shape in (np.zeros((2, 2), dtype=int), np.zeros((1, 2, 3), dtype=int), right_length_rows, 4):
         with pytest.raises(ValidationError, match="length"):
@@ -1123,13 +1137,11 @@ def test_step_aggregated_rejects_infinite_increment():
 
 def test_vectorised_kernels_reject_infinite_increment():
     # A finite rate over a long slot overflows to an infinite mean, which the
-    # timeline itself does not refuse.
+    # timeline refuses when it is built, so it never reaches run_aggregated;
+    # run_detector reads its increments off the model.
     message = "intensity increment must be nonnegative and finite, got inf"
-    with np.errstate(over="ignore"):
-        tl = SlotTimeline.from_rates([1.0, 1e308], length=10.0)
-    assert tl.means[1] == math.inf
-    with pytest.raises(ValidationError, match=message):
-        run_aggregated(tl, [3, 2], _cfg())
+    with pytest.raises(ValidationError, match="expects inf events; both must be finite"):
+        SlotTimeline.from_rates([1.0, 1e308], length=10.0)
     records = [SlotRecord(date(2018, 1, 8), slot_start(0), 3)]
     with pytest.raises(ValidationError, match=message):
         run_detector(records, _FlatRates(math.inf), _cfg())

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from seasonal_cusum import detect
+from seasonal_cusum import detect, evaluate
 from seasonal_cusum.detect import (
     AGGREGATED_COUNTS,
     DECREASE,
@@ -32,7 +32,8 @@ from seasonal_cusum.evaluate import (
     exceedance_fraction,
     worst_case_delay,
 )
-from seasonal_cusum.simulate import MAX_SLOT_COUNTS, ChangeSpec, simulate_events, simulate_slot_counts
+from seasonal_cusum.simulate import MAX_PATH_EVENTS, MAX_SLOT_COUNTS, ChangeSpec, simulate_events, simulate_slot_counts
+from seasonal_cusum.synthetic import synthetic_model
 from seasonal_cusum.timeline import SlotTimeline
 
 from chains import chain_delay
@@ -182,6 +183,22 @@ def test_replications_past_the_slot_count_limit_are_refused():
             detection_delay(tl, ChangeSpec(theta=3.0, rho=2.0), cfg, replications=reps)
         with pytest.raises(ValidationError, match=message):
             worst_case_delay(tl, theta_grid=[3.0], config=cfg, replications=reps)
+
+
+def test_paths_expecting_more_events_than_int64_counts_hold_are_refused(monkeypatch):
+    # 2e18 calls a day expect 4.5e19 events over 28 days, and the change 6.3e19:
+    # past 2**62, where a path's int64 events seen could wrap negative and read
+    # as no alarm. Each is refused before a path is drawn.
+    monkeypatch.setattr(evaluate, "simulate_slot_counts", None)
+    tl = synthetic_model(base_daily=2e18).timeline([date(2018, 1, 1) + timedelta(days=k) for k in range(28)])
+    assert tl.total_mean > MAX_PATH_EVENTS
+    cfg = _cfg(1.5, 20.0, mode=AGGREGATED_COUNTS)
+    thetas = [tl.locate(date(2018, 1, d), time(14, 0)) for d in (5, 8)]
+    message = r"^a path over the 480-slot timeline expects 6\.283e\+19 events, past the 2\*\*62 "
+    with pytest.raises(ValidationError, match=message):
+        detection_delay(tl, ChangeSpec(theta=thetas[0], rho=1.5), cfg, replications=20)
+    with pytest.raises(ValidationError, match=r"^a path over the 480-slot timeline expects [0-9.]+e\+19 events"):
+        worst_case_delay(tl, thetas, cfg, replications=20)
 
 
 def _reference_report(tl, thetas, config, replications, seed):

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import math
 from datetime import date, datetime, time, timedelta
 
 import numpy as np
@@ -59,6 +60,19 @@ def test_rejects_gaps_and_empty():
 def test_rejects_a_start_that_is_not_finite(start):
     with pytest.raises(ValidationError, match="finite"):
         SlotTimeline([1.0], [2.0], start=start)
+
+
+@pytest.mark.parametrize(
+    "lengths, rates",
+    [([1.0, math.inf], [1.0, 1.0]), ([math.inf], [0.0]), ([10.0, 10.0], [1.0, 1e308])],
+    ids=["infinite-end", "nan-mean", "infinite-mean"],
+)
+def test_rejects_ends_and_means_that_are_not_finite(lengths, rates):
+    # Each is refused when built, with no numpy warning on the way: an
+    # infinite end, an infinite length times a zero rate, and a finite rate
+    # over a long slot overflowing to an infinite mean.
+    with pytest.raises(ValidationError, match="; both must be finite$"):
+        SlotTimeline(lengths, rates)
 
 
 @settings(max_examples=80, deadline=None)
