@@ -116,6 +116,13 @@ def _alarm_rule(
     return v, u_min, False, alarm
 
 
+def _check_increment(dlam: float) -> float:
+    # NaN fails the comparison too.
+    if not 0 <= dlam < math.inf:
+        raise ValidationError(f"intensity increment must be nonnegative and finite, got {dlam}")
+    return dlam
+
+
 def step_aggregated(
     state: CusumState,
     count: int,
@@ -133,8 +140,7 @@ def step_aggregated(
     # max(0.0, .) would silently reset v.
     if not count >= 0 or count % 1:
         raise ValidationError(f"count must be a nonnegative integer, got {count}")
-    if not (0 <= lambda_increment < math.inf):
-        raise ValidationError(f"intensity increment must be nonnegative and finite, got {lambda_increment}")
+    _check_increment(lambda_increment)
     count = int(count)
     if config.direction == INCREASE:
         x = count - config.beta * lambda_increment
@@ -184,7 +190,7 @@ def step_events(
     # One drift per segment [t0, e1], ..., [en, t1], each but the last ending in a jump.
     a = t0
     for k, t in enumerate(times + [t1]):
-        dlam = cum_intensity(a, t)
+        dlam = _check_increment(cum_intensity(a, t))
         if up:
             x = -b * dlam
             u = u + x
@@ -203,7 +209,7 @@ def step_events(
                 if config.reset_on_alarm:
                     # Re-armed at zero; the drift left from t_star may cross again.
                     v, u, a = v_reset, u_star, t_star
-                    dlam = cum_intensity(a, t)
+                    dlam = _check_increment(cum_intensity(a, t))
                     x = b * dlam
             v, u = v + x, u + x
         if k < len(times):

@@ -44,7 +44,22 @@ TREND = "trend"
 MONTH = "month"
 DAY_OF_WEEK = "day_of_week"
 DAY_AFTER_HOLIDAY = "day_after_holiday"
-ALL_FACTORS = (WEEKDAY, TREND, MONTH, DAY_OF_WEEK, DAY_AFTER_HOLIDAY)
+
+_MONTH_NAMES = ("jan", "feb", "mar", "apr", "may", "jun", "jul", "aug", "sep", "oct", "nov", "dec")
+_DOW_NAMES = ("mon", "tue", "wed", "thu", "fri", "sat", "sun")
+
+# The design columns after the intercept, one row per factor in canonical
+# order: the factor, its column names and its values for one day.
+_COLUMNS = (
+    (WEEKDAY, ("weekday",), lambda m: (1.0 if m.is_weekday else 0.0,)),
+    (TREND, ("trend",), lambda m: (float(m.days_since_origin),)),
+    # January is the reference level.
+    (MONTH, tuple(f"month_{n}" for n in _MONTH_NAMES[1:]), lambda m: [1.0 if m.month == k else 0.0 for k in range(2, 13)]),
+    # Monday is the reference level; Sundays are closed and never fitted.
+    (DAY_OF_WEEK, tuple(f"dow_{n}" for n in _DOW_NAMES[1:6]), lambda m: [1.0 if m.day_of_week == k else 0.0 for k in range(1, 6)]),
+    (DAY_AFTER_HOLIDAY, ("day_after_holiday",), lambda m: (1.0 if m.is_day_after_holiday else 0.0,)),
+)
+ALL_FACTORS = tuple(factor for factor, _, _ in _COLUMNS)
 
 # Default candidate ladder, from a bare weekday flag up to the full factor set.
 DEFAULT_CANDIDATES: tuple[frozenset[str], ...] = (
@@ -55,9 +70,6 @@ DEFAULT_CANDIDATES: tuple[frozenset[str], ...] = (
     frozenset({TREND, MONTH, DAY_OF_WEEK, DAY_AFTER_HOLIDAY}),
 )
 
-_MONTH_NAMES = ("jan", "feb", "mar", "apr", "may", "jun", "jul", "aug", "sep", "oct", "nov", "dec")
-_DOW_NAMES = ("mon", "tue", "wed", "thu", "fri", "sat", "sun")
-
 
 def feature_names(factor_spec: frozenset[str]) -> list[str]:
     """Column names of the design matrix, in canonical order."""
@@ -65,34 +77,18 @@ def feature_names(factor_spec: frozenset[str]) -> list[str]:
     if unknown:
         raise ValidationError(f"unknown factors: {sorted(unknown)}")
     names = ["intercept"]
-    if WEEKDAY in factor_spec:
-        names.append("weekday")
-    if TREND in factor_spec:
-        names.append("trend")
-    if MONTH in factor_spec:
-        # January is the reference level.
-        names.extend(f"month_{_MONTH_NAMES[m - 1]}" for m in range(2, 13))
-    if DAY_OF_WEEK in factor_spec:
-        # Monday is the reference level; Sundays are closed and never fitted.
-        names.extend(f"dow_{_DOW_NAMES[d]}" for d in range(1, 6))
-    if DAY_AFTER_HOLIDAY in factor_spec:
-        names.append("day_after_holiday")
+    for factor, columns, _ in _COLUMNS:
+        if factor in factor_spec:
+            names.extend(columns)
     return names
 
 
 def encode_features(meta: DayMeta, factor_spec: frozenset[str]) -> np.ndarray:
     """Encode one day's metadata into a design row (intercept always first)."""
     row = [1.0]
-    if WEEKDAY in factor_spec:
-        row.append(1.0 if meta.is_weekday else 0.0)
-    if TREND in factor_spec:
-        row.append(float(meta.days_since_origin))
-    if MONTH in factor_spec:
-        row.extend(1.0 if meta.month == m else 0.0 for m in range(2, 13))
-    if DAY_OF_WEEK in factor_spec:
-        row.extend(1.0 if meta.day_of_week == d else 0.0 for d in range(1, 6))
-    if DAY_AFTER_HOLIDAY in factor_spec:
-        row.append(1.0 if meta.is_day_after_holiday else 0.0)
+    for factor, _, values in _COLUMNS:
+        if factor in factor_spec:
+            row.extend(values(meta))
     return np.array(row)
 
 
@@ -322,46 +318,38 @@ class SlotProfile:
             saturday_fractions=tuple([1.0 / SATURDAY_SLOT_COUNT] * SATURDAY_SLOT_COUNT),
         )
 
-    def fractions_for(self, meta: DayMeta) -> np.ndarray:
-        if not meta.is_open:
-            raise CoverageError(f"{meta.date} is closed")
-        if meta.day_of_week == 5:
-            return np.array(self.saturday_fractions)
-        return np.array(self.weekday_fractions)
-
 
 def _daily_fraction_rows(
     slots: Iterable[SlotRecord],
     meta: Mapping[date, DayMeta],
-    want_saturday: bool,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Per-day fraction vectors and day totals for one grid class.
+) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+    """Per-day fraction vectors and day totals of the (weekday, Saturday) grids.
 
-    Only fully covered open days with a positive total qualify; partial or
-    zero-total days cannot contribute a well-defined fraction vector.
+    The pair is indexed by whether the day is a Saturday. Only fully covered
+    open days with a positive total qualify; partial or zero-total days
+    cannot contribute a well-defined fraction vector.
     """
-    grid = SATURDAY_SLOT_COUNT if want_saturday else WEEKDAY_SLOT_COUNT
     by_day: dict[date, dict[int, int]] = {}
     for rec in slots:
         m = meta.get(rec.date)
         if m is None:
             raise CoverageError(f"no metadata for {rec.date}")
-        if not m.is_open or (m.day_of_week == 5) != want_saturday:
-            continue
-        by_day.setdefault(rec.date, {})[rec.slot_index] = rec.count
-    rows = []
-    totals = []
+        if m.is_open:
+            by_day.setdefault(rec.date, {})[rec.slot_index] = rec.count
+    grids = (([], []), ([], []))
     for d in sorted(by_day):
-        counts = by_day[d]
+        counts, m = by_day[d], meta[d]
+        grid = m.open_slot_count
         if len(counts) != grid:
             continue
         vec = np.array([counts[i] for i in range(grid)], dtype=float)
         total = vec.sum()
         if total <= 0:
             continue
+        rows, totals = grids[m.day_of_week == 5]
         rows.append(vec / total)
         totals.append(total)
-    return np.array(rows), np.array(totals)
+    return tuple((np.array(rows), np.array(totals)) for rows, totals in grids)
 
 
 def _column_medians(rows: np.ndarray) -> np.ndarray:
@@ -373,15 +361,13 @@ def _column_medians(rows: np.ndarray) -> np.ndarray:
 
 def fit_slot_profile(slots: Iterable[SlotRecord], meta: Mapping[date, DayMeta]) -> SlotProfile:
     """Median per-slot fraction of the day's calls, renormalized to sum to 1."""
-    slots = list(slots)
-    parts = {}
-    for is_sat, label in ((False, "weekday"), (True, "Saturday")):
-        rows, _ = _daily_fraction_rows(slots, meta, is_sat)
+    parts = []
+    for (rows, _), label in zip(_daily_fraction_rows(slots, meta), ("weekday", "Saturday")):
         if rows.size == 0:
             raise ValidationError(f"no usable {label} days with positive totals")
         med = _column_medians(rows)
-        parts[label] = tuple(med / med.sum())
-    return SlotProfile(weekday_fractions=parts["weekday"], saturday_fractions=parts["Saturday"])
+        parts.append(tuple(med / med.sum()))
+    return SlotProfile(*parts)
 
 
 @dataclass(frozen=True)
@@ -398,7 +384,7 @@ def busyness_quartile_check(slots: Iterable[SlotRecord], meta: Mapping[date, Day
     A diagnostic for the assumption that the intraday shape does not depend
     on how busy the day is; compare the four rows by eye or by test.
     """
-    rows, totals = _daily_fraction_rows(list(slots), meta, want_saturday=False)
+    (rows, totals), _ = _daily_fraction_rows(slots, meta)
     if len(rows) < 8:
         raise ValidationError(f"need at least 8 days for a quartile split, got {len(rows)}")
     order = np.argsort(totals, kind="stable")
@@ -469,14 +455,6 @@ class IntensityModel:
             return self.constant_rate * m.open_slot_count
         return self.glm.predict_mean(m)
 
-    def _scenario_applies(self, m: DayMeta) -> bool:
-        return (
-            self.scenario is not None
-            and m.is_open
-            and m.day_of_week != 5
-            and self.scenario.is_affected(m.date)
-        )
-
     def slot_rates(self, d: date) -> np.ndarray:
         """Expected calls per open slot of the day (empty array when closed)."""
         m = self.meta(d)
@@ -484,11 +462,11 @@ class IntensityModel:
             return np.zeros(0)
         if self.kind == "constant":
             return np.full(m.open_slot_count, self.constant_rate)
-        fractions = self.profile.fractions_for(m)
-        if self._scenario_applies(m):
+        fractions = np.array(self.profile.saturday_fractions if m.day_of_week == 5 else self.profile.weekday_fractions)
+        # Only Tuesdays are ever affected, so no Saturday's short grid reaches this.
+        if self.scenario is not None and self.scenario.is_affected(d):
             # Mornings postponed: zero before the boundary, the full day spread
             # over the afternoon in proportion to the normal afternoon shape.
-            fractions = fractions.copy()
             afternoon = fractions[MORNING_SLOT_COUNT:]
             fractions[:MORNING_SLOT_COUNT] = 0.0
             fractions[MORNING_SLOT_COUNT:] = afternoon / afternoon.sum()

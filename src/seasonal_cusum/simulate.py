@@ -63,6 +63,8 @@ class ChangeSpec:
             raise ValidationError(f"change factor must be positive and finite, got {self.rho}")
         if math.isnan(self.theta):
             raise ValidationError("change time must not be NaN")
+        if self.theta == -math.inf:
+            raise ValidationError("change time must be finite, or +inf for no change")
 
     @property
     def in_control(self) -> bool:

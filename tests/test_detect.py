@@ -395,6 +395,16 @@ def test_step_events_rejects_non_finite_times(events, interval, timeline):
         step_events(start, events, _cfg(mode=EVENT_TIMES), interval, cum)
 
 
+@pytest.mark.parametrize("integral", [math.nan, -5.0, math.inf], ids=["nan", "negative", "inf"])
+@pytest.mark.parametrize("direction", [INCREASE, DECREASE])
+def test_step_events_rejects_bad_integrals(integral, direction):
+    # Unchecked, these ended in u = nan, a false increase alarm, a negative
+    # decrease v, or a decrease crossing loop that never ended.
+    cfg = _cfg(rho=1.2 if direction == INCREASE else 0.5, m=2.0, direction=direction, mode=EVENT_TIMES)
+    with pytest.raises(ValidationError, match="intensity increment must be nonnegative and finite, got"):
+        step_events(CusumState(), [0.5], cfg, (0.0, 1.0), lambda a, b: integral)
+
+
 def _crossing_by_bisection(t0, t1, needed, cum):
     """Reference crossing: 80 halvings of [t0, t1] on the cumulative intensity."""
     lo, hi = np.asarray(t0, dtype=float), np.asarray(t1, dtype=float)
@@ -953,6 +963,31 @@ def test_run_aggregated_dense_alarms_equals_step_loop(rates, rows, cfg, start, d
             levels, flags, events, _, _ = _step_aggregated_loop(tl, row, cfg, CusumState(armed=armed))
             assert repr((path[r].tolist(), fired[r].tolist(), seen[r].tolist())) == repr((levels, flags, events))
         assert armed or not fired.any()
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    slots=st.lists(
+        st.tuples(st.floats(min_value=0.01, max_value=4.0), st.floats(min_value=0.0, max_value=12.0), st.integers(0, 30)),
+        min_size=2,
+        max_size=40,
+    ),
+    cfg=_aggregated_configs,
+    start=st.none() | _states,
+    data=st.data(),
+)
+def test_run_aggregated_cut_anywhere_equals_one_batch_run(slots, cfg, start, data):
+    """Two timelines cut at a slot boundary, the state carried across, equal one batch run bit for bit."""
+    lengths, rates, counts = (list(column) for column in zip(*slots))
+    tl = SlotTimeline(lengths, rates)
+    cut = data.draw(st.integers(1, len(slots) - 1))
+    head = SlotTimeline(lengths[:cut], rates[:cut])
+    tail = SlotTimeline(lengths[cut:], rates[cut:], start=float(head.ends[-1]))
+    first = run_aggregated(head, counts[:cut], cfg, start)
+    second = run_aggregated(tail, counts[cut:], cfg, first.state)
+    streamed = TimelineRun(v=np.concatenate([first.v, second.v]), alarms=first.alarms + second.alarms, state=second.state)
+    assert _run_key(streamed) == _run_key(run_aggregated(tl, counts, cfg, start))
+    assert np.concatenate([head.ends, tail.ends]).tobytes() == tl.ends.tobytes()
 
 
 @settings(max_examples=80, deadline=None)

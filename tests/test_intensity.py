@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import itertools
 import math
 import os
 import subprocess
@@ -19,6 +20,7 @@ from seasonal_cusum.daycal import ScenarioSchedule, day_meta
 from seasonal_cusum.errors import ConvergenceError, SingularDesignError, ValidationError
 from seasonal_cusum.ingest import SlotRecord, build_dataset
 from seasonal_cusum.intensity import (
+    ALL_FACTORS,
     DAY_AFTER_HOLIDAY,
     DAY_OF_WEEK,
     DEFAULT_CANDIDATES,
@@ -32,6 +34,7 @@ from seasonal_cusum.intensity import (
     busyness_quartile_check,
     design_matrix,
     encode_features,
+    feature_names,
     fit_constant_rate,
     fit_daily_glm,
     fit_intensity_model,
@@ -76,6 +79,44 @@ def test_encode_reference_levels_are_zero():
     meta = day_meta(date(2017, 1, 2))  # January Monday: all dummies off
     row = encode_features(meta, spec)
     assert row.tolist() == [1.0] + [0.0] * 16
+
+
+_MONTHS = ("jan", "feb", "mar", "apr", "may", "jun", "jul", "aug", "sep", "oct", "nov", "dec")
+_WEEKDAYS = ("mon", "tue", "wed", "thu", "fri", "sat", "sun")
+# Each factor's columns in canonical order; January and Monday are the reference levels.
+_FACTOR_COLUMNS = {
+    WEEKDAY: ["weekday"],
+    TREND: ["trend"],
+    MONTH: [f"month_{n}" for n in _MONTHS[1:]],
+    DAY_OF_WEEK: [f"dow_{n}" for n in _WEEKDAYS[1:6]],
+    DAY_AFTER_HOLIDAY: ["day_after_holiday"],
+}
+
+
+def test_design_columns_align_for_every_factor_subset():
+    holidays = frozenset({date(2017, 5, 1), date(2017, 12, 25)})
+    metas = [day_meta(date(2017, 1, 1) + timedelta(days=k), holidays) for k in range(365)]
+    assert any(m.day_of_week == 5 for m in metas) and any(m.is_day_after_holiday for m in metas)
+    assert tuple(_FACTOR_COLUMNS) == ALL_FACTORS
+    # Every column's value on each day: each dummy and flag is 1.0 exactly on its own level.
+    levels = [
+        {
+            "weekday": float(m.is_weekday),
+            "trend": float(m.days_since_origin),
+            "day_after_holiday": float(m.is_day_after_holiday),
+            **{f"month_{n}": float(m.month == k) for k, n in enumerate(_MONTHS, start=1)},
+            **{f"dow_{n}": float(m.day_of_week == k) for k, n in enumerate(_WEEKDAYS)},
+        }
+        for m in metas
+    ]
+    for size in range(len(ALL_FACTORS) + 1):
+        for factors in itertools.combinations(ALL_FACTORS, size):
+            spec = frozenset(factors)
+            names = feature_names(spec)
+            assert names == ["intercept"] + [c for f, columns in _FACTOR_COLUMNS.items() if f in spec for c in columns]
+            for meta, level in zip(metas, levels):
+                expected = [1.0] + [level[name] for name in names[1:]]
+                assert encode_features(meta, spec).tolist() == expected, (sorted(spec), meta.date)
 
 
 # --- IRLS fitting -----------------------------------------------------------

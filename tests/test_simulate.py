@@ -199,6 +199,15 @@ def test_change_spec_validation():
     assert ChangeSpec().in_control
 
 
+def test_change_spec_refuses_minus_infinity():
+    # -inf would read as in control, yet any finite theta before the timeline changes every slot.
+    with pytest.raises(ValidationError, match=r"finite, or \+inf for no change"):
+        ChangeSpec(theta=-math.inf, rho=3.0)
+    tl = SlotTimeline.from_rates([2.0, 4.0])
+    assert slot_means_with_change(tl, ChangeSpec(theta=-1e300, rho=3.0)).tolist() == [6.0, 12.0]
+    assert slot_means_with_change(tl, ChangeSpec(theta=math.inf, rho=3.0)).tolist() == [2.0, 4.0]
+
+
 def test_negative_seed_or_stream_key_is_refused():
     tl = SlotTimeline.from_rates([3.0, 5.0])
     for seed, stream in ((-1, ()), (-1, (0, 2)), (4, (-3, 0)), (4, (1, -1))):
