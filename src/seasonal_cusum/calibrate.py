@@ -11,6 +11,12 @@ every event, placing their counts' events in chunks only as far as the
 thresholds queried need, bit for bit as if whole; aggregated-count paths
 record it at slot ends, on the aggregated detector's own kernel. Several
 detectors can read one draw per replication (`SharedDraws`).
+
+Event-time records are read in closed form on the expected-events axis,
+V = U - min(0, running min of U) with U = events - beta * Λ, so they equal
+the V of `run_events`, which folds each drift event by event, only to
+rounding, and an alarm at a threshold on a record level may fall an event
+or more off the curve's. Aggregated records are the kernel's own V.
 """
 
 from __future__ import annotations
@@ -18,6 +24,7 @@ from __future__ import annotations
 import bisect
 import math
 from dataclasses import asdict, dataclass, field
+from numbers import Integral
 
 import numpy as np
 
@@ -56,6 +63,8 @@ class CalibrationTarget:
     def __post_init__(self):
         if not (0 < self.pi < math.inf):
             raise ValidationError(f"false-alarm budget must be positive and finite, got {self.pi}")
+        if not isinstance(self.replications, Integral):
+            raise ValidationError(f"replications must be an integer, got {self.replications!r}")
         if self.replications < 100:
             raise ValidationError("need at least 100 replications")
         # NaN fails the comparison too.

@@ -10,10 +10,10 @@ Aggregated counts drive the same statistic interval by interval.
 `step_aggregated` and `step_events` are the streaming API and the reference
 that every batch runner equals bit for bit, with their checks and IEEE
 operations: `run_detector` over calendar records, `run_events` over event
-times, and `_aggregated_chunks`, the one aggregated kernel, which runs
-blocks of fresh replications for `evaluate` and aggregated calibration a
-slot chunk at a time, holding V alone. `run_aggregated` runs one series as
-a `step_aggregated` loop.
+times, with each slot's integral `rate * (t - a)`, and `_aggregated_chunks`,
+the one aggregated kernel, which runs blocks of fresh replications for
+`evaluate` and aggregated calibration a slot chunk at a time, holding V
+alone. `run_aggregated` runs one series as a `step_aggregated` loop.
 """
 
 from __future__ import annotations
@@ -43,8 +43,9 @@ AGGREGATED_COUNTS = "aggregated"
 
 def beta(rho: float) -> float:
     """Drift normalizer (rho - 1) / ln(rho); > 1 above rho = 1, < 1 below."""
-    if rho <= 0 or rho == 1:
-        raise ValueError(f"rho must be positive and different from 1, got {rho}")
+    # NaN fails the comparison too.
+    if not (0 < rho < math.inf and rho != 1):
+        raise ValueError(f"rho must be positive, finite and different from 1, got {rho}")
     return (rho - 1.0) / math.log(rho)
 
 
@@ -163,7 +164,8 @@ def step_events(
     """Advance over one interval from exact event times.
 
     The intensity must be constant on `interval`, as on one timeline slot;
-    `run_events` passes one slot per call. Between events the statistic
+    `run_events` passes one slot per call, with the slot's `rate * (t - a)`
+    as `cum_intensity`. Between events the statistic
     drifts by beta * dLambda (down for the increase direction, up for
     decrease) with reflection at zero; each event contributes a unit jump.
     Increase alarms can only trigger at a jump; decrease alarms may trigger
@@ -292,7 +294,7 @@ def run_aggregated(
     return TimelineRun(v=np.array(path), alarms=alarms, state=state)
 
 
-# Slots per block in `run_events`: Λ, the drifts and the free walk are
+# Slots per block in `run_events`: the drifts and the free walk are
 # computed with numpy one block at a time, which bounds the arrays' size.
 _EVENT_BLOCK = 256
 
@@ -345,16 +347,16 @@ def run_events(
     Event times must be finite, sorted and inside the timeline. Slot 0 takes
     the events in [start, end], every later slot those in (start, end].
 
-    One block of `_EVENT_BLOCK` slots at a time, numpy evaluates Λ at the
-    event times and the slot ends with `SlotTimeline.cum_mean_in_slot`,
-    which reads an event on its slot's end on the next slot's line as
-    `cum_mean_at` does, and every drift beta * dΛ with `step_events`' IEEE
-    operations. A float loop advances the reflected v
+    Each drift is beta times the slot's rate times the time elapsed on it,
+    read off that slot alone, so a run continued on a timeline that starts
+    at this one's end equals one batch run bit for bit. One block of
+    `_EVENT_BLOCK` slots at a time, numpy computes every drift with
+    `step_events`' IEEE operations. A float loop advances the reflected v
     alone; the free walk u and its minimum are folded with numpy where they
     are read, at a slot where an alarm fires and at the end of a block. That
     slot is run again through `step_events` from the state at its start,
-    with `SlotTimeline.slot_cumulative`'s plain-float integral on the slot,
-    so v, the alarms and the final state equal a per-slot `step_events` loop
+    with the integral `rate * (t - a)` on the slot, so v, the alarms and the
+    final state equal a per-slot `step_events` loop with that integral
     bit for bit, at a cost linear in events and slots.
     """
     times = np.asarray(event_times, dtype=float)
@@ -380,22 +382,21 @@ def run_events(
         lo, hi, full = firsts[first:stop] - base, cuts[first:stop] - base, filled[first:stop]
         block_times = times[base:base + hi[-1]]
         owner = np.repeat(slots, hi - lo)
-        lam = timeline.cum_mean_in_slot(first + owner, block_times)
-        lam_starts = timeline.cum_means[first:stop]
+        rates, starts = timeline.rates[first:stop], timeline.starts[first:stop]
         # Each drift runs from the previous event of its slot, or the slot start.
-        prev = np.empty_like(lam)
-        prev[1:] = lam[:-1]
-        prev[lo[full]] = lam_starts[full]
-        last = lam_starts.copy()
-        last[full] = lam[hi[full] - 1]
-        drifts = coef * (lam - prev)
-        end_drifts = coef * (timeline.cum_mean_in_slot(first + slots, timeline.ends[first:stop]) - last)
+        prev = np.empty_like(block_times)
+        prev[1:] = block_times[:-1]
+        prev[lo[full]] = starts[full]
+        last = starts.copy()
+        last[full] = block_times[hi[full] - 1]
+        drifts = coef * (rates[owner] * (block_times - prev))
+        end_drifts = coef * (rates * (timeline.ends[first:stop] - last))
         # The free walk's increments in step_events' order: each event's drift
         # and jump, then its slot's final drift. u_min reads every partial sum
         # going up, only the post-jump ones going down.
-        at = 2 * np.arange(len(lam)) + owner
+        at = 2 * np.arange(len(block_times)) + owner
         ends_at = 2 * hi + slots
-        steps = np.empty(2 * len(lam) + len(slots))
+        steps = np.empty(2 * len(block_times) + len(slots))
         steps[at], steps[at + 1], steps[ends_at] = drifts, jump, end_drifts
         read = np.full(len(steps), increase)
         read[at + 1] = True
@@ -412,7 +413,8 @@ def run_events(
                 state = replace(state, v=v, u=u, u_min=u_min, events_seen=seen + base + lo[k], armed=armed)
                 interval = (float(timeline.starts[i]), float(timeline.ends[i]))
                 inside = times[base + lo[k]:base + hi[k]].tolist()
-                state, alarm = step_events(state, inside, config, interval, timeline.slot_cumulative(i))
+                rate = float(timeline.rates[i])
+                state, alarm = step_events(state, inside, config, interval, lambda a, t: rate * (t - a))
                 if alarm is not None:
                     alarms.append(alarm)
                 v, u, u_min, armed = state.v, state.u, state.u_min, state.armed

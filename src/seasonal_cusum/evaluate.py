@@ -19,6 +19,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from numbers import Integral
 from pathlib import Path
 from typing import NamedTuple, Sequence
 
@@ -44,6 +45,9 @@ def exceedance_fraction(v_path: Sequence[float], m: float) -> float:
     v = np.asarray(v_path, dtype=float)
     if v.size == 0:
         raise ValidationError("empty path")
+    # A NaN would read as below the threshold.
+    if math.isnan(m) or np.isnan(v).any():
+        raise ValidationError("the path and the threshold must not be NaN")
     return float(np.mean(v >= m))
 
 
@@ -143,6 +147,8 @@ def detection_delay(
     """
     if change.in_control:
         raise ValidationError("detection delay needs a finite change time")
+    if not isinstance(replications, Integral):
+        raise ValidationError(f"replications must be an integer, got {replications!r}")
     if replications < 1:
         raise ValidationError(f"replications must be at least 1, got {replications}")
     if replications * len(timeline) > MAX_SLOT_COUNTS:

@@ -11,7 +11,6 @@ lengths.
 from __future__ import annotations
 
 from datetime import date, datetime, time
-from typing import Callable
 
 import numpy as np
 
@@ -24,8 +23,7 @@ class SlotTimeline:
 
     Calendar timelines also carry each slot's date (`days`, datetime64[D])
     and its index on the half-hour grid (`grid`); abstract timelines carry
-    neither. Λ has one end-of-slot rule, which `cum_mean_at`, `cum_mean_in_slot`
-    and `slot_cumulative` share: a time on slot i's end reads the next slot's line.
+    neither.
     """
 
     def __init__(self, lengths, rates, *, start=0.0, days=None, grid=None):
@@ -92,34 +90,10 @@ class SlotTimeline:
 
     def cum_mean_at(self, t: float | np.ndarray) -> float | np.ndarray:
         """Expected events in [timeline start, t]; elementwise, bit for bit, over an array."""
-        lam = self._line(self.slot_at(t), t)
-        return lam if isinstance(t, np.ndarray) else float(lam)
-
-    def cum_mean_in_slot(self, i: int | np.ndarray, t: float | np.ndarray) -> np.floating | np.ndarray:
-        """`cum_mean_at(t)` for times t known to lie in slot i, bit for bit; elementwise over arrays.
-
-        t reads slot i's line, and the next slot's line from that slot's start
-        on, as `cum_mean_at` does: the only such t is slot i's end, which is
-        the next slot's start. No slot is looked up.
-        """
-        j = np.minimum(i + 1, len(self) - 1)
-        return self._line(np.where(t >= self.starts[j], j, i), t)
-
-    def slot_cumulative(self, i: int) -> Callable[[float, float], float]:
-        """`cumulative` on slot i's [start, end], bit for bit: `cum_mean_in_slot`'s two lines in plain floats."""
-        j = min(i + 1, len(self) - 1)
-        s0, r0, c0 = float(self.starts[i]), float(self.rates[i]), float(self.cum_means[i])
-        s1, r1, c1 = float(self.starts[j]), float(self.rates[j]), float(self.cum_means[j])
-
-        def cum_mean_at(t: float) -> float:
-            return c1 + r1 * (t - s1) if t >= s1 else c0 + r0 * (t - s0)
-
-        # step_events asks for [a, b] with a <= b only.
-        return lambda a, b: cum_mean_at(b) - cum_mean_at(a)
-
-    def _line(self, i, t):
+        i = self.slot_at(t)
         # Slot i's line: the expected events before it plus its rate times t's way into it.
-        return self.cum_means[i] + self.rates[i] * (t - self.starts[i])
+        lam = self.cum_means[i] + self.rates[i] * (t - self.starts[i])
+        return lam if isinstance(t, np.ndarray) else float(lam)
 
     def cumulative(self, a: float, b: float) -> float:
         """Expected events in [a, b]; additive over adjacent intervals."""

@@ -406,6 +406,13 @@ def test_target_validation():
         CalibrationTarget(pi=5.0, replications=10)
 
 
+@pytest.mark.parametrize("replications", [math.nan, math.inf, 150.5, 150.0], ids=["nan", "inf", "fraction", "float"])
+def test_target_rejects_replications_that_are_not_an_integer(replications):
+    # NaN passed the at-least-100 check, and calibration then died in range().
+    with pytest.raises(ValidationError, match="replications must be an integer"):
+        CalibrationTarget(pi=50.0, replications=replications)
+
+
 @pytest.mark.parametrize("cap", [math.nan, math.inf, 0.0, -5.0], ids=["nan", "inf", "zero", "negative"])
 def test_target_rejects_bad_horizon_cap(cap):
     with pytest.raises(ValidationError, match="horizon cap"):

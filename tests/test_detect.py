@@ -3,6 +3,7 @@ from __future__ import annotations
 import bisect
 import math
 from dataclasses import replace
+from fractions import Fraction
 from datetime import date, datetime, time, timedelta
 from types import SimpleNamespace
 
@@ -67,6 +68,13 @@ def test_beta_domain_errors():
     for bad in (0.0, -2.0, 1.0):
         with pytest.raises(ValueError):
             beta(bad)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf], ids=["nan", "inf"])
+def test_beta_refuses_rho_that_is_not_finite(bad):
+    # Both returned NaN, which every comparison then read as false.
+    with pytest.raises(ValueError, match="finite"):
+        beta(bad)
 
 
 def test_beta_monotone_grid():
@@ -313,8 +321,8 @@ def test_step_events_integrates_once_per_segment_and_reset_crossing(reset):
 @pytest.mark.parametrize(
     "rate, alarm_time, v, u, u_min",
     [
-        (5000.0, 0.0002772588722239781, 0.7376022225469262, 3606.737602222547, 3606.0),
-        (500.0, 0.0027725887222397813, 0.673760222243615, 360.67376022224363, 360.0),
+        (5000.0, 0.0002772588722239781, 0.7376022225471158, 3606.737602222547, 3606.0),
+        (500.0, 0.0027725887222397813, 0.6737602222437054, 360.6737602222437, 360.0),
     ],
 )
 def test_step_events_reset_crossings_in_one_drift(rate, alarm_time, v, u, u_min):
@@ -738,6 +746,12 @@ def test_run_detector_rejects_counts_as_step_aggregated_does(truth_model, count)
     assert str(raised.value) == str(expected.value) == f"count must be a nonnegative integer, got {count}"
 
 
+def _slot_integral(tl, i):
+    """Slot i's intensity integral on [a, b] inside it, as `run_events` reads it."""
+    rate = float(tl.rates[i])
+    return lambda a, b: rate * (b - a)
+
+
 # Unit slots from 0: slot i covers [i, i + 1], so integer times sit on boundaries.
 @st.composite
 def _events_on_timeline(draw):
@@ -773,7 +787,7 @@ def test_run_events_equals_step_events_loop(data, cfg, start):
     for i in range(len(tl)):
         a, b = float(tl.starts[i]), float(tl.ends[i])
         inside = [t for t in times if (a <= t if i == 0 else a < t) and t <= b]
-        state, alarm = step_events(state, inside, cfg, (a, b), tl.cumulative)
+        state, alarm = step_events(state, inside, cfg, (a, b), _slot_integral(tl, i))
         v.append(state.v)
         if alarm is not None:
             alarms.append(alarm)
@@ -802,16 +816,10 @@ def test_run_events_rejects_bad_times(data, fault, where):
 
 @pytest.mark.parametrize("direction", [INCREASE, DECREASE])
 def test_run_events_alarm_slot_with_a_later_slot_starting_inside_it(direction):
-    # Slot 0 ends where slot 1 starts, at 0.1 + 0.3, where slot 0's own line
-    # rounds off slot 1's. Slot 0's alarm is replayed on a Λ that reads slot
-    # 1's line there, as `timeline.cumulative` does, and slot 0's last event
-    # lies on that end.
+    # Slot 0 ends where slot 1 starts, at 0.1 + 0.3, and its last event lies
+    # on that end: slot 0's alarm is replayed on slot 0's rate up to it.
     tl = SlotTimeline([0.3, 0.3, 0.3], [3.0, 5.0, 4.0], start=0.1)
     end = float(tl.ends[0])
-    assert tl.cum_means[0] + tl.rates[0] * (end - tl.starts[0]) != tl.cum_means[1]
-    cum = tl.slot_cumulative(0)
-    for a, b in [(0.1, 0.2), (0.2, end), (end, end), (0.1, end)]:
-        assert cum(a, b) == tl.cumulative(a, b)
     up = direction == INCREASE
     cfg = _cfg(rho=1.5 if up else 0.5, m=1.0 if up else 0.5, direction=direction, mode=EVENT_TIMES)
     times = [0.15, 0.2, 0.25, 0.3, end, 0.55] if up else [end, 0.55]
@@ -821,7 +829,7 @@ def test_run_events_alarm_slot_with_a_later_slot_starting_inside_it(direction):
     for i in range(len(tl)):
         a, b = float(tl.starts[i]), float(tl.ends[i])
         inside = [t for t in times if (a <= t if i == 0 else a < t) and t <= b]
-        state, alarm = step_events(state, inside, cfg, (a, b), tl.cumulative)
+        state, alarm = step_events(state, inside, cfg, (a, b), _slot_integral(tl, i))
         v.append(state.v)
         if alarm is not None:
             alarms.append(alarm)
@@ -832,8 +840,8 @@ def test_run_events_alarm_slot_with_a_later_slot_starting_inside_it(direction):
 
 @pytest.mark.parametrize("direction", [INCREASE, DECREASE])
 def test_run_events_events_past_the_start_of_the_next_slot(direction):
-    # Slots 0 and 1 each end on an event, three of them at slot 0's end, where
-    # Λ reads slot 1's line and slot 0's own line rounds off it; no alarm fires.
+    # Slots 0 and 1 each end on an event, three of them at slot 0's end, which
+    # `slot_at` places in slot 1 and `run_events` in slot 0; no alarm fires.
     tl = SlotTimeline([0.3, 0.3, 0.3], [3.0, 5.0, 4.0], start=0.1)
     e0, e1 = float(tl.ends[0]), float(tl.ends[1])
     times = [0.3, e0, e0, e0, 0.5, e1, 0.85]
@@ -869,7 +877,7 @@ def _step_events_loop(tl, times, cfg, start=None):
     state, v, alarms, lo = start or CusumState.initial(clock=float(tl.starts[0])), [], [], 0
     for i in range(len(tl)):
         hi = bisect.bisect_right(times, float(tl.ends[i]))
-        state, alarm = step_events(state, times[lo:hi], cfg, (float(tl.starts[i]), float(tl.ends[i])), tl.cumulative)
+        state, alarm = step_events(state, times[lo:hi], cfg, (float(tl.starts[i]), float(tl.ends[i])), _slot_integral(tl, i))
         v.append(state.v)
         if alarm is not None:
             alarms.append(alarm)
@@ -913,6 +921,79 @@ def _run_key(run):
         repr([(a.time, a.v_at_alarm, a.events_at_alarm, a.direction) for a in run.alarms]),
         repr(run.state),
     )
+
+
+@st.composite
+def _events_on_slots(draw):
+    """Slots of random lengths and rates from a start far from 0, with events inside them and on their ends."""
+    slots = draw(
+        st.lists(
+            st.tuples(st.floats(min_value=0.01, max_value=4.0), st.sampled_from([0.0, 3.0]) | st.floats(0.0, 12.0)),
+            min_size=2,
+            max_size=30,
+        )
+    )
+    lengths, rates = (list(column) for column in zip(*slots))
+    tl = SlotTimeline(lengths, rates, start=draw(st.just(0.0) | st.floats(-1e5, 1e5)))
+    times = []
+    for i in range(len(tl)):
+        for f in draw(st.lists(st.just(1.0) | st.floats(0.0, 1.0), max_size=10)):
+            times.append(float(tl.ends[i]) if f == 1.0 else float(tl.starts[i] + f * tl.lengths[i]))
+    return tl, sorted(times)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    data=_events_on_slots(),
+    cfg=_event_configs,
+    start=st.none() | st.builds(lambda s, gap: replace(s, u_min=s.u - gap), _states, st.floats(0.0, 10.0)),
+    cut_data=st.data(),
+)
+def test_run_events_cut_anywhere_equals_one_batch_run(data, cfg, start, cut_data):
+    """Two timelines cut at a slot boundary, the state carried across, equal one batch run bit for bit."""
+    tl, times = data
+    cut = cut_data.draw(st.integers(1, len(tl) - 1))
+    head = SlotTimeline(tl.lengths[:cut], tl.rates[:cut], start=float(tl.starts[0]))
+    tail = SlotTimeline(tl.lengths[cut:], tl.rates[cut:], start=float(head.ends[-1]))
+    # An event on the cut is the head's last slot's, as in the batch run.
+    n = bisect.bisect_right(times, float(head.ends[-1]))
+    first = run_events(head, times[:n], cfg, start)
+    second = run_events(tail, times[n:], cfg, first.state)
+    streamed = TimelineRun(v=np.concatenate([first.v, second.v]), alarms=first.alarms + second.alarms, state=second.state)
+    batch = run_events(tl, times, cfg, start)
+    assert streamed.v.tobytes() == batch.v.tobytes()
+    assert _run_key(streamed) == _run_key(batch)
+
+
+@pytest.mark.parametrize("direction", [INCREASE, DECREASE])
+def test_run_events_drifts_keep_their_precision_along_the_timeline(direction):
+    """V stays within 1e-13 of an exact replay on the same float inputs while Λ grows past 30,000.
+
+    Each drift reads its slot's rate times the time elapsed, so its rounding
+    error scales with the drift, not with the expected events before it.
+    """
+    rng = np.random.default_rng(11)
+    tl = SlotTimeline.from_rates(rng.uniform(1e3, 3e3, 20))
+    times = np.concatenate([i + np.sort(rng.uniform(0.0, 1.0, n)) for i, n in enumerate(rng.poisson(tl.rates))]).tolist()
+    up = direction == INCREASE
+    cfg = _cfg(rho=1.2 if up else 1 / 1.2, m=1e300, direction=direction, mode=EVENT_TIMES)
+    run = run_events(tl, times, cfg)
+    assert tl.total_mean > 30_000 and not run.alarms
+
+    b, v, exact, lo = Fraction(cfg.beta), Fraction(0), [], 0
+    for i in range(len(tl)):
+        hi = bisect.bisect_right(times, float(tl.ends[i]))
+        rate, a = Fraction(float(tl.rates[i])), Fraction(float(tl.starts[i]))
+        for k, t in enumerate(map(Fraction, times[lo:hi] + [float(tl.ends[i])])):
+            drift = b * (rate * (t - a))
+            v = max(Fraction(0), v - drift) if up else v + drift
+            if k < hi - lo:
+                v = v + 1 if up else max(Fraction(0), v - 1)
+            a = t
+        exact.append(v)
+        lo = hi
+    error = max(abs(Fraction(x) - y) for x, y in zip(run.v.tolist(), exact))
+    assert error <= Fraction(1e-13)
 
 
 def _step_aggregated_loop(tl, row, cfg, start):

@@ -51,6 +51,15 @@ def test_exceedance_trivial_cases():
         exceedance_fraction([], 1.0)
 
 
+@pytest.mark.parametrize(
+    "v_path, m", [([1.0, 2.0], math.nan), ([1.0, math.nan], 1.0), ([math.nan], math.inf)], ids=["m", "v", "v-below-inf"]
+)
+def test_exceedance_refuses_nan(v_path, m):
+    # A NaN threshold read as never reached and a NaN V as below it.
+    with pytest.raises(ValidationError, match="NaN"):
+        exceedance_fraction(v_path, m)
+
+
 def test_delay_decreases_with_change_size():
     tl = SlotTimeline.from_rates([5.0] * 40)
     theta = 10.0
@@ -170,6 +179,16 @@ def test_fewer_than_one_replication_is_rejected():
             detection_delay(tl, ChangeSpec(theta=3.0, rho=2.0), cfg, replications=reps)
         with pytest.raises(ValidationError, match="replications"):
             worst_case_delay(tl, theta_grid=[3.0], config=cfg, replications=reps)
+
+
+@pytest.mark.parametrize("reps", [math.nan, 150.5, 20.0], ids=["nan", "fraction", "float"])
+def test_replications_that_are_not_an_integer_are_refused(reps):
+    tl = SlotTimeline.from_rates([5.0] * 10)
+    cfg = _cfg(2.0, 5.0, mode=AGGREGATED_COUNTS)
+    with pytest.raises(ValidationError, match="replications must be an integer"):
+        detection_delay(tl, ChangeSpec(theta=3.0, rho=2.0), cfg, replications=reps)
+    with pytest.raises(ValidationError, match="replications must be an integer"):
+        worst_case_delay(tl, theta_grid=[3.0], config=cfg, replications=reps)
 
 
 def test_replications_past_the_slot_count_limit_are_refused():

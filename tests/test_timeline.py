@@ -88,12 +88,6 @@ def test_slots_are_laid_end_to_end(lengths, start, seed):
     assert tl.starts[1:].tolist() == tl.ends[:-1].tolist()
     # Every slot end but the last is the next slot's start, where Λ reads that slot's line.
     assert tl.cum_mean_at(tl.ends[:-1]).tolist() == tl.cum_means[1:-1].tolist()
-    # The in-slot reader equals cum_mean_at at both bounds of every slot and
-    # inside it, over arrays and one time at a time.
-    slots = np.arange(len(tl))
-    for t in (tl.starts, tl.starts + rng.uniform(0.0, 1.0, len(tl)) * tl.lengths, tl.ends):
-        assert tl.cum_mean_in_slot(slots, t).tolist() == tl.cum_mean_at(t).tolist()
-        assert [float(tl.cum_mean_in_slot(i, x)) for i, x in enumerate(t.tolist())] == [tl.cum_mean_at(x) for x in t.tolist()]
 
 
 @pytest.mark.parametrize("rate", [float("nan"), float("inf"), -1.0])
