@@ -19,6 +19,11 @@ from contextlib import contextmanager
 from datetime import date, datetime, timedelta
 from pathlib import Path
 
+# numpy starts an OpenBLAS thread per core when it loads, and no command uses
+# them: the only BLAS calls are QR and least squares on `fit`'s small design
+# matrices. So the CLI loads numpy with one BLAS thread; a value already set wins.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 from . import __version__
 from .calibrate import CalibrationResult, CalibrationTarget, SharedDraws, calibrate_threshold
 from .daycal import DEFAULT_ORIGIN, read_holidays

@@ -18,11 +18,15 @@ class ParseError(SeasonalCusumError):
 
 
 def read_utf8(path: str | Path) -> str:
-    """The text of a UTF-8 file; a byte that does not decode is a ParseError on its line."""
-    data = Path(path).read_bytes()
+    """The text of a UTF-8 file, less a leading byte-order mark (as Excel's "CSV UTF-8" writes).
+
+    A byte that does not decode is a ParseError on its line.
+    """
     try:
-        return data.decode("utf-8")
+        return Path(path).read_bytes().decode("utf-8-sig")
     except UnicodeDecodeError as exc:
+        # exc.object is what was decoded: the file's bytes after any byte-order mark.
+        data = exc.object
         line = data.count(b"\n", 0, exc.start) + 1
         raise ParseError(f"byte 0x{data[exc.start]:02x} is not valid UTF-8", line=line) from None
 

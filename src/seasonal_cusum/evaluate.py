@@ -230,9 +230,13 @@ def worst_case_delay(
     """
     if not theta_grid:
         raise ValidationError("theta grid is empty")
+    thetas = [float(t) for t in theta_grid]
+    repeated = next((t for i, t in enumerate(thetas) if t in thetas[:i]), None)
+    if repeated is not None:
+        raise ValidationError(f"theta grid repeats the change time {repeated!r}")
     per_theta = [
-        detection_delay(timeline, ChangeSpec(theta=float(t), rho=config.rho), config, replications, seed)
-        for t in theta_grid
+        detection_delay(timeline, ChangeSpec(theta=t, rho=config.rho), config, replications, seed)
+        for t in thetas
     ]
     means = [d.mean_delay_events for d in per_theta if not math.isnan(d.mean_delay_events)]
     maxes = [d.max_delay_events for d in per_theta if not math.isnan(d.max_delay_events)]

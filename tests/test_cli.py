@@ -5,7 +5,7 @@ import math
 import os
 import subprocess
 import sys
-from datetime import date, timedelta
+from datetime import date, time, timedelta
 from pathlib import Path
 
 import pytest
@@ -501,6 +501,18 @@ def test_evaluate_rejects_change_time_off_the_timeline(workspace, tmp_path, caps
     assert not out.exists()
 
 
+def test_evaluate_refuses_a_repeated_change_time(workspace, tmp_path, capsys):
+    # The same number twice, and an ISO time with the number it locates to.
+    days = [date(2018, 1, 1) + timedelta(days=i) for i in range(7)]
+    position = float(IntensityModel.load(workspace["model"]).timeline(days).locate(date(2018, 1, 3), time(9, 0)))
+    for grid in ("40.0,5,40", f"2018-01-03T09:00,{position!r}"):
+        out = tmp_path / "eval"
+        assert main(_evaluate_argv(workspace, out, **{"--theta-grid": grid})) == EXIT_INPUT
+        repeated = 40.0 if grid.startswith("40") else position
+        assert capsys.readouterr().err == f"error: theta grid repeats the change time {repeated!r}\n"
+        assert not out.exists()
+
+
 @pytest.mark.parametrize("theta", ["2017-06-01T09:00", "2018-03-01T09:00"])
 def test_simulate_rejects_change_time_off_the_timeline(workspace, tmp_path, capsys, theta):
     out = tmp_path / "sim"
@@ -897,6 +909,59 @@ def test_cli_import_does_not_load_concurrent_futures():
         [sys.executable, "-c", code], capture_output=True, text=True, check=True, env={**os.environ, "PYTHONPATH": str(src)}
     )
     assert done.stdout.strip() == "False"
+
+
+def _env_without_blas_threads(**extra) -> dict:
+    # This process imported cli, which set OPENBLAS_NUM_THREADS; children get an explicit env.
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    return {**env, "PYTHONPATH": str(src), **extra}
+
+
+# Prints OPENBLAS_NUM_THREADS as numpy starts to load under `import seasonal_cusum.cli`,
+# then the thread count once numpy is in ("" where /proc/self/task does not exist).
+_BLAS_AT_NUMPY_IMPORT = """
+import os, sys
+
+class Watch:
+    def find_spec(self, name, path=None, target=None):
+        if name == "numpy":
+            print(os.environ.get("OPENBLAS_NUM_THREADS"))
+            sys.meta_path.remove(self)
+        return None
+
+sys.meta_path.insert(0, Watch())
+import seasonal_cusum.cli, numpy
+print(len(os.listdir("/proc/self/task")) if os.path.isdir("/proc/self/task") else "")
+"""
+
+
+@pytest.mark.parametrize("preset, expected", [(None, "1"), ("3", "3")])
+def test_cli_sets_one_blas_thread_before_numpy_loads(preset, expected):
+    env = _env_without_blas_threads(**({} if preset is None else {"OPENBLAS_NUM_THREADS": preset}))
+    done = subprocess.run([sys.executable, "-c", _BLAS_AT_NUMPY_IMPORT], capture_output=True, text=True, check=True, env=env)
+    at_import, threads = done.stdout.split("\n")[:2]
+    assert at_import == expected
+    if preset is None and threads:
+        assert threads == "1"
+
+
+def test_cli_output_does_not_depend_on_blas_threads(workspace, tmp_path):
+    commands = [
+        ["fit", "--daily", str(workspace["daily"]), "--slots", str(workspace["slots"]), "--out", "fit"],
+        ["calibrate", "--model", "fit/model.json", "--rho", "1.2", "--pi", "300", "--start-date", "2018-01-01",
+         "--days", "3", "--replications", "100", "--out", "cal"],
+    ]
+    trees = []
+    for threads in ("1", "2"):
+        cwd = tmp_path / threads
+        cwd.mkdir()
+        for argv in commands:
+            subprocess.run([sys.executable, "-m", "seasonal_cusum.cli", *argv], cwd=cwd, capture_output=True, check=True,
+                           env=_env_without_blas_threads(OPENBLAS_NUM_THREADS=threads))
+        trees.append({p.relative_to(cwd).as_posix(): p.read_bytes() for p in sorted(cwd.rglob("*")) if p.is_file()})
+    assert {"fit/model.json", "fit/manifest.json", "cal/calibration.json", "cal/manifest.json"} <= set(trees[0])
+    assert trees[0] == trees[1]
 
 
 def test_double_sided_detect_draws_each_replication_once(workspace, tmp_path, monkeypatch):

@@ -112,6 +112,16 @@ def test_read_holidays(tmp_path):
         read_holidays(bad)
 
 
+def test_read_holidays_reads_past_a_byte_order_mark(tmp_path):
+    plain, marked, bad = tmp_path / "plain.txt", tmp_path / "marked.txt", tmp_path / "bad.txt"
+    plain.write_bytes(b"2017-05-01\n2017-08-15\n")
+    marked.write_bytes(b"\xef\xbb\xbf2017-05-01\n2017-08-15\n")
+    bad.write_bytes(b"\xef\xbb\xbf2017-05-01\n\n2017-\xff8-15\n")
+    assert read_holidays(marked) == read_holidays(plain)
+    with pytest.raises(ParseError, match="^line 3: byte 0xff is not valid UTF-8$"):
+        read_holidays(bad)
+
+
 def test_scenario_schedule_every_third_tuesday():
     schedule = ScenarioSchedule(anchor=date(2018, 1, 2))
     assert schedule.is_affected(date(2018, 1, 2))

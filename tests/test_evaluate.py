@@ -155,6 +155,12 @@ def test_worst_case_empty_grid():
         worst_case_delay(tl, theta_grid=[], config=_cfg(2.0, 6.0))
 
 
+def test_worst_case_refuses_a_repeated_change_time():
+    tl = SlotTimeline.from_rates([5.0] * 10)
+    with pytest.raises(ValidationError, match="^theta grid repeats the change time 3.0$"):
+        worst_case_delay(tl, theta_grid=[3.0, 7.0, 3], config=_cfg(2.0, 6.0), replications=5)
+
+
 def test_report_serialization(tmp_path):
     from seasonal_cusum.evaluate import write_delay_report_json, write_delay_table_csv
 

@@ -85,6 +85,29 @@ def test_parse_slot_errors(tmp_path):
     assert err.value.line == 2
 
 
+BOM = b"\xef\xbb\xbf"
+
+
+@pytest.mark.parametrize(
+    "parse, text",
+    [
+        (parse_daily_csv, "date,count\n2017-01-02,1100\n2017-01-03,1200\n"),
+        (parse_slot_csv, "date,slot_start,count\n2017-01-02,09:00,85\n2017-01-02,09:30,7\n"),
+    ],
+    ids=["daily", "slots"],
+)
+def test_a_leading_byte_order_mark_is_read_past(tmp_path, parse, text):
+    # Excel's "CSV UTF-8" export starts the file with one.
+    plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+    plain.write_bytes(text.encode())
+    marked.write_bytes(BOM + text.encode())
+    assert parse(marked) == parse(plain)
+    bad = tmp_path / "bad.csv"
+    bad.write_bytes(BOM + text.encode().replace(b"2017-01-03" if parse is parse_daily_csv else b"09:30", b"\xff"))
+    with pytest.raises(ParseError, match="^line 3: byte 0xff is not valid UTF-8$"):
+        parse(bad)
+
+
 def test_round_trip(tmp_path):
     daily = [DailyRecord(date(2017, 1, 2) + timedelta(days=i), 100 + i) for i in range(5)]
     slots = [SlotRecord(date(2017, 1, 2), time(9, 0), 7), SlotRecord(date(2017, 1, 2), time(9, 30), 9)]
