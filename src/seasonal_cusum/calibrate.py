@@ -4,19 +4,19 @@ The map m -> E[N at first alarm] is estimated by Monte Carlo with common
 random numbers, so it is a nondecreasing step function of m that jumps only
 just above record levels. Every replication's slot counts are drawn once,
 into one stack that both observation modes read, and each simulated path is
-reduced once to a "record curve" (the running maxima of the reflected
-statistic with the event count at each new record); all curves are read at
-a threshold in one numpy pass. Event-time paths record the statistic at
-every event, placing their counts' events in chunks only as far as the
-thresholds queried need, bit for bit as if whole; aggregated-count paths
-record it at slot ends, on the aggregated detector's own kernel. Several
-detectors can read one draw per replication (`SharedDraws`).
+reduced once to its records (the running maxima of the reflected statistic
+with the event count at each new record), held flat with the replication of
+each and read at a threshold in one numpy pass. Event-time paths record the
+statistic at every event, placing their counts' events in chunks only as far
+as the thresholds queried need, bit for bit as if whole; aggregated-count
+paths record it at slot ends, on the aggregated detector's own kernel.
+Several detectors can read one draw per replication (`SharedDraws`).
 
 Event-time records are read in closed form on the expected-events axis,
 V = U - min(0, running min of U) with U = events - beta * Λ, so they equal
 the V of `run_events`, which folds each drift event by event, only to
 rounding, and an alarm at a threshold on a record level may fall an event
-or more off the curve's. Aggregated records are the kernel's own V.
+or more away from the records'. Aggregated records are the kernel's own V.
 """
 
 from __future__ import annotations
@@ -130,26 +130,26 @@ _CHUNK_EVENTS = 4096
 
 
 class _EventDraw:
-    """Resumable draw of one event-time replication, simulated chunk by chunk.
+    """Resumable draw of replication `rep`'s event times, simulated chunk by chunk.
 
-    Every record curve attached to the draw takes its records from each
-    chunk as it is made, so several detectors read one draw. `base` is a
+    Every curve set attached to the draw takes its records from each chunk
+    as it is made, so several detectors read one draw. `base` is a
     sequential cumulative sum, so events of slot s have cumulative intensity
     in [base[s], base[s + 1]]: sorting each chunk on its own gives the global
     sort. Consecutive `random` draws on one generator equal one long draw, and
-    each curve carries its exact minimum of U and maximum of V, so the records
-    equal those of the whole path simulated at once, wherever its chunks end.
+    each set carries the replication's exact minimum of U and maximum of V, so
+    the records equal those of the whole path simulated at once, wherever its
+    chunks end.
     """
 
-    def __init__(self, means: np.ndarray, base: np.ndarray, rng: np.random.Generator, counts: np.ndarray):
-        self.means, self.base, self.rng, self.counts = means, base, rng, counts
-        self.total = int(counts.sum())
+    def __init__(self, rep: int, means: np.ndarray, base: np.ndarray, rng: np.random.Generator, counts: np.ndarray):
+        self.rep, self.means, self.base, self.rng, self.counts = rep, means, base, rng, counts
         self.slot = 0  # the next chunk's first slot
         self.seen = 0  # events simulated so far
-        self.curves: list[RecordCurve] = []  # the attached curves
+        self.sets: list[_CurveSet] = []  # the attached curve sets
 
     def advance(self) -> None:
-        """Simulate the next chunk and add its records to every attached curve."""
+        """Simulate the next chunk and add its records to every attached set."""
         base, s0 = self.base, self.slot
         s1 = self.slot = min(int(np.searchsorted(base, base[s0] + _CHUNK_EVENTS)), len(self.means))
         counts = self.counts[s0:s1]
@@ -159,12 +159,10 @@ class _EventDraw:
         j = np.arange(self.seen + 1, self.seen + k + 1)
         self.seen += k
         end = float(base[-1]) if s1 == len(self.means) else None
-        for curve in self.curves:
-            curve.add_chunk(lam, j, end)
-            if end is not None:
-                curve.path = None
+        for curves in self.sets:
+            curves.add_chunk(self.rep, lam, j, end)
         if end is not None:
-            self.curves = []
+            self.sets = []
 
 
 def _rises(peaks: np.ndarray, v: np.ndarray) -> tuple[tuple[np.ndarray, np.ndarray], np.ndarray]:
@@ -173,170 +171,114 @@ def _rises(peaks: np.ndarray, v: np.ndarray) -> tuple[tuple[np.ndarray, np.ndarr
     return np.nonzero(running[:, 1:] > running[:, :-1]), running[:, -1]
 
 
-class RecordCurve:
-    """Running-max levels of V with the event count at each new record.
+class _CurveSet:
+    """One detector's records over every replication, read at a threshold in one numpy pass.
 
-    An event-mode curve is attached to its replication's draw (`path`), which
-    it extends only as far as the thresholds queried so far need; the draw may
-    have been extended further for another curve attached to it. An
-    aggregated curve, built whole by `_aggregated_curves`, and one whose draw
-    reached its horizon are complete.
+    A record is a new running maximum of V with the events seen when V set
+    it. Each is held flat, in no particular order, with its replication
+    (`rows`), level and events. Within a replication, levels rise and events
+    never fall, so the records at or above m that hold the fewest events
+    give each replication's run length. An event-mode set is attached to the
+    draws of the replications still simulating (`draws`), which it extends
+    only as far as the thresholds queried so far need; a draw may have been
+    extended further for another set attached to it. An aggregated set and a
+    replication whose draw reached its horizon are complete.
     """
 
-    def __init__(self, levels: np.ndarray, events: np.ndarray, total_events: int):
-        self.levels = levels
-        self.events = events
-        self.total_events = total_events
-        self.path: _EventDraw | None = None
+    def __init__(self, totals: np.ndarray, rows: np.ndarray, levels: np.ndarray, events: np.ndarray):
+        self.totals = totals  # each replication's events by the horizon's end
+        self.rows, self.levels, self.events = rows, levels, events
+        # Each replication's last record while it simulates (-inf before its first); +inf once complete.
+        self.tops = np.full(len(totals), np.inf)
+        self.u_min = np.zeros(len(totals))  # min(0, U so far): pre-jump (increase) or post-jump (decrease)
+        self.draws: dict[int, _EventDraw] = {}
+        self._chunks: list[tuple[int, np.ndarray, np.ndarray]] = []  # records not yet in the flat arrays
 
-    def attach(self, path: _EventDraw, config: DetectorConfig) -> None:
-        """Take `config`'s records from every chunk of `path` from now on; `path` has made none yet."""
-        self.path = path
-        self.beta = config.beta
-        self.increase = config.direction == INCREASE
-        self.u_min = 0.0  # min(0, U at every event so far): pre-jump (increase) or post-jump (decrease)
-        path.curves.append(self)
+    def attach(self, draw: _EventDraw, config: DetectorConfig) -> None:
+        """Take `config`'s records from every chunk of `draw` from now on; `draw` has made none yet."""
+        self.beta, self.increase = config.beta, config.direction == INCREASE
+        self.draws[draw.rep] = draw
+        self.tops[draw.rep] = -np.inf
+        draw.sets.append(self)
 
-    def add_chunk(self, lam: np.ndarray, j: np.ndarray, end: float | None) -> None:
-        """Append the records set by one chunk of the draw.
+    def add_chunk(self, rep: int, lam: np.ndarray, j: np.ndarray, end: float | None) -> None:
+        """Add the records set by one chunk of replication rep's draw.
 
         The chunk's events are numbered j and sit at cumulative intensity
         lam; end is the cumulative intensity at the horizon if the chunk is
         the last, else None.
         """
-        b, k = self.beta, len(j)
+        b, u_min = self.beta, self.u_min[rep]
         if self.increase:
             u_after = j - b * lam
-            runmin = np.minimum(np.minimum.accumulate(u_after - 1.0), self.u_min)
+            runmin = np.minimum(np.minimum.accumulate(u_after - 1.0), u_min)
             v = u_after - runmin  # post-jump values; increase alarms happen at jumps
             events = j
         else:
             u_before = b * lam - (j - 1)
-            runmin = np.minimum(np.minimum.accumulate(u_before - 1.0), self.u_min)
-            v = u_before - np.concatenate([[self.u_min], runmin[:-1]])  # pre-jump peaks of the upward drift
+            runmin = np.minimum(np.minimum.accumulate(u_before - 1.0), u_min)
+            v = u_before - np.concatenate([[u_min], runmin[:-1]])  # pre-jump peaks of the upward drift
             events = j - 1
-        if k:
-            self.u_min = float(runmin[-1])
+        if len(j):
+            u_min = self.u_min[rep] = runmin[-1]
         if end is not None and not self.increase:
             # The drift keeps rising after the last event until the horizon end.
-            v = np.append(v, b * end - self.total_events - self.u_min)
-            events = np.append(events, self.total_events)
-        (_, s), _ = _rises(np.array([self.levels[-1] if len(self.levels) else -np.inf]), v[None])
+            total = int(self.totals[rep])
+            v = np.append(v, b * end - total - u_min)
+            events = np.append(events, total)
+        (_, s), top = _rises(self.tops[rep : rep + 1], v[None])
         if len(s):
-            self.levels, self.events = np.concatenate([self.levels, v[s]]), np.concatenate([self.events, events[s]])
-
-    def extend(self, m: float) -> None:
-        """Simulate the path until a record reaches m or the horizon ends."""
-        while self.path is not None and not (len(self.levels) and self.levels[-1] >= m):
-            self.path.advance()
-
-    def run_length(self, m: float) -> tuple[int, bool]:
-        """(events to alarm, censored) for a threshold m on this path."""
-        self.extend(m)
-        i = int(np.searchsorted(self.levels, m, side="left"))
-        if i < len(self.levels):
-            return int(self.events[i]), False
-        return self.total_events, True
-
-
-class _CurveSet:
-    """Every replication's record curve, read at a threshold in one numpy pass.
-
-    The records are held flat, cut by per-curve offsets, with one spare event
-    slot at the end so a censored path's index stays in range. The flat
-    arrays are rebuilt only after a read extends some lazy curve; reads that
-    extend nothing reuse them. A curve may hold records past the flat
-    arrays' (another curve on its draw extended it), but never fewer.
-    """
-
-    def __init__(self, curves: list[RecordCurve]):
-        self.curves = curves
-        self.totals = np.array([c.total_events for c in curves], dtype=np.int64)
-        # At most the last record of each curve still simulating (-inf before
-        # its first); +inf once a curve is complete, so it is never extended.
-        self.tops = np.array([-np.inf if c.path is not None else np.inf for c in curves])
-        self._flatten()
-
-    def _flatten(self) -> None:
-        self.lengths = np.array([len(c.levels) for c in self.curves])
-        self.offsets = np.concatenate([[0], np.cumsum(self.lengths)])
-        self.levels = np.concatenate([c.levels for c in self.curves])
-        self.events = np.concatenate([c.events for c in self.curves] + [np.zeros(1, dtype=np.int64)])
-        # Each curve reads its records through views, so they are held once.
-        for c, a, b in zip(self.curves, self.offsets[:-1].tolist(), self.offsets[1:].tolist()):
-            c.levels, c.events = self.levels[a:b], self.events[a:b]
+            self._chunks.append((rep, v[s], events[s]))
+        self.tops[rep] = top[0] if end is None else np.inf
+        if end is not None:
+            del self.draws[rep]
 
     def run_lengths(self, m: float) -> tuple[np.ndarray, np.ndarray]:
-        """(events to alarm as floats, censored) of every path at threshold m."""
-        short = np.flatnonzero(self.tops < m)
-        if len(short):
-            for i in short.tolist():
-                curve = self.curves[i]
-                curve.extend(m)
-                self.tops[i] = np.inf if curve.path is None else curve.levels[-1]
-            self._flatten()
-        # Records strictly increase, so the number below m is searchsorted(side="left").
-        below = np.concatenate([[0], np.cumsum(self.levels < m)])
-        counts = below[self.offsets[1:]] - below[self.offsets[:-1]]
-        censored = counts == self.lengths
-        n = np.where(censored, self.totals, self.events[self.offsets[:-1] + counts])
+        """(events to alarm as floats, censored) of every replication at threshold m."""
+        for rep in np.flatnonzero(self.tops < m).tolist():
+            while self.tops[rep] < m:
+                self.draws[rep].advance()
+        if self._chunks:
+            self._merge()
+        hits = self.levels >= m
+        rows = self.rows[hits]
+        n = self.totals.copy()
+        np.minimum.at(n, rows, self.events[hits])  # each replication's lowest record at or above m
+        censored = np.ones(len(n), dtype=bool)
+        censored[rows] = False
         return n.astype(float), censored
 
+    def _merge(self) -> None:
+        """Move the chunks' records into the flat arrays; the chunks' own arrays are freed on return."""
+        reps, levels, events = zip(*self._chunks)
+        self._chunks = []
+        # A chunk's replication stays one int until here, where it becomes int32 rows: an array of
+        # replications per chunk, or int64 rows, would raise the peak memory.
+        self.rows = np.concatenate([self.rows, np.repeat(np.array(reps, dtype=np.int32), [len(a) for a in levels])])
+        self.levels = np.concatenate([self.levels, *levels])
+        self.events = np.concatenate([self.events, *events])
+
     def detach(self) -> None:
-        """Leave the draws: their other curves go on without these, which are not read again."""
-        for c in self.curves:
-            if c.path is not None:
-                c.path.curves.remove(c)
-                c.path = None
+        """Leave the draws: their other sets go on without this one, which is not read again."""
+        for draw in self.draws.values():
+            draw.sets.remove(self)
+        self.draws = {}
 
 
-def _aggregated_curves(
-    means: np.ndarray, counts: np.ndarray, configs: list[DetectorConfig]
-) -> list[list[RecordCurve]]:
-    """Each aggregated config's record curve of every replication's row of slot `counts`.
+def _aggregated_curves(means: np.ndarray, counts: np.ndarray, config: DetectorConfig) -> _CurveSet:
+    """The aggregated config's records of every replication's row of slot `counts`.
 
     The replications are rows of the detector's kernel, disarmed so that no alarm resets V: the records
     are V's rises on the detector's own arithmetic, and a read at m gives the events seen at its first alarm at m.
     """
-    replications = len(counts)
-    per_config = []
-    for config in configs:
-        peaks, found = np.full(replications, -np.inf), []
-        for _, v, _, seen in _aggregated_chunks(config, counts, means, armed=False):
-            rising = np.flatnonzero(v.max(axis=1) > peaks)  # the rows that set a record in this chunk
-            (r, s), peaks[rising] = _rises(peaks[rising], v[rising])
-            r = rising[r]
-            found.append((r, v[r, s], seen[r, s]))
-        rows, levels, events = (np.concatenate(a) for a in zip(*found))
-        order = np.argsort(rows, kind="stable")  # replication by replication, each in slot order
-        levels, events = levels[order], events[order]
-        cuts = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=replications))]).tolist()
-        totals = seen[:, -1].tolist()  # the events seen by the horizon's end
-        per_config.append([RecordCurve(levels[a:b], events[a:b], n) for a, b, n in zip(cuts, cuts[1:], totals)])
-    return per_config
-
-
-def _record_curves(
-    means: np.ndarray, configs: list[DetectorConfig], seed: int, replications: int
-) -> list[list[RecordCurve]]:
-    """Each config's record curve of every replication over slots with `means`, all from one draw per replication."""
-    event = configs[0].mode == EVENT_TIMES
-    rngs = (rng_for(seed, rep, 2) for rep in range(replications))
-    if event:
-        rngs = list(rngs)  # an event draw goes on with its generator; an aggregated one is done with it
-    # Both modes observe these slot counts, one row per replication.
-    counts = stack_counts((rng.poisson(means) for rng in rngs), (replications, len(means)))
-    if not event:
-        return _aggregated_curves(means, counts, configs)
-    base = np.concatenate([[0.0], np.cumsum(means)])
-    per_config: list[list[RecordCurve]] = [[] for _ in configs]
-    for rng, row in zip(rngs, counts):
-        draw = _EventDraw(means, base, rng, row)
-        for curves, config in zip(per_config, configs):
-            curves.append(RecordCurve(np.empty(0), np.empty(0, dtype=int), draw.total))
-            if draw.total:
-                curves[-1].attach(draw, config)
-    return per_config
+    peaks, found = np.full(len(counts), -np.inf), []
+    for _, v, _, seen in _aggregated_chunks(config, counts, means, armed=False):
+        rising = np.flatnonzero(v.max(axis=1) > peaks)  # the rows that set a record in this chunk
+        (r, s), peaks[rising] = _rises(peaks[rising], v[rising])
+        r = rising[r]
+        found.append((r, v[r, s], seen[r, s]))
+    rows, levels, events = (np.concatenate(a) for a in zip(*found))
+    return _CurveSet(seen[:, -1].astype(np.int64), rows, levels, events)  # the events seen by the horizon's end
 
 
 def _curve_sets(
@@ -344,7 +286,23 @@ def _curve_sets(
 ) -> list[_CurveSet]:
     """One curve set per config, all read off one draw per replication."""
     means = np.tile(timeline.means, _horizon(timeline, target, configs[0].mode))
-    return [_CurveSet(curves) for curves in _record_curves(means, configs, seed, target.replications)]
+    rngs = (rng_for(seed, rep, 2) for rep in range(target.replications))
+    event = configs[0].mode == EVENT_TIMES
+    if event:
+        rngs = list(rngs)  # an event draw goes on with its generator; an aggregated one is done with it
+    # Both modes observe these slot counts, one row per replication.
+    counts = stack_counts((rng.poisson(means) for rng in rngs), (target.replications, len(means)))
+    if not event:
+        return [_aggregated_curves(means, counts, config) for config in configs]
+    totals = counts.sum(axis=1, dtype=np.int64)
+    sets = [_CurveSet(totals, np.empty(0, dtype=np.int32), np.empty(0), np.empty(0, dtype=np.int64)) for _ in configs]
+    base = np.concatenate([[0.0], np.cumsum(means)])
+    for rep, (rng, row) in enumerate(zip(rngs, counts)):
+        if totals[rep]:
+            draw = _EventDraw(rep, means, base, rng, row)
+            for curves, config in zip(sets, configs):
+                curves.attach(draw, config)
+    return sets
 
 
 class SharedDraws:
@@ -352,9 +310,9 @@ class SharedDraws:
 
     Pass it to `calibrate_threshold` once for each of `configs`, with one
     timeline, target and seed. The first call draws every replication once
-    and attaches a record curve per config to it; each call then reads its
-    own config's curves, which the calls before it may already have extended.
-    Every result equals that of a call made without it.
+    and attaches one curve set per config to each draw; each call then reads
+    its own config's set, whose draws the calls before it may already have
+    extended. Every result equals that of a call made without it.
     """
 
     def __init__(self, configs: list[DetectorConfig]):
@@ -470,7 +428,7 @@ def calibrate_threshold(
         i = bisect.bisect_left(levels, True, key=lambda r: evaluate(np.nextafter(r, np.inf))[0] >= target.pi)
         r, up = float(levels[i]), float(np.nextafter(levels[i], np.inf))
         m = r if target.pi - evaluate(r)[0] <= evaluate(up)[0] - target.pi else up
-    curves.detach()  # draws shared with other configs go on without these curves
+    curves.detach()  # draws shared with other configs go on without this set
 
     arl, stderr, cf = evaluate(m)
     if abs(arl - target.pi) > _TOLERANCE_REL * target.pi + 2.0 * stderr:

@@ -228,9 +228,9 @@ def worst_case_delay(
 
     The simulated change multiplies the rate by the detector's own `config.rho`.
     """
-    if not theta_grid:
-        raise ValidationError("theta grid is empty")
     thetas = [float(t) for t in theta_grid]
+    if not thetas:
+        raise ValidationError("theta grid is empty")
     repeated = next((t for i, t in enumerate(thetas) if t in thetas[:i]), None)
     if repeated is not None:
         raise ValidationError(f"theta grid repeats the change time {repeated!r}")

@@ -61,6 +61,9 @@ class SlotTimeline:
                 raise ValidationError("calendar labels must have one entry per slot")
             if np.any(self.days[1:] < self.days[:-1]):
                 raise ValidationError("slot dates must be in time order")
+            # A repeated (day, grid) pair would lay one half hour twice on the axis.
+            if np.any((self.days[1:] == self.days[:-1]) & (self.grid[1:] <= self.grid[:-1])):
+                raise ValidationError("slot grid indices must strictly increase within each day")
 
     @classmethod
     def from_rates(cls, rates, length: float = 1.0, start: float = 0.0) -> "SlotTimeline":

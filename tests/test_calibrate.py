@@ -7,6 +7,7 @@ import subprocess
 import sys
 from datetime import date, timedelta
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -20,11 +21,9 @@ from seasonal_cusum.calibrate import (
     CalibrationResult,
     CalibrationTarget,
     SharedDraws,
-    _CurveSet,
     _EventDraw,
     _curve_sets,
     _horizon,
-    _record_curves,
     _summarize,
     calibrate_threshold,
     estimate_arl,
@@ -173,8 +172,36 @@ def test_aggregated_arl_not_below_event_arl():
             assert cens_agg >= cens_event, (direction, m)
 
 
+def _sets(means, configs, seed, replications):
+    """Each config's curve set over slots with `means`, all off one draw per replication, as calibration draws them.
+
+    The horizon cap is the slots' own span, so the horizon is `means` once; any replication count is allowed.
+    """
+    target = SimpleNamespace(pi=1.0, replications=replications, horizon_cap=float(len(means)))
+    return _curve_sets(SlotTimeline.from_rates(means), configs, target, seed)
+
+
+def _records(curves, rep):
+    """Replication rep's (levels, events, total) in a curve set, lowest level first."""
+    mine = curves.rows == rep
+    order = np.argsort(curves.levels[mine], kind="stable")
+    return curves.levels[mine][order], curves.events[mine][order], int(curves.totals[rep])
+
+
+def _reference_read(levels, events, total, m):
+    """Reference: one replication's (events to alarm, censored) at m, off its records in level order."""
+    i = int(np.searchsorted(levels, m, side="left"))
+    return (int(events[i]), False) if i < len(levels) else (total, True)
+
+
+def _read(curves, m):
+    """Every replication's (events to alarm, censored) at m through the batched read."""
+    ns, censored = curves.run_lengths(m)
+    return [(int(n), c) for n, c in zip(ns.tolist(), censored.tolist())]
+
+
 def test_aggregated_record_curve_matches_run_aggregated():
-    # Each replication's curve against run_aggregated on the same tiled
+    # Each replication's records against run_aggregated on the same tiled
     # counts, read at every record level and one ulp either side of it: the
     # records are the detector's own V at slot ends, bit for bit.
     tl = SlotTimeline.from_rates([2.0, 5.0, 0.5, 8.0, 3.0])
@@ -182,18 +209,19 @@ def test_aggregated_record_curve_matches_run_aggregated():
     tiled = SlotTimeline.from_rates(np.tile(tl.means, cycles))
     read = 0
     for rho, direction in ((1.3, INCREASE), (1 / 1.3, DECREASE)):
-        curves = _record_curves(np.tile(tl.means, cycles), [_agg_cfg(rho, direction=direction)], seed, reps)[0]
-        for rep, curve in enumerate(curves):
+        curves = _sets(tiled.means, [_agg_cfg(rho, direction=direction)], seed, reps)[0]
+        for rep in range(reps):
             counts = rng_for(seed, rep, 2).poisson(tiled.means)
-            assert curve.total_events == int(counts.sum())
+            levels, _, total = _records(curves, rep)
+            assert total == int(counts.sum())
             grid = [0.5, 2.0, 6.0, 15.0, 40.0]
-            for level in curve.levels[curve.levels > 0].tolist():
+            for level in levels[levels > 0].tolist():
                 grid += [float(np.nextafter(level, -np.inf)), level, float(np.nextafter(level, np.inf))]
                 read += 1
             for m in grid:
                 alarms = run_aggregated(tiled, counts, _agg_cfg(rho, m, direction)).alarms
                 expected = (alarms[0].events_at_alarm, False) if alarms else (int(counts.sum()), True)
-                assert curve.run_length(m) == expected, (direction, rep, m)
+                assert _read(curves, m)[rep] == expected, (direction, rep, m)
     assert read > 50
 
 
@@ -205,27 +233,32 @@ def test_aggregated_record_curve_matches_run_aggregated():
     block=st.integers(1, 150),
 )
 def test_aggregated_curves_do_not_depend_on_the_chunk(rates, cycles, reps, block):
-    # Any block size, down to chunks of one slot: both configs' curves, read
+    # Any block size, down to chunks of one slot: both configs' records, read
     # off one draw, are those of one chunk of the whole horizon and the
     # strict rises of a disarmed step_aggregated loop at slot ends.
-    tl = SlotTimeline.from_rates(rates)
+    means = np.tile(SlotTimeline.from_rates(rates).means, cycles)
     configs = [_agg_cfg(1.3), _agg_cfg(1 / 1.3, direction=DECREASE)]
-    whole = _record_curves(np.tile(tl.means, cycles), configs, 8, reps)
+    whole = _sets(means, configs, 8, reps)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(detect, "_BLOCK_FLOATS", block)
-        cut = _record_curves(np.tile(tl.means, cycles), configs, 8, reps)
-    means = np.tile(tl.means, cycles).tolist()
-    for config, whole_curves, cut_curves in zip(configs, whole, cut):
-        for rep, (a, b) in enumerate(zip(whole_curves, cut_curves)):
-            state, levels, events = CusumState(armed=False), [], []
-            for count, dlam in zip(rng_for(8, rep, 2).poisson(means).tolist(), means):
-                state, _ = step_aggregated(state, count, dlam, config)
-                if state.v > (levels[-1] if levels else -math.inf):
-                    levels.append(state.v)
-                    events.append(state.events_seen)
-            loop = (levels, events, state.events_seen)
-            for curve in (a, b):
-                assert repr((curve.levels.tolist(), curve.events.tolist(), curve.total_events)) == repr(loop)
+        cut = _sets(means, configs, 8, reps)
+    for config, *sets in zip(configs, whole, cut):
+        for rep in range(reps):
+            loop = _loop_aggregated_curve(means, config, 8, rep)
+            for curves in sets:
+                levels, events, total = _records(curves, rep)
+                assert repr((levels.tolist(), events.tolist(), total)) == repr(loop)
+
+
+def _loop_aggregated_curve(means, config, seed, rep):
+    """Reference: (levels, events, total) of a disarmed step_aggregated loop's strict rises at slot ends."""
+    state, levels, events = CusumState(armed=False), [], []
+    for count, dlam in zip(rng_for(seed, rep, 2).poisson(means).tolist(), means.tolist()):
+        state, _ = step_aggregated(state, count, dlam, config)
+        if state.v > (levels[-1] if levels else -math.inf):
+            levels.append(state.v)
+            events.append(state.events_seen)
+    return levels, events, state.events_seen
 
 
 def test_aggregated_arl_is_the_detectors_mean_first_alarm():
@@ -281,30 +314,27 @@ def _eager_event_curve(tl, config, cycles, seed, rep):
 
 
 def _assert_lazy_equals_eager(tl, cycles, seeds, reps=3):
-    """Query each lazy curve in ascending, descending and repeated order against the eager records."""
+    """Read lazy curve sets in ascending, descending and repeated order against every replication's eager records."""
+    means = np.tile(tl.means, cycles)
     for rho, direction in ((1.3, INCREASE), (1 / 1.3, DECREASE)):
         cfg = _event_cfg(rho, direction=direction)
         for seed in seeds:
-            for rep in range(reps):
-                levels, events, total = _eager_event_curve(tl, cfg, cycles, seed, rep)
-
-                def expected(m):
-                    i = int(np.searchsorted(levels, m, side="left"))
-                    return (int(events[i]), False) if i < len(levels) else (total, True)
-
-                top = float(levels[-1]) if len(levels) else 1.0
-                grid = [0.3, 1.0, 2.5] + list(np.linspace(0.0, top, 12)[1:]) + [top + 1.0]
-                for order in (grid, grid[::-1], grid[3:5] * 2 + grid[:1]):
-                    curve = _curve(tl, cfg, cycles, seed, rep)
-                    for m in order:
-                        assert curve.run_length(m) == expected(m), (direction, seed, rep, m)
-                assert curve.run_length(top + 1.0) == (total, True)
+            eager = [_eager_event_curve(tl, cfg, cycles, seed, rep) for rep in range(reps)]
+            tops = [float(levels[-1]) if len(levels) else 1.0 for levels, _, _ in eager]
+            grid = [0.3, 1.0, 2.5]
+            for top in tops:
+                grid += list(np.linspace(0.0, top, 12)[1:]) + [top + 1.0]
+            for order in (grid, grid[::-1], grid[3:5] * 2 + grid[:1]):
+                curves = _sets(means, [cfg], seed, reps)[0]
+                for m in order:
+                    assert _read(curves, m) == [_reference_read(*e, m) for e in eager], (direction, seed, m)
+            assert _read(curves, max(tops) + 1.0) == [(total, True) for _, _, total in eager]
 
 
 def _chunk_ends(means):
     """Where every event draw over slots with `means` ends its chunks: one holding no events, advanced to the end."""
     base = np.concatenate([[0.0], np.cumsum(means)])
-    draw, ends = _EventDraw(means, base, rng_for(0, 0, 2), np.zeros(len(means), dtype=np.uint8)), []
+    draw, ends = _EventDraw(0, means, base, rng_for(0, 0, 2), np.zeros(len(means), dtype=np.uint8)), []
     while draw.slot < len(means):
         draw.advance()
         ends.append(draw.slot)
@@ -336,10 +366,10 @@ def test_lazy_event_curve_on_short_and_empty_paths():
     _assert_lazy_equals_eager(SlotTimeline.from_rates([0.5, 1.0]), 2, seeds=(6, 7), reps=20)
     tl = SlotTimeline.from_rates([1e-6, 1e-6])
     for direction in (INCREASE, DECREASE):
-        curve = _curve(tl, _event_cfg(1.3 if direction == INCREASE else 0.7, direction=direction), 1, 0, 0)
+        curves = _sets(tl.means, [_event_cfg(1.3 if direction == INCREASE else 0.7, direction=direction)], 0, 1)[0]
         assert _eager_event_curve(tl, _event_cfg(), 1, 0, 0)[2] == 0
-        assert curve.run_length(0.5) == (0, True)
-        assert curve.run_length(1e-9) == (0, True)
+        assert _read(curves, 0.5) == [(0, True)]
+        assert _read(curves, 1e-9) == [(0, True)]
 
 
 def test_estimate_arl_rejects_nonpositive_threshold():
@@ -479,10 +509,10 @@ def test_shared_draws_serve_each_config_once_on_one_input(monkeypatch):
         SharedDraws([up, _agg_cfg(1 / 1.3, direction=DECREASE)])
     draws = SharedDraws([up, down])
     calibrate_threshold(tl, up, target, seed=1, draws=draws)
-    # The finished side left the draws: they go on for the other side's curves alone.
-    rest = draws._sets[down].curves
-    assert any(c.path is not None for c in rest)
-    assert all(c.path is None or c.path.curves == [c] for c in rest)
+    # The finished side left the draws: they go on for the other side's set alone.
+    rest = draws._sets[down]
+    assert rest.draws
+    assert all(draw.sets == [rest] for draw in rest.draws.values())
     other = SlotTimeline.from_rates([6.0, 0.0, 2.0] * 4)
     for args in ((tl, up, target, 1), (tl, down, target, 2), (other, down, target, 1)):
         with pytest.raises(ValidationError, match="shared draws serve each of their configs once"):
@@ -514,16 +544,17 @@ print(repr(result.to_dict()), "concurrent.futures" in sys.modules)
 def _doubling_search(timeline, config, target, seed):
     """Oracle: double hi from 1 until ARL(hi) reaches pi, then bisect [1e-9, hi].
 
-    Every ARL is read curve by curve through `RecordCurve.run_length`.
-    Returns the four result fields, the thresholds evaluated and the bracket top.
+    Every ARL is read replication by replication through `_reference_read`,
+    off the records of every path simulated to its horizon. Returns the four
+    result fields, the thresholds evaluated and the bracket top.
     """
     if target.pi < 1:
         raise ValidationError("budget below one event is unattainable")
-    curves = _curve_sets(timeline, [config], target, seed)[0].curves
+    records = _whole_records(timeline, config, target, seed)
     ms = []
 
     def evaluate(m):
-        pairs = [c.run_length(m) for c in curves]
+        pairs = [_reference_read(*r, m) for r in records]
         ms.append(m)
         return _summarize(np.array([p[0] for p in pairs], dtype=float), np.array([p[1] for p in pairs]))
 
@@ -662,15 +693,20 @@ def test_ladder_stops_at_the_first_top_reaching_the_budget():
     assert len(reads) == len({m for m, _ in reads}) < 30
 
 
+def _whole_records(timeline, config, target, seed):
+    """Every replication's (levels, events, total), each path simulated to its horizon."""
+    curves = _curve_sets(timeline, [config], target, seed)[0]
+    curves.run_lengths(math.inf)
+    return [_records(curves, rep) for rep in range(target.replications)]
+
+
 def _levels_and_arl(timeline, config, target, seed):
-    """Every record level below the largest, with the ARL read curve by curve at a threshold."""
-    curves = _curve_sets(timeline, [config], target, seed)[0].curves
-    for c in curves:
-        c.run_length(math.inf)
-    levels = np.unique(np.concatenate([c.levels for c in curves]))
+    """Every record level, with the ARL read replication by replication at a threshold."""
+    records = _whole_records(timeline, config, target, seed)
+    levels = np.unique(np.concatenate([r[0] for r in records]))
 
     def arl(m):
-        return float(np.mean([c.run_length(m)[0] for c in curves]))
+        return float(np.mean([_reference_read(*r, m)[0] for r in records]))
 
     return levels, arl
 
@@ -741,49 +777,99 @@ def test_calibration_simulates_as_far_as_the_bracket_top(monkeypatch, rho, direc
     assert len(result.trace) <= 30
 
 
-def _read_both(curve_args, monkeypatch):
-    """Two independent copies of the same curves: one for the batched reader, one read curve by curve."""
-    monkeypatch.setattr(calibrate, "_CHUNK_EVENTS", 3)
-    return tuple([_curve(*args) for args in curve_args] for _ in range(2))
+def _expected_read(records, m):
+    """The reference read of every replication's records at m, as the batched read returns it."""
+    pairs = [_reference_read(*r, m) for r in records]
+    return np.array([p[0] for p in pairs], dtype=float), np.array([p[1] for p in pairs])
 
 
-def _curve(tl, cfg, cycles, seed, rep):
-    """The record curve of replication `rep` over `cycles` cycles of `tl`, in either mode."""
-    return _record_curves(np.tile(tl.means, cycles), [cfg], seed, rep + 1)[0][rep]
+def _assert_read_equals_reference(curves, records, m):
+    """The batched read at m equals the reference read of `records`, bit for bit, its summary included."""
+    ns, censored = curves.run_lengths(m)
+    expected_ns, expected_censored = _expected_read(records, m)
+    assert ns.dtype == expected_ns.dtype and np.array_equal(ns, expected_ns), m
+    assert np.array_equal(censored, expected_censored), m
+    assert repr(_summarize(ns, censored)) == repr(_summarize(expected_ns, expected_censored)), m
 
 
 def test_batched_read_equals_per_curve_run_length(monkeypatch):
-    lazy_tl = SlotTimeline.from_rates([0.0, 2.0, 0.0, 0.5, 4.0])
-    empty_tl = SlotTimeline.from_rates([1e-6, 1e-6])
+    # Lazy event sets, complete aggregated sets and sets of paths with no
+    # events, each read in one pass against every replication's reference
+    # read of its records simulated whole.
+    monkeypatch.setattr(calibrate, "_CHUNK_EVENTS", 3)
+    lazy = np.tile(SlotTimeline.from_rates([0.0, 2.0, 0.0, 0.5, 4.0]).means, 12)
+    empty = SlotTimeline.from_rates([1e-6, 1e-6]).means
     args = []
     for rho, direction in ((1.3, INCREASE), (1 / 1.3, DECREASE)):
-        args += [(lazy_tl, _event_cfg(rho, direction=direction), 12, 5, rep) for rep in range(6)]
-        args += [(lazy_tl, _agg_cfg(rho, direction=direction), 12, 5, rep) for rep in range(3)]
-        args += [(empty_tl, _event_cfg(rho, direction=direction), 1, 0, 0)]
-    batched, reference = _read_both(args, monkeypatch)
-    assert any(c.path is not None for c in batched)  # lazy
-    assert any(c.path is None and c.total_events for c in batched)  # complete
-    assert any(c.total_events == 0 for c in batched)  # empty
-    # Every record level of the complete curves, to be found by the reads.
-    for c in reference:
-        c.run_length(math.inf)
-    levels = np.unique(np.concatenate([c.levels for c in reference]))
+        args += [(lazy, _event_cfg(rho, direction=direction), 5, 6)]
+        args += [(lazy, _agg_cfg(rho, direction=direction), 5, 3)]
+        args += [(empty, _event_cfg(rho, direction=direction), 0, 1)]
+    batched = [_sets(means, [cfg], seed, reps)[0] for means, cfg, seed, reps in args]
+    assert any(curves.draws for curves in batched)  # lazy
+    assert any(np.isinf(curves.tops).all() and curves.totals.all() for curves in batched)  # complete
+    assert any(not curves.totals.any() for curves in batched)  # empty
+    # Every replication's records simulated whole, and every record level, to be found by the reads.
+    records = []
+    for means, cfg, seed, reps in args:
+        whole = _sets(means, [cfg], seed, reps)[0]
+        whole.run_lengths(math.inf)
+        records.append([_records(whole, rep) for rep in range(reps)])
+    levels = np.unique(np.concatenate([r[0] for rs in records for r in rs]))
     grid = [1e-9, float(levels[-1]) + 1.0]
     for level in levels[:: max(1, len(levels) // 40)]:
         grid += [float(level), float(np.nextafter(level, -np.inf)), float(np.nextafter(level, np.inf))]
     grid = [m for m in grid if m > 0]
     random.Random(0).shuffle(grid)
-    # Fresh reference curves, so both sides extend in the same order.
-    batched, reference = _read_both(args, monkeypatch)
-    curves = _CurveSet(batched)
     for m in sorted(grid[:20]) + grid:
-        ns, censored = curves.run_lengths(m)
-        pairs = [c.run_length(m) for c in reference]
-        expected_ns = np.array([p[0] for p in pairs], dtype=float)
-        expected_censored = np.array([p[1] for p in pairs])
-        assert ns.dtype == expected_ns.dtype and np.array_equal(ns, expected_ns), m
-        assert np.array_equal(censored, expected_censored), m
-        assert repr(_summarize(ns, censored)) == repr(_summarize(expected_ns, expected_censored)), m
+        for curves, rs in zip(batched, records):
+            _assert_read_equals_reference(curves, rs, m)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    rates=st.lists(st.sampled_from([0.0, 0.5, 3.0]) | st.floats(0.0, 6.0), min_size=1, max_size=6),
+    cycles=st.integers(1, 8),
+    reps=st.integers(1, 6),
+    chunk=st.integers(1, 8) | st.sampled_from([64, _CHUNK_EVENTS]),
+    mode=st.sampled_from([EVENT_TIMES, AGGREGATED_COUNTS]),
+    leaving=st.integers(0, 1),
+    rnd=st.randoms(use_true_random=False),
+)
+def test_batched_read_equals_the_reference_read(rates, cycles, reps, chunk, mode, leaving, rnd):
+    # Both directions' sets attached to one draw per replication, as SharedDraws
+    # attaches them. Both read the lower half of the thresholds in random
+    # order; then one leaves the draws and the other reads every threshold in
+    # random order, then descending, then repeated. The thresholds are every
+    # record level and one ulp either side: each read equals the reference
+    # read of the eager event curve or the step_aggregated loop.
+    tl = SlotTimeline.from_rates(rates)
+    means = np.tile(tl.means, cycles)
+    configs = _pair(mode)
+    if mode == EVENT_TIMES:
+        records = [[_eager_event_curve(tl, cfg, cycles, 11, rep) for rep in range(reps)] for cfg in configs]
+    else:
+        records = [[_loop_aggregated_curve(means, cfg, 11, rep) for rep in range(reps)] for cfg in configs]
+    grid = {1e-9}
+    for levels, _, _ in (r for rs in records for r in rs):
+        for level in np.asarray(levels, dtype=float).tolist():
+            grid |= {float(np.nextafter(level, -np.inf)), level, float(np.nextafter(level, np.inf))}
+    grid = sorted(m for m in grid if m > 0)
+    grid.append(grid[-1] + 1.0)
+    low, every = grid[: len(grid) // 2], grid[:]
+    rnd.shuffle(low)
+    rnd.shuffle(every)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(calibrate, "_CHUNK_EVENTS", chunk)
+        sets = _sets(means, configs, 11, reps)
+        for m in low:
+            for curves, rs in zip(sets, records):
+                _assert_read_equals_reference(curves, rs, m)
+        staying = sets[1 - leaving]
+        sets[leaving].detach()
+        assert not sets[leaving].draws
+        assert all(draw.sets == [staying] for draw in staying.draws.values())
+        for m in every + sorted(every[:10], reverse=True) + every[:5] * 2:
+            _assert_read_equals_reference(staying, records[1 - leaving], m)
 
 
 def test_horizon_limit_is_exact():

@@ -155,6 +155,18 @@ def test_worst_case_empty_grid():
         worst_case_delay(tl, theta_grid=[], config=_cfg(2.0, 6.0))
 
 
+def test_worst_case_takes_a_numpy_grid_as_a_list():
+    # An array grid once raised numpy's ambiguous-truth-value error at the emptiness check.
+    tl = SlotTimeline.from_rates([5.0] * 20)
+    cfg = _cfg(2.0, 6.0)
+    report = worst_case_delay(tl, theta_grid=np.array([3.0, 10.0]), config=cfg, replications=50, seed=4)
+    assert repr(report.to_dict()) == repr(worst_case_delay(tl, [3.0, 10.0], cfg, replications=50, seed=4).to_dict())
+    with pytest.raises(ValidationError, match="^theta grid is empty$"):
+        worst_case_delay(tl, theta_grid=np.array([]), config=cfg)
+    with pytest.raises(ValidationError, match="^theta grid repeats the change time 3.0$"):
+        worst_case_delay(tl, theta_grid=np.array([3.0, 7.0, 3.0]), config=cfg, replications=5)
+
+
 def test_worst_case_refuses_a_repeated_change_time():
     tl = SlotTimeline.from_rates([5.0] * 10)
     with pytest.raises(ValidationError, match="^theta grid repeats the change time 3.0$"):

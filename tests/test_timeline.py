@@ -115,6 +115,20 @@ def test_calendar_timeline_locate_and_timestamp(truth_model):
     assert tl.timestamp(0, end=True) == datetime(2018, 1, 8, 8, 0)
 
 
+def test_calendar_labels_refuse_a_repeated_or_unordered_slot(truth_model):
+    # One day built twice laid 44 slots on a Tuesday, and locate read 09:00 in the second copy.
+    d = date(2018, 1, 9)
+    with pytest.raises(ValidationError, match="grid indices must strictly increase within each day"):
+        truth_model.timeline([d, d])
+    for grid in ([3, 3], [4, 3]):
+        with pytest.raises(ValidationError, match="grid indices must strictly increase within each day"):
+            SlotTimeline([1.0, 1.0], [2.0, 2.0], days=[d, d], grid=grid)
+    # The same grid index on consecutive days is two slots.
+    tl = SlotTimeline([1.0, 1.0], [2.0, 2.0], days=[d, d + timedelta(days=1)], grid=[3, 3])
+    assert tl.locate(d, time(9, 0)) == 0.0
+    assert truth_model.timeline([d]).locate(d, time(9, 0)) == 3.0
+
+
 def test_locate_keeps_seconds_inside_a_slot(truth_model):
     tl = truth_model.timeline([date(2018, 1, 8)])
     at = [tl.locate(date(2018, 1, 8), tod) for tod in (time(9, 10), time(9, 10, 30), time(9, 10, 59), time(9, 11))]
