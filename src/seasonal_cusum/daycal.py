@@ -130,8 +130,9 @@ class ScenarioSchedule:
     def __post_init__(self):
         if self.anchor.weekday() != 1:
             raise ValidationError(f"scenario anchor {self.anchor} is not a Tuesday")
-        if self.every < 1:
-            raise ValidationError("scenario period must be >= 1 week")
+        # A bool is an int; a float such as 2.5 or NaN is no whole number of weeks.
+        if isinstance(self.every, bool) or not isinstance(self.every, int) or self.every < 1:
+            raise ValidationError(f"scenario period must be a whole number of weeks >= 1, got {self.every!r}")
 
     def is_affected(self, d: date) -> bool:
         if d.weekday() != 1 or d < self.anchor:

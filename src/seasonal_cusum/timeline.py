@@ -3,9 +3,11 @@
 A timeline strings the open slots of a horizon end to end on a continuous
 axis with closed periods removed: slot i occupies [start_i, end_i), where
 end_i = start_i + length_i is bit for bit slot i + 1's start, and carries a
-constant arrival rate per unit time. Calendar timelines use unit-length
-slots (one half hour = one time unit); abstract timelines may use any slot
-lengths.
+constant arrival rate per unit time. The intensity integral over [a, b] is
+each slot's rate times the time spent in it, the per-slot `rate * (t - a)`
+that `run_events` reads a drift from. Calendar timelines use unit-length
+slots (one half hour = one time unit) on the day's half-hour grid; abstract
+timelines may use any slot lengths.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from datetime import date, datetime, time
 
 import numpy as np
 
-from .daycal import DAY_OPEN_MINUTE, SLOT_MINUTES, slot_timestamp
+from .daycal import DAY_OPEN_MINUTE, SATURDAY_SLOT_COUNT, SLOT_MINUTES, WEEKDAY_SLOT_COUNT, slot_timestamp
 from .errors import CoverageError, ValidationError
 
 
@@ -22,8 +24,8 @@ class SlotTimeline:
     """Ordered open slots laid end to end from `start`, with piecewise-constant rates.
 
     Calendar timelines also carry each slot's date (`days`, datetime64[D])
-    and its index on the half-hour grid (`grid`); abstract timelines carry
-    neither.
+    and its index on that day's half-hour grid (`grid`: 0-21 on weekdays,
+    0-9 on Saturdays, none on Sundays); abstract timelines carry neither.
     """
 
     def __init__(self, lengths, rates, *, start=0.0, days=None, grid=None):
@@ -41,16 +43,16 @@ class SlotTimeline:
             # A strict left fold: each end is start + length, bit for bit the next slot's start.
             edges = np.cumsum(np.concatenate([[start], self.lengths]))
             self.means = self.rates * self.lengths
-            # cum_means[i] = expected events strictly before slot i
-            self.cum_means = np.concatenate([[0.0], np.cumsum(self.means)])
+            # The sequential sum, which calibration's horizon reads.
+            self.total_mean = float(np.cumsum(self.means)[-1])
         self.starts, self.ends = edges[:-1], edges[1:]
         # NaN and infinite starts fail this too, as does a length lost to rounding.
         if not np.all(self.ends > self.starts):
             raise ValidationError("slot starts must be finite, and each slot must end after it starts")
         # Ends rise and means are nonnegative, so these bound every end and mean; NaN fails them too.
-        if not (np.isfinite(self.ends[-1]) and np.isfinite(self.cum_means[-1])):
+        if not (np.isfinite(self.ends[-1]) and np.isfinite(self.total_mean)):
             raise ValidationError(
-                f"the timeline ends at {self.ends[-1]} and expects {self.cum_means[-1]} events; both must be finite"
+                f"the timeline ends at {self.ends[-1]} and expects {self.total_mean} events; both must be finite"
             )
         self.days = None if days is None else np.asarray(days, dtype="datetime64[D]")
         self.grid = None if grid is None else np.asarray(grid, dtype=np.int64)
@@ -64,6 +66,14 @@ class SlotTimeline:
             # A repeated (day, grid) pair would lay one half hour twice on the axis.
             if np.any((self.days[1:] == self.days[:-1]) & (self.grid[1:] <= self.grid[:-1])):
                 raise ValidationError("slot grid indices must strictly increase within each day")
+            # Day 0 of datetime64[D], 1970-01-01, was a Thursday; Monday is 0 and Sunday, closed, 6.
+            weekday = (self.days.astype(np.int64) + 3) % 7
+            count = np.array([WEEKDAY_SLOT_COUNT] * 5 + [SATURDAY_SLOT_COUNT, 0])[weekday]
+            off = np.flatnonzero((self.grid < 0) | (self.grid >= count))
+            if off.size:
+                i = int(off[0])
+                day = self.days[i].item()
+                raise ValidationError(f"slot {i} on {day} has grid index {self.grid[i]}, but a {day:%A} has {count[i]} slots")
 
     @classmethod
     def from_rates(cls, rates, length: float = 1.0, start: float = 0.0) -> "SlotTimeline":
@@ -76,33 +86,17 @@ class SlotTimeline:
     def total_time(self) -> float:
         return float(self.ends[-1] - self.starts[0])
 
-    @property
-    def total_mean(self) -> float:
-        return float(self.cum_means[-1])
-
-    def slot_at(self, t: float | np.ndarray) -> int | np.ndarray:
-        """Index of the slot containing time t (right-open intervals); elementwise over an array."""
-        if isinstance(t, np.ndarray):
-            if t.size and not (self.starts[0] <= t.min() and t.max() <= self.ends[-1]):
-                raise CoverageError(f"times [{t.min()}, {t.max()}] outside timeline [{self.starts[0]}, {self.ends[-1]}]")
-            return np.clip(np.searchsorted(self.starts, t, side="right") - 1, 0, len(self) - 1)
-        if not self.starts[0] <= t <= self.ends[-1]:
-            raise CoverageError(f"time {t} outside timeline [{self.starts[0]}, {self.ends[-1]}]")
-        i = int(np.searchsorted(self.starts, t, side="right")) - 1
-        return min(max(i, 0), len(self) - 1)
-
-    def cum_mean_at(self, t: float | np.ndarray) -> float | np.ndarray:
-        """Expected events in [timeline start, t]; elementwise, bit for bit, over an array."""
-        i = self.slot_at(t)
-        # Slot i's line: the expected events before it plus its rate times t's way into it.
-        lam = self.cum_means[i] + self.rates[i] * (t - self.starts[i])
-        return lam if isinstance(t, np.ndarray) else float(lam)
-
     def cumulative(self, a: float, b: float) -> float:
-        """Expected events in [a, b]; additive over adjacent intervals."""
+        """Expected events in [a, b]: each slot's rate times the time spent in it."""
         if b < a:
             raise ValidationError("interval end precedes start")
-        return self.cum_mean_at(b) - self.cum_mean_at(a)
+        # NaN fails these comparisons too.
+        if not (self.starts[0] <= a and b <= self.ends[-1]):
+            raise CoverageError(f"interval [{a}, {b}] outside timeline [{self.starts[0]}, {self.ends[-1]}]")
+        i, j = np.searchsorted(self.starts, [a, b], side="right") - 1
+        if i == j:
+            return float(self.rates[i] * (b - a))
+        return float(self.rates[i] * (self.ends[i] - a) + self.means[i + 1 : j].sum() + self.rates[j] * (b - self.starts[j]))
 
     def locate(self, d: date, tod: time) -> float:
         """Open-time position of a calendar instant.

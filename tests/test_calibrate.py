@@ -36,6 +36,7 @@ from seasonal_cusum.detect import (
     CusumState,
     DetectorConfig,
     run_aggregated,
+    run_events,
     step_aggregated,
 )
 from seasonal_cusum.errors import BracketingError, HorizonTooShortError, ValidationError
@@ -311,6 +312,36 @@ def _eager_event_curve(tl, config, cycles, seed, rep):
     running = np.maximum.accumulate(v)
     keep = running > np.concatenate([[-np.inf], running[:-1]])
     return running[keep], events[keep], total
+
+
+def test_event_records_equal_run_events_between_record_levels(truth_model):
+    # Each path is drawn as calibration draws it and laid on a unit-rate
+    # timeline whose slots are the slot means, so an event's time is its Λ and
+    # only the arithmetic differs: the records' closed form against
+    # run_events' fold. Midway between two record levels that stand apart,
+    # both read the same first alarm; exactly on a level they may not.
+    means = truth_model.timeline([date(2018, 1, 8), date(2018, 1, 9)]).means
+    tl = SlotTimeline(means, np.ones_like(means))
+    seed, reps, read = 0, 6, 0
+    for rho, direction in ((1.2, INCREASE), (1 / 1.2, DECREASE)):
+        curves = _sets(means, [_event_cfg(rho, direction=direction)], seed, reps)[0]
+        curves.run_lengths(math.inf)  # every draw simulated to the horizon
+        for rep in range(reps):
+            rng = rng_for(seed, rep, 2)
+            counts = rng.poisson(means)
+            slot_of = np.repeat(np.arange(len(means)), counts)
+            times = np.sort(tl.starts[slot_of] + means[slot_of] * rng.random(len(slot_of)))
+            levels, _, total = _records(curves, rep)
+            assert total == len(times)
+            for low, high in zip(levels.tolist(), levels[1:].tolist()):
+                if high - low < 1e-9 * abs(high):
+                    continue
+                m = 0.5 * (low + high)
+                alarms = run_events(tl, times, _event_cfg(rho, m, direction)).alarms
+                expected = (alarms[0].events_at_alarm, False) if alarms else (total, True)
+                assert _read(curves, m)[rep] == expected, (direction, rep, m)
+                read += 1
+    assert read > 300
 
 
 def _assert_lazy_equals_eager(tl, cycles, seeds, reps=3):

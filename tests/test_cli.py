@@ -736,6 +736,23 @@ def test_malformed_model_file_is_input_error(workspace, tmp_path, capsys, case):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("every", [2.5, math.nan, True, 0, "3"], ids=["fraction", "nan", "bool", "zero", "string"])
+def test_model_with_a_scenario_period_of_no_whole_weeks_is_input_error(workspace, tmp_path, capsys, every):
+    # 2.5, NaN and true were read as periods: detect exited 0 with 8, 0 and 32 alarms on the quick start.
+    doc = json.loads(workspace["model"].read_text())
+    doc["scenario"] = {"anchor": "2018-01-02", "every": every}
+    bad = tmp_path / "model.json"
+    bad.write_text(json.dumps(doc))
+    series = _series(workspace, tmp_path)
+    out = tmp_path / "det"
+    argv = ["detect", "--model", str(bad), "--series", str(series), "--rho", "1.2", "--m", "38.7", "--out", str(out)]
+    assert main(argv) == EXIT_INPUT
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: model file {bad}: "), err
+    assert "scenario period must be a whole number of weeks >= 1" in err[0]
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("double_sided", [False, True], ids=["single", "double-sided"])
 def test_detect_pi_writes_the_calibrations_it_ran_with(workspace, tmp_path, monkeypatch, double_sided):
     series = _series(workspace, tmp_path)

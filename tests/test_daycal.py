@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import math
+import re
 from datetime import date, datetime, time, timedelta
 
 import pytest
@@ -135,6 +137,14 @@ def test_scenario_schedule_every_third_tuesday():
 def test_scenario_schedule_anchor_must_be_tuesday():
     with pytest.raises(ValidationError):
         ScenarioSchedule(anchor=date(2018, 1, 3))
+
+
+@pytest.mark.parametrize("every", [2.5, 3.0, math.nan, math.inf, True, False, 0, -1, "3", None])
+def test_scenario_period_must_be_a_whole_number_of_weeks(every):
+    # 2.5 marked every fifth Tuesday, NaN none and True every one.
+    with pytest.raises(ValidationError, match=f"^scenario period must be a whole number of weeks >= 1, got {re.escape(repr(every))}$"):
+        ScenarioSchedule(anchor=date(2018, 1, 2), every=every)
+    assert ScenarioSchedule(anchor=date(2018, 1, 2), every=1).is_affected(date(2018, 1, 9))
 
 
 def test_scenario_from_first_tuesday():

@@ -433,8 +433,8 @@ def test_decrease_crossing_equals_bisection_on_calendar_slots(truth_model):
     a = np.where(rng.random(n) < 0.25, starts, starts + rng.random(n) * (ends - starts))
     t = np.where(rng.random(n) < 0.25, ends, a + rng.random(n) * (ends - a))
     keep = t > a
-    a, t = a[keep], t[keep]
-    dlam = tl.cum_mean_at(t) - tl.cum_mean_at(a)
+    a, t, slot = a[keep], t[keep], slot[keep]
+    dlam = tl.rates[slot] * (t - a)
     cfg0 = _cfg(rho=0.8, m=1.0, direction=DECREASE, mode=EVENT_TIMES, reset=False)
     b = cfg0.beta
     # m = b * needed for a fraction of the segment's increment; a sixth take the whole of it.
@@ -450,7 +450,7 @@ def test_decrease_crossing_equals_bisection_on_calendar_slots(truth_model):
                 break
     assert whole > len(a) // 10
     needed = ms / b
-    reference = _crossing_by_bisection(a, t, needed, lambda lo, hi: tl.cum_mean_at(hi) - tl.cum_mean_at(lo))
+    reference = _crossing_by_bisection(a, t, needed, lambda lo, hi: tl.rates[slot] * (hi - lo))
     worst = 0.0
     for ak, tk, mk, ref in zip(a.tolist(), t.tolist(), ms.tolist(), reference.tolist()):
         cfg = replace(cfg0, threshold_m=mk)
@@ -746,12 +746,6 @@ def test_run_detector_rejects_counts_as_step_aggregated_does(truth_model, count)
     assert str(raised.value) == str(expected.value) == f"count must be a nonnegative integer, got {count}"
 
 
-def _slot_integral(tl, i):
-    """Slot i's intensity integral on [a, b] inside it, as `run_events` reads it."""
-    rate = float(tl.rates[i])
-    return lambda a, b: rate * (b - a)
-
-
 # Unit slots from 0: slot i covers [i, i + 1], so integer times sit on boundaries.
 @st.composite
 def _events_on_timeline(draw):
@@ -787,7 +781,7 @@ def test_run_events_equals_step_events_loop(data, cfg, start):
     for i in range(len(tl)):
         a, b = float(tl.starts[i]), float(tl.ends[i])
         inside = [t for t in times if (a <= t if i == 0 else a < t) and t <= b]
-        state, alarm = step_events(state, inside, cfg, (a, b), _slot_integral(tl, i))
+        state, alarm = step_events(state, inside, cfg, (a, b), tl.cumulative)
         v.append(state.v)
         if alarm is not None:
             alarms.append(alarm)
@@ -829,7 +823,7 @@ def test_run_events_alarm_slot_with_a_later_slot_starting_inside_it(direction):
     for i in range(len(tl)):
         a, b = float(tl.starts[i]), float(tl.ends[i])
         inside = [t for t in times if (a <= t if i == 0 else a < t) and t <= b]
-        state, alarm = step_events(state, inside, cfg, (a, b), _slot_integral(tl, i))
+        state, alarm = step_events(state, inside, cfg, (a, b), tl.cumulative)
         v.append(state.v)
         if alarm is not None:
             alarms.append(alarm)
@@ -841,11 +835,12 @@ def test_run_events_alarm_slot_with_a_later_slot_starting_inside_it(direction):
 @pytest.mark.parametrize("direction", [INCREASE, DECREASE])
 def test_run_events_events_past_the_start_of_the_next_slot(direction):
     # Slots 0 and 1 each end on an event, three of them at slot 0's end, which
-    # `slot_at` places in slot 1 and `run_events` in slot 0; no alarm fires.
+    # a search of the slot starts places in slot 1 and `run_events` in slot 0;
+    # no alarm fires.
     tl = SlotTimeline([0.3, 0.3, 0.3], [3.0, 5.0, 4.0], start=0.1)
     e0, e1 = float(tl.ends[0]), float(tl.ends[1])
     times = [0.3, e0, e0, e0, 0.5, e1, 0.85]
-    assert tl.slot_at(np.array(times[1:4])).tolist() == [1, 1, 1]
+    assert (np.searchsorted(tl.starts, times[1:4], side="right") - 1).tolist() == [1, 1, 1]
     up = direction == INCREASE
     cfg = _cfg(rho=1.5 if up else 0.5, m=50.0, direction=direction, mode=EVENT_TIMES)
     run = run_events(tl, times, cfg)
@@ -877,7 +872,7 @@ def _step_events_loop(tl, times, cfg, start=None):
     state, v, alarms, lo = start or CusumState.initial(clock=float(tl.starts[0])), [], [], 0
     for i in range(len(tl)):
         hi = bisect.bisect_right(times, float(tl.ends[i]))
-        state, alarm = step_events(state, times[lo:hi], cfg, (float(tl.starts[i]), float(tl.ends[i])), _slot_integral(tl, i))
+        state, alarm = step_events(state, times[lo:hi], cfg, (float(tl.starts[i]), float(tl.ends[i])), tl.cumulative)
         v.append(state.v)
         if alarm is not None:
             alarms.append(alarm)

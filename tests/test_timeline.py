@@ -75,9 +75,31 @@ def test_rejects_ends_and_means_that_are_not_finite(lengths, rates):
         SlotTimeline(lengths, rates)
 
 
+_lengths = st.lists(st.sampled_from([1 / 24, 0.1, 1.0]) | st.floats(1e-3, 1e3), min_size=1, max_size=12)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), calendar=st.booleans())
+def test_cumulative_inside_one_slot_is_the_slot_rate_times_the_time(truth_model, data, calendar):
+    # The integral run_events reads a drift from, bit for bit, on [a, b] inside
+    # one slot; a and b may both sit on its end, where the next slot starts.
+    if calendar:
+        first = data.draw(st.dates(date(2017, 1, 1), date(2018, 12, 31)))
+        tl = truth_model.timeline([first + timedelta(days=k) for k in range(data.draw(st.integers(3, 30)))])
+    else:
+        lengths = data.draw(_lengths)
+        rates = data.draw(st.lists(st.just(0.0) | st.floats(0.0, 200.0), min_size=len(lengths), max_size=len(lengths)))
+        tl = SlotTimeline(lengths, rates, start=data.draw(st.just(0.0) | st.floats(-1e6, 1e6)))
+    i = data.draw(st.integers(0, len(tl) - 1))
+    start, end = float(tl.starts[i]), float(tl.ends[i])
+    point = st.sampled_from([start, end]) | st.floats(start, end)
+    a, b = sorted([data.draw(point), data.draw(point)])
+    assert tl.cumulative(a, b).hex() == float(tl.rates[i] * (b - a)).hex()
+
+
 @settings(max_examples=80, deadline=None)
 @given(
-    lengths=st.lists(st.sampled_from([1 / 24, 0.1, 1.0]) | st.floats(1e-3, 1e3), min_size=1, max_size=12),
+    lengths=_lengths,
     start=st.just(0.0) | st.floats(-1e6, 1e6),
     seed=st.integers(0, 2**32 - 1),
 )
@@ -86,8 +108,6 @@ def test_slots_are_laid_end_to_end(lengths, start, seed):
     tl = SlotTimeline(lengths, rng.uniform(0.0, 50.0, len(lengths)), start=start)
     assert tl.starts[0] == start
     assert tl.starts[1:].tolist() == tl.ends[:-1].tolist()
-    # Every slot end but the last is the next slot's start, where Λ reads that slot's line.
-    assert tl.cum_mean_at(tl.ends[:-1]).tolist() == tl.cum_means[1:-1].tolist()
 
 
 @pytest.mark.parametrize("rate", [float("nan"), float("inf"), -1.0])
@@ -127,6 +147,30 @@ def test_calendar_labels_refuse_a_repeated_or_unordered_slot(truth_model):
     tl = SlotTimeline([1.0, 1.0], [2.0, 2.0], days=[d, d + timedelta(days=1)], grid=[3, 3])
     assert tl.locate(d, time(9, 0)) == 0.0
     assert truth_model.timeline([d]).locate(d, time(9, 0)) == 3.0
+
+
+@pytest.mark.parametrize(
+    "day, index",
+    [(date(2018, 1, 9), 40), (date(2018, 1, 9), 22), (date(2018, 1, 9), -3), (date(2018, 1, 6), 12),
+     (date(2018, 1, 6), 10), (date(2018, 1, 7), 0)],
+    ids=["tuesday-40", "tuesday-22", "tuesday-minus-3", "saturday-12", "saturday-10", "sunday"],
+)
+def test_calendar_labels_refuse_a_slot_off_the_days_grid(day, index):
+    # Tuesday's slot 40 located 09:00 at 0.0, its slot -3 put 09:00 past the
+    # end, Saturday's slot 12 read 13:30 when the centre is closed, and a
+    # Sunday had slots.
+    with pytest.raises(ValidationError, match=f"^slot 1 on {day} has grid index {index}, but a {day:%A} has"):
+        SlotTimeline([1.0, 1.0], [2.0, 2.0], days=[date(2018, 1, 5), day], grid=[0, index])
+
+
+def test_calendar_labels_take_every_slot_of_a_year(truth_model):
+    tl = truth_model.timeline([date(2018, 1, 1) + timedelta(days=k) for k in range(365)])
+    saturday = tl.days == np.datetime64("2018-01-06")
+    assert tl.grid[saturday].tolist() == list(range(10))
+    assert tl.grid.min() == 0 and tl.grid.max() == 21
+    # The last slot of a Saturday and of a weekday.
+    last = SlotTimeline([1.0, 1.0], [2.0, 2.0], days=[date(2018, 1, 6), date(2018, 1, 9)], grid=[9, 21])
+    assert [last.timestamp(0), last.timestamp(1)] == [datetime(2018, 1, 6, 12, 0), datetime(2018, 1, 9, 18, 0)]
 
 
 def test_locate_keeps_seconds_inside_a_slot(truth_model):
@@ -205,13 +249,3 @@ def test_calendar_timeline_matches_model_cumulative(truth_model):
     via_model = first[3:].sum() + second[:5].sum() + 0.5 * second[5]
     via_timeline = tl.cumulative(tl.locate(a.date(), a.time()), tl.locate(b.date(), b.time()))
     assert via_model == pytest.approx(via_timeline, rel=1e-12)
-
-
-def test_cum_mean_at_array_equals_scalar_bitwise():
-    tl = SlotTimeline.from_rates([3.0, 0.0, 7.25, 1.5], length=0.5, start=2.0)
-    t = np.concatenate([np.linspace(2.0, 4.0, 37), tl.starts, tl.ends])
-    assert tl.cum_mean_at(t).tolist() == [tl.cum_mean_at(x) for x in t.tolist()]
-    assert tl.cum_mean_at(np.array([])).size == 0
-    for bad in ([1.5, 3.0], [3.0, 4.5], [3.0, np.nan]):
-        with pytest.raises(CoverageError):
-            tl.cum_mean_at(np.array(bad))
